@@ -2,7 +2,7 @@
 //! `CostEngine::rebatch` against a full engine rebuild, engine construction
 //! with a shared per-cluster `ClusterCache` against private per-engine
 //! table derivation, and a small `GridSweep` against the naive
-//! one-search-per-cell baseline. The paper-scale end-to-end numbers (and
+//! one-`Oracle::search`-per-cell baseline (`paradl_bench::per_query_sweep`). The paper-scale end-to-end numbers (and
 //! the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
 //! which writes `BENCH_grid.json`.
 
@@ -98,7 +98,7 @@ fn bench_sweep_vs_per_query(c: &mut Criterion) {
     let n = grid.num_queries();
     assert_eq!(n, 12);
     c.bench_function("grid/sweep_12cells_per_query", |b| {
-        b.iter(|| std::hint::black_box(sweep.run_per_query(&grid)))
+        b.iter(|| std::hint::black_box(paradl_bench::per_query_sweep(&grid)))
     });
     c.bench_function("grid/sweep_12cells_amortized", |b| {
         b.iter(|| std::hint::black_box(sweep.run(&grid)))

@@ -1,10 +1,9 @@
-//! Benchmarks of the analytic candidate-evaluation kernel: the fused
-//! coefficient-reconstruction pass (static dominance bounds, branchless
-//! survivor compaction, lazy estimates) against the mechanical
-//! full-estimate-per-candidate baseline, and the evaluation chunk
-//! granularity. The paper-scale end-to-end numbers (and the ≥ 5×
-//! acceptance floor over the committed grid throughput) live in the
-//! `bench_kernel_summary` binary, which writes `BENCH_kernel.json`.
+//! Benchmarks of the analytic candidate-evaluation kernel: a small grid
+//! through the fused coefficient-reconstruction pass (static dominance
+//! bounds, branchless survivor compaction, lazy estimates), and the
+//! evaluation chunk granularity. The paper-scale end-to-end numbers (and
+//! the ≥ 5× acceptance floor over the committed grid throughput) live in
+//! the `bench_kernel_summary` binary, which writes `BENCH_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
@@ -24,13 +23,10 @@ fn small_grid() -> QueryGrid {
         .with_cluster(ClusterSpec::workstation(8))
 }
 
-fn bench_kernel_vs_mechanical(c: &mut Criterion) {
+fn bench_kernel(c: &mut Criterion) {
     let grid = small_grid();
     let sweep = GridSweep::new();
     assert_eq!(grid.num_queries(), 12);
-    c.bench_function("kernel/mechanical_12cells", |b| {
-        b.iter(|| std::hint::black_box(sweep.run_mechanical(&grid)))
-    });
     c.bench_function("kernel/analytic_12cells", |b| {
         b.iter(|| std::hint::black_box(sweep.run(&grid)))
     });
@@ -39,7 +35,7 @@ fn bench_kernel_vs_mechanical(c: &mut Criterion) {
 fn bench_chunk_granularity(c: &mut Criterion) {
     let grid = small_grid();
     for chunk in [2048usize, 8192, 32768] {
-        let sweep = GridSweep::new().with_chunk(chunk);
+        let sweep = GridSweep::new().with_chunk_size(chunk);
         c.bench_function(&format!("kernel/analytic_chunk_{chunk}"), |b| {
             b.iter(|| std::hint::black_box(sweep.run(&grid)))
         });
@@ -49,6 +45,6 @@ fn bench_chunk_granularity(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_kernel_vs_mechanical, bench_chunk_granularity
+    targets = bench_kernel, bench_chunk_granularity
 );
 criterion_main!(benches);

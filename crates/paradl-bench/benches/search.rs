@@ -1,12 +1,11 @@
-//! Benchmarks of the exhaustive strategy-search engine: the rayon-parallel
-//! [`Oracle::search`] against the single-threaded `search_serial` reference
-//! (the speedup target), plus the cost of enumerating the candidate space
+//! Benchmarks of the exhaustive strategy search: the rayon-parallel
+//! [`Oracle::search`], plus the cost of enumerating the candidate space
 //! alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
 
-fn bench_search_parallel_vs_serial(c: &mut Criterion) {
+fn bench_search(c: &mut Criterion) {
     let model = paradl_models::resnet50();
     let device = DeviceProfile::v100();
     let cluster = ClusterSpec::paper_system();
@@ -16,9 +15,6 @@ fn bench_search_parallel_vs_serial(c: &mut Criterion) {
 
     c.bench_function("search/resnet50_parallel", |b| {
         b.iter(|| std::hint::black_box(oracle.search(&constraints)))
-    });
-    c.bench_function("search/resnet50_serial", |b| {
-        b.iter(|| std::hint::black_box(oracle.search_serial(&constraints)))
     });
 }
 
@@ -33,6 +29,6 @@ fn bench_space_enumeration(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_search_parallel_vs_serial, bench_space_enumeration
+    targets = bench_search, bench_space_enumeration
 );
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Grid-throughput summary: times a paper-scale configuration grid (all
 //! four Table-5 model families × four global batch sizes × two clusters,
 //! exhaustive PE sweep) through the amortized `GridSweep` against the naive
-//! per-query baseline (one `Oracle::search` — and thus one engine build and
-//! one candidate enumeration — per cell), plus the rebatch-vs-rebuild and
+//! per-query baseline (`per_query_sweep`: one `Oracle::search` — and thus
+//! one engine build and one candidate enumeration — per cell), plus the rebatch-vs-rebuild and
 //! shared-vs-private-table micro numbers, and writes a machine-readable
 //! `BENCH_grid.json` so CI can track the performance trajectory next to
 //! `BENCH_search.json`.
@@ -12,7 +12,7 @@
 //! With `PARADL_ASSERT_SPEEDUP=1` the ≥ 5× amortization floor is enforced
 //! (kept opt-in because wall-clock ratios are noisy on shared CI runners).
 
-use paradl_bench::cluster_axis;
+use paradl_bench::{cluster_axis, per_query_sweep};
 use paradl_core::prelude::*;
 use std::time::Instant;
 
@@ -67,7 +67,7 @@ fn main() {
     );
 
     let iters = 3;
-    let t_per_query = best_of(iters, || sweep.run_per_query(&grid));
+    let t_per_query = best_of(iters, || per_query_sweep(&grid));
     let t_grid = best_of(iters, || sweep.run(&grid));
     let speedup = t_per_query / t_grid;
     let rate = |t: f64| total_candidates as f64 / t;
@@ -111,7 +111,7 @@ fn main() {
     // Sanity: the amortized sweep must agree with the per-query baseline on
     // the winners (full equivalence is property-tested; this guards the
     // benchmarked configuration itself).
-    let baseline = sweep.run_per_query(&grid);
+    let baseline = per_query_sweep(&grid);
     for (a, b) in warm.cells.iter().zip(&baseline.cells) {
         assert_eq!(a.query, b.query);
         assert_eq!(

@@ -136,6 +136,24 @@ pub fn cluster_axis() -> Vec<ClusterSpec> {
     vec![paper, fat, oversubscribed]
 }
 
+/// The naive sweep the grid benchmarks set against [`GridSweep::run`]: one
+/// [`Oracle::search`] per cell on a fresh oracle, so every cell pays its
+/// own engine build and candidate enumeration.
+pub fn per_query_sweep(grid: &QueryGrid) -> GridReport {
+    let cells = grid
+        .queries()
+        .into_iter()
+        .map(|query| {
+            let gm = &grid.models()[query.model];
+            let cluster = &grid.clusters()[query.cluster];
+            let oracle =
+                Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(query.batch));
+            GridCell { query, report: oracle.search(grid.constraints()) }
+        })
+        .collect();
+    GridReport { cells }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,11 +35,11 @@
 //!   on the same cluster ([`CostEngine::with_cache`]),
 //! * the model's scaling-limit table ([`ModelLimits`]) used by candidate
 //!   enumeration and validation,
-//! * the per-candidate communication coefficients ([`CommCoef`], from
-//!   [`CostEngine::comm_prep`]): every batch-dependent communication term
+//! * the per-candidate communication coefficients (`CommCoef`, from
+//!   `CostEngine::comm_prep`): every batch-dependent communication term
 //!   of the cost model is written in batch-last form
 //!   `fixed + batch · per_sample`, so four stored scalars per candidate
-//!   let [`CostEngine::comm_time_prepped`] reconstruct the *exact*
+//!   let `CostEngine::comm_time_prepped` reconstruct the *exact*
 //!   communication time of any batch with a couple of fused
 //!   multiply-adds — no collective-model derivation, and no division, in
 //!   the grid kernel's hot loop. The grid sweep tabulates one coefficient
@@ -782,8 +782,8 @@ impl<'a> CostEngine<'a> {
     /// compute-only time (forward/backward + weight update), computed with
     /// the exact expressions [`CostEngine::estimate`] uses, so
     /// `lower_bound(s) ≤ estimate(s).epoch_time()` always holds (every
-    /// communication term of the cost model is non-negative). Used by the
-    /// branch-and-bound pruning in [`crate::search`].
+    /// communication term of the cost model is non-negative). The kernel's
+    /// seed panel ([`crate::kernel`]) picks its seeds by this bound.
     pub fn lower_bound(&self, strategy: Strategy) -> f64 {
         let (fb, wu) = self.compute_terms(strategy);
         fb + wu

@@ -1,94 +1,92 @@
 //! Amortized multi-query oracle: evaluate a whole configuration grid
-//! (model × global batch × cluster) at near-single-query cost.
+//! (model × global batch × cluster) at near-single-query cost — and the
+//! crate's one ranked-query driver.
 //!
-//! The oracle is most useful when queried many times — across models, batch
-//! sizes, clusters and PE budgets, exactly the grids the paper's tables and
-//! figures sweep. A naive sweep calls [`Oracle::search`] per cell and pays,
-//! for every cell, a full [`CostEngine`] tabulation, a candidate-space
-//! enumeration (including its serial sort) and the evaluation pass.
-//! [`GridSweep`] answers the same grid while amortizing everything shareable:
+//! Every ranked answer is a grid sweep. [`GridSweep::run`] sweeps a
+//! [`QueryGrid`]; [`Oracle::search`], a ranked [`Oracle::answer`] and
+//! [`crate::query::Query::run`] run the same sweep as a one-cell grid on the
+//! oracle's own engine. [`Oracle::search_reference`] is the independent
+//! per-layer path the tests compare against. A sweep has two parts:
 //!
-//! * **engines** — one [`CostEngine`] per (model, cluster) pair; the other
-//!   batches of the grid get [`CostEngine::rebatch`]ed siblings that share
-//!   every batch-invariant table through the engine's `Arc`-held core,
-//! * **topology tables** — one [`ClusterCache`] per cluster
-//!   ([`std::sync::Arc`]-shared), so every engine on a cluster reuses its
-//!   communication-model derivations,
+//! 1. **engine acquisition** — one [`ClusterCache`] per cluster
+//!    ([`std::sync::Arc`]-shared, so every engine on a cluster reuses its
+//!    communication-model derivations) and one [`CostEngine`] per (model,
+//!    cluster) pair, built fresh or hydrated from an [`EngineCache`]
+//!    ([`GridSweep::run_cached`]); a one-cell answer skips this part and
+//!    brings its own engine;
+//! 2. **the sweep over prepared engines**, which amortizes everything
+//!    shareable across cells:
+//!
+//! * **engines** — the batches of the grid get [`CostEngine::rebatch`]ed
+//!   siblings of the pair's engine that share every batch-invariant table
+//!   through the engine's `Arc`-held core (an engine already at a cell's
+//!   batch is used as is),
 //! * **candidate spaces** — one enumerated superset per model at the
 //!   largest batch; each batch's space is an order-preserving `O(1)`-per-
 //!   candidate filter of the superset (valid because every batch-dependent
 //!   enumeration bound is also checked by [`ModelLimits::is_valid`], and
 //!   validity is monotone in the batch, so each candidate resolves its
-//!   validity once at the smallest admitting batch), so the `O(n log n)`
-//!   sort+dedup runs once per model instead of once per cell,
+//!   validity once at the smallest admitting batch),
 //! * **evaluation prep** — per-PE memory and the compute-only lower bound
 //!   are cluster-independent given the device profile, so one
 //!   structure-of-arrays prep pass per (model, batch, device) feeds every
 //!   cluster cell sharing that device: the memory pruning, its counter, and
 //!   the bound column are computed once instead of once per cell,
+//! * **communication columns** — in top-k mode, one batch-invariant
+//!   communication-coefficient row per superset candidate and (model,
+//!   cluster) pair, from which the kernel reconstructs exact epoch times;
+//!   full ranking never reads them, so it skips the stage,
 //! * **reporting** — in top-k mode only the `k` best and the per-budget
-//!   winners are reported, so they are folded incrementally (two relaxed
-//!   atomic reads for the common non-improving candidate) instead of
-//!   materializing the hundreds of thousands of costed candidates per cell
-//!   that the streaming search would collect and re-scan,
+//!   winners are reported, so they are folded incrementally instead of
+//!   materializing the hundreds of thousands of costed candidates per cell,
 //! * **parallelism** — evaluation is split into fixed-size candidate chunks
 //!   interleaved round-robin across *all* cells and run rayon-parallel, so
 //!   one huge query (a CosmoFlow-scale exhaustive space) doesn't serialize
-//!   the sweep behind it, and per-query serial phases (enumeration, final
-//!   ranking sort) run concurrently across cells,
-//! * **allocation** — the chunk columns come from the shared prep tables
-//!   and each worker reuses a thread-local survivor buffer, so the
-//!   per-candidate hot path allocates nothing,
+//!   the sweep behind it, and per-cell serial phases (final ranking sort)
+//!   run concurrently across cells,
 //! * **analytic evaluation** — the chunks run through the
 //!   [`crate::kernel`] module: a fused memory+bound prep pass
 //!   ([`CostEngine::prep_terms`]), static dominance bounds seeded per cell
 //!   (seed *selection* reuses the device-dependent prep columns across
 //!   clusters; seed *times* are costed per cell because communication is
-//!   cluster-dependent), a branchless mask pass over the `lbs` column, and
+//!   cluster-dependent), a branchless pass over the exact epoch times, and
 //!   incremental [`CostEngine::estimate_delta_with_memory`] chains in
 //!   full-ranking mode. Which engine tables the delta path may reuse is
 //!   documented in the `engine` module (batch-invariant vs batch-dependent
 //!   — load-bearing, exactly as with [`CostEngine::rebatch`]).
-//!   [`GridSweep::run_mechanical`] keeps the pre-kernel path as the
-//!   measured baseline of `bench_kernel_summary`.
 //!
-//! Set `PARADL_GRID_TRACE=1` to print per-stage wall-clock timings of a
-//! sweep to stderr ([`GridSweep::run_timed`] returns them
-//! programmatically), and `PARADL_CHUNK` to override the evaluation chunk
-//! granularity.
+//! [`GridSweep::run_timed`] returns the per-stage wall-clock timings of a
+//! sweep.
 //!
-//! The sweep is *exact*: every cell's [`SearchReport`] has the same
-//! `enumerated`/`pruned_by_memory` counts, ranking and budget winners as a
-//! per-query [`Oracle::search`] at that cell's configuration (byte-identical
-//! projections — rebatched engines are bit-equal to freshly built ones, and
-//! the search reduction is order-independent). Only the prune-accounting
-//! split may differ: the analytic kernel reports deterministic
-//! `pruned_by_dominance` counts (and zero `pruned_by_bound`), while the
-//! streaming baseline reports dynamic `pruned_by_bound` counts that already
-//! vary between two runs of the parallel search. Property-tested in
-//! `tests/proptest_grid.rs`; [`GridSweep::run_per_query`] keeps the naive
-//! sweep as the equivalence baseline and benchmark reference
-//! (`paradl-bench/benches/grid.rs`, the `bench_grid_summary` binary, and
-//! `bench_kernel_summary`, which gates the kernel's ≥ 5× candidates/sec
-//! trajectory on the same paper-scale grid).
+//! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
+//! field, what [`Oracle::search`] returns at that cell's configuration —
+//! rebatched engines are bit-equal to freshly built ones, the reduction is
+//! order-independent, and the static `pruned_by_dominance` count is fixed
+//! before the scan (`pruned_by_bound` is always 0). Property-tested in
+//! `tests/proptest_grid.rs` across chunk sizes, with full-ranking cells
+//! also checked against [`Oracle::search_reference`].
+//!
+//! [`Oracle::search`]: crate::oracle::Oracle::search
+//! [`Oracle::answer`]: crate::oracle::Oracle::answer
+//! [`Oracle::search_reference`]: crate::oracle::Oracle::search_reference
+//! [`ModelLimits::is_valid`]: crate::engine::ModelLimits::is_valid
 
 use crate::cluster::{ClusterCache, ClusterSpec};
+use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
-use crate::engine::CommCoef;
-use crate::engine::{
-    cluster_fingerprint, engine_fingerprint, CostEngine, EngineCache, ModelLimits,
-};
-use crate::kernel::{chunk_from_env, eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds};
+use crate::engine::{cluster_fingerprint, engine_fingerprint, CommCoef, CostEngine, EngineCache};
+use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::model::Model;
-use crate::oracle::{Constraints, Oracle, Projection};
+use crate::oracle::Constraints;
 use crate::search::{
-    budget_index, candidate_cmp, evaluate_pruned_with_bound, finish_report, finish_report_topk,
-    RankedCandidate, SearchReport, SearchShared, StrategySpace,
+    budget_index, finish_report, finish_report_topk, RankedCandidate, SearchReport, SearchShared,
+    StrategySpace,
 };
 use crate::strategy::Strategy;
 use rayon::prelude::*;
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
 /// configuration (dataset size, datum width, memory-reuse factor). The
@@ -207,7 +205,7 @@ pub struct GridCell {
     /// The cell's coordinates.
     pub query: GridQuery,
     /// The cell's search result — identical to what a per-query
-    /// [`Oracle::search`] at this configuration returns.
+    /// [`Oracle::search`](crate::oracle::Oracle::search) at this configuration returns.
     pub report: SearchReport,
 }
 
@@ -256,6 +254,7 @@ impl GridReport {
 /// one prep pass — enumeration filter, memory pruning, bound tabulation —
 /// serves every cluster sharing the device instead of being repeated per
 /// cell.
+#[derive(Default)]
 struct PreppedSpace {
     /// Candidates enumerated for this (model, batch) under the constraints.
     enumerated: usize,
@@ -268,48 +267,23 @@ struct PreppedSpace {
     /// Compute-only lower-bound column, aligned with `cands`.
     lbs: Vec<f64>,
     /// PE-budget slot column (`budget_index` of each candidate, ≤ 64 so it
-    /// fits a byte), aligned with `cands`. Analytic mode only.
+    /// fits a byte), aligned with `cands`.
     slots: Vec<u8>,
     /// Seed-panel indices into `cands` (per-(family, slot) lower-bound
     /// minima; device-dependent but cluster-independent, so selected once
-    /// per prep and costed per cell). Analytic mode only.
+    /// per prep and costed per cell).
     seeds: Vec<usize>,
     /// Superset index of each feasible candidate (`cands[i]` is
     /// `superset[sup[i]]`), linking the prep rows to the per-(model,
-    /// cluster) communication-coefficient columns. Analytic mode only.
+    /// cluster) communication-coefficient columns.
     sup: Vec<u32>,
     /// Strategy-family byte per candidate ([`crate::strategy::StrategyKind`]
     /// as `u8`) — the kernel's communication dispatch, so the hot loop
-    /// never decodes the strategy column. Analytic mode only.
+    /// never decodes the strategy column.
     fams: Vec<u8>,
 }
 
 impl PreppedSpace {
-    fn empty_per_batch(batches: &[usize]) -> Vec<PreppedSpace> {
-        batches
-            .iter()
-            .map(|_| PreppedSpace {
-                enumerated: 0,
-                mem_pruned: 0,
-                cands: Vec::new(),
-                mems: Vec::new(),
-                lbs: Vec::new(),
-                slots: Vec::new(),
-                seeds: Vec::new(),
-                sup: Vec::new(),
-                fams: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Batch indices in ascending batch order (validity at one batch
-    /// implies validity at every larger one).
-    fn batch_order(batches: &[usize]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..batches.len()).collect();
-        order.sort_by_key(|&i| batches[i]);
-        order
-    }
-
     /// Builds the prep tables of one (model, device) for *every* batch of
     /// the grid in a single superset pass: candidate validity is monotone in
     /// the batch (every batch-dependent bound is a `≤ batch` comparison), so
@@ -317,7 +291,7 @@ impl PreppedSpace {
     /// batch instead of being re-checked per batch. `base` is any engine of
     /// the (model, device) pair; per-batch siblings are rebatched from it.
     ///
-    /// The analytic prep: memory and the lower bound come from the fused
+    /// Memory and the lower bound come from the fused
     /// [`CostEngine::prep_terms`] pass, the budget-slot and seed-panel
     /// columns for the kernel are tabulated alongside, and — for the
     /// non-pipeline families, whose per-PE memory is provably nondecreasing
@@ -327,14 +301,18 @@ impl PreppedSpace {
     /// there, so the accounting is unchanged).
     fn build_all(
         superset: &[Strategy],
-        limits: &ModelLimits,
         base: &CostEngine<'_>,
         batches: &[usize],
         constraints: &Constraints,
     ) -> Vec<PreppedSpace> {
-        let engines: Vec<CostEngine<'_>> = batches.iter().map(|&b| base.rebatched(b)).collect();
-        let mut preps = PreppedSpace::empty_per_batch(batches);
-        let order = PreppedSpace::batch_order(batches);
+        let limits = base.limits();
+        let engines: Vec<Cow<'_, CostEngine<'_>>> =
+            batches.iter().map(|&b| at_batch(base, b)).collect();
+        let mut preps: Vec<PreppedSpace> = batches.iter().map(|_| Default::default()).collect();
+        // Ascending batch order: validity at one batch implies validity at
+        // every larger one.
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&i| batches[i]);
         for (si, &strategy) in superset.iter().enumerate() {
             let mut j = 0;
             while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
@@ -373,173 +351,31 @@ impl PreppedSpace {
         }
         preps
     }
+}
 
-    /// The pre-kernel (mechanical) prep: separate `memory_per_pe` and
-    /// `lower_bound` calls per candidate, no slot/seed columns, no
-    /// early-break. Kept verbatim as the baseline side of
-    /// [`GridSweep::run_mechanical`] so the kernel's speedup is measured
-    /// against the real predecessor, not a strawman.
-    fn build_all_mechanical(
-        superset: &[Strategy],
-        limits: &ModelLimits,
-        base: &CostEngine<'_>,
-        batches: &[usize],
-        constraints: &Constraints,
-    ) -> Vec<PreppedSpace> {
-        let engines: Vec<CostEngine<'_>> = batches.iter().map(|&b| base.rebatched(b)).collect();
-        let mut preps = PreppedSpace::empty_per_batch(batches);
-        let order = PreppedSpace::batch_order(batches);
-        for &strategy in superset {
-            let mut j = 0;
-            while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
-                j += 1;
-            }
-            for &bi in &order[j..] {
-                let prep = &mut preps[bi];
-                prep.enumerated += 1;
-                let mem = engines[bi].memory_per_pe(strategy);
-                if mem > constraints.memory_capacity_bytes {
-                    continue;
-                }
-                prep.cands.push(strategy);
-                prep.mems.push(mem);
-                prep.lbs.push(engines[bi].lower_bound(strategy));
-            }
-        }
-        for prep in &mut preps {
-            prep.mem_pruned = prep.enumerated - prep.cands.len();
-        }
-        preps
+/// `engine` at global batch `batch`: borrowed when it already sits there,
+/// a [`CostEngine::rebatched`] sibling otherwise (bit-equal either way).
+fn at_batch<'e, 'a>(engine: &'e CostEngine<'a>, batch: usize) -> Cow<'e, CostEngine<'a>> {
+    if engine.config().batch_size == batch {
+        Cow::Borrowed(engine)
+    } else {
+        Cow::Owned(engine.rebatched(batch))
     }
-}
-
-/// Per-(model, cluster) batch-invariant communication columns, aligned
-/// with the model's candidate superset: one [`CommCoef`] row per superset
-/// candidate, from which the kernel's fused evaluation pass reconstructs
-/// every candidate's *exact* communication time
-/// ([`CostEngine::comm_time_prepped`]) — the collective/link derivations
-/// behind `comm_time` are tabulated once per (model, cluster) pair
-/// instead of being re-derived in every batch's cell.
-struct CommColumns {
-    /// Coefficient rows, indexed by superset row.
-    coef: Vec<CommCoef>,
-}
-
-/// Per-worker reusable survivor buffer, retaining its capacity across
-/// chunks so the evaluation hot path never allocates.
-#[derive(Default)]
-struct EvalScratch {
-    found: Vec<RankedCandidate>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
-}
-
-/// Evaluates one candidate chunk of one cell through its engine. The
-/// chunk's structure-of-arrays columns come from the cell's
-/// [`PreppedSpace`], so per-PE memory and the compute lower bound are read
-/// instead of recomputed. Costing goes through the exact per-candidate
-/// logic of the streaming search, so chunked and per-query evaluation
-/// agree; in top-k mode the per-budget winners are folded incrementally
-/// instead of materializing every costed candidate.
-fn eval_chunk(cell: &CellCtx<'_, '_>, lo: usize, hi: usize, constraints: &Constraints) {
-    let (cands, mems, lbs) =
-        (&cell.prep.cands[lo..hi], &cell.prep.mems[lo..hi], &cell.prep.lbs[lo..hi]);
-    let shared = &cell.shared;
-    if constraints.top_k.is_some() {
-        // Top-k reporting only needs the k best (tracked inside `shared`)
-        // and the per-budget winners — fold both incrementally instead of
-        // materializing every costed candidate. The typical candidate
-        // improves neither, so it exits after two relaxed atomic reads
-        // without assembling a `RankedCandidate`; the shared-state
-        // transitions are exactly those of the streaming search's
-        // `observe` (skipping only its no-op updates), so the final
-        // report is identical.
-        for (i, &strategy) in cands.iter().enumerate() {
-            if shared.should_prune(lbs[i], &strategy) {
-                shared.count_bound_pruned();
-                continue;
-            }
-            let cost = cell.engine.estimate_with_memory(strategy, mems[i]);
-            let time = cost.epoch_time();
-            let idx = budget_index(strategy.total_pes());
-            let improves_budget = time <= shared.budget_best_time(idx);
-            if !improves_budget && time > shared.threshold_time() {
-                continue;
-            }
-            let c = RankedCandidate {
-                strategy,
-                projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
-            };
-            if improves_budget {
-                shared.record_budget(idx, time);
-                let mut slot = cell.winners[idx].lock().expect("winner slot poisoned");
-                let better = slot
-                    .map(|cur| candidate_cmp(&c, &cur) == std::cmp::Ordering::Less)
-                    .unwrap_or(true);
-                if better {
-                    *slot = Some(c);
-                }
-            }
-            shared.offer_topk(&c);
-        }
-        return;
-    }
-    // Full-ranking mode: every costed candidate is a survivor; batch them
-    // through the per-worker scratch to keep lock traffic at one append per
-    // chunk.
-    SCRATCH.with(|tls| {
-        let scratch = &mut *tls.borrow_mut();
-        scratch.found.clear();
-        for (i, &strategy) in cands.iter().enumerate() {
-            if let Some(c) = evaluate_pruned_with_bound(
-                &cell.engine,
-                strategy,
-                mems[i],
-                lbs[i],
-                constraints,
-                shared,
-            ) {
-                scratch.found.push(c);
-            }
-        }
-        if !scratch.found.is_empty() {
-            cell.found
-                .lock()
-                .expect("grid survivor accumulator poisoned")
-                .append(&mut scratch.found);
-        }
-    });
 }
 
 /// One in-flight cell of a sweep.
-struct CellCtx<'a, 'w> {
+struct CellCtx<'e, 'a> {
     query: GridQuery,
-    engine: CostEngine<'a>,
-    prep: &'w PreppedSpace,
+    engine: Cow<'e, CostEngine<'a>>,
+    prep: &'e PreppedSpace,
     shared: SearchShared,
     /// Static dominance-prune bounds derived from the prep's seed panel
-    /// through this cell's engine (analytic mode only).
-    bounds: Option<StaticBounds>,
-    /// The (model, cluster) pair's batch-invariant communication columns,
-    /// superset-aligned (empty in mechanical mode).
-    comm: Option<&'w CommColumns>,
+    /// through this cell's engine.
+    bounds: StaticBounds,
     /// Survivor accumulator (full-ranking mode, `top_k == None`).
     found: Mutex<Vec<RankedCandidate>>,
     /// Per-budget-slot running winners (top-k mode).
     winners: Vec<Mutex<Option<RankedCandidate>>>,
-}
-
-/// Which candidate-evaluation path a sweep runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    /// The analytic kernel ([`crate::kernel`]): static dominance bounds,
-    /// branchless mask filtering, incremental cost deltas.
-    Analytic,
-    /// The pre-kernel path: one full estimate per candidate with dynamic
-    /// branch-and-bound checks. Kept as the measured baseline.
-    Mechanical,
 }
 
 /// Per-stage wall-clock seconds of one [`GridSweep::run_timed`] sweep,
@@ -557,7 +393,7 @@ pub struct GridStageTimings {
     /// tabulation, seed selection).
     pub preps: f64,
     /// Batch-invariant communication-coefficient columns (one per
-    /// model × cluster pair).
+    /// model × cluster pair; top-k sweeps only).
     pub comms: f64,
     /// Cell-context assembly (rebatched engines, static bounds).
     pub cells: f64,
@@ -567,14 +403,25 @@ pub struct GridStageTimings {
     pub finish: f64,
 }
 
+/// Lap timer behind [`GridStageTimings`]: each call returns the seconds
+/// since the previous one.
+struct Laps(Instant);
+
+impl Laps {
+    fn lap(&mut self) -> f64 {
+        let now = Instant::now();
+        let elapsed = (now - self.0).as_secs_f64();
+        self.0 = now;
+        elapsed
+    }
+}
+
 /// Evaluates a [`QueryGrid`], amortizing engines, topology caches and
 /// candidate enumeration across cells (see the [module docs](crate::grid)).
 #[derive(Debug, Clone)]
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
-    /// Evaluation path (analytic kernel by default).
-    mode: EvalMode,
 }
 
 impl Default for GridSweep {
@@ -584,13 +431,12 @@ impl Default for GridSweep {
 }
 
 impl GridSweep {
-    /// A sweep through the analytic kernel with the default work-splitting
-    /// granularity ([`PARADL_CHUNK`-overridable](crate::kernel); the
-    /// default is picked by the chunk sweep in `BENCH_kernel.json` — small
-    /// enough that a paper-scale query splits into many units, large
-    /// enough that chunk dispatch and mask-pass overhead stay negligible).
+    /// A sweep with the default work-splitting granularity, picked by the
+    /// chunk sweep in `BENCH_kernel.json`: small enough that a paper-scale
+    /// query splits into many units, large enough that chunk dispatch and
+    /// mask-pass overhead stay negligible.
     pub fn new() -> Self {
-        GridSweep { chunk: chunk_from_env(), mode: EvalMode::Analytic }
+        GridSweep { chunk: DEFAULT_CHUNK }
     }
 
     /// Overrides the candidates-per-chunk granularity (clamped to ≥ 1).
@@ -599,15 +445,9 @@ impl GridSweep {
         self
     }
 
-    /// Alias for [`GridSweep::with_chunk_size`].
-    pub fn with_chunk(self, chunk: usize) -> Self {
-        self.with_chunk_size(chunk)
-    }
-
     /// Evaluates every cell of `grid`, returning one [`SearchReport`] per
     /// cell in [`QueryGrid::queries`] order — each identical to what
-    /// [`Oracle::search`] would return for that cell (modulo the
-    /// non-deterministic `pruned_by_bound` counter).
+    /// [`Oracle::search`](crate::oracle::Oracle::search) returns for that cell.
     pub fn run(&self, grid: &QueryGrid) -> GridReport {
         self.run_with(grid, None).0
     }
@@ -617,18 +457,6 @@ impl GridSweep {
     /// split of the kernel trajectory).
     pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
         self.run_with(grid, None)
-    }
-
-    /// Runs the sweep through the pre-kernel (mechanical) evaluation path:
-    /// reference enumeration, separate memory/bound prep calls, and one
-    /// full cost estimate per surviving candidate with dynamic
-    /// branch-and-bound checks. Produces the same reports as
-    /// [`GridSweep::run`] (modulo the bound/dominance counters — the
-    /// mechanical path counts dynamic bound prunes where the kernel counts
-    /// static dominance prunes); kept as the measured baseline the
-    /// analytic kernel's speedup gate compares against.
-    pub fn run_mechanical(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
-        GridSweep { chunk: self.chunk, mode: EvalMode::Mechanical }.run_with(grid, None)
     }
 
     /// Like [`GridSweep::run`], but sourcing engine cores and cluster caches
@@ -642,30 +470,43 @@ impl GridSweep {
         self.run_with(grid, Some(cache)).0
     }
 
+    /// One ranked query as a one-cell sweep on the caller's engine — the
+    /// ranked arm of
+    /// [`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine).
+    /// Nothing is built and nothing rebatched: the cell's candidates are
+    /// enumerated at the engine's own batch.
+    pub(crate) fn run_one(
+        &self,
+        engine: &CostEngine<'_>,
+        constraints: &Constraints,
+    ) -> SearchReport {
+        let mut timings = GridStageTimings::default();
+        let mut cells = self.sweep(
+            std::slice::from_ref(engine),
+            &[0],
+            &[engine.config().batch_size],
+            constraints,
+            &mut Laps(Instant::now()),
+            &mut timings,
+        );
+        cells.pop().expect("a one-cell sweep yields one cell").report
+    }
+
+    /// Engine acquisition — shared topology caches and one engine per
+    /// (model, cluster) pair at the grid's largest batch, from `ecache`
+    /// when one is supplied — followed by the sweep over those engines.
     fn run_with(
         &self,
         grid: &QueryGrid,
         ecache: Option<&EngineCache>,
     ) -> (GridReport, GridStageTimings) {
         let mut timings = GridStageTimings::default();
-        let queries = grid.queries();
-        if queries.is_empty() {
+        if grid.num_queries() == 0 {
             return (GridReport { cells: Vec::new() }, timings);
         }
-        let trace = std::env::var_os("PARADL_GRID_TRACE").is_some();
-        let mut last = std::time::Instant::now();
-        let mut stage = move |name: &str| -> f64 {
-            let elapsed = last.elapsed().as_secs_f64();
-            last = std::time::Instant::now();
-            if trace {
-                eprintln!("[grid] {name:>10}: {:>8.1} ms", elapsed * 1e3);
-            }
-            elapsed
-        };
-        let analytic = self.mode == EvalMode::Analytic;
+        let mut laps = Laps(Instant::now());
         let n_clusters = grid.clusters.len();
         let max_batch = *grid.batches.iter().max().expect("non-empty batch axis");
-        let constraints = &grid.constraints;
 
         // Shared per-cluster topology caches, sourced from the engine cache
         // when one is supplied (the cache stores models, not times, so the
@@ -678,29 +519,8 @@ impl GridSweep {
                 None => Arc::new(ClusterCache::new(c)),
             })
             .collect();
+        timings.caches = laps.lap();
 
-        timings.caches = stage("caches");
-        // Per-model scaling limits (cheap, needed by both stages below).
-        let limits: Vec<ModelLimits> =
-            grid.models.iter().map(|gm| ModelLimits::of(&gm.model)).collect();
-
-        // One candidate superset per model, enumerated at the largest batch;
-        // models enumerate in parallel (the sort inside is each model's
-        // serial bottleneck in the per-query path). The mechanical baseline
-        // keeps the pre-kernel sort-based enumeration.
-        let supersets: Vec<Vec<Strategy>> = (0..grid.models.len())
-            .into_par_iter()
-            .map(|m| {
-                if analytic {
-                    StrategySpace::with_limits(max_batch, constraints, &limits[m]).into_vec()
-                } else {
-                    StrategySpace::with_limits_reference(max_batch, constraints, &limits[m])
-                        .into_vec()
-                }
-            })
-            .collect();
-
-        timings.supersets = stage("supersets");
         // One engine per (model, cluster) pair, sharing the cluster caches;
         // every batch of the grid reuses the pair's batch-invariant core.
         let engines: Vec<CostEngine<'_>> = (0..grid.models.len() * n_clusters)
@@ -710,89 +530,110 @@ impl GridSweep {
                 let gm = &grid.models[m];
                 let cluster = &grid.clusters[c];
                 let config = gm.config_at(max_batch);
+                let build = || {
+                    CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
+                        .expect("grid engine build failed")
+                };
                 // The grid's workloads are vetted/curated upstream; an
                 // unbuildable engine here is a caller bug, not a request.
                 match ecache {
                     Some(ec) => {
-                        let core =
-                            ec.core(engine_fingerprint(&gm.model, cluster, &gm.base), || {
-                                CostEngine::with_cache(
-                                    &gm.model,
-                                    &cluster.device,
-                                    cluster,
-                                    config,
-                                    &caches[c],
-                                )
-                                .expect("grid engine build failed")
-                                .core_handle()
-                            });
+                        let key = engine_fingerprint(&gm.model, cluster, &gm.base);
+                        let core = ec.core(key, || build().core_handle());
                         CostEngine::from_core(&gm.model, cluster, config, core)
                             .expect("grid engine hydration failed")
                     }
-                    None => CostEngine::with_cache(
-                        &gm.model,
-                        &cluster.device,
-                        cluster,
-                        config,
-                        &caches[c],
-                    )
-                    .expect("grid engine build failed"),
+                    None => build(),
                 }
             })
             .collect();
+        timings.engines = laps.lap();
 
-        timings.engines = stage("engines");
         // Group clusters by device profile: per-PE memory and the compute
         // lower bound are cluster-independent given the device, so one prep
         // pass per (model, batch, device) serves every cluster in the group.
-        let mut group_of = Vec::with_capacity(n_clusters);
-        let mut group_reps: Vec<usize> = Vec::new();
-        for (c, cluster) in grid.clusters.iter().enumerate() {
-            match group_reps.iter().position(|&r| grid.clusters[r].device == cluster.device) {
-                Some(g) => group_of.push(g),
-                None => {
-                    group_of.push(group_reps.len());
-                    group_reps.push(c);
-                }
-            }
-        }
-        let n_groups = group_reps.len();
+        let mut devices: Vec<&DeviceProfile> = Vec::new();
+        let group_of: Vec<usize> = grid
+            .clusters
+            .iter()
+            .map(|cluster| {
+                devices.iter().position(|&d| *d == cluster.device).unwrap_or_else(|| {
+                    devices.push(&cluster.device);
+                    devices.len() - 1
+                })
+            })
+            .collect();
+
+        let cells = self.sweep(
+            &engines,
+            &group_of,
+            &grid.batches,
+            &grid.constraints,
+            &mut laps,
+            &mut timings,
+        );
+        (GridReport { cells }, timings)
+    }
+
+    /// The sweep over prepared engines. `engines` holds one engine per
+    /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
+    /// the device group of cluster `c` (clusters of one group share the
+    /// prep tables). Returns the cells model-major, then batch, then
+    /// cluster — [`QueryGrid::queries`] order — and records the stages from
+    /// `supersets` on.
+    fn sweep(
+        &self,
+        engines: &[CostEngine<'_>],
+        group_of: &[usize],
+        batches: &[usize],
+        constraints: &Constraints,
+        laps: &mut Laps,
+        timings: &mut GridStageTimings,
+    ) -> Vec<GridCell> {
+        let n_clusters = group_of.len();
+        let n_models = engines.len() / n_clusters;
+        let n_groups = group_of.iter().max().map_or(0, |&g| g + 1);
+        let group_reps: Vec<usize> = (0..n_groups)
+            .map(|g| group_of.iter().position(|&x| x == g).expect("groups are dense"))
+            .collect();
+        let max_batch = *batches.iter().max().expect("non-empty batch axis");
+
+        // One candidate superset per model, enumerated at the largest
+        // batch; models enumerate in parallel.
+        let supersets: Vec<Vec<Strategy>> = (0..n_models)
+            .into_par_iter()
+            .map(|m| {
+                let limits = engines[m * n_clusters].limits();
+                StrategySpace::with_limits(max_batch, constraints, limits).into_vec()
+            })
+            .collect();
+        timings.supersets = laps.lap();
 
         // Per-(model, device) prepped spaces covering the whole batch axis:
         // one superset pass enumerates, memory-prunes and bound-tabulates
         // every batch's candidates.
-        let preps: Vec<Vec<PreppedSpace>> = (0..grid.models.len() * n_groups)
+        let preps: Vec<Vec<PreppedSpace>> = (0..n_models * n_groups)
             .into_par_iter()
             .map(|i| {
                 let (m, g) = (i / n_groups, i % n_groups);
-                let build = if analytic {
-                    PreppedSpace::build_all
-                } else {
-                    PreppedSpace::build_all_mechanical
-                };
-                build(
-                    &supersets[m],
-                    &limits[m],
-                    &engines[m * n_clusters + group_reps[g]],
-                    &grid.batches,
-                    constraints,
-                )
+                let engine = &engines[m * n_clusters + group_reps[g]];
+                PreppedSpace::build_all(&supersets[m], engine, batches, constraints)
             })
             .collect();
+        timings.preps = laps.lap();
 
-        timings.preps = stage("preps");
         // Per-(model, cluster) communication columns, aligned with the
         // model's candidate superset: the batch-invariant parts of every
         // candidate's communication time (collective times, link
         // parameters — the dominant per-candidate cost) are tabulated once
-        // per pair instead of being re-derived in every batch's cell.
-        // Rows no batch's prep references (invalid or memory-infeasible at
-        // every batch) are skipped.
-        let coefs: Vec<CommColumns> = if analytic {
-            let used: Vec<Vec<bool>> = (0..grid.models.len() * n_groups)
+        // per pair instead of being re-derived in every batch's cell. Rows
+        // no batch's prep references (invalid or memory-infeasible at every
+        // batch) are skipped. Full ranking costs every candidate through
+        // the delta chain and never reads the columns.
+        let coefs: Vec<Vec<CommCoef>> = if constraints.top_k.is_some() {
+            let used: Vec<Vec<bool>> = (0..n_models * n_groups)
                 .map(|i| {
-                    let m = i / n_groups;
-                    let mut used = vec![false; supersets[m].len()];
+                    let mut used = vec![false; supersets[i / n_groups].len()];
                     for prep in &preps[i] {
                         for &si in &prep.sup {
                             used[si as usize] = true;
@@ -801,68 +642,62 @@ impl GridSweep {
                     used
                 })
                 .collect();
-            (0..grid.models.len() * n_clusters)
+            (0..n_models * n_clusters)
                 .into_par_iter()
                 .map(|i| {
                     let (m, c) = (i / n_clusters, i % n_clusters);
                     let engine = &engines[i];
-                    let used = &used[m * n_groups + group_of[c]];
-                    let coef = supersets[m]
+                    supersets[m]
                         .iter()
-                        .zip(used)
+                        .zip(&used[m * n_groups + group_of[c]])
                         .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
-                        .collect();
-                    CommColumns { coef }
+                        .collect()
                 })
                 .collect()
         } else {
             Vec::new()
         };
+        timings.comms = laps.lap();
 
-        timings.comms = stage("comms");
-        // Cell contexts: a rebatched engine sibling plus the shared search
-        // state each cell's chunks reduce into. The memory-pruned count is
-        // seeded from the prep (the per-query search counts it before bound
-        // pruning, so the accounting matches); in analytic mode the cell's
-        // static dominance bounds are derived here, costing the prep's seed
-        // panel through the cell's own engine (communication is cluster-
-        // dependent, so seed *times* are per cell even though seed
-        // *selection* is per prep).
-        let cells: Vec<CellCtx<'_, '_>> = queries
-            .iter()
-            .map(|&query| {
-                let b = grid.batches.iter().position(|&x| x == query.batch).expect("own axis");
-                let prep = &preps[query.model * n_groups + group_of[query.cluster]][b];
-                let shared = SearchShared::new(constraints);
-                shared.set_memory_pruned(prep.mem_pruned);
-                let winners = (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
-                let engine =
-                    engines[query.model * n_clusters + query.cluster].rebatched(query.batch);
-                let bounds = analytic.then(|| {
-                    StaticBounds::from_seeds(
+        // Cell contexts: the engine at the cell's batch plus the shared
+        // search state each cell's chunks reduce into. The memory-pruned
+        // count is seeded from the prep; the static dominance bounds cost
+        // the prep's seed panel through the cell's own engine
+        // (communication is cluster-dependent, so seed *times* are per cell
+        // even though seed *selection* is per prep).
+        let mut cells: Vec<CellCtx<'_, '_>> =
+            Vec::with_capacity(n_models * batches.len() * n_clusters);
+        for m in 0..n_models {
+            for (b, &batch) in batches.iter().enumerate() {
+                for c in 0..n_clusters {
+                    let prep = &preps[m * n_groups + group_of[c]][b];
+                    let shared = SearchShared::new(constraints);
+                    shared.set_memory_pruned(prep.mem_pruned);
+                    let winners =
+                        (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
+                    let engine = at_batch(&engines[m * n_clusters + c], batch);
+                    let bounds = StaticBounds::from_seeds(
                         &engine,
                         &prep.cands,
                         &prep.lbs,
                         &prep.slots,
                         &prep.seeds,
                         &shared,
-                    )
-                });
-                let comm = analytic.then(|| &coefs[query.model * n_clusters + query.cluster]);
-                CellCtx {
-                    query,
-                    engine,
-                    prep,
-                    shared,
-                    bounds,
-                    comm,
-                    found: Mutex::new(Vec::new()),
-                    winners,
+                    );
+                    cells.push(CellCtx {
+                        query: GridQuery { model: m, cluster: c, batch },
+                        engine,
+                        prep,
+                        shared,
+                        bounds,
+                        found: Mutex::new(Vec::new()),
+                        winners,
+                    });
                 }
-            })
-            .collect();
+            }
+        }
+        timings.cells = laps.lap();
 
-        timings.cells = stage("cells");
         // Candidate-level work splitting: fixed-size chunks, interleaved
         // round-robin across cells so a huge cell spreads over all workers
         // instead of pinning one. Round-robin also runs every cell's
@@ -890,35 +725,31 @@ impl GridSweep {
                 let cell = &cells[ci];
                 let lo = round * chunk;
                 let hi = (lo + chunk).min(cell.prep.cands.len());
-                if analytic {
-                    let bounds = cell.bounds.as_ref().expect("analytic cells carry bounds");
-                    let comm = cell.comm.expect("analytic cells carry comm columns");
-                    eval_chunk_kernel(
-                        &cell.engine,
-                        KernelColumns {
-                            cands: &cell.prep.cands,
-                            mems: &cell.prep.mems,
-                            lbs: &cell.prep.lbs,
-                            slots: &cell.prep.slots,
-                            sup: &cell.prep.sup,
-                            fams: &cell.prep.fams,
-                            coef: &comm.coef,
-                        },
-                        bounds,
-                        lo,
-                        hi,
-                        constraints,
-                        &cell.shared,
-                        &cell.winners,
-                        &cell.found,
-                    );
-                } else {
-                    eval_chunk(cell, lo, hi, constraints);
-                }
+                eval_chunk_kernel(
+                    &cell.engine,
+                    KernelColumns {
+                        cands: &cell.prep.cands,
+                        mems: &cell.prep.mems,
+                        lbs: &cell.prep.lbs,
+                        slots: &cell.prep.slots,
+                        sup: &cell.prep.sup,
+                        fams: &cell.prep.fams,
+                        coef: coefs
+                            .get(cell.query.model * n_clusters + cell.query.cluster)
+                            .map_or(&[][..], Vec::as_slice),
+                    },
+                    &cell.bounds,
+                    lo,
+                    hi,
+                    constraints,
+                    &cell.shared,
+                    &cell.winners,
+                    &cell.found,
+                );
             })
             .collect();
+        timings.eval = laps.lap();
 
-        timings.eval = stage("eval");
         // Per-cell final ranking, in parallel across cells.
         let cells: Vec<GridCell> = cells
             .into_par_iter()
@@ -937,39 +768,17 @@ impl GridSweep {
                 GridCell { query: cell.query, report }
             })
             .collect();
-        timings.finish = stage("finish");
-        (GridReport { cells }, timings)
-    }
-
-    /// The naive sweep: one streaming [`Oracle::search_streaming`] per
-    /// cell, each building its own engine and enumerating its own candidate
-    /// space. Kept as the equivalence baseline ([`GridSweep::run`] must
-    /// reproduce it cell for cell) and as the benchmark reference the ≥ 5×
-    /// amortization target is measured against — pinned to the streaming
-    /// (pre-kernel) evaluation so the baseline does not silently inherit
-    /// the analytic kernel's speedup through [`Oracle::search`].
-    pub fn run_per_query(&self, grid: &QueryGrid) -> GridReport {
-        let cells = grid
-            .queries()
-            .into_iter()
-            .map(|query| {
-                let gm = &grid.models[query.model];
-                let cluster = &grid.clusters[query.cluster];
-                let oracle =
-                    Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(query.batch));
-                let engine = oracle.engine();
-                GridCell { query, report: oracle.search_streaming(&engine, &grid.constraints) }
-            })
-            .collect();
-        GridReport { cells }
+        timings.finish = laps.lap();
+        cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ModelLimits;
     use crate::layer::Layer;
-    use crate::oracle::PeSweep;
+    use crate::oracle::{Oracle, PeSweep};
 
     fn model(seed: usize) -> Model {
         Model::new(
@@ -998,6 +807,7 @@ mod tests {
     fn assert_reports_equal(a: &SearchReport, b: &SearchReport, what: &str) {
         assert_eq!(a.enumerated, b.enumerated, "{what}: enumerated");
         assert_eq!(a.pruned_by_memory, b.pruned_by_memory, "{what}: memory-pruned");
+        assert_eq!(a.pruned_by_dominance, b.pruned_by_dominance, "{what}: dominance-pruned");
         assert_eq!(a.ranked.len(), b.ranked.len(), "{what}: ranked length");
         for (x, y) in a.ranked.iter().zip(&b.ranked) {
             assert_eq!(x.strategy, y.strategy, "{what}: ranked strategy");
@@ -1031,19 +841,29 @@ mod tests {
         }
     }
 
+    /// Per-cell [`Oracle::search`](crate::oracle::Oracle::search) on fresh oracles: each cell's own
+    /// engine build and one-cell sweep.
+    fn per_query(grid: &QueryGrid) -> Vec<SearchReport> {
+        grid.queries()
+            .into_iter()
+            .map(|q| {
+                let gm = &grid.models[q.model];
+                let cluster = &grid.clusters[q.cluster];
+                Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(q.batch))
+                    .search(&grid.constraints)
+            })
+            .collect()
+    }
+
     #[test]
     fn sweep_matches_per_query_search() {
         let grid = small_grid(Constraints { max_pes: 256, ..Default::default() });
-        let sweep = GridSweep::new().with_chunk_size(64); // force many chunks
-        let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
-        let (mech, _) = sweep.run_mechanical(&grid);
+        let fast = GridSweep::new().with_chunk_size(64).run(&grid); // force many chunks
+        let slow = per_query(&grid);
         assert_eq!(fast.len(), grid.num_queries());
         assert_eq!(fast.len(), slow.len());
-        for ((a, b), m) in fast.cells.iter().zip(&slow.cells).zip(&mech.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("{:?}", a.query));
-            assert_reports_equal(&a.report, &m.report, &format!("mech {:?}", a.query));
+        for (a, b) in fast.cells.iter().zip(&slow) {
+            assert_reports_equal(&a.report, b, &format!("{:?}", a.query));
         }
     }
 
@@ -1057,19 +877,16 @@ mod tests {
         });
         let sweep = GridSweep::new().with_chunk_size(128);
         let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
-        let (mech, _) = sweep.run_mechanical(&grid);
-        for ((a, b), m) in fast.cells.iter().zip(&slow.cells).zip(&mech.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("{:?}", a.query));
-            assert_reports_equal(&a.report, &m.report, &format!("mech {:?}", a.query));
+        let slow = per_query(&grid);
+        for (a, b) in fast.cells.iter().zip(&slow) {
+            assert_reports_equal(&a.report, b, &format!("{:?}", a.query));
         }
         // The kernel's static prune accounting is deterministic: two runs
         // report the same dominance count, and the dynamic bound counter
-        // stays zero on the analytic path.
+        // stays zero.
         let again = sweep.run(&grid);
         for (a, b) in fast.cells.iter().zip(&again.cells) {
-            assert_eq!(a.report.pruned_by_bound, 0, "analytic path counts no dynamic prunes");
+            assert_eq!(a.report.pruned_by_bound, 0, "the kernel counts no dynamic prunes");
             assert_eq!(
                 a.report.pruned_by_dominance, b.report.pruned_by_dominance,
                 "dominance count must be deterministic at {:?}",

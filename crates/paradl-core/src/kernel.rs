@@ -1,41 +1,36 @@
 //! The analytic candidate-evaluation kernel: static dominance bounds,
-//! branchless feasibility masking and incremental cost deltas over the
+//! branchless survivor compaction and incremental cost deltas over the
 //! structure-of-arrays prep columns.
 //!
-//! This is the hot loop behind every ranked query — [`crate::search`]'s
-//! `Oracle::search`, the chunked cells of [`crate::grid::GridSweep`], and
-//! (through the daemon's coalesced grids) every `paradl-serve` answer. It
-//! replaces the *mechanical* evaluation — one full
-//! [`CostEngine::estimate_with_memory`] walk per candidate, with dynamic
-//! branch-and-bound checks branching per candidate — with an *analytic*
-//! pipeline in three layers:
+//! `eval_chunk_kernel` is the one evaluation loop behind every ranked
+//! query. Its only caller is the sweep of [`crate::grid::GridSweep`], which
+//! runs grids, the daemon's coalesced groups, and — as one-cell grids —
+//! `Oracle::search`, ranked `Oracle::answer`s and `Query::run`. The kernel
+//! works in three layers:
 //!
-//! 1. **Static dominance bounds** ([`StaticBounds`]). Before any candidate
+//! 1. **Static dominance bounds** (`StaticBounds`). Before any candidate
 //!    is costed, a tiny seed panel — the per-(strategy family, PE-budget
 //!    slot) compute-lower-bound minima, at most `8 × budget slots`
 //!    candidates — is fully costed. The k-th best seed time `T` is an upper
 //!    bound on the final k-th best overall, and the running per-slot minimum
 //!    `R[s]` bounds every budget winner at slots `≤ s`, so any candidate
-//!    whose epoch time — exact when the grid's comm-coefficient columns are
-//!    available, its compute-only lower bound otherwise — exceeds `max(T,
-//!    R[slot])` provably ends up outside both the top-k and every budget
-//!    slot it could win. The bound is fixed before the scan starts, so the
-//!    pruned *set* — and the `pruned_by_dominance` counter — is
-//!    deterministic, unlike the dynamic `pruned_by_bound` counter of the
-//!    streaming search.
-//! 2. **Branchless fused evaluation** ([`eval_chunk_kernel`]). Candidates
-//!    arrive in sorted-superset order (family-major, so the per-family
-//!    coefficient dispatch is branch-predicted within runs, and equal
-//!    PE-budget slots form runs whose bound is hoisted). One pass per chunk
-//!    reconstructs each feasible candidate's *exact* epoch time from the
-//!    batch-invariant coefficient row (`lb + comm_time_prepped`,
-//!    bit-identical to the full estimate's epoch time) and compacts the
-//!    indices and times that beat both the static bound and a stale
-//!    snapshot of the shared top-k/budget thresholds — branch-free, one
-//!    conditional-increment store per candidate. Only that survivor list is
-//!    walked again, and the full [`crate::cost::CostEstimate`] is assembled
-//!    only for the rare candidate that improves a budget slot or enters the
-//!    top-k heap.
+//!    whose exact epoch time exceeds `max(T, R[slot])` provably ends up
+//!    outside both the top-k and every budget slot it could win. The bound
+//!    is fixed before the scan starts, so the pruned *set* — and the
+//!    `pruned_by_dominance` counter — is deterministic.
+//! 2. **Branchless fused evaluation** (top-k mode). Candidates arrive in
+//!    sorted-superset order (family-major, so the per-family coefficient
+//!    dispatch is branch-predicted within runs, and equal PE-budget slots
+//!    form runs whose bound is hoisted). One pass per chunk reconstructs
+//!    each feasible candidate's *exact* epoch time from the batch-invariant
+//!    communication-coefficient row (`lb` plus the reconstructed
+//!    communication time, bit-identical to the full estimate's epoch time)
+//!    and compacts the indices and times that beat both the static bound
+//!    and a stale snapshot of the shared top-k/budget thresholds —
+//!    branch-free, one conditional-increment store per candidate. Only that
+//!    survivor list is walked again, and the full
+//!    [`crate::cost::CostEstimate`] is assembled only for the rare candidate
+//!    that improves a budget slot or enters the top-k heap.
 //! 3. **Incremental cost deltas** (full-ranking mode). Lexicographically
 //!    adjacent candidates differ in one axis, so
 //!    [`CostEngine::estimate_delta_with_memory`] chains each candidate off
@@ -44,24 +39,20 @@
 //!    the delta path may reuse) instead of recomputing them.
 //!
 //! The kernel is *exact*: ranked output, budget winners and the
-//! `enumerated`/`pruned_by_memory` accounting are identical to
-//! `Oracle::search_streaming` (property-tested in
-//! `tests/proptest_search.rs` and `tests/proptest_grid.rs`); static
-//! pruning is sound because every pruned candidate is strictly dominated
-//! by a surviving one at every admissible PE budget. The chunk granularity
-//! is tunable through [`GridSweep::with_chunk`](crate::grid::GridSweep)
-//! and the `PARADL_CHUNK` environment variable; the default is picked by
-//! the chunk sweep recorded in `BENCH_kernel.json`.
+//! `enumerated`/`pruned_by_memory` accounting match the per-layer
+//! `Oracle::search_reference` up to floating-point reassociation
+//! (property-tested in `tests/proptest_search.rs` and
+//! `tests/proptest_grid.rs`); static pruning is sound because every pruned
+//! candidate is strictly dominated by a surviving one at every admissible
+//! PE budget. The chunk granularity is tunable through
+//! [`GridSweep::with_chunk_size`](crate::grid::GridSweep::with_chunk_size);
+//! the default is picked by the chunk sweep recorded in `BENCH_kernel.json`.
 
 use crate::cost::CostEstimate;
 use crate::engine::{CommCoef, CostEngine};
 use crate::oracle::{Constraints, Projection};
-use crate::search::{
-    budget_index, candidate_cmp, finish_report, finish_report_topk, strategy_sort_key,
-    RankedCandidate, SearchReport, SearchShared, StrategySpace,
-};
+use crate::search::{candidate_cmp, strategy_sort_key, RankedCandidate, SearchShared};
 use crate::strategy::Strategy;
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::Mutex;
 
@@ -72,18 +63,8 @@ use std::sync::Mutex;
 /// `BENCH_kernel.json`).
 pub(crate) const DEFAULT_CHUNK: usize = 8192;
 
-/// The evaluation chunk size: `PARADL_CHUNK` when set to a positive
-/// integer, [`DEFAULT_CHUNK`] otherwise.
-pub(crate) fn chunk_from_env() -> usize {
-    std::env::var("PARADL_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CHUNK)
-}
-
 /// Number of strategy families distinguished by the seed panel — the first
-/// component of [`strategy_sort_key`] (Serial, Data, Spatial, Filter,
+/// component of the enumeration sort key (Serial, Data, Spatial, Filter,
 /// Channel, Pipeline, DataFilter, DataSpatial).
 const FAMILIES: usize = 8;
 
@@ -117,17 +98,16 @@ pub(crate) fn select_seeds(
 }
 
 /// Per-budget-slot static prune bounds, fixed before the evaluation scan:
-/// a candidate at slot `s` whose epoch time — reconstructed exactly from
-/// the comm-coefficient columns when present, its compute-only lower bound
-/// otherwise (which never exceeds the true epoch time) — exceeds
-/// `bound[s]` is provably outside the final top-k *and* every budget slot
-/// it is admissible for, so it is discarded without building an estimate.
+/// a candidate at slot `s` whose exact epoch time (reconstructed from the
+/// comm-coefficient columns) exceeds `bound[s]` is provably outside the
+/// final top-k *and* every budget slot it is admissible for, so it is
+/// discarded without building an estimate.
 ///
 /// `bound[s] = max(T, R[s])` where `T` is the k-th smallest fully-costed
 /// seed time (`+∞` when fewer than `k` seeds exist, `−∞` when `k == 0`)
 /// and `R[s]` is the running minimum of the per-slot best seed times over
-/// slots `≤ s`. Soundness: a pruned candidate's epoch time is at least its
-/// lower bound, hence strictly above `T` (it cannot displace the k seeds
+/// slots `≤ s`. Soundness: a pruned candidate's epoch time is strictly
+/// above `T` (it cannot displace the k seeds
 /// already at or below `T`) and strictly above some surviving candidate's
 /// time at a slot `≤ s` (which [`finish_report_topk`]'s running minimum
 /// offers to every budget the pruned candidate is admissible for). In
@@ -197,8 +177,8 @@ struct KernelScratch {
     /// finishing pass walks exactly the survivors instead of re-scanning a
     /// mask lane over the whole chunk.
     surv: Vec<u32>,
-    /// Exact epoch times aligned with `surv` (prepped columns only), so
-    /// the finishing pass never recomputes communication.
+    /// Exact epoch times aligned with `surv`, so the finishing pass never
+    /// recomputes communication.
     tims: Vec<f64>,
     found: Vec<RankedCandidate>,
     /// Stale per-slot budget-best snapshot, refreshed once per chunk (the
@@ -211,14 +191,12 @@ thread_local! {
 }
 
 /// The structure-of-arrays candidate columns one [`eval_chunk_kernel`] call
-/// scans: the caller's prep columns plus (grid sweeps only) the
-/// superset-aligned communication-coefficient column of the cell's
-/// (model, cluster) pair, from which the fused evaluation pass
-/// reconstructs every candidate's exact communication time
-/// ([`CostEngine::comm_time_prepped`], dispatched on the `fams` byte).
-/// `sup`/`fams`/`coef` may be empty — the per-query path has no
-/// cross-batch reuse to exploit and falls back to a compute-only mask
-/// with [`CostEngine::comm_time`] on survivors.
+/// scans: the caller's prep columns plus the superset-aligned
+/// communication-coefficient column of the cell's (model, cluster) pair,
+/// from which the fused evaluation pass reconstructs every candidate's
+/// exact communication time ([`CostEngine::comm_time_prepped`], dispatched
+/// on the `fams` byte). Only top-k mode reads `sup`/`fams`/`coef`; a
+/// full-ranking sweep passes an empty `coef`.
 pub(crate) struct KernelColumns<'c> {
     pub(crate) cands: &'c [Strategy],
     pub(crate) mems: &'c [f64],
@@ -234,16 +212,16 @@ pub(crate) struct KernelColumns<'c> {
 /// is the chunk-invariant static prune table.
 /// Top-k mode runs the fused evaluation pass: per slot run it hoists the
 /// static bound, computes each candidate's exact epoch time from the
-/// coefficient columns (compute-only lower bound on the per-query path),
-/// bulk-counts the static-bound prunes, and branch-free-compacts the
+/// coefficient columns, bulk-counts the static-bound prunes, and branch-free-compacts the
 /// indices and times beating the stale dynamic threshold snapshot into the
 /// survivor list; the finishing pass re-checks survivors against the fresh
 /// shared gates and assembles a full estimate only for candidates that
 /// improve a budget slot or the heap.
 /// Full-ranking mode costs every candidate through the incremental delta
-/// chain and appends to `found` once per chunk. The shared-state
-/// transitions match the streaming search's exactly, so any interleaving
-/// of chunks produces the same final report.
+/// chain and appends to `found` once per chunk. Every shared-state
+/// transition is monotone (thresholds only decrease, winners are minima
+/// under a total order), so any interleaving of chunks produces the same
+/// final report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_chunk_kernel(
     engine: &CostEngine<'_>,
@@ -257,7 +235,6 @@ pub(crate) fn eval_chunk_kernel(
     found: &Mutex<Vec<RankedCandidate>>,
 ) {
     let KernelColumns { cands, mems, lbs, slots, sup, fams, coef } = cols;
-    let prepped = !coef.is_empty();
     if constraints.top_k.is_some() {
         SCRATCH.with(|tls| {
             let scratch = &mut *tls.borrow_mut();
@@ -284,18 +261,15 @@ pub(crate) fn eval_chunk_kernel(
             // surviving row indices branch-free (unconditional index/time
             // store, length bumped by the keep bit); the family dispatch
             // inside `comm_time_prepped` is perfectly predicted within a
-            // run. With comm columns the pass computes each candidate's
-            // *exact* epoch time — the coefficient-reconstructed
-            // communication time costs barely more than a lower bound and
-            // kills the separate floor column, the second gather, and the
-            // survivor-side recomputation outright. The static cut
+            // run. The pass computes each candidate's *exact* epoch time —
+            // the coefficient-reconstructed communication time costs barely
+            // more than a lower bound and spares the survivor side any
+            // recomputation. The static cut
             // (`time ≤ bound`, counted as dominance-pruned) is deterministic:
             // the bound is fixed before the scan and the time is exact,
             // and a candidate above it is provably outside the top-k and
-            // every budget slot it is admissible for (the [`StaticBounds`]
-            // argument, a fortiori from the lower bound to the time
-            // itself). Without comm columns the pass degrades to the
-            // compute-only lower bound and survivors pay `comm_time`.
+            // every budget slot it is admissible for (the `StaticBounds`
+            // argument).
             //
             // The pass folds in a second, *dynamic* cut at the same cost:
             // a time above both stale snapshots can neither improve its
@@ -316,22 +290,13 @@ pub(crate) fn eval_chunk_kernel(
                 let b = bounds.bound[slot as usize];
                 let dyn_b = bud_stale[slot as usize].max(thr_stale).min(b);
                 let mut kept = 0usize;
-                if prepped {
-                    for x in i..j {
-                        let time = lbs[x]
-                            + engine
-                                .comm_time_prepped(fams[x], &coef[sup[x] as usize], || cands[x]);
-                        kept += (time <= b) as usize;
-                        surv[n] = x as u32;
-                        tims[n] = time;
-                        n += (time <= dyn_b) as usize;
-                    }
-                } else {
-                    for (off, &lb) in lbs[i..j].iter().enumerate() {
-                        kept += (lb <= b) as usize;
-                        surv[n] = (i + off) as u32;
-                        n += (lb <= dyn_b) as usize;
-                    }
+                for x in i..j {
+                    let time = lbs[x]
+                        + engine.comm_time_prepped(fams[x], &coef[sup[x] as usize], || cands[x]);
+                    kept += (time <= b) as usize;
+                    surv[n] = x as u32;
+                    tims[n] = time;
+                    n += (time <= dyn_b) as usize;
                 }
                 pruned += (j - i) - kept;
                 i = j;
@@ -343,12 +308,12 @@ pub(crate) fn eval_chunk_kernel(
             // bit-identical to `estimate_with_memory(..).epoch_time()` (the
             // lower bound *is* the compute sum and `total()` adds
             // communication last), so the improves/threshold decisions
-            // match the streaming search's; the full estimate is assembled
-            // only when needed.
+            // match a full estimate's; the full estimate is assembled only
+            // when needed.
             for (pos, &xu) in surv[..n].iter().enumerate() {
                 let x = xu as usize;
                 let idx = slots[x] as usize;
-                let time = if prepped { tims[pos] } else { lbs[x] + engine.comm_time(cands[x]) };
+                let time = tims[pos];
                 if time > bud_stale[idx] && time > thr_stale {
                     continue;
                 }
@@ -433,76 +398,4 @@ pub(crate) fn eval_chunk_kernel(
             found.lock().expect("kernel survivor accumulator poisoned").append(&mut scratch.found);
         }
     });
-}
-
-/// One full analytic search: enumerate, prep the SoA columns (fused
-/// memory + lower-bound pass, memory pruning), derive the static bounds
-/// from the seed panel, evaluate in parallel chunks through
-/// [`eval_chunk_kernel`], and assemble the report. Returns exactly what
-/// `Oracle::search_streaming` returns for the same engine and constraints.
-pub(crate) fn kernel_search(engine: &CostEngine<'_>, constraints: &Constraints) -> SearchReport {
-    let candidates =
-        StrategySpace::with_limits(engine.config().batch_size, constraints, engine.limits())
-            .into_vec();
-    let enumerated = candidates.len();
-    let shared = SearchShared::new(constraints);
-    let cap = constraints.memory_capacity_bytes;
-    let mut cands = Vec::with_capacity(enumerated);
-    let mut mems = Vec::with_capacity(enumerated);
-    let mut lbs = Vec::with_capacity(enumerated);
-    let mut slots = Vec::with_capacity(enumerated);
-    for &strategy in &candidates {
-        let (mem, lb) = engine.prep_terms(strategy);
-        if mem > cap {
-            continue;
-        }
-        cands.push(strategy);
-        mems.push(mem);
-        lbs.push(lb);
-        slots.push(budget_index(strategy.total_pes()) as u8);
-    }
-    shared.set_memory_pruned(enumerated - cands.len());
-    let seeds = select_seeds(&cands, &lbs, &slots, shared.num_budget_slots());
-    let bounds = StaticBounds::from_seeds(engine, &cands, &lbs, &slots, &seeds, &shared);
-    let winners: Vec<Mutex<Option<RankedCandidate>>> =
-        (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
-    let found = Mutex::new(Vec::new());
-    let chunk = chunk_from_env();
-    let n_chunks = cands.len().div_ceil(chunk);
-    let _: Vec<()> = (0..n_chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(cands.len());
-            eval_chunk_kernel(
-                engine,
-                KernelColumns {
-                    cands: &cands,
-                    mems: &mems,
-                    lbs: &lbs,
-                    slots: &slots,
-                    sup: &[],
-                    fams: &[],
-                    coef: &[],
-                },
-                &bounds,
-                lo,
-                hi,
-                constraints,
-                &shared,
-                &winners,
-                &found,
-            );
-        })
-        .collect();
-    if constraints.top_k.is_some() {
-        let slot_best = winners
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("winner slot poisoned"))
-            .collect();
-        finish_report_topk(enumerated, slot_best, constraints, shared)
-    } else {
-        let survivors = found.into_inner().expect("kernel survivor accumulator poisoned");
-        finish_report(enumerated, survivors, constraints, shared)
-    }
 }

@@ -43,10 +43,10 @@ pub struct Constraints {
     /// Number of pipeline segments to assume when evaluating the pipeline
     /// strategy.
     pub pipeline_segments: usize,
-    /// When `Some(k)`, [`crate::search`] keeps only the `k` best candidates
-    /// (bounded-heap ranking) and branch-and-bound prunes candidates whose
-    /// compute-only lower bound cannot beat the current winners. `None`
-    /// (default) ranks every feasible candidate and never bound-prunes.
+    /// When `Some(k)`, the search keeps only the `k` best candidates
+    /// (bounded-heap ranking) and skips candidates statically dominated by
+    /// the seed panel's winners ([`crate::kernel`]). `None` (default) ranks
+    /// every feasible candidate and prunes nothing but memory.
     pub top_k: Option<usize>,
     /// PE-count sweep mode of the candidate enumeration.
     pub sweep: PeSweep,
@@ -301,8 +301,9 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// oracle *is* the workload (a query's own model/config/cluster fields
     /// are for the standalone [`Query::run`] and the wire protocol).
     ///
-    /// The ranked modes run the exhaustive parallel search (hence the
-    /// `Sync` bound); see [`Query::effective_constraints`] for how the mode
+    /// The ranked modes run the exhaustive parallel search — a one-cell
+    /// [`crate::grid::GridSweep`] on the oracle's engine (hence the `Sync`
+    /// bound); see [`Query::effective_constraints`] for how the mode
     /// picks the ranking depth. A degenerate problem that defeats engine
     /// construction (zero batch, non-finite device rates) returns the
     /// build's [`EngineError`] instead of panicking.
@@ -313,7 +314,8 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// Like [`Oracle::answer`], but evaluates through a [`CostEngine`] the
     /// caller already built (possibly [`CostEngine::rebatch`]ed or hydrated
     /// from a cached core) — the engine-reuse hook the `paradl-serve`
-    /// daemon uses for its non-coalescable modes.
+    /// daemon uses for its non-coalescable modes. A ranked query runs as a
+    /// one-cell grid sweep on `engine` itself: no rebuild, no rebatch.
     /// With `query.calibration` set, answers come back calibrated: the
     /// suggestion competes on calibrated time, surveys and rankings are
     /// rescaled ([`QueryAnswer::recalibrated`]) — the search itself runs on
@@ -336,7 +338,8 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
                 }
             }
             QueryMode::TopK(_) | QueryMode::FullRank => {
-                let ranked = QueryAnswer::Ranked(self.search_impl(engine, &constraints));
+                let report = crate::grid::GridSweep::new().run_one(engine, &constraints);
+                let ranked = QueryAnswer::Ranked(report);
                 match &query.calibration {
                     Some(cal) => ranked.recalibrated(cal),
                     None => ranked,

@@ -1,11 +1,10 @@
 //! The unified Query API: one request type for every way of asking the
 //! oracle a question.
 //!
-//! Historically the oracle grew four overlapping entry points
-//! (`search` / `search_with_engine` / `suggest_with_engine` /
-//! `survey_with_engine`). [`Query`] collapses them into a single
-//! builder-style value — model + config + cluster + [`Constraints`] +
-//! [`QueryMode`] — that is simultaneously:
+//! [`Query`] is the single request type behind the oracle's suggest,
+//! ranked-search and survey roles: one builder-style value — model +
+//! config + cluster + [`Constraints`] + [`QueryMode`] — that is
+//! simultaneously:
 //!
 //! * the **in-process API**: [`crate::oracle::Oracle::answer`] takes a
 //!   `&Query` and returns a [`QueryAnswer`],
@@ -16,15 +15,18 @@
 //!
 //! A standalone query (with model, config and cluster all set) can also be
 //! answered directly with [`Query::run`], which builds the oracle for you.
+//! However a ranked query arrives — [`Query::run`],
+//! [`crate::oracle::Oracle::answer`], or a daemon request — it is evaluated
+//! by the one driver, [`crate::grid::GridSweep`]: a one-cell grid locally,
+//! a coalesced grid when served.
 //!
 //! ## Determinism and the wire
 //!
-//! [`QueryAnswer::to_json`] is deterministic — same answer, same bytes —
-//! with one deliberate omission: `SearchReport::pruned_by_bound` is a
-//! documented order-dependent counter (it varies run to run under rayon),
-//! so it is **excluded** from the serialization. That is what lets the
-//! serve integration tests assert that a daemon response is byte-identical
-//! to a locally computed `Oracle::answer` on the same query.
+//! [`QueryAnswer::to_json`] is deterministic — same answer, same bytes. It
+//! leaves out the prune counters (`pruned_by_bound`, always 0, and
+//! `pruned_by_dominance`), so the wire carries only what the answer means.
+//! The serve integration tests assert that a daemon response is
+//! byte-identical to a locally computed `Oracle::answer` on the same query.
 
 use crate::calibrate::Calibration;
 use crate::cluster::ClusterSpec;
@@ -44,7 +46,7 @@ pub enum QueryMode {
     #[default]
     Suggest,
     /// The `k` best candidates of the exhaustive search (bounded-heap
-    /// ranking with branch-and-bound pruning).
+    /// ranking with static dominance pruning).
     TopK(usize),
     /// Every feasible candidate of the exhaustive search, ranked.
     FullRank,
@@ -337,9 +339,8 @@ impl QueryAnswer {
     }
 
     /// Deterministic JSON form of the answer — same answer, same bytes.
-    /// `pruned_by_bound` is deliberately **not** serialized: it is the one
-    /// documented order-dependent field of a [`SearchReport`], and leaving
-    /// it out is what makes served answers byte-comparable to local ones.
+    /// The prune counters of a [`SearchReport`] (`pruned_by_bound`,
+    /// `pruned_by_dominance`) are not serialized.
     pub fn to_json(&self) -> Json {
         match self {
             QueryAnswer::Suggestion(best) => Json::obj([

@@ -1,6 +1,6 @@
-//! Exhaustive, parallel strategy search (the oracle's "suggest the best
-//! strategy" role, paper §4.1, scaled up from a powers-of-two sweep of each
-//! family to the full candidate space).
+//! Exhaustive strategy search (the oracle's "suggest the best strategy"
+//! role, paper §4.1, scaled up from a powers-of-two sweep of each family to
+//! the full candidate space).
 //!
 //! [`StrategySpace`] enumerates every concrete strategy candidate that
 //! respects the user's [`Constraints`] and the model's scaling limits
@@ -12,21 +12,18 @@
 //! checks go through the precomputed [`ModelLimits`] table, so enumerating a
 //! candidate is `O(1)` in the model depth.
 //!
-//! [`Oracle::search`] streams the space through the precomputed
-//! [`CostEngine`] with rayon across all cores: candidates are memory-pruned
-//! before costing, and — when [`Constraints::top_k`] is set — branch-and-bound
-//! pruned against a shared atomic best-cost (a candidate whose compute-only
-//! lower bound cannot beat the current top-k *or* the best candidate in its
-//! PE budget is skipped without costing) while a bounded heap keeps the `k`
-//! best instead of sorting every feasible candidate. The result is a ranked
-//! [`SearchReport`]. [`Oracle::search_serial`] is the single-threaded
-//! engine-backed variant that returns bit-identical results;
-//! [`Oracle::search_reference`] is the original per-layer slow path kept as
-//! the equivalence-tested reference and benchmark baseline.
+//! [`Oracle::search`] ranks the space as a one-cell
+//! [`crate::grid::GridSweep`] on the oracle's cached engine: candidates are
+//! memory-pruned before costing, and — when [`Constraints::top_k`] is set —
+//! the analytic kernel ([`crate::kernel`]) drops statically dominated
+//! candidates while a bounded heap keeps the `k` best instead of sorting
+//! every feasible candidate. The result is a ranked [`SearchReport`].
+//! [`Oracle::search_reference`] is the original per-layer path, kept as the
+//! independent reference the tests compare the kernel against.
 
 use crate::compute::ComputeModel;
 use crate::cost::estimate_with_memory;
-use crate::engine::{CostEngine, ModelLimits};
+use crate::engine::ModelLimits;
 use crate::memory::memory_per_pe;
 use crate::model::Model;
 use crate::oracle::{Constraints, Oracle, PeSweep, Projection};
@@ -65,10 +62,10 @@ impl StrategySpace {
     }
 
     /// Like [`StrategySpace::new`], but reuses a precomputed [`ModelLimits`]
-    /// table (e.g. the one inside a [`CostEngine`]) so every candidate is
-    /// validated in `O(1)`.
+    /// table (e.g. the one inside a [`CostEngine`](crate::engine::CostEngine))
+    /// so every candidate is validated in `O(1)`.
     ///
-    /// Emits candidates directly in [`strategy_sort_key`] order, with no
+    /// Emits candidates directly in enumeration-key order, with no
     /// global sort: the non-hybrid families already enumerate in key order
     /// (family-major, PE count ascending, family parameters ascending), and
     /// the data+filter / data+spatial hybrids are generated total-PE-major
@@ -76,7 +73,8 @@ impl StrategySpace {
     /// product (powers-of-two sweep). The paper-scale exhaustive spaces are
     /// hybrid-dominated, so skipping the multi-million-candidate sort is one
     /// of the kernel's enumeration wins. Equivalence with the plain nested
-    /// loops is pinned by [`StrategySpace::with_limits_reference`] tests.
+    /// loops is pinned by the sieve test against a sort-based reference
+    /// enumerator.
     pub fn with_limits(batch: usize, constraints: &Constraints, limits: &ModelLimits) -> Self {
         let max_pes = constraints.max_pes.max(1);
         let sweep = constraints.sweep;
@@ -215,10 +213,10 @@ impl StrategySpace {
 
     /// The straightforward nested-loop enumeration [`StrategySpace::with_limits`]
     /// replaced: generate every family's cross product, then globally
-    /// sort + dedup by [`strategy_sort_key`]. Kept as the equivalence-tested
-    /// reference for the sieve-based enumerator and as the mechanical
-    /// baseline of the kernel benchmark.
-    pub fn with_limits_reference(
+    /// sort + dedup by [`strategy_sort_key`]. Kept as the reference the
+    /// sieve-based enumerator is tested against.
+    #[cfg(test)]
+    pub(crate) fn with_limits_reference(
         batch: usize,
         constraints: &Constraints,
         limits: &ModelLimits,
@@ -489,22 +487,18 @@ pub struct SearchReport {
     pub enumerated: usize,
     /// Candidates discarded by the memory-capacity check before costing.
     pub pruned_by_memory: usize,
-    /// Candidates skipped by *dynamic* branch-and-bound pruning (compute-only
-    /// lower bound already worse than the running winners) before costing.
-    /// Always 0 unless [`Constraints::top_k`] is set. The exact count depends
-    /// on evaluation order and is therefore **not** deterministic across
-    /// runs — only the ranked results are. The analytic kernel
-    /// ([`crate::kernel`]) never uses this counter: its pruning is static and
-    /// lands in `pruned_by_dominance` instead.
+    /// Candidates skipped by dynamic branch-and-bound pruning. Always 0: the
+    /// analytic kernel ([`crate::kernel`]) prunes statically and counts in
+    /// `pruned_by_dominance` instead. Kept so reports keep their shape.
     pub pruned_by_bound: usize,
     /// Candidates discarded by the kernel's static dominance bound before
-    /// costing: their compute-only lower bound provably exceeds what an
-    /// already-known candidate achieves at every PE budget they belong to
-    /// (see [`crate::kernel::StaticBounds`]). Unlike `pruned_by_bound` this
-    /// count is **deterministic**: the bound is fixed before the scan starts
-    /// and the per-chunk counts are accumulated commutatively, so any
-    /// evaluation order produces the same number. Always 0 on the streaming
-    /// search paths.
+    /// their estimate is assembled: their exact epoch time provably exceeds
+    /// what an already-known candidate achieves at every PE budget they
+    /// belong to (see the [`crate::kernel`] module docs). The count is
+    /// **deterministic**: the bound is fixed before the scan starts and the
+    /// per-chunk counts are accumulated commutatively, so any evaluation
+    /// order produces the same number. Always 0 without
+    /// [`Constraints::top_k`] and on [`Oracle::search_reference`].
     pub pruned_by_dominance: usize,
     /// The costed candidates, fastest first (deterministic order): every
     /// feasible candidate when [`Constraints::top_k`] is `None`, otherwise
@@ -588,13 +582,13 @@ fn atomic_min(cell: &AtomicU64, value: f64) {
     }
 }
 
-/// Shared state of one streaming search: prune counters, the per-budget
+/// Shared state of one cell of a sweep: prune counters, the per-budget
 /// atomic best costs, and — when `top_k` is set — the bounded heap plus the
-/// atomic k-th-best threshold that drives branch-and-bound pruning. All
-/// updates are monotone (thresholds only decrease), so stale reads are
-/// merely conservative and the final results are order-independent —
-/// which is also what lets [`crate::grid::GridSweep`] interleave the chunks
-/// of one query with other queries' work.
+/// atomic k-th-best threshold the kernel gates on. All updates are monotone
+/// (thresholds only decrease), so stale reads are merely conservative and
+/// the final results are order-independent — which is what lets
+/// [`crate::grid::GridSweep`] interleave the chunks of one query with other
+/// queries' work.
 pub(crate) struct SearchShared {
     top_k: Option<usize>,
     /// Current k-th best epoch time (bits); `+∞` until the heap holds `k`.
@@ -603,7 +597,6 @@ pub(crate) struct SearchShared {
     budget_best: Vec<AtomicU64>,
     heap: Mutex<BinaryHeap<HeapEntry>>,
     pruned_memory: AtomicUsize,
-    pruned_bound: AtomicUsize,
     pruned_dominance: AtomicUsize,
 }
 
@@ -616,14 +609,13 @@ impl SearchShared {
             budget_best: (0..slots).map(|_| AtomicU64::new(f64::INFINITY.to_bits())).collect(),
             heap: Mutex::new(BinaryHeap::new()),
             pruned_memory: AtomicUsize::new(0),
-            pruned_bound: AtomicUsize::new(0),
             pruned_dominance: AtomicUsize::new(0),
         }
     }
 
-    /// Seeds the memory-pruned counter (used by the grid sweep, which
-    /// memory-filters candidates once per (model, batch) before the
-    /// per-cluster evaluation).
+    /// Seeds the memory-pruned counter (the grid sweep memory-filters
+    /// candidates once per (model, batch) before the per-cluster
+    /// evaluation).
     pub(crate) fn set_memory_pruned(&self, n: usize) {
         self.pruned_memory.store(n, Ordering::Relaxed);
     }
@@ -637,13 +629,6 @@ impl SearchShared {
     /// candidate of that budget is observed).
     pub(crate) fn budget_best_time(&self, idx: usize) -> f64 {
         f64::from_bits(self.budget_best[idx].load(Ordering::Relaxed))
-    }
-
-    /// Records one bound-pruned candidate (callers that inline the
-    /// [`SearchShared::should_prune`] check, like the grid sweep's top-k
-    /// path, use this to keep the report accounting consistent).
-    pub(crate) fn count_bound_pruned(&self) {
-        self.pruned_bound.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n` statically dominance-pruned candidates (the kernel counts
@@ -668,27 +653,6 @@ impl SearchShared {
         if matches!(self.top_k, Some(k) if k > 0) {
             atomic_min(&self.threshold, time);
         }
-    }
-
-    /// Whether a candidate with compute-only lower bound `lb` can be skipped:
-    /// it can neither enter the top-k nor win any PE budget it belongs to.
-    pub(crate) fn should_prune(&self, lb: f64, strategy: &Strategy) -> bool {
-        if self.top_k.is_none() {
-            return false;
-        }
-        let threshold = f64::from_bits(self.threshold.load(Ordering::Relaxed));
-        if lb <= threshold {
-            return false;
-        }
-        let idx = budget_index(strategy.total_pes());
-        let budget = f64::from_bits(self.budget_best[idx].load(Ordering::Relaxed));
-        lb > budget
-    }
-
-    /// Records an evaluated candidate in the budget table and top-k heap.
-    fn observe(&self, candidate: &RankedCandidate) {
-        self.record_budget(budget_index(candidate.strategy.total_pes()), candidate.epoch_time());
-        self.offer_topk(candidate);
     }
 
     /// Lowers the budget slot's best time towards `time` (a no-op when
@@ -759,119 +723,42 @@ impl SearchShared {
     }
 }
 
-/// Memory-prunes (against a per-PE memory value the caller already
-/// computed), bound-prunes (against a precomputed compute-only lower
-/// bound), then costs one candidate through the engine. Shared by the
-/// streaming search below and the chunked SoA evaluation of
-/// [`crate::grid::GridSweep`], whose prep tables supply `mem` and `lb` so
-/// neither is recomputed per cell.
-pub(crate) fn evaluate_pruned_with_bound(
-    engine: &CostEngine<'_>,
-    strategy: Strategy,
-    mem: f64,
-    lb: f64,
-    constraints: &Constraints,
-    shared: &SearchShared,
-) -> Option<RankedCandidate> {
-    if mem > constraints.memory_capacity_bytes {
-        shared.pruned_memory.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    if shared.should_prune(lb, &strategy) {
-        shared.pruned_bound.fetch_add(1, Ordering::Relaxed);
-        return None;
-    }
-    let cost = engine.estimate_with_memory(strategy, mem);
-    let candidate = RankedCandidate {
-        strategy,
-        projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
-    };
-    shared.observe(&candidate);
-    Some(candidate)
-}
-
-/// Memory-prunes, bound-prunes, then costs one candidate through the engine.
-fn evaluate_streaming(
-    engine: &CostEngine<'_>,
-    strategy: Strategy,
-    constraints: &Constraints,
-    shared: &SearchShared,
-) -> Option<RankedCandidate> {
-    evaluate_pruned_with_bound(
-        engine,
-        strategy,
-        engine.memory_per_pe(strategy),
-        engine.lower_bound(strategy),
-        constraints,
-        shared,
-    )
-}
-
-/// Assembles the final report from the streamed survivors. Order-independent:
-/// `ranked` is re-sorted by the total candidate order (or drained from the
-/// top-k heap) and the budget winners are minima under the same order, so
-/// any interleaving of the evaluation produces the same report (modulo the
-/// `pruned_by_bound` counter, which is documented as non-deterministic).
+/// Assembles a full-ranking report from the costed survivors.
+/// Order-independent: `ranked` is sorted by the total candidate order and
+/// the budget winners are minima under the same order, so any interleaving
+/// of the evaluation produces the same report.
 pub(crate) fn finish_report(
     enumerated: usize,
     survivors: Vec<RankedCandidate>,
     constraints: &Constraints,
     shared: SearchShared,
 ) -> SearchReport {
-    let pruned_by_memory = shared.pruned_memory.load(Ordering::Relaxed);
-    let pruned_by_bound = shared.pruned_bound.load(Ordering::Relaxed);
-    let pruned_by_dominance = shared.pruned_dominance.load(Ordering::Relaxed);
-    let budgets = powers_of_two(1, constraints.max_pes.max(1));
-
-    let (ranked, best_per_budget) = match shared.top_k {
-        None => {
-            let mut ranked = survivors;
-            ranked.sort_by(candidate_cmp);
-            let mut best_per_budget = Vec::new();
-            for &budget in &budgets {
-                let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
-                if let Some(candidate) = winner {
-                    best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
-                }
-            }
-            (ranked, best_per_budget)
+    debug_assert!(shared.top_k.is_none(), "top-k reports finish through finish_report_topk");
+    let mut ranked = survivors;
+    ranked.sort_by(candidate_cmp);
+    let mut best_per_budget = Vec::new();
+    for budget in powers_of_two(1, constraints.max_pes.max(1)) {
+        let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
+        if let Some(candidate) = winner {
+            best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
         }
-        Some(_) => {
-            // Budget winners from every evaluated candidate (the bound
-            // pruning guarantees no budget winner was skipped), independent
-            // of the global top-k.
-            let mut slot_best: Vec<Option<RankedCandidate>> = vec![None; budgets.len()];
-            for c in &survivors {
-                let idx = budget_index(c.strategy.total_pes());
-                if let Some(slot) = slot_best.get_mut(idx) {
-                    let better = slot
-                        .map(|cur| candidate_cmp(c, &cur) == std::cmp::Ordering::Less)
-                        .unwrap_or(true);
-                    if better {
-                        *slot = Some(*c);
-                    }
-                }
-            }
-            return finish_report_topk(enumerated, slot_best, constraints, shared);
-        }
-    };
-
+    }
     SearchReport {
         enumerated,
-        pruned_by_memory,
-        pruned_by_bound,
-        pruned_by_dominance,
+        pruned_by_memory: shared.pruned_memory.load(Ordering::Relaxed),
+        pruned_by_bound: 0,
+        pruned_by_dominance: shared.pruned_dominance.load(Ordering::Relaxed),
         ranked,
         best_per_budget,
     }
 }
 
 /// Top-k variant of [`finish_report`] taking the per-budget-slot best
-/// candidates directly instead of the full survivor list. The grid sweep
-/// maintains the slots incrementally during evaluation (the minimum under
-/// [`candidate_cmp`] is order-independent), which avoids materializing the
-/// hundreds of thousands of costed candidates a paper-scale cell produces
-/// when only the `k` best and the budget winners are reported.
+/// candidates instead of a survivor list. The kernel maintains the slots
+/// incrementally during evaluation (the minimum under [`candidate_cmp`] is
+/// order-independent), which avoids materializing the hundreds of
+/// thousands of costed candidates a paper-scale cell produces when only
+/// the `k` best and the budget winners are reported.
 pub(crate) fn finish_report_topk(
     enumerated: usize,
     slot_best: Vec<Option<RankedCandidate>>,
@@ -879,7 +766,6 @@ pub(crate) fn finish_report_topk(
     shared: SearchShared,
 ) -> SearchReport {
     let pruned_by_memory = shared.pruned_memory.load(Ordering::Relaxed);
-    let pruned_by_bound = shared.pruned_bound.load(Ordering::Relaxed);
     let pruned_by_dominance = shared.pruned_dominance.load(Ordering::Relaxed);
     let heap = shared.heap.into_inner().expect("top-k heap poisoned");
     let ranked: Vec<RankedCandidate> =
@@ -902,7 +788,7 @@ pub(crate) fn finish_report_topk(
     SearchReport {
         enumerated,
         pruned_by_memory,
-        pruned_by_bound,
+        pruned_by_bound: 0,
         pruned_by_dominance,
         ranked,
         best_per_budget,
@@ -916,13 +802,14 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
         StrategySpace::new(self.model, self.config.batch_size, constraints)
     }
 
-    /// Exhaustive strategy search through the precomputed [`CostEngine`],
-    /// evaluated in parallel across cores with rayon. Memory-infeasible
-    /// candidates are pruned before the cost model runs; with
-    /// [`Constraints::top_k`] set, candidates whose compute-only lower bound
-    /// cannot beat the running winners are branch-and-bound pruned and only
-    /// the `k` best are kept (bounded heap). Deterministic: returns exactly
-    /// what [`Oracle::search_serial`] returns.
+    /// Exhaustive strategy search: the candidate space ranked by the
+    /// analytic kernel, run as a one-cell [`crate::grid::GridSweep`] on
+    /// this oracle's cached engine (parallel across cores with rayon).
+    /// Memory-infeasible candidates are pruned before costing; with
+    /// [`Constraints::top_k`] set, only the `k` best are kept (bounded
+    /// heap) and statically dominated candidates are skipped. Deterministic,
+    /// and equal up to floating-point reassociation to
+    /// [`Oracle::search_reference`].
     ///
     /// Delegates to [`Oracle::answer`] with a ranked-mode
     /// [`crate::query::Query`] (the canonical entry point); the oracle's
@@ -947,77 +834,11 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
         }
     }
 
-    /// Like [`Oracle::search`], but evaluates through a [`CostEngine`] the
-    /// caller already built (possibly [`CostEngine::rebatch`]ed — the
-    /// candidate space is enumerated at the *engine's* current batch).
-    #[deprecated(since = "0.6.0", note = "use Oracle::answer_with_engine with a ranked-mode Query")]
-    pub fn search_with_engine(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        self.search_impl(engine, constraints)
-    }
-
-    /// Search evaluation through an explicit engine — the shared body of
-    /// [`Oracle::search`], the deprecated `search_with_engine`, and the
-    /// ranked arms of `Oracle::answer_with_engine`. Runs the analytic
-    /// evaluation kernel ([`crate::kernel`]): SoA prep columns, static
-    /// dominance bounds, masked feasibility filtering and incremental cost
-    /// deltas — returning exactly what the streaming search returns
-    /// (property-tested), only faster.
-    pub(crate) fn search_impl(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        crate::kernel::kernel_search(engine, constraints)
-    }
-
-    /// The streaming (pre-kernel) search evaluation: every candidate is
-    /// memory- and bound-checked then costed individually through `engine`,
-    /// with rayon across cores. Kept as the mechanical baseline the analytic
-    /// kernel is equivalence-tested and benchmarked against (per-query
-    /// grid baselines in `paradl-bench` pin their "naive" side to this).
-    pub fn search_streaming(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        let candidates =
-            StrategySpace::with_limits(engine.config().batch_size, constraints, engine.limits())
-                .into_vec();
-        let shared = SearchShared::new(constraints);
-        let outcomes: Vec<Option<RankedCandidate>> = candidates
-            .par_iter()
-            .map(|&strategy| evaluate_streaming(engine, strategy, constraints, &shared))
-            .collect();
-        let survivors = outcomes.into_iter().flatten().collect();
-        finish_report(candidates.len(), survivors, constraints, shared)
-    }
-
-    /// Single-threaded variant of [`Oracle::search`] (same engine, same
-    /// pruning), used by the equivalence tests and as the parallel-speedup
-    /// baseline. Returns bit-identical results to the parallel search.
-    pub fn search_serial(&self, constraints: &Constraints) -> SearchReport {
-        let engine = self.engine();
-        let candidates =
-            StrategySpace::with_limits(self.config.batch_size, constraints, engine.limits())
-                .into_vec();
-        let shared = SearchShared::new(constraints);
-        let outcomes: Vec<Option<RankedCandidate>> = candidates
-            .iter()
-            .map(|&strategy| evaluate_streaming(&engine, strategy, constraints, &shared))
-            .collect();
-        let survivors = outcomes.into_iter().flatten().collect();
-        finish_report(candidates.len(), survivors, constraints, shared)
-    }
-
     /// The original (pre-engine) search path: every candidate re-walks the
     /// model through [`crate::cost::estimate_with_memory`], every feasible
-    /// candidate is ranked, and no branch-and-bound pruning happens
-    /// ([`Constraints::top_k`] is ignored). Kept as the equivalence-tested
-    /// reference for the engine and as the baseline of the
+    /// candidate is ranked, and nothing is pruned but memory
+    /// ([`Constraints::top_k`] is ignored). Kept as the independent reference
+    /// the kernel is tested against and as the baseline of the
     /// `paradl-bench` `engine` benchmark.
     pub fn search_reference(&self, constraints: &Constraints) -> SearchReport {
         let candidates = self.strategy_space(constraints).into_vec();
@@ -1214,25 +1035,49 @@ mod tests {
         }
     }
 
+    /// Asserts that a kernel report agrees with the per-layer reference
+    /// ranking: same enumeration and memory-pruning counts, the reference's
+    /// first `ranked.len()` ranks (all of them in full-ranking mode), each
+    /// ranked candidate and budget winner costed the same up to 1e-9
+    /// relative (the engine reassociates sums, so near-ties may swap rank
+    /// positions; candidates are matched by strategy, not by rank).
+    fn assert_agrees_with_reference(
+        fast: &SearchReport,
+        reference: &SearchReport,
+        top_k: Option<usize>,
+    ) {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(b);
+        assert_eq!(fast.enumerated, reference.enumerated, "enumerated");
+        assert_eq!(fast.pruned_by_memory, reference.pruned_by_memory, "memory-pruned");
+        let expected = top_k.map_or(reference.ranked.len(), |k| k.min(reference.ranked.len()));
+        assert_eq!(fast.ranked.len(), expected, "ranked length");
+        let times: HashMap<Strategy, f64> =
+            reference.ranked.iter().map(|c| (c.strategy, c.epoch_time())).collect();
+        for (rank, (a, b)) in fast.ranked.iter().zip(&reference.ranked).enumerate() {
+            let t = times.get(&a.strategy).copied().expect("ranked candidate is feasible");
+            assert!(close(a.epoch_time(), t), "{}: {} vs {t}", a.strategy, a.epoch_time());
+            assert!(close(a.epoch_time(), b.epoch_time()), "rank {rank} time diverged");
+        }
+        assert_eq!(fast.best_per_budget.len(), reference.best_per_budget.len(), "budgets");
+        for (a, b) in fast.best_per_budget.iter().zip(&reference.best_per_budget) {
+            assert_eq!(a.max_pes, b.max_pes);
+            let (ta, tb) = (a.candidate.epoch_time(), b.candidate.epoch_time());
+            assert!(close(ta, tb), "budget {} winner: {ta} vs {tb}", a.max_pes);
+        }
+    }
+
     #[test]
     fn kernel_survives_degenerate_constraint_edges() {
         // max_pes = 1 collapses the space to Serial-only and a single
         // budget slot; a tiny memory capacity memory-prunes everything.
-        // Both must flow through the kernel's mask path without
-        // over-pruning or a slot-index panic.
+        // Both must flow through the kernel without over-pruning or a
+        // slot-index panic.
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
         let single = Constraints { max_pes: 1, top_k: Some(4), ..Constraints::default() };
         let report = oracle.search(&single);
-        let serial = oracle.search_serial(&single);
-        assert_eq!(report.enumerated, serial.enumerated);
-        assert_eq!(report.ranked.len(), serial.ranked.len());
         assert!(!report.ranked.is_empty(), "Serial always fits");
-        for (a, b) in report.ranked.iter().zip(&serial.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        assert_eq!(report.best_per_budget.len(), serial.best_per_budget.len());
+        assert_agrees_with_reference(&report, &oracle.search_reference(&single), Some(4));
 
         let tiny = Constraints {
             max_pes: 256,
@@ -1249,20 +1094,15 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_search_agree_exactly() {
+        // The parallel kernel against the independent per-layer reference,
+        // full ranking.
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
         let c = constraints();
-        let par = oracle.search(&c);
-        let ser = oracle.search_serial(&c);
-        assert_eq!(par.enumerated, ser.enumerated);
-        assert_eq!(par.pruned_by_memory, ser.pruned_by_memory);
-        assert_eq!(par.ranked.len(), ser.ranked.len());
-        for (a, b) in par.ranked.iter().zip(&ser.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        let (pb, sb) = (par.best().unwrap(), ser.best().unwrap());
-        assert_eq!(pb.strategy, sb.strategy, "winner differs between parallel and serial");
+        let report = oracle.search(&c);
+        assert_agrees_with_reference(&report, &oracle.search_reference(&c), None);
+        // Two parallel runs are identical, field for field.
+        assert_eq!(report, oracle.search(&c));
     }
 
     #[test]
@@ -1270,18 +1110,9 @@ mod tests {
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
         let c = Constraints { top_k: Some(5), ..constraints() };
-        let par = oracle.search(&c);
-        let ser = oracle.search_serial(&c);
-        assert_eq!(par.ranked.len(), ser.ranked.len());
-        for (a, b) in par.ranked.iter().zip(&ser.ranked) {
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.projection, b.projection);
-        }
-        assert_eq!(par.best_per_budget.len(), ser.best_per_budget.len());
-        for (a, b) in par.best_per_budget.iter().zip(&ser.best_per_budget) {
-            assert_eq!(a.max_pes, b.max_pes);
-            assert_eq!(a.candidate.strategy, b.candidate.strategy);
-        }
+        let report = oracle.search(&c);
+        assert_agrees_with_reference(&report, &oracle.search_reference(&c), Some(5));
+        assert_eq!(report, oracle.search(&c));
     }
 
     #[test]

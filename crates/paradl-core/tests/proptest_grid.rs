@@ -1,15 +1,17 @@
 //! Property-based equivalence tests of the amortized [`GridSweep`] against
-//! per-query [`Oracle::search`] calls: for *any* random grid of CNNs,
-//! batch axes, clusters and constraints (with and without top-k pruning,
-//! powers-of-two and exhaustive PE sweeps), every cell of the sweep must
-//! reproduce the per-query search exactly — same enumeration and
-//! memory-pruning counts, same ranking with byte-identical projections,
-//! same per-budget winners. Only `pruned_by_bound` may differ (documented
-//! as evaluation-order dependent).
+//! per-query [`Oracle::search`] calls on fresh oracles: for *any* random
+//! grid of CNNs, batch axes, clusters and constraints (with and without
+//! top-k pruning, powers-of-two and exhaustive PE sweeps) and any chunk
+//! size, every cell of the sweep must reproduce the per-query search byte
+//! for byte — same counts, same ranking, same per-budget winners, same
+//! serialized answer. Full-ranking cells are also checked against the
+//! per-layer [`Oracle::search_reference`], up to floating-point
+//! reassociation.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
+use std::collections::HashMap;
 
 /// A small random CNN, mirroring the generator in `proptest_engine.rs`.
 fn arb_model() -> impl PropStrategy<Value = Model> {
@@ -56,6 +58,22 @@ fn arb_batches() -> impl PropStrategy<Value = Vec<usize>> {
     })
 }
 
+/// The per-layer reference agrees with a full-ranking kernel report: same
+/// counts, and every ranked candidate costed the same up to 1e-9 relative
+/// (candidates matched by strategy; near-ties may swap rank positions).
+fn agrees_with_reference(fast: &SearchReport, reference: &SearchReport) -> bool {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(b);
+    let times: HashMap<Strategy, f64> =
+        reference.ranked.iter().map(|c| (c.strategy, c.epoch_time())).collect();
+    fast.enumerated == reference.enumerated
+        && fast.pruned_by_memory == reference.pruned_by_memory
+        && fast.ranked.len() == reference.ranked.len()
+        && fast
+            .ranked
+            .iter()
+            .all(|c| times.get(&c.strategy).is_some_and(|&t| close(c.epoch_time(), t)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -73,31 +91,26 @@ proptest! {
             .with_batches(batches)
             .with_cluster(ClusterSpec::paper_system())
             .with_cluster(ClusterSpec::workstation(8));
-        let sweep = GridSweep::new().with_chunk_size(chunk);
-        let fast = sweep.run(&grid);
-        let slow = sweep.run_per_query(&grid);
-        prop_assert!(fast.len() == grid.num_queries());
-        prop_assert!(fast.len() == slow.len());
-        for (a, b) in fast.cells.iter().zip(&slow.cells) {
-            prop_assert!(a.query == b.query);
-            let what = format!("{:?}", a.query);
-            prop_assert!(a.report.enumerated == b.report.enumerated, "{what}: enumerated");
-            prop_assert!(a.report.pruned_by_memory == b.report.pruned_by_memory, "{what}: pruned");
-            prop_assert!(a.report.ranked.len() == b.report.ranked.len(), "{what}: ranked len");
-            for (x, y) in a.report.ranked.iter().zip(&b.report.ranked) {
-                prop_assert!(x.strategy == y.strategy, "{what}: strategy");
-                prop_assert!(x.projection == y.projection, "{what}: projection diverged");
+        let chunked = GridSweep::new().with_chunk_size(chunk).run(&grid);
+        let default = GridSweep::new().run(&grid);
+        prop_assert!(chunked.len() == grid.num_queries());
+        prop_assert!(default.len() == grid.num_queries());
+        for ((a, d), q) in chunked.cells.iter().zip(&default.cells).zip(grid.queries()) {
+            prop_assert!(a.query == q && d.query == q);
+            let gm = &grid.models()[q.model];
+            let cluster = &grid.clusters()[q.cluster];
+            let oracle = Oracle::new(&gm.model, &cluster.device, cluster, gm.config_at(q.batch));
+            let per_query = oracle.search(grid.constraints());
+            let bytes = |r: &SearchReport| QueryAnswer::Ranked(r.clone()).to_json().render();
+            for (name, cell) in [("chunked", a), ("default", d)] {
+                prop_assert!(cell.report == per_query, "{q:?}: {name} sweep diverged");
+                prop_assert!(bytes(&cell.report) == bytes(&per_query), "{q:?}: {name} bytes");
             }
-            prop_assert!(
-                a.report.best_per_budget.len() == b.report.best_per_budget.len(),
-                "{what}: budget len"
-            );
-            for (x, y) in a.report.best_per_budget.iter().zip(&b.report.best_per_budget) {
-                prop_assert!(x.max_pes == y.max_pes, "{what}: budget");
-                prop_assert!(x.candidate.strategy == y.candidate.strategy, "{what}: winner");
+            if constraints.top_k.is_none() {
+                let reference = oracle.search_reference(grid.constraints());
                 prop_assert!(
-                    x.candidate.projection == y.candidate.projection,
-                    "{what}: budget projection diverged"
+                    agrees_with_reference(&a.report, &reference),
+                    "{q:?}: full ranking diverged from the reference search"
                 );
             }
         }

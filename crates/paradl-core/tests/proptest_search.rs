@@ -112,7 +112,7 @@ proptest! {
         let full = oracle.search(&constraints);
         let pruned_constraints = Constraints { top_k: Some(k), ..constraints };
         let pruned = oracle.search(&pruned_constraints);
-        let serial = oracle.search_serial(&pruned_constraints);
+        let reference = oracle.search_reference(&pruned_constraints);
         // The bounded-heap ranking is exactly the prefix of the full ranking.
         prop_assert!(pruned.ranked.len() == k.min(full.ranked.len()));
         for (a, b) in pruned.ranked.iter().zip(&full.ranked) {
@@ -125,11 +125,17 @@ proptest! {
             prop_assert!(a.max_pes == b.max_pes);
             prop_assert!(a.candidate.strategy == b.candidate.strategy);
         }
-        // Parallel and serial pruned searches return identical results.
-        prop_assert!(pruned.ranked.len() == serial.ranked.len());
-        for (a, b) in pruned.ranked.iter().zip(&serial.ranked) {
-            prop_assert!(a.strategy == b.strategy);
-            prop_assert!(a.projection == b.projection);
+        // The pruned search keeps the per-layer reference's winners: the
+        // same strategies, costed the same up to 1e-9 relative (matched by
+        // strategy, since reassociation may swap near-ties).
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(b);
+        let times: std::collections::HashMap<Strategy, f64> =
+            reference.ranked.iter().map(|c| (c.strategy, c.epoch_time())).collect();
+        prop_assert!(pruned.ranked.len() == k.min(reference.ranked.len()));
+        for (a, b) in pruned.ranked.iter().zip(&reference.ranked) {
+            let t = times.get(&a.strategy).copied();
+            prop_assert!(t.is_some_and(|t| close(a.epoch_time(), t)), "{} vs reference", a.strategy);
+            prop_assert!(close(a.epoch_time(), b.epoch_time()));
         }
         // Accounting adds up (memory + dynamic bound + static dominance).
         prop_assert!(pruned.evaluated() + pruned.pruned() == pruned.enumerated);

@@ -1,5 +1,5 @@
 //! AlexNet (Krizhevsky, 2012/2014) — included because Krizhevsky's "one weird
-//! trick" paper [25] is the origin of the data-parallel-convolutions /
+//! trick" paper \[25\] is the origin of the data-parallel-convolutions /
 //! model-parallel-FC hybrid the paper discusses, and because its small depth
 //! makes it a convenient pipeline-parallelism example.
 

@@ -7,7 +7,7 @@
 //! * **retry only idempotent outcomes** — [`Response::Shed`],
 //!   [`Response::DeadlineExpired`], transport-level I/O errors (reset,
 //!   timeout, checksum damage, EOF mid-response), and
-//!   [`ErrorKind::Protocol`] errors. All of these mean the query was never
+//!   [`ErrorKind::Protocol`](crate::proto::ErrorKind::Protocol) errors. All of these mean the query was never
 //!   evaluated, or was evaluated and the answer lost — and since oracle
 //!   queries are pure, resending is always safe. Fatal errors
 //!   (`BadRequest`, `TooLarge`, `Internal`, `ShuttingDown`) are returned

@@ -5,7 +5,7 @@
 //! ChainerMNX on up to 1024 V100s and comparing measured step times with the
 //! projections (§5.2, Figure 3). This module closes the same loop inside the
 //! repository: a [`Conformance`] harness takes a
-//! [`QueryGrid`](paradl_core::grid::QueryGrid), runs the amortized
+//! [`QueryGrid`], runs the amortized
 //! [`GridSweep`] to pick each cell's winners, replays every winner through
 //! the [`Simulator`] (the stand-in for the measured cluster), and aggregates
 //! the comparison into a [`FidelityReport`] — per-strategy-family signed

@@ -32,13 +32,14 @@ fn main() {
         report.evaluated()
     );
 
-    // The same search with branch-and-bound pruning: keep only the top 10,
-    // skip candidates whose compute-only lower bound can't beat the running
-    // winners. Same ranking prefix and budget winners, less work.
+    // The same search keeping only the top 10: candidates a small seed
+    // panel already dominates at every PE budget they could win are skipped
+    // before their estimate is assembled. Same ranking prefix and budget
+    // winners, less work.
     let pruned = oracle.search(&Constraints { top_k: Some(10), ..constraints });
     println!(
-        "top-k search: {} bound-pruned, {} costed, same winner: {}\n",
-        pruned.pruned_by_bound,
+        "top-k search: {} dominance-pruned, {} costed, same winner: {}\n",
+        pruned.pruned_by_dominance,
         pruned.evaluated(),
         pruned.best().map(|b| b.strategy == report.best().unwrap().strategy).unwrap_or(false),
     );
