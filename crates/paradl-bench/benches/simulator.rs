@@ -44,9 +44,30 @@ fn bench_cosmoflow_hybrid(c: &mut Criterion) {
     });
 }
 
+/// The heaviest replay shape of the conformance grid: Data+Filter over 256
+/// PEs (64 groups × 4 GPUs across four racks) for two sampled iterations.
+fn bench_conformance_replay(c: &mut Criterion) {
+    let model = paradl_models::resnet50();
+    let device = DeviceProfile::v100();
+    let cluster = ClusterSpec::paper_system();
+    let config = TrainingConfig::imagenet(256);
+    let sim = Simulator::new(&device, &cluster)
+        .with_overheads(OverheadModel::chainermnx_quiet())
+        .with_samples(2);
+    c.bench_function("simulator/resnet50_data_filter_256", |b| {
+        b.iter(|| {
+            std::hint::black_box(sim.simulate(
+                &model,
+                &config,
+                Strategy::DataFilter { p1: 64, p2: 4 },
+            ))
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_simulated_strategies, bench_cosmoflow_hybrid
+    targets = bench_simulated_strategies, bench_cosmoflow_hybrid, bench_conformance_replay
 );
 criterion_main!(benches);

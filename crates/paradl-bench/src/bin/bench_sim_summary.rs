@@ -23,12 +23,9 @@ use paradl_sim::{Conformance, OverheadModel};
 use std::time::Instant;
 
 fn main() {
-    // The paper's powers-of-two sweep to 256 PEs keeps each replay's
-    // link-level collective schedules tractable (the simulator routes every
-    // transfer through the fat-tree; a 1024-rank ring is ~2 s per replay).
-    // The batch axis tops out at 256 so CosmoFlow's activations still fit a
-    // 16 GiB V100 within that budget — every one of the 36 cells must
-    // produce replayable winners.
+    // The paper's powers-of-two sweep to 256 PEs. The batch axis tops out
+    // at 256 so CosmoFlow's activations still fit a 16 GiB V100 within that
+    // budget — every one of the 36 cells must produce replayable winners.
     let batches = [64usize, 128, 256];
     let constraints = Constraints {
         max_pes: 256,
@@ -70,11 +67,11 @@ fn main() {
     let replay_seconds = t1.elapsed().as_secs_f64();
 
     println!(
-        "oracle sweep {:.2} s, {} replays in {:.2} s ({:.0} ms/replay)\n",
+        "oracle sweep {:.2} s, {} replays in {:.2} s ({:.0} \u{b5}s/replay)\n",
         sweep_seconds,
         report.num_samples(),
         replay_seconds,
-        replay_seconds * 1e3 / report.num_samples() as f64
+        replay_seconds * 1e6 / report.num_samples() as f64
     );
 
     println!("=== uncalibrated ===");

@@ -20,75 +20,86 @@ pub struct Transfer {
     pub bytes: f64,
 }
 
-/// A collective schedule: a list of steps, each step being a set of transfers
-/// that proceed concurrently. A step only starts once the previous step has
-/// completed on every participant (the bulk-synchronous view NCCL rings
-/// follow).
+/// A run of `repeat` consecutive bulk-synchronous steps that each move
+/// exactly `transfers`, concurrently.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The transfers of each step of the run.
+    pub transfers: Vec<Transfer>,
+    /// How many identical steps the run stands for.
+    pub repeat: usize,
+}
+
+impl Run {
+    /// A run of a single step.
+    pub fn once(transfers: Vec<Transfer>) -> Run {
+        Run { transfers, repeat: 1 }
+    }
+}
+
+/// A collective schedule: a sequence of steps, each step being a set of
+/// transfers that proceed concurrently. A step only starts once the
+/// previous step has completed on every participant (the bulk-synchronous
+/// view NCCL rings follow).
+///
+/// Steps are stored run-length encoded: every step of a ring phase moves
+/// the same transfers, so a `2(p−1)`-step ring Allreduce is two [`Run`]s of
+/// `p` transfers rather than `2(p−1)·p` transfers, and pricing it costs
+/// two step evaluations.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
-    /// The steps of the collective.
-    pub steps: Vec<Vec<Transfer>>,
+    /// The runs of identical steps, in execution order.
+    pub runs: Vec<Run>,
 }
 
 impl Schedule {
-    /// Total number of steps.
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
+    /// The steps of the collective, expanded from the runs, in order.
+    pub fn steps(&self) -> impl Iterator<Item = &[Transfer]> + '_ {
+        self.runs.iter().flat_map(|r| std::iter::repeat_n(r.transfers.as_slice(), r.repeat))
     }
 
-    /// Total bytes moved by the whole collective.
+    /// Total number of steps.
+    pub fn num_steps(&self) -> usize {
+        self.runs.iter().map(|r| r.repeat).sum()
+    }
+
+    /// Total bytes moved by the whole collective (summed step by step).
     pub fn total_bytes(&self) -> f64 {
-        self.steps.iter().flat_map(|s| s.iter()).map(|t| t.bytes).sum()
+        self.steps().flatten().map(|t| t.bytes).sum()
     }
 
     /// Concatenates another schedule after this one.
     pub fn then(mut self, other: Schedule) -> Schedule {
-        self.steps.extend(other.steps);
+        self.runs.extend(other.runs);
         self
     }
 }
 
+/// One ring step over `ranks`: every PE sends `chunk` bytes to its
+/// successor.
+fn ring_step(ranks: &[usize], chunk: f64) -> Vec<Transfer> {
+    let p = ranks.len();
+    (0..p).map(|i| Transfer { src: ranks[i], dst: ranks[(i + 1) % p], bytes: chunk }).collect()
+}
+
 /// Ring Allreduce over `ranks` with a total buffer of `bytes` bytes:
 /// a reduce-scatter phase of `p−1` steps followed by an allgather phase of
-/// `p−1` steps, each moving `bytes/p` per PE per step.
+/// `p−1` steps, each moving `bytes/p` per PE per step (one run per phase).
 pub fn ring_allreduce(ranks: &[usize], bytes: f64) -> Schedule {
-    let p = ranks.len();
-    if p <= 1 {
-        return Schedule::default();
-    }
-    let chunk = bytes / p as f64;
-    let mut steps = Vec::with_capacity(2 * (p - 1));
-    for _phase in 0..2 {
-        for _s in 0..p - 1 {
-            let mut transfers = Vec::with_capacity(p);
-            for i in 0..p {
-                let src = ranks[i];
-                let dst = ranks[(i + 1) % p];
-                transfers.push(Transfer { src, dst, bytes: chunk });
-            }
-            steps.push(transfers);
-        }
-    }
-    Schedule { steps }
+    let reduce_scatter = ring_reduce_scatter(ranks, bytes);
+    reduce_scatter.clone().then(reduce_scatter)
 }
 
 /// Ring Allgather over `ranks`: each PE contributes `bytes / p` and after
-/// `p−1` steps everyone holds the full `bytes` buffer.
+/// `p−1` steps (one run) everyone holds the full `bytes` buffer.
 pub fn ring_allgather(ranks: &[usize], total_bytes: f64) -> Schedule {
     let p = ranks.len();
     if p <= 1 {
         return Schedule::default();
     }
-    let chunk = total_bytes / p as f64;
-    let mut steps = Vec::with_capacity(p - 1);
-    for _s in 0..p - 1 {
-        let mut transfers = Vec::with_capacity(p);
-        for i in 0..p {
-            transfers.push(Transfer { src: ranks[i], dst: ranks[(i + 1) % p], bytes: chunk });
-        }
-        steps.push(transfers);
+    Schedule {
+        runs: vec![Run { transfers: ring_step(ranks, total_bytes / p as f64), repeat: p - 1 }],
     }
-    Schedule { steps }
 }
 
 /// Ring Reduce-Scatter over `ranks`: `p−1` steps of `bytes/p` per PE.
@@ -102,18 +113,16 @@ pub fn tree_broadcast(ranks: &[usize], bytes: f64) -> Schedule {
     if p <= 1 {
         return Schedule::default();
     }
-    let mut steps = Vec::new();
+    let mut runs = Vec::new();
     let mut have = 1usize; // number of ranks that already hold the data
     while have < p {
         let senders = have.min(p - have);
-        let mut transfers = Vec::with_capacity(senders);
-        for i in 0..senders {
-            transfers.push(Transfer { src: ranks[i], dst: ranks[have + i], bytes });
-        }
-        steps.push(transfers);
+        let transfers =
+            (0..senders).map(|i| Transfer { src: ranks[i], dst: ranks[have + i], bytes }).collect();
+        runs.push(Run::once(transfers));
         have += senders;
     }
-    Schedule { steps }
+    Schedule { runs }
 }
 
 /// Flat reduce of `bytes` bytes from every rank to `ranks[0]` (each non-root
@@ -124,9 +133,11 @@ pub fn flat_reduce_to_root(ranks: &[usize], bytes: f64) -> Schedule {
     if p <= 1 {
         return Schedule::default();
     }
-    let steps =
-        ranks[1..].iter().map(|&src| vec![Transfer { src, dst: ranks[0], bytes }]).collect();
-    Schedule { steps }
+    let runs = ranks[1..]
+        .iter()
+        .map(|&src| Run::once(vec![Transfer { src, dst: ranks[0], bytes }]))
+        .collect();
+    Schedule { runs }
 }
 
 /// Hierarchical Allreduce for `groups` of PEs (e.g. one group per node):
@@ -171,20 +182,40 @@ pub fn halo_exchange(ranks: &[usize], halo_bytes: f64) -> Schedule {
         right.push(Transfer { src: ranks[i], dst: ranks[i + 1], bytes: halo_bytes });
         left.push(Transfer { src: ranks[i + 1], dst: ranks[i], bytes: halo_bytes });
     }
-    Schedule { steps: vec![right, left] }
+    Schedule { runs: vec![Run::once(right), Run::once(left)] }
 }
 
 /// Merges several schedules so that their step `i`s run concurrently (used
-/// for independent per-group collectives).
+/// for independent per-group collectives). Runs are merged aligned by step
+/// index: a merged run ends wherever any input's run ends, so inputs of
+/// unequal length or with different run boundaries merge exactly as their
+/// expanded steps would.
 pub fn merge_concurrent(schedules: &[Schedule]) -> Schedule {
-    let depth = schedules.iter().map(|s| s.steps.len()).max().unwrap_or(0);
-    let mut steps = vec![Vec::new(); depth];
-    for s in schedules {
-        for (i, step) in s.steps.iter().enumerate() {
-            steps[i].extend_from_slice(step);
+    // One cursor per input: its remaining runs, and the current run with
+    // the number of its steps not merged yet.
+    let mut cursors: Vec<_> = schedules
+        .iter()
+        .map(|s| {
+            let mut rest = s.runs.iter().filter(|r| r.repeat > 0);
+            let current = rest.next().map(|r| (r, r.repeat));
+            (rest, current)
+        })
+        .collect();
+    let mut runs = Vec::new();
+    while let Some(repeat) = cursors.iter().filter_map(|(_, c)| c.map(|(_, left)| left)).min() {
+        let mut transfers = Vec::new();
+        for (rest, current) in &mut cursors {
+            if let Some((run, left)) = current {
+                transfers.extend_from_slice(&run.transfers);
+                *left -= repeat;
+                if *left == 0 {
+                    *current = rest.next().map(|r| (r, r.repeat));
+                }
+            }
         }
+        runs.push(Run { transfers, repeat });
     }
-    Schedule { steps }
+    Schedule { runs }
 }
 
 #[cfg(test)]
@@ -222,7 +253,7 @@ mod tests {
         let s = tree_broadcast(&ranks, 100.0);
         assert_eq!(s.num_steps(), 3);
         // All non-root ranks receive exactly once.
-        let mut receivers: Vec<usize> = s.steps.iter().flatten().map(|t| t.dst).collect();
+        let mut receivers: Vec<usize> = s.steps().flatten().map(|t| t.dst).collect();
         receivers.sort_unstable();
         assert_eq!(receivers, (1..8).collect::<Vec<_>>());
     }
@@ -234,7 +265,7 @@ mod tests {
         // local reduce: 3 steps; leader allreduce: 2*(2-1)=2; broadcast: 2 steps.
         assert_eq!(s.num_steps(), 3 + 2 + 2);
         // Leaders are 0 and 4.
-        let leader_step = &s.steps[3];
+        let leader_step = s.steps().nth(3).unwrap();
         assert!(leader_step.iter().all(|t| t.src == 0 || t.src == 4));
     }
 
@@ -243,9 +274,11 @@ mod tests {
         let segments = vec![vec![0, 4, 8], vec![1, 5, 9]];
         let s = segmented_allreduce(&segments, 3e6);
         assert_eq!(s.num_steps(), 2 * 2); // 2(p-1) with p=3
-                                          // Each step contains transfers from both segments.
-        assert!(s.steps[0].iter().any(|t| t.src % 4 == 0));
-        assert!(s.steps[0].iter().any(|t| t.src % 4 == 1));
+                                          // One run per ring phase, each step holding both segments' transfers.
+        assert_eq!(s.runs.len(), 2);
+        let first = s.steps().next().unwrap();
+        assert!(first.iter().any(|t| t.src % 4 == 0));
+        assert!(first.iter().any(|t| t.src % 4 == 1));
     }
 
     #[test]
@@ -253,7 +286,7 @@ mod tests {
         let ranks = [0usize, 1, 2, 3];
         let s = halo_exchange(&ranks, 512.0);
         assert_eq!(s.num_steps(), 2);
-        assert_eq!(s.steps[0].len(), 3);
+        assert_eq!(s.runs[0].transfers.len(), 3);
         assert!((s.total_bytes() - 2.0 * 3.0 * 512.0).abs() < 1e-9);
     }
 

@@ -7,20 +7,32 @@
 //! dynamic [`contention`] accounting that slows concurrent flows sharing a
 //! link — the mechanism behind both the self-contention of hybrid strategies
 //! and external network congestion.
+//!
+//! Schedules are run-length encoded: a [`Schedule`] is a list of [`Run`]s,
+//! each one step's transfers plus a repeat count, and every ring phase is a
+//! single run. [`schedule_time`] prices each run once, counting per-link
+//! flows in a dense table indexed by [`FatTree::link_index`] over inline
+//! (non-allocating) routes, then adds the run's time `repeat` times in
+//! sequence. Pricing a ring Allreduce over `p` ranks therefore costs two
+//! step evaluations of `p` transfers rather than `2(p−1)` of them, and the
+//! total has the same bits as a step-by-step sum.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod contention;
+#[cfg(test)]
+mod proptests;
 pub mod topology;
 
 pub use collectives::{
     flat_reduce_to_root, halo_exchange, hierarchical_allreduce, merge_concurrent, ring_allgather,
-    ring_allreduce, ring_reduce_scatter, segmented_allreduce, tree_broadcast, Schedule, Transfer,
+    ring_allreduce, ring_reduce_scatter, segmented_allreduce, tree_broadcast, Run, Schedule,
+    Transfer,
 };
-pub use contention::{link_loads, max_contention, schedule_time, step_time};
-pub use topology::{Direction, FatTree, LinkId};
+pub use contention::{max_contention, schedule_time, step_time};
+pub use topology::{Direction, FatTree, LinkId, Route};
 
 #[cfg(test)]
 mod tests {

@@ -51,6 +51,40 @@ pub enum LinkId {
     },
 }
 
+/// Most links a route crosses: GPU, node and rack uplinks on the way up,
+/// then the same three levels on the way down.
+const MAX_ROUTE_LINKS: usize = 6;
+
+/// The links of one routed transfer, in traversal order, stored inline so
+/// that routing never allocates. Dereferences to `[LinkId]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    links: [LinkId; MAX_ROUTE_LINKS],
+    len: usize,
+}
+
+impl Default for Route {
+    fn default() -> Self {
+        let unused = LinkId::GpuToNode { node: 0, gpu: 0, dir: Direction::Up };
+        Route { links: [unused; MAX_ROUTE_LINKS], len: 0 }
+    }
+}
+
+impl Route {
+    fn push(&mut self, link: LinkId) {
+        self.links[self.len] = link;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Route {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..self.len]
+    }
+}
+
 /// A fat-tree topology of `racks × nodes_per_rack × gpus_per_node` PEs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FatTree {
@@ -134,29 +168,60 @@ impl FatTree {
         pe % self.gpus_per_node
     }
 
-    /// Routes a transfer from `src` to `dst`: the ordered list of links it
-    /// traverses. Same-node transfers use only the two GPU links; same-rack
-    /// transfers add the node uplinks; cross-rack transfers add the rack
-    /// uplinks.
-    pub fn route(&self, src: usize, dst: usize) -> Vec<LinkId> {
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.nodes_per_rack * self.racks
+    }
+
+    /// Number of directed links: an up and a down link per GPU, node and
+    /// rack.
+    pub fn num_links(&self) -> usize {
+        2 * (self.total_pes() + self.num_nodes() + self.racks)
+    }
+
+    /// Dense index of `link` in `0..num_links()`, a bijection over the
+    /// links of this tree: per-link tables (such as the flow counts of the
+    /// contention model) are plain arrays instead of hash maps.
+    pub fn link_index(&self, link: LinkId) -> usize {
+        let slot = |base: usize, dir: Direction| {
+            2 * base
+                + match dir {
+                    Direction::Up => 0,
+                    Direction::Down => 1,
+                }
+        };
+        match link {
+            LinkId::GpuToNode { node, gpu, dir } => slot(node * self.gpus_per_node + gpu, dir),
+            LinkId::NodeToRack { node, dir } => slot(self.total_pes() + node, dir),
+            LinkId::RackToCore { rack, dir } => {
+                slot(self.total_pes() + self.num_nodes() + rack, dir)
+            }
+        }
+    }
+
+    /// Routes a transfer from `src` to `dst`: the ordered links it
+    /// traverses, stored inline. Same-node transfers use only the two GPU
+    /// links; same-rack transfers add the node uplinks; cross-rack
+    /// transfers add the rack uplinks.
+    pub fn route(&self, src: usize, dst: usize) -> Route {
         assert!(src < self.total_pes() && dst < self.total_pes(), "PE out of range");
+        let mut route = Route::default();
         if src == dst {
-            return Vec::new();
+            return route;
         }
         let (sn, dn) = (self.node_of(src), self.node_of(dst));
-        let mut links =
-            vec![LinkId::GpuToNode { node: sn, gpu: self.gpu_of(src), dir: Direction::Up }];
+        route.push(LinkId::GpuToNode { node: sn, gpu: self.gpu_of(src), dir: Direction::Up });
         if sn != dn {
-            links.push(LinkId::NodeToRack { node: sn, dir: Direction::Up });
+            route.push(LinkId::NodeToRack { node: sn, dir: Direction::Up });
             let (sr, dr) = (self.rack_of(src), self.rack_of(dst));
             if sr != dr {
-                links.push(LinkId::RackToCore { rack: sr, dir: Direction::Up });
-                links.push(LinkId::RackToCore { rack: dr, dir: Direction::Down });
+                route.push(LinkId::RackToCore { rack: sr, dir: Direction::Up });
+                route.push(LinkId::RackToCore { rack: dr, dir: Direction::Down });
             }
-            links.push(LinkId::NodeToRack { node: dn, dir: Direction::Down });
+            route.push(LinkId::NodeToRack { node: dn, dir: Direction::Down });
         }
-        links.push(LinkId::GpuToNode { node: dn, gpu: self.gpu_of(dst), dir: Direction::Down });
-        links
+        route.push(LinkId::GpuToNode { node: dn, gpu: self.gpu_of(dst), dir: Direction::Down });
+        route
     }
 
     /// Parameters (α, β) of a link.
@@ -196,6 +261,28 @@ impl FatTree {
         let node = self.node_of(pe);
         (0..self.gpus_per_node).map(|g| node * self.gpus_per_node + g).collect()
     }
+}
+
+/// The allocating router the inline [`Route`] replaced, kept as the
+/// reference the property tests compare [`FatTree::route`] against.
+#[cfg(test)]
+pub(crate) fn reference_route(t: &FatTree, src: usize, dst: usize) -> Vec<LinkId> {
+    if src == dst {
+        return Vec::new();
+    }
+    let (sn, dn) = (t.node_of(src), t.node_of(dst));
+    let mut links = vec![LinkId::GpuToNode { node: sn, gpu: t.gpu_of(src), dir: Direction::Up }];
+    if sn != dn {
+        links.push(LinkId::NodeToRack { node: sn, dir: Direction::Up });
+        let (sr, dr) = (t.rack_of(src), t.rack_of(dst));
+        if sr != dr {
+            links.push(LinkId::RackToCore { rack: sr, dir: Direction::Up });
+            links.push(LinkId::RackToCore { rack: dr, dir: Direction::Down });
+        }
+        links.push(LinkId::NodeToRack { node: dn, dir: Direction::Down });
+    }
+    links.push(LinkId::GpuToNode { node: dn, gpu: t.gpu_of(dst), dir: Direction::Down });
+    links
 }
 
 #[cfg(test)]

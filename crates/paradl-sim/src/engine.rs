@@ -21,6 +21,7 @@ use paradl_net::collectives::{
 };
 use paradl_net::contention::schedule_time;
 use paradl_net::topology::FatTree;
+use std::ops::Range;
 
 /// Result of simulating a training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +34,21 @@ pub struct MeasuredResult {
     pub per_epoch: PhaseBreakdown,
     /// Number of iterations actually simulated.
     pub sampled_iterations: usize,
+}
+
+/// The deterministic network side of one iteration of a strategy (its
+/// collective times and pipeline layout), priced once per
+/// [`Simulator::simulate`] call and shared by every sampled iteration,
+/// which scales the times by its own congestion draws.
+#[derive(Debug, Default)]
+struct NetworkBase {
+    gradient_exchange: f64,
+    fb_collective: f64,
+    halo_exchange: f64,
+    /// Layer ranges of the pipeline stages.
+    pipeline_stages: Vec<Range<usize>>,
+    /// Activation transfer time between consecutive pipeline stages.
+    pipeline_transfers: Vec<f64>,
 }
 
 /// The distributed-training simulator.
@@ -99,17 +115,22 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
 
     /// Simulates `strategy` training `model` under `config` and returns the
     /// measured-like time breakdown.
+    ///
+    /// The collective schedules do not depend on the sampled overheads, so
+    /// their times are priced once per call; each sampled iteration then
+    /// draws its overheads and applies them to those times.
     pub fn simulate(
         &self,
         model: &Model,
         config: &TrainingConfig,
         strategy: Strategy,
     ) -> MeasuredResult {
+        let network = self.network_base(model, config, strategy);
         let mut sampler = OverheadSampler::new(self.overheads, self.seed);
         let iters = config.iterations_per_epoch();
         let mut acc = PhaseBreakdown::default();
         for _ in 0..self.sample_iterations {
-            let one = self.simulate_iteration(model, config, strategy, &mut sampler);
+            let one = self.simulate_iteration(model, config, strategy, &network, &mut sampler);
             acc = acc.add(&one);
         }
         let per_iteration = acc.scaled(1.0 / self.sample_iterations as f64);
@@ -121,16 +142,87 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
         }
     }
 
+    /// Prices the network work of one iteration of `strategy` over the
+    /// real topology, before any overhead is applied.
+    fn network_base(
+        &self,
+        model: &Model,
+        config: &TrainingConfig,
+        strategy: Strategy,
+    ) -> NetworkBase {
+        let b = config.batch_size as f64;
+        let delta = config.bytes_per_item;
+        let weight_bytes = model.total_weights() as f64 * delta;
+        let mut base = NetworkBase::default();
+        match strategy {
+            Strategy::Serial => {}
+            Strategy::Data { p } => {
+                let ranks: Vec<usize> = (0..p).collect();
+                base.gradient_exchange =
+                    schedule_time(&self.topology(p), &ring_allreduce(&ranks, weight_bytes));
+            }
+            Strategy::Spatial { split } => {
+                let p = split.total();
+                let topo = self.topology(p);
+                let ranks: Vec<usize> = (0..p).collect();
+                base.gradient_exchange =
+                    schedule_time(&topo, &ring_allreduce(&ranks, weight_bytes));
+                base.halo_exchange = self.halo_time(model, &topo, &ranks, &split, b, delta);
+            }
+            Strategy::Filter { p } | Strategy::Channel { p } => {
+                let ranks: Vec<usize> = (0..p).collect();
+                base.fb_collective =
+                    self.layerwise_collectives(model, &self.topology(p), &ranks, p, b, delta);
+            }
+            Strategy::Pipeline { p, segments } => {
+                base.pipeline_stages = model.balanced_pipeline_groups(p);
+                base.pipeline_transfers =
+                    self.pipeline_transfers(model, config, &base.pipeline_stages, segments);
+            }
+            Strategy::DataFilter { p1, p2 } => {
+                let p = p1 * p2;
+                let topo = self.topology(p);
+                // Intra-group layer-wise collectives (groups are consecutive
+                // ranks, i.e. the GPUs of one node).
+                let group0: Vec<usize> = (0..p2).collect();
+                base.fb_collective =
+                    self.layerwise_collectives(model, &topo, &group0, p, b / p1 as f64, delta);
+                // Segmented Allreduce: p2 concurrent rings, one per weight
+                // shard, each spanning the p1 groups (strided ranks).
+                let segments: Vec<Vec<usize>> =
+                    (0..p2).map(|g| (0..p1).map(|n| n * p2 + g).collect()).collect();
+                base.gradient_exchange =
+                    schedule_time(&topo, &segmented_allreduce(&segments, weight_bytes / p2 as f64));
+            }
+            Strategy::DataSpatial { p1, split } => {
+                let p2 = split.total();
+                let topo = self.topology(p1 * p2);
+                let group0: Vec<usize> = (0..p2).collect();
+                base.halo_exchange =
+                    self.halo_time(model, &topo, &group0, &split, b / p1 as f64, delta);
+                // Hierarchical Allreduce: one group per node.
+                let groups: Vec<Vec<usize>> =
+                    (0..p1).map(|n| (0..p2).map(|g| n * p2 + g).collect()).collect();
+                base.gradient_exchange =
+                    schedule_time(&topo, &hierarchical_allreduce(&groups, weight_bytes));
+            }
+        }
+        base
+    }
+
+    /// One sampled iteration: compute with fresh overhead draws, and the
+    /// pre-priced network times scaled by fresh congestion draws. The draw
+    /// order per strategy is fixed (compute first, then each collective in
+    /// phase order), so a seed always yields the same measurements.
     fn simulate_iteration(
         &self,
         model: &Model,
         config: &TrainingConfig,
         strategy: Strategy,
+        network: &NetworkBase,
         sampler: &mut OverheadSampler,
     ) -> PhaseBreakdown {
         let b = config.batch_size as f64;
-        let delta = config.bytes_per_item;
-        let weight_bytes = model.total_weights() as f64 * delta;
         let mut out = PhaseBreakdown::default();
 
         match strategy {
@@ -139,38 +231,28 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
                 out.weight_update = self.weight_update_full(model);
             }
             Strategy::Data { p } => {
-                let topo = self.topology(p);
                 out.forward_backward = self.compute_full(model, b / p as f64, sampler);
                 out.weight_update = self.weight_update_full(model);
-                let ranks: Vec<usize> = (0..p).collect();
-                out.gradient_exchange = schedule_time(&topo, &ring_allreduce(&ranks, weight_bytes))
-                    * sampler.congestion_multiplier();
+                out.gradient_exchange = network.gradient_exchange * sampler.congestion_multiplier();
             }
             Strategy::Spatial { split } => {
-                let p = split.total();
-                let topo = self.topology(p);
-                out.forward_backward = self.compute_full(model, b / p as f64, sampler);
+                out.forward_backward = self.compute_full(model, b / split.total() as f64, sampler);
                 out.weight_update = self.weight_update_full(model);
-                let ranks: Vec<usize> = (0..p).collect();
-                out.gradient_exchange = schedule_time(&topo, &ring_allreduce(&ranks, weight_bytes))
-                    * sampler.congestion_multiplier();
-                out.halo_exchange = self.halo_time(model, &topo, &ranks, &split, b, delta, sampler);
+                out.gradient_exchange = network.gradient_exchange * sampler.congestion_multiplier();
+                out.halo_exchange = network.halo_exchange * sampler.congestion_multiplier();
             }
             Strategy::Filter { p } | Strategy::Channel { p } => {
-                let topo = self.topology(p);
                 out.forward_backward = self.compute_split(model, b, p, sampler);
                 out.weight_update = self.weight_update_full(model) / p as f64;
-                let ranks: Vec<usize> = (0..p).collect();
-                out.fb_collective =
-                    self.layerwise_collectives(model, &topo, &ranks, p, b, delta, sampler);
+                out.fb_collective = network.fb_collective * sampler.congestion_multiplier();
             }
-            Strategy::Pipeline { p, segments } => {
-                let (fb, p2p) = self.pipeline_iteration(model, config, p, segments, sampler);
+            Strategy::Pipeline { segments, .. } => {
+                let (fb, p2p) = self.pipeline_iteration(model, config, network, segments, sampler);
                 out.forward_backward = fb;
                 out.pipeline_p2p = p2p;
                 // Weight update of the slowest stage.
-                let groups = model.balanced_pipeline_groups(p);
-                out.weight_update = groups
+                out.weight_update = network
+                    .pipeline_stages
                     .iter()
                     .map(|r| {
                         model.layers[r.clone()]
@@ -181,46 +263,18 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
                     .fold(0.0, f64::max);
             }
             Strategy::DataFilter { p1, p2 } => {
-                let p = p1 * p2;
-                let topo = self.topology(p);
                 // Filter parallelism within node-sized groups on B/p1 samples.
                 out.forward_backward = self.compute_split(model, b / p1 as f64, p2, sampler);
                 out.weight_update = self.weight_update_full(model) / p2 as f64;
-                // Intra-group layer-wise collectives (groups are consecutive
-                // ranks, i.e. the GPUs of one node).
-                let group0: Vec<usize> = (0..p2).collect();
-                out.fb_collective = self.layerwise_collectives(
-                    model,
-                    &topo,
-                    &group0,
-                    p,
-                    b / p1 as f64,
-                    delta,
-                    sampler,
-                );
-                // Segmented Allreduce: p2 concurrent rings, one per weight
-                // shard, each spanning the p1 groups (strided ranks).
-                let segments: Vec<Vec<usize>> =
-                    (0..p2).map(|g| (0..p1).map(|n| n * p2 + g).collect()).collect();
-                out.gradient_exchange =
-                    schedule_time(&topo, &segmented_allreduce(&segments, weight_bytes / p2 as f64))
-                        * sampler.congestion_multiplier();
+                out.fb_collective = network.fb_collective * sampler.congestion_multiplier();
+                out.gradient_exchange = network.gradient_exchange * sampler.congestion_multiplier();
             }
             Strategy::DataSpatial { p1, split } => {
-                let p2 = split.total();
-                let p = p1 * p2;
-                let topo = self.topology(p);
+                let p = p1 * split.total();
                 out.forward_backward = self.compute_full(model, b / p as f64, sampler);
                 out.weight_update = self.weight_update_full(model);
-                let group0: Vec<usize> = (0..p2).collect();
-                out.halo_exchange =
-                    self.halo_time(model, &topo, &group0, &split, b / p1 as f64, delta, sampler);
-                // Hierarchical Allreduce: one group per node.
-                let groups: Vec<Vec<usize>> =
-                    (0..p1).map(|n| (0..p2).map(|g| n * p2 + g).collect()).collect();
-                out.gradient_exchange =
-                    schedule_time(&topo, &hierarchical_allreduce(&groups, weight_bytes))
-                        * sampler.congestion_multiplier();
+                out.halo_exchange = network.halo_exchange * sampler.congestion_multiplier();
+                out.gradient_exchange = network.gradient_exchange * sampler.congestion_multiplier();
             }
         }
         out
@@ -272,7 +326,6 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
 
     /// Layer-wise Allgather (forward) + Allreduce (backward) of filter/channel
     /// parallelism, per iteration, over the real topology.
-    #[allow(clippy::too_many_arguments)]
     fn layerwise_collectives(
         &self,
         model: &Model,
@@ -281,7 +334,6 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
         p_total: usize,
         batch: f64,
         delta: f64,
-        sampler: &mut OverheadSampler,
     ) -> f64 {
         let mut t = 0.0;
         let g = model.layers.len();
@@ -294,11 +346,10 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
             t += schedule_time(topo, &ring_allgather(ranks, full_bytes));
             t += schedule_time(topo, &ring_allreduce(ranks, full_bytes));
         }
-        t * sampler.congestion_multiplier()
+        t
     }
 
     /// Halo-exchange time per iteration for a spatial split over `ranks`.
-    #[allow(clippy::too_many_arguments)]
     fn halo_time(
         &self,
         model: &Model,
@@ -307,7 +358,6 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
         split: &SpatialSplit,
         batch: f64,
         delta: f64,
-        sampler: &mut OverheadSampler,
     ) -> f64 {
         let mut t = 0.0;
         for l in &model.layers {
@@ -321,7 +371,33 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
             // Forward and backward halo exchanges.
             t += 2.0 * schedule_time(topo, &halo_exchange(ranks, bytes));
         }
-        t * sampler.congestion_multiplier()
+        t
+    }
+
+    /// Activation transfer time between consecutive pipeline `groups` fed
+    /// `segments` micro-batch segments.
+    fn pipeline_transfers(
+        &self,
+        model: &Model,
+        config: &TrainingConfig,
+        groups: &[Range<usize>],
+        segments: usize,
+    ) -> Vec<f64> {
+        let p = groups.len();
+        let seg_samples = config.batch_size as f64 / segments.max(1) as f64;
+        let topo = self.topology(p.max(2));
+        groups
+            .iter()
+            .take(p.saturating_sub(1))
+            .map(|r| {
+                let act = model.layers[r.end - 1].output_size() as f64;
+                topo.p2p_time(
+                    0,
+                    topo.gpus_per_node.min(topo.total_pes() - 1).max(1),
+                    seg_samples * act * config.bytes_per_item,
+                )
+            })
+            .collect()
     }
 
     /// Simulates one pipelined iteration with a dependency-driven schedule:
@@ -333,16 +409,15 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
         &self,
         model: &Model,
         config: &TrainingConfig,
-        p: usize,
+        network: &NetworkBase,
         segments: usize,
         sampler: &mut OverheadSampler,
     ) -> (f64, f64) {
-        let groups = model.balanced_pipeline_groups(p);
+        let groups = &network.pipeline_stages;
+        let transfer = &network.pipeline_transfers;
         let p = groups.len();
         let s = segments.max(1);
         let seg_samples = config.batch_size as f64 / s as f64;
-        let topo = self.topology(p.max(2));
-        let delta = config.bytes_per_item;
 
         // Per-stage per-segment compute times (forward + backward), with noise.
         let stage_time: Vec<f64> = groups
@@ -353,19 +428,6 @@ impl<'a, C: ComputeModel + ?Sized> Simulator<'a, C> {
                     .map(|l| self.device.forward_time(l) + self.device.backward_time(l))
                     .sum();
                 per_sample * seg_samples * sampler.compute_multiplier()
-            })
-            .collect();
-        // Activation transfer time between consecutive stages.
-        let transfer: Vec<f64> = groups
-            .iter()
-            .take(p.saturating_sub(1))
-            .map(|r| {
-                let act = model.layers[r.end - 1].output_size() as f64;
-                topo.p2p_time(
-                    0,
-                    topo.gpus_per_node.min(topo.total_pes() - 1).max(1),
-                    seg_samples * act * delta,
-                )
             })
             .collect();
 
