@@ -1077,18 +1077,6 @@ impl<'a> CostEngine<'a> {
     /// copied terms are batch-dependent; this is the same contract as
     /// [`CostEngine::rebatch`] invalidating outstanding estimates).
     pub fn estimate_delta(&self, prev: &CostEstimate, next: Strategy) -> CostEstimate {
-        let mem = self.memory_per_pe(next);
-        self.estimate_delta_with_memory(prev, next, mem)
-    }
-
-    /// [`CostEngine::estimate_delta`] with a caller-computed memory value
-    /// (the kernel's SoA prep columns already hold it).
-    pub fn estimate_delta_with_memory(
-        &self,
-        prev: &CostEstimate,
-        next: Strategy,
-        memory_per_pe_bytes: f64,
-    ) -> CostEstimate {
         debug_assert_eq!(
             prev.iterations, self.iters,
             "estimate_delta requires prev from the same engine and batch"
@@ -1160,13 +1148,13 @@ impl<'a> CostEngine<'a> {
                 breakdown.halo_exchange = iters * self.halo_time(&intra, split, p1 as f64, b);
                 breakdown.gradient_exchange = iters * self.ds_allreduce(p1, p2);
             }
-            (_, next) => return self.estimate_with_memory(next, memory_per_pe_bytes),
+            (_, next) => return self.estimate(next),
         }
         CostEstimate {
             strategy: next,
             per_epoch: breakdown,
             iterations: self.iters,
-            memory_per_pe_bytes,
+            memory_per_pe_bytes: self.memory_per_pe(next),
         }
     }
 
@@ -1315,7 +1303,7 @@ impl<'a> CostEngine<'a> {
 
     /// Pipeline boundary-exchange epoch time (paper Eq. 23), shared by
     /// [`CostEngine::estimate_with_memory`], [`CostEngine::comm_time`] and
-    /// [`CostEngine::estimate_delta_with_memory`] so the three paths stay
+    /// [`CostEngine::estimate_delta`] so the three paths stay
     /// bit-identical by construction. Batch-last form: the per-stage p2p
     /// is `α_eff + batch · boundary_per_sample(..)`.
     fn pipeline_p2p(&self, p: usize, segments: usize) -> f64 {

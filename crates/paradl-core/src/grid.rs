@@ -31,7 +31,11 @@
 //!   are cluster-independent given the device profile, so one
 //!   structure-of-arrays prep pass per (model, batch, device) feeds every
 //!   cluster cell sharing that device: the memory pruning, its counter, and
-//!   the bound column are computed once instead of once per cell,
+//!   the bound column are computed once instead of once per cell. A prep
+//!   row keeps only what the kernel reads for every candidate — superset
+//!   index, bound, budget slot and family byte: the strategy is resolved
+//!   through the superset index, and memory is checked but not stored (it
+//!   is recomputed, bit-identically, only where an estimate is built),
 //! * **communication columns** — in top-k mode, one batch-invariant
 //!   communication-coefficient row per superset candidate and (model,
 //!   cluster) pair, from which the kernel reconstructs exact epoch times;
@@ -43,14 +47,16 @@
 //!   interleaved round-robin across *all* cells and run rayon-parallel, so
 //!   one huge query (a CosmoFlow-scale exhaustive space) doesn't serialize
 //!   the sweep behind it, and per-cell serial phases (final ranking sort)
-//!   run concurrently across cells,
+//!   run concurrently across cells; the per-model stages and the chunks
+//!   are handed to workers as they free up, costliest first, so a sweep's
+//!   wall time does not depend on the order of the grid's axes,
 //! * **analytic evaluation** — the chunks run through the
 //!   [`crate::kernel`] module: a fused memory+bound prep pass
 //!   ([`CostEngine::prep_terms`]), static dominance bounds seeded per cell
 //!   (seed *selection* reuses the device-dependent prep columns across
 //!   clusters; seed *times* are costed per cell because communication is
 //!   cluster-dependent), a branchless pass over the exact epoch times, and
-//!   incremental [`CostEngine::estimate_delta_with_memory`] chains in
+//!   incremental [`CostEngine::estimate_delta`] chains in
 //!   full-ranking mode. Which engine tables the delta path may reuse is
 //!   documented in the `engine` module (batch-invariant vs batch-dependent
 //!   — load-bearing, exactly as with [`CostEngine::rebatch`]).
@@ -85,6 +91,7 @@ use crate::search::{
 use crate::strategy::Strategy;
 use rayon::prelude::*;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -248,39 +255,38 @@ impl GridReport {
 /// Per-(model, batch, device) evaluation tables, shared by every cell whose
 /// cluster carries that device profile: the filtered candidate count, the
 /// memory-pruned count, and the memory-feasible candidates as
-/// structure-of-arrays columns (strategy, per-PE memory, compute-only lower
-/// bound) in deterministic enumeration order. Per-PE memory is
-/// cluster-independent and the lower bound only depends on the device, so
-/// one prep pass — enumeration filter, memory pruning, bound tabulation —
-/// serves every cluster sharing the device instead of being repeated per
-/// cell.
+/// structure-of-arrays columns (superset index, compute-only lower bound,
+/// budget slot, family byte) in deterministic enumeration order. A row's
+/// strategy is `superset[sup[i]]` of the model's candidate superset; per-PE
+/// memory is checked against the capacity here but not stored — the kernel
+/// recomputes it only for the few candidates whose full estimate it builds.
+/// Per-PE memory is cluster-independent and the lower bound only depends on
+/// the device, so one prep pass — enumeration filter, memory pruning, bound
+/// tabulation — serves every cluster sharing the device instead of being
+/// repeated per cell.
 #[derive(Default)]
 struct PreppedSpace {
     /// Candidates enumerated for this (model, batch) under the constraints.
     enumerated: usize,
     /// Of those, how many the memory-capacity check removed.
     mem_pruned: usize,
-    /// Memory-feasible candidates, in enumeration order.
-    cands: Vec<Strategy>,
-    /// Per-PE memory column, aligned with `cands`.
-    mems: Vec<f64>,
-    /// Compute-only lower-bound column, aligned with `cands`.
+    /// Superset index of each memory-feasible candidate, in enumeration
+    /// order: row `i` is `superset[sup[i]]`, and the index also addresses
+    /// the per-(model, cluster) communication-coefficient column.
+    sup: Vec<u32>,
+    /// Compute-only lower-bound column, aligned with `sup`.
     lbs: Vec<f64>,
     /// PE-budget slot column (`budget_index` of each candidate, ≤ 64 so it
-    /// fits a byte), aligned with `cands`.
+    /// fits a byte), aligned with `sup`.
     slots: Vec<u8>,
-    /// Seed-panel indices into `cands` (per-(family, slot) lower-bound
-    /// minima; device-dependent but cluster-independent, so selected once
-    /// per prep and costed per cell).
-    seeds: Vec<usize>,
-    /// Superset index of each feasible candidate (`cands[i]` is
-    /// `superset[sup[i]]`), linking the prep rows to the per-(model,
-    /// cluster) communication-coefficient columns.
-    sup: Vec<u32>,
     /// Strategy-family byte per candidate ([`crate::strategy::StrategyKind`]
-    /// as `u8`) — the kernel's communication dispatch, so the hot loop
-    /// never decodes the strategy column.
+    /// as `u8`) — the kernel's communication dispatch and the seed panel's
+    /// family key, so neither decodes a strategy.
     fams: Vec<u8>,
+    /// Seed-panel row indices (per-(family, slot) lower-bound minima;
+    /// device-dependent but cluster-independent, so selected once per prep
+    /// and costed per cell).
+    seeds: Vec<usize>,
 }
 
 impl PreppedSpace {
@@ -292,8 +298,9 @@ impl PreppedSpace {
     /// the (model, device) pair; per-batch siblings are rebatched from it.
     ///
     /// Memory and the lower bound come from the fused
-    /// [`CostEngine::prep_terms`] pass, the budget-slot and seed-panel
-    /// columns for the kernel are tabulated alongside, and — for the
+    /// [`CostEngine::prep_terms`] pass (the memory only gates the row; it
+    /// is not kept), the budget-slot and family columns for the kernel are
+    /// tabulated alongside, and — for the
     /// non-pipeline families, whose per-PE memory is provably nondecreasing
     /// in the batch (`2·batch·act/div + const`) — a candidate that exceeds
     /// the capacity at one batch skips the memory computation at every
@@ -336,21 +343,55 @@ impl PreppedSpace {
                     infeasible = monotone;
                     continue;
                 }
-                prep.cands.push(strategy);
-                prep.mems.push(mem);
+                prep.sup.push(si as u32);
                 prep.lbs.push(lb);
                 prep.slots.push(slot);
-                prep.sup.push(si as u32);
                 prep.fams.push(fam);
             }
         }
         let n_slots = budget_index(constraints.max_pes.max(1)) + 1;
         for prep in &mut preps {
-            prep.mem_pruned = prep.enumerated - prep.cands.len();
-            prep.seeds = select_seeds(&prep.cands, &prep.lbs, &prep.slots, n_slots);
+            prep.mem_pruned = prep.enumerated - prep.sup.len();
+            prep.seeds = select_seeds(&prep.fams, &prep.lbs, &prep.slots, n_slots);
         }
         preps
     }
+}
+
+/// Maps `f` over `0..order.len()` on the worker pool and returns the
+/// results in index order. Workers take the next index of `order` (a
+/// permutation) whenever they free up, instead of each owning a fixed
+/// contiguous share: the sweep's stages have a few items of very unequal
+/// cost (one per model, or per model and cluster), and a static split
+/// would make the stage's wall time depend on which items the grid's axis
+/// order happens to put on one worker. Callers list the costliest items
+/// first, so the schedule depends on the work alone.
+fn par_map_scheduled<T: Send>(order: &[usize], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let n = order.len();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let workers = rayon::current_num_threads().clamp(1, n.max(1));
+    let _: Vec<()> = (0..workers)
+        .into_par_iter()
+        .map(|_| {
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let value = f(i);
+                *slots[i].lock().expect("result slot poisoned") = Some(value);
+            }
+        })
+        .collect();
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("result slot poisoned").expect("order covers 0..n"))
+        .collect()
+}
+
+/// `0..n` by decreasing `cost`, ties in index order: the longest-first
+/// order [`par_map_scheduled`] takes.
+fn costliest_first(n: usize, cost: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(cost(i)));
+    order
 }
 
 /// `engine` at global batch `batch`: borrowed when it already sits there,
@@ -368,6 +409,9 @@ struct CellCtx<'e, 'a> {
     query: GridQuery,
     engine: Cow<'e, CostEngine<'a>>,
     prep: &'e PreppedSpace,
+    /// The prep's rows over the model's superset and this cell's
+    /// communication column.
+    cols: KernelColumns<'e>,
     shared: SearchShared,
     /// Static dominance-prune bounds derived from the prep's seed panel
     /// through this cell's engine.
@@ -523,30 +567,31 @@ impl GridSweep {
 
         // One engine per (model, cluster) pair, sharing the cluster caches;
         // every batch of the grid reuses the pair's batch-invariant core.
-        let engines: Vec<CostEngine<'_>> = (0..grid.models.len() * n_clusters)
-            .into_par_iter()
-            .map(|i| {
-                let (m, c) = (i / n_clusters, i % n_clusters);
-                let gm = &grid.models[m];
-                let cluster = &grid.clusters[c];
-                let config = gm.config_at(max_batch);
-                let build = || {
-                    CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
-                        .expect("grid engine build failed")
-                };
-                // The grid's workloads are vetted/curated upstream; an
-                // unbuildable engine here is a caller bug, not a request.
-                match ecache {
-                    Some(ec) => {
-                        let key = engine_fingerprint(&gm.model, cluster, &gm.base);
-                        let core = ec.core(key, || build().core_handle());
-                        CostEngine::from_core(&gm.model, cluster, config, core)
-                            .expect("grid engine hydration failed")
-                    }
-                    None => build(),
+        // The engine tables are per layer, so the deepest models go first.
+        let order = costliest_first(grid.models.len() * n_clusters, |i| {
+            grid.models[i / n_clusters].model.layers.len()
+        });
+        let engines: Vec<CostEngine<'_>> = par_map_scheduled(&order, |i| {
+            let (m, c) = (i / n_clusters, i % n_clusters);
+            let gm = &grid.models[m];
+            let cluster = &grid.clusters[c];
+            let config = gm.config_at(max_batch);
+            let build = || {
+                CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
+                    .expect("grid engine build failed")
+            };
+            // The grid's workloads are vetted/curated upstream; an
+            // unbuildable engine here is a caller bug, not a request.
+            match ecache {
+                Some(ec) => {
+                    let key = engine_fingerprint(&gm.model, cluster, &gm.base);
+                    let core = ec.core(key, || build().core_handle());
+                    CostEngine::from_core(&gm.model, cluster, config, core)
+                        .expect("grid engine hydration failed")
                 }
-            })
-            .collect();
+                None => build(),
+            }
+        });
         timings.engines = laps.lap();
 
         // Group clusters by device profile: per-PE memory and the compute
@@ -599,27 +644,24 @@ impl GridSweep {
         let max_batch = *batches.iter().max().expect("non-empty batch axis");
 
         // One candidate superset per model, enumerated at the largest
-        // batch; models enumerate in parallel.
-        let supersets: Vec<Vec<Strategy>> = (0..n_models)
-            .into_par_iter()
-            .map(|m| {
-                let limits = engines[m * n_clusters].limits();
-                StrategySpace::with_limits(max_batch, constraints, limits).into_vec()
-            })
-            .collect();
+        // batch; models enumerate in parallel. Nothing cheaper than the
+        // enumeration predicts its cost, so models go in grid order.
+        let order: Vec<usize> = (0..n_models).collect();
+        let supersets: Vec<Vec<Strategy>> = par_map_scheduled(&order, |m| {
+            let limits = engines[m * n_clusters].limits();
+            StrategySpace::with_limits(max_batch, constraints, limits).into_vec()
+        });
         timings.supersets = laps.lap();
 
         // Per-(model, device) prepped spaces covering the whole batch axis:
         // one superset pass enumerates, memory-prunes and bound-tabulates
-        // every batch's candidates.
-        let preps: Vec<Vec<PreppedSpace>> = (0..n_models * n_groups)
-            .into_par_iter()
-            .map(|i| {
-                let (m, g) = (i / n_groups, i % n_groups);
-                let engine = &engines[m * n_clusters + group_reps[g]];
-                PreppedSpace::build_all(&supersets[m], engine, batches, constraints)
-            })
-            .collect();
+        // every batch's candidates, so the largest supersets go first.
+        let order = costliest_first(n_models * n_groups, |i| supersets[i / n_groups].len());
+        let preps: Vec<Vec<PreppedSpace>> = par_map_scheduled(&order, |i| {
+            let (m, g) = (i / n_groups, i % n_groups);
+            let engine = &engines[m * n_clusters + group_reps[g]];
+            PreppedSpace::build_all(&supersets[m], engine, batches, constraints)
+        });
         timings.preps = laps.lap();
 
         // Per-(model, cluster) communication columns, aligned with the
@@ -642,18 +684,16 @@ impl GridSweep {
                     used
                 })
                 .collect();
-            (0..n_models * n_clusters)
-                .into_par_iter()
-                .map(|i| {
-                    let (m, c) = (i / n_clusters, i % n_clusters);
-                    let engine = &engines[i];
-                    supersets[m]
-                        .iter()
-                        .zip(&used[m * n_groups + group_of[c]])
-                        .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
-                        .collect()
-                })
-                .collect()
+            let order = costliest_first(n_models * n_clusters, |i| supersets[i / n_clusters].len());
+            par_map_scheduled(&order, |i| {
+                let (m, c) = (i / n_clusters, i % n_clusters);
+                let engine = &engines[i];
+                supersets[m]
+                    .iter()
+                    .zip(&used[m * n_groups + group_of[c]])
+                    .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
+                    .collect()
+            })
         } else {
             Vec::new()
         };
@@ -676,18 +716,20 @@ impl GridSweep {
                     let winners =
                         (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
                     let engine = at_batch(&engines[m * n_clusters + c], batch);
-                    let bounds = StaticBounds::from_seeds(
-                        &engine,
-                        &prep.cands,
-                        &prep.lbs,
-                        &prep.slots,
-                        &prep.seeds,
-                        &shared,
-                    );
+                    let cols = KernelColumns {
+                        superset: &supersets[m],
+                        sup: &prep.sup,
+                        lbs: &prep.lbs,
+                        slots: &prep.slots,
+                        fams: &prep.fams,
+                        coef: coefs.get(m * n_clusters + c).map_or(&[][..], Vec::as_slice),
+                    };
+                    let bounds = StaticBounds::from_seeds(&engine, &cols, &prep.seeds, &shared);
                     cells.push(CellCtx {
                         query: GridQuery { model: m, cluster: c, batch },
                         engine,
                         prep,
+                        cols,
                         shared,
                         bounds,
                         found: Mutex::new(Vec::new()),
@@ -702,14 +744,16 @@ impl GridSweep {
         // round-robin across cells so a huge cell spreads over all workers
         // instead of pinning one. Round-robin also runs every cell's
         // lowest-bound chunk first, tightening the pruning thresholds before
-        // the (wholesale-prunable) tails are touched.
+        // the (wholesale-prunable) tails are touched. Workers take chunks
+        // in that order as they free up: the early rounds cost more than
+        // the pruned tails, so a static split would leave one worker idle.
         let chunk = self.chunk;
         let mut items: Vec<(usize, usize)> = Vec::new();
         let mut round = 0usize;
         loop {
             let mut any = false;
             for (ci, cell) in cells.iter().enumerate() {
-                if round * chunk < cell.prep.cands.len() {
+                if round * chunk < cell.prep.sup.len() {
                     items.push((ci, round));
                     any = true;
                 }
@@ -719,35 +763,24 @@ impl GridSweep {
             }
             round += 1;
         }
-        let _: Vec<()> = items
-            .par_iter()
-            .map(|&(ci, round)| {
-                let cell = &cells[ci];
-                let lo = round * chunk;
-                let hi = (lo + chunk).min(cell.prep.cands.len());
-                eval_chunk_kernel(
-                    &cell.engine,
-                    KernelColumns {
-                        cands: &cell.prep.cands,
-                        mems: &cell.prep.mems,
-                        lbs: &cell.prep.lbs,
-                        slots: &cell.prep.slots,
-                        sup: &cell.prep.sup,
-                        fams: &cell.prep.fams,
-                        coef: coefs
-                            .get(cell.query.model * n_clusters + cell.query.cluster)
-                            .map_or(&[][..], Vec::as_slice),
-                    },
-                    &cell.bounds,
-                    lo,
-                    hi,
-                    constraints,
-                    &cell.shared,
-                    &cell.winners,
-                    &cell.found,
-                );
-            })
-            .collect();
+        let order: Vec<usize> = (0..items.len()).collect();
+        let _: Vec<()> = par_map_scheduled(&order, |k| {
+            let (ci, round) = items[k];
+            let cell = &cells[ci];
+            let lo = round * chunk;
+            let hi = (lo + chunk).min(cell.prep.sup.len());
+            eval_chunk_kernel(
+                &cell.engine,
+                &cell.cols,
+                &cell.bounds,
+                lo,
+                hi,
+                constraints,
+                &cell.shared,
+                &cell.winners,
+                &cell.found,
+            );
+        });
         timings.eval = laps.lap();
 
         // Per-cell final ranking, in parallel across cells.
@@ -779,6 +812,7 @@ mod tests {
     use crate::engine::ModelLimits;
     use crate::layer::Layer;
     use crate::oracle::{Oracle, PeSweep};
+    use crate::search::strategy_sort_key;
 
     fn model(seed: usize) -> Model {
         Model::new(
@@ -855,6 +889,112 @@ mod tests {
             .collect()
     }
 
+    /// The engine a per-query oracle builds for `q`.
+    fn cell_engine<'g>(grid: &'g QueryGrid, q: GridQuery) -> CostEngine<'g> {
+        let gm = &grid.models[q.model];
+        let cluster = &grid.clusters[q.cluster];
+        CostEngine::new(&gm.model, &cluster.device, cluster, gm.config_at(q.batch))
+            .expect("engine builds")
+    }
+
+    /// Prep rows hold no memory column, so every reported estimate
+    /// recomputes it: each ranked candidate and budget winner must carry
+    /// exactly the cell engine's per-PE memory.
+    fn assert_memory_recomputed(grid: &QueryGrid, report: &GridReport) {
+        for cell in &report.cells {
+            let engine = cell_engine(grid, cell.query);
+            let reported = cell
+                .report
+                .ranked
+                .iter()
+                .chain(cell.report.best_per_budget.iter().map(|w| &w.candidate));
+            for c in reported {
+                assert_eq!(
+                    c.projection.cost.memory_per_pe_bytes.to_bits(),
+                    engine.memory_per_pe(c.strategy).to_bits(),
+                    "{:?}: memory of {}",
+                    cell.query,
+                    c.strategy
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scheduled_map_returns_results_in_index_order() {
+        let order = costliest_first(100, |i| (i * 37) % 11);
+        assert_eq!(order.len(), 100);
+        assert!(order.windows(2).all(|w| (w[0] * 37) % 11 >= (w[1] * 37) % 11));
+        let squares = par_map_scheduled(&order, |i| i * i);
+        assert_eq!(squares, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        assert!(par_map_scheduled(&[], |i| i).is_empty());
+    }
+
+    #[test]
+    fn prep_rows_match_direct_enumeration() {
+        let base = Constraints { max_pes: 256, sweep: PeSweep::Exhaustive, ..Default::default() };
+        // A capacity that admits some candidates and prunes others: the
+        // serial footprint of the first model at the smallest batch.
+        let probe = small_grid(base);
+        let tight = cell_engine(&probe, GridQuery { model: 0, cluster: 0, batch: 32 })
+            .memory_per_pe(Strategy::Serial);
+        for capacity in [base.memory_capacity_bytes, tight] {
+            let constraints = Constraints { memory_capacity_bytes: capacity, ..base };
+            let grid = small_grid(constraints);
+            let (mut kept, mut pruned) = (0, 0);
+            for (m, gm) in grid.models.iter().enumerate() {
+                let max_batch = *grid.batches.iter().max().expect("batches");
+                let engine =
+                    cell_engine(&grid, GridQuery { model: m, cluster: 0, batch: max_batch });
+                let superset =
+                    StrategySpace::with_limits(max_batch, &constraints, engine.limits()).into_vec();
+                let preps =
+                    PreppedSpace::build_all(&superset, &engine, &grid.batches, &constraints);
+                for (prep, &batch) in preps.iter().zip(&grid.batches) {
+                    let what = format!("{} at batch {batch}, capacity {capacity}", gm.model.name);
+                    let direct = cell_engine(&grid, GridQuery { model: m, cluster: 0, batch });
+                    let all =
+                        StrategySpace::with_limits(batch, &constraints, direct.limits()).into_vec();
+                    let (fits, over): (Vec<Strategy>, Vec<Strategy>) =
+                        all.iter().partition(|&&s| direct.memory_per_pe(s) <= capacity);
+                    let rows: Vec<Strategy> =
+                        prep.sup.iter().map(|&i| superset[i as usize]).collect();
+                    assert_eq!(rows, fits, "{what}: rows");
+                    assert_eq!(prep.enumerated, all.len(), "{what}: enumerated");
+                    assert_eq!(prep.mem_pruned, over.len(), "{what}: memory-pruned");
+                    for (i, &s) in rows.iter().enumerate() {
+                        assert_eq!(
+                            prep.lbs[i].to_bits(),
+                            direct.lower_bound(s).to_bits(),
+                            "{what}: bound of {s}"
+                        );
+                    }
+                    // Reference seed panel: decode each row's family from
+                    // its strategy, keep the first lowest bound per
+                    // (family, budget slot).
+                    let mut best: std::collections::BTreeMap<(u8, usize), usize> =
+                        Default::default();
+                    for (i, s) in rows.iter().enumerate() {
+                        let key = (strategy_sort_key(s).0, budget_index(s.total_pes()));
+                        let j = best.entry(key).or_insert(i);
+                        if prep.lbs[i] < prep.lbs[*j] {
+                            *j = i;
+                        }
+                    }
+                    let mut seeds: Vec<usize> = best.into_values().collect();
+                    seeds.sort_unstable();
+                    assert_eq!(prep.seeds, seeds, "{what}: seeds");
+                    kept += rows.len();
+                    pruned += prep.mem_pruned;
+                }
+            }
+            assert!(kept > 0, "capacity {capacity} must admit candidates");
+            if capacity == tight {
+                assert!(pruned > 0, "capacity {capacity} must prune candidates");
+            }
+        }
+    }
+
     #[test]
     fn sweep_matches_per_query_search() {
         let grid = small_grid(Constraints { max_pes: 256, ..Default::default() });
@@ -865,6 +1005,7 @@ mod tests {
         for (a, b) in fast.cells.iter().zip(&slow) {
             assert_reports_equal(&a.report, b, &format!("{:?}", a.query));
         }
+        assert_memory_recomputed(&grid, &fast);
     }
 
     #[test]
@@ -881,6 +1022,7 @@ mod tests {
         for (a, b) in fast.cells.iter().zip(&slow) {
             assert_reports_equal(&a.report, b, &format!("{:?}", a.query));
         }
+        assert_memory_recomputed(&grid, &fast);
         // The kernel's static prune accounting is deterministic: two runs
         // report the same dominance count, and the dynamic bound counter
         // stays zero.

@@ -33,7 +33,7 @@
 //!    that improves a budget slot or enters the top-k heap.
 //! 3. **Incremental cost deltas** (full-ranking mode). Lexicographically
 //!    adjacent candidates differ in one axis, so
-//!    [`CostEngine::estimate_delta_with_memory`] chains each candidate off
+//!    [`CostEngine::estimate_delta`] chains each candidate off
 //!    its predecessor, copying the phase terms the axis change provably
 //!    leaves bit-identical (see the `engine` module docs for which tables
 //!    the delta path may reuse) instead of recomputing them.
@@ -69,21 +69,17 @@ pub(crate) const DEFAULT_CHUNK: usize = 8192;
 const FAMILIES: usize = 8;
 
 /// Selects the seed panel: for every (strategy family, PE-budget slot)
-/// pair, the index of the memory-feasible candidate with the smallest
-/// compute-only lower bound. Deterministic (forward scan, strict-improvement
+/// pair, the row index of the memory-feasible candidate with the smallest
+/// compute-only lower bound. `fams` holds each row's family byte
+/// ([`crate::strategy::StrategyKind`] as `u8`, the leading component of the
+/// enumeration sort key). Deterministic (forward scan, strict-improvement
 /// updates, so ties keep the first candidate in enumeration order) and
 /// cluster-independent — the lower-bound column only depends on the device,
 /// so the grid sweep selects seeds once per (model, batch, device) prep.
-pub(crate) fn select_seeds(
-    cands: &[Strategy],
-    lbs: &[f64],
-    slots: &[u8],
-    n_slots: usize,
-) -> Vec<usize> {
+pub(crate) fn select_seeds(fams: &[u8], lbs: &[f64], slots: &[u8], n_slots: usize) -> Vec<usize> {
     let mut best: Vec<Option<usize>> = vec![None; FAMILIES * n_slots];
-    for (i, s) in cands.iter().enumerate() {
-        let fam = strategy_sort_key(s).0 as usize;
-        let key = fam * n_slots + slots[i] as usize;
+    for (i, &fam) in fams.iter().enumerate() {
+        let key = fam as usize * n_slots + slots[i] as usize;
         let better = match best[key] {
             Some(j) => lbs[i] < lbs[j],
             None => true,
@@ -124,9 +120,7 @@ impl StaticBounds {
     /// scan, so priming never changes the final report).
     pub(crate) fn from_seeds(
         engine: &CostEngine<'_>,
-        cands: &[Strategy],
-        lbs: &[f64],
-        slots: &[u8],
+        cols: &KernelColumns<'_>,
         seeds: &[usize],
         shared: &SearchShared,
     ) -> StaticBounds {
@@ -137,9 +131,9 @@ impl StaticBounds {
         let mut slot_u = vec![f64::INFINITY; n_slots];
         let mut times: Vec<f64> = Vec::with_capacity(seeds.len());
         for &i in seeds {
-            let t = lbs[i] + engine.comm_time(cands[i]);
+            let t = cols.lbs[i] + engine.comm_time(cols.strategy(i));
             times.push(t);
-            let s = slots[i] as usize;
+            let s = cols.slots[i] as usize;
             if t < slot_u[s] {
                 slot_u[s] = t;
             }
@@ -191,20 +185,32 @@ thread_local! {
 }
 
 /// The structure-of-arrays candidate columns one [`eval_chunk_kernel`] call
-/// scans: the caller's prep columns plus the superset-aligned
+/// scans: the caller's prep rows (superset index, lower bound, budget slot,
+/// family byte), the model's candidate `superset` the rows index into (row
+/// `x` is `superset[sup[x]]`), and the superset-aligned
 /// communication-coefficient column of the cell's (model, cluster) pair,
 /// from which the fused evaluation pass reconstructs every candidate's
 /// exact communication time ([`CostEngine::comm_time_prepped`], dispatched
-/// on the `fams` byte). Only top-k mode reads `sup`/`fams`/`coef`; a
-/// full-ranking sweep passes an empty `coef`.
+/// on the `fams` byte). No memory column: the rows are memory-feasible, and
+/// an estimate recomputes the per-PE memory (bit-identical to the prep's
+/// capacity check). Only top-k mode reads `fams`/`coef`; a full-ranking
+/// sweep passes an empty `coef`.
+#[derive(Clone, Copy)]
 pub(crate) struct KernelColumns<'c> {
-    pub(crate) cands: &'c [Strategy],
-    pub(crate) mems: &'c [f64],
+    pub(crate) superset: &'c [Strategy],
+    pub(crate) sup: &'c [u32],
     pub(crate) lbs: &'c [f64],
     pub(crate) slots: &'c [u8],
-    pub(crate) sup: &'c [u32],
     pub(crate) fams: &'c [u8],
     pub(crate) coef: &'c [CommCoef],
+}
+
+impl KernelColumns<'_> {
+    /// The strategy of row `x`.
+    #[inline]
+    fn strategy(&self, x: usize) -> Strategy {
+        self.superset[self.sup[x] as usize]
+    }
 }
 
 /// Evaluates one candidate chunk through the analytic kernel. The
@@ -225,7 +231,7 @@ pub(crate) struct KernelColumns<'c> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_chunk_kernel(
     engine: &CostEngine<'_>,
-    cols: KernelColumns<'_>,
+    cols: &KernelColumns<'_>,
     bounds: &StaticBounds,
     lo: usize,
     hi: usize,
@@ -234,7 +240,7 @@ pub(crate) fn eval_chunk_kernel(
     winners: &[Mutex<Option<RankedCandidate>>],
     found: &Mutex<Vec<RankedCandidate>>,
 ) {
-    let KernelColumns { cands, mems, lbs, slots, sup, fams, coef } = cols;
+    let KernelColumns { lbs, slots, sup, fams, coef, .. } = *cols;
     if constraints.top_k.is_some() {
         SCRATCH.with(|tls| {
             let scratch = &mut *tls.borrow_mut();
@@ -292,7 +298,9 @@ pub(crate) fn eval_chunk_kernel(
                 let mut kept = 0usize;
                 for x in i..j {
                     let time = lbs[x]
-                        + engine.comm_time_prepped(fams[x], &coef[sup[x] as usize], || cands[x]);
+                        + engine.comm_time_prepped(fams[x], &coef[sup[x] as usize], || {
+                            cols.strategy(x)
+                        });
                     kept += (time <= b) as usize;
                     surv[n] = x as u32;
                     tims[n] = time;
@@ -305,7 +313,7 @@ pub(crate) fn eval_chunk_kernel(
                 shared.count_dominance_pruned(pruned);
             }
             // Finishing pass over survivors. The scalar time is
-            // bit-identical to `estimate_with_memory(..).epoch_time()` (the
+            // bit-identical to `estimate(..).epoch_time()` (the
             // lower bound *is* the compute sum and `total()` adds
             // communication last), so the improves/threshold decisions
             // match a full estimate's; the full estimate is assembled only
@@ -327,13 +335,17 @@ pub(crate) fn eval_chunk_kernel(
                 // on that — so the full estimate is built only when this
                 // candidate actually displaces a winner slot or enters the
                 // heap, not for every gate survivor.
-                let strategy = cands[x];
+                let strategy = cols.strategy(x);
                 let build = || {
-                    let cost = engine.estimate_with_memory(strategy, mems[x]);
+                    let cost = engine.estimate(strategy);
                     debug_assert_eq!(
                         time.to_bits(),
                         cost.epoch_time().to_bits(),
                         "scalar kernel time diverged from the full estimate for {strategy}",
+                    );
+                    debug_assert!(
+                        cost.memory_per_pe_bytes <= constraints.memory_capacity_bytes,
+                        "recomputed memory diverged from the prep's capacity check for {strategy}",
                     );
                     RankedCandidate {
                         strategy,
@@ -383,10 +395,10 @@ pub(crate) fn eval_chunk_kernel(
         scratch.found.clear();
         let mut prev: Option<CostEstimate> = None;
         for x in lo..hi {
-            let strategy = cands[x];
+            let strategy = cols.strategy(x);
             let cost = match prev.as_ref() {
-                Some(p) => engine.estimate_delta_with_memory(p, strategy, mems[x]),
-                None => engine.estimate_with_memory(strategy, mems[x]),
+                Some(p) => engine.estimate_delta(p, strategy),
+                None => engine.estimate(strategy),
             };
             prev = Some(cost);
             scratch.found.push(RankedCandidate {
