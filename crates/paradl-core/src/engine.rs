@@ -39,12 +39,13 @@
 //!   `CostEngine::comm_prep`): every batch-dependent communication term
 //!   of the cost model is written in batch-last form
 //!   `fixed + batch · per_sample`, so four stored scalars per candidate
-//!   let `CostEngine::comm_time_prepped` reconstruct the *exact*
-//!   communication time of any batch with a couple of fused
-//!   multiply-adds — no collective-model derivation, and no division, in
-//!   the grid kernel's hot loop. The grid sweep tabulates one coefficient
-//!   column per (model, cluster) pair and reuses it across every batch
-//!   cell.
+//!   price its four communication phases at any batch with a couple of
+//!   multiply-adds (`CostEngine::comm_phases`, the engine's one
+//!   communication formula). [`CostEngine::estimate`] prices a candidate
+//!   from a fresh row; the grid kernel tabulates one coefficient column
+//!   per (model, cluster) pair, reuses it across every batch cell, and
+//!   ranks by the same formula — so no collective-model derivation, and
+//!   no division, runs in its hot loop.
 //!
 //! **Batch-dependent** (rewritten in place by [`CostEngine::rebatch`],
 //! `O(layers²)` float max/fma operations, no allocation, no device, layer or
@@ -200,16 +201,14 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Batch-invariant communication coefficients of one candidate on one
-/// (model, cluster) pair, produced by [`CostEngine::comm_prep`] and consumed
-/// by [`CostEngine::comm_time_prepped`]. The field meaning is per strategy
-/// family (see `comm_prep`); unused fields are zero. The grid sweep
-/// tabulates one coefficient column per (model, cluster) pair, aligned with
-/// the model's candidate superset, so the per-candidate evaluation of every
-/// batch's cell is reduced to a handful of flops. Every batch-dependent
-/// communication term of the cost model is in batch-last form
-/// `fixed + batch · per_sample`, so four coefficients (one 32-byte row)
-/// reconstruct any family's exact time with no per-candidate division
-/// (the pipeline family keeps one, by the cell batch).
+/// (model, cluster) pair, produced by [`CostEngine::comm_prep`] and priced
+/// by [`CostEngine::comm_phases`] — for a fresh [`CostEngine::estimate`]
+/// and for every row of the grid kernel's coefficient column alike. The
+/// field meaning is per strategy family (see `comm_prep`); unused fields
+/// are zero. Every batch-dependent communication term of the cost model is
+/// in batch-last form `fixed + batch · per_sample`, so four coefficients
+/// (one 32-byte row) give any family's exact phase times with no
+/// per-candidate division (the pipeline family keeps one, by the batch).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CommCoef {
     /// Gradient-exchange collective time (the `*_allreduce` value), or the
@@ -218,8 +217,8 @@ pub(crate) struct CommCoef {
     /// Fixed latency part: halo `pairs·2·p2p(0)`, collective
     /// `collective_layers·α`, or the pipeline effective-link α.
     pub(crate) b: f64,
-    /// The per-sample slope the batch multiplies (`halo_per_sample` /
-    /// `collective_per_sample` / `boundary_per_sample`).
+    /// The per-sample slope the batch multiplies (`halo_per_sample`,
+    /// `collective_per_sample`, or the pipeline boundary bytes·β_eff).
     pub(crate) c: f64,
     /// Strategy-derived scale: the collective families' `3·(p − 1)`, or
     /// the pipeline depth `p` (`> 1` flags a communicating pipeline).
@@ -227,8 +226,8 @@ pub(crate) struct CommCoef {
 }
 
 /// The per-split-mask index into the halo aggregate tables: one bit per
-/// spatial dimension that is actually split (shared by
-/// [`CostEngine::halo_time`] and [`CostEngine::comm_prep`]).
+/// spatial dimension that is actually split (the halo volume depends on
+/// nothing else; used by [`CostEngine::comm_prep`]).
 #[inline]
 fn halo_mask(split: SpatialSplit) -> usize {
     (usize::from(split.pw > 1))
@@ -723,59 +722,19 @@ impl<'a> CostEngine<'a> {
         self.core.gamma_delta * raw
     }
 
-    /// Full cost estimate, `O(1)` equivalent of [`crate::cost::estimate`].
+    /// Full cost estimate, `O(1)` equivalent of [`crate::cost::estimate`]:
+    /// the compute phases, the communication phases of the candidate's
+    /// fresh coefficient row (`comm_phases` over `comm_prep`, the same
+    /// pricing the kernel ranks by), and the per-PE memory.
     pub fn estimate(&self, strategy: Strategy) -> CostEstimate {
-        let mem = self.memory_per_pe(strategy);
-        self.estimate_with_memory(strategy, mem)
-    }
-
-    /// Like [`CostEngine::estimate`] but reuses a per-PE memory value the
-    /// caller already computed (the search memory-prunes before costing).
-    pub fn estimate_with_memory(
-        &self,
-        strategy: Strategy,
-        memory_per_pe_bytes: f64,
-    ) -> CostEstimate {
-        let b = self.config.batch_size as f64;
-        let iters = self.iters_f;
-
-        let mut breakdown = PhaseBreakdown::default();
-        let (fb, wu) = self.compute_terms(strategy);
-        breakdown.forward_backward = fb;
-        breakdown.weight_update = wu;
-
-        match strategy {
-            Strategy::Serial => {}
-            Strategy::Data { p } => {
-                breakdown.gradient_exchange = iters * self.weight_allreduce(p);
-            }
-            Strategy::Spatial { split } => {
-                let p = split.total();
-                breakdown.gradient_exchange = iters * self.weight_allreduce(p);
-                let comm = self.cluster.comm_model(p);
-                breakdown.halo_exchange = iters * self.halo_time(&comm, split, 1.0, b);
-            }
-            Strategy::Filter { p } | Strategy::Channel { p } => {
-                let comm = self.cluster.comm_model(p);
-                breakdown.fb_collective = iters * self.layerwise_collective(&comm, p, p, b);
-            }
-            Strategy::Pipeline { p, segments } => {
-                breakdown.pipeline_p2p = self.pipeline_p2p(p, segments);
-            }
-            Strategy::DataFilter { p1, p2 } => {
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                breakdown.fb_collective = iters * self.layerwise_collective(&intra, p2, p1 * p2, b);
-                breakdown.gradient_exchange = iters * self.df_allreduce(p1, p2);
-            }
-            Strategy::DataSpatial { p1, split } => {
-                let p2 = split.total();
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                breakdown.halo_exchange = iters * self.halo_time(&intra, split, p1 as f64, b);
-                breakdown.gradient_exchange = iters * self.ds_allreduce(p1, p2);
-            }
+        let (forward_backward, weight_update) = self.compute_terms(strategy);
+        let comm = self.comm_phases(strategy.kind() as u8, &self.comm_prep(strategy));
+        CostEstimate {
+            strategy,
+            per_epoch: PhaseBreakdown { forward_backward, weight_update, ..comm },
+            iterations: self.iters,
+            memory_per_pe_bytes: self.memory_per_pe(strategy),
         }
-
-        CostEstimate { strategy, per_epoch: breakdown, iterations: self.iters, memory_per_pe_bytes }
     }
 
     /// Admissible lower bound on the per-epoch time of `strategy`: its
@@ -845,71 +804,20 @@ impl<'a> CostEngine<'a> {
         }
     }
 
-    /// Scalar epoch time of `strategy`: bit-identical to
-    /// `estimate(strategy).epoch_time()` without materialising the
-    /// [`CostEstimate`]. The candidate-evaluation kernel in [`crate::kernel`]
-    /// uses this to rank survivors and only builds full estimates for the
-    /// handful of candidates that enter the heap or a budget slot.
-    pub fn epoch_time(&self, strategy: Strategy) -> f64 {
-        let (fb, wu) = self.compute_terms(strategy);
-        (fb + wu) + self.comm_time(strategy)
-    }
-
-    /// The communication part of `epoch_time`: bit-identical to
-    /// `estimate(strategy).per_epoch.communication()`. Exactness hinges on
-    /// `x + 0.0 == x` for every non-negative IEEE-754 `x`: the four-term
-    /// left-associated sum in [`crate::cost::PhaseBreakdown::communication`]
-    /// collapses to the per-family non-zero terms in the same order.
-    pub(crate) fn comm_time(&self, strategy: Strategy) -> f64 {
-        let b = self.config.batch_size as f64;
-        let iters = self.iters_f;
-        match strategy {
-            Strategy::Serial => 0.0,
-            Strategy::Data { p } => iters * self.weight_allreduce(p),
-            Strategy::Spatial { split } => {
-                let p = split.total();
-                let ge = iters * self.weight_allreduce(p);
-                let comm = self.cluster.comm_model(p);
-                ge + iters * self.halo_time(&comm, split, 1.0, b)
-            }
-            Strategy::Filter { p } | Strategy::Channel { p } => {
-                let comm = self.cluster.comm_model(p);
-                iters * self.layerwise_collective(&comm, p, p, b)
-            }
-            Strategy::Pipeline { p, segments } => self.pipeline_p2p(p, segments),
-            Strategy::DataFilter { p1, p2 } => {
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                let fbcoll = iters * self.layerwise_collective(&intra, p2, p1 * p2, b);
-                let ge = iters * self.df_allreduce(p1, p2);
-                ge + fbcoll
-            }
-            Strategy::DataSpatial { p1, split } => {
-                let p2 = split.total();
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                let halo = iters * self.halo_time(&intra, split, p1 as f64, b);
-                let ge = iters * self.ds_allreduce(p1, p2);
-                ge + halo
-            }
-        }
-    }
-
     /// Tabulates the batch-invariant communication coefficients of
-    /// `strategy` for [`CostEngine::comm_time_prepped`]. Every value is a
+    /// `strategy` for [`CostEngine::comm_phases`]. Every value is a
     /// function of the model core, the cluster and the strategy only —
     /// never of the batch — so one coefficient pass per (model, cluster)
     /// pair serves every batch of a grid sweep (the whole point: the
-    /// collective/link derivations behind `comm_time` are the dominant
-    /// per-candidate cost, and they are re-paid per batch without this).
+    /// collective/link derivations are the dominant per-candidate cost,
+    /// and they are re-paid per batch without this).
     ///
     /// Per family: `a` is the gradient-exchange collective time
     /// (`weight_allreduce` / `df_allreduce` / `ds_allreduce`); `b` the
     /// fixed latency part of the batch-dependent term; `c` the per-sample
-    /// slope the batch multiplies (computed by the exact shared helpers
-    /// `halo_per_sample` / `collective_per_sample` / `boundary_per_sample`,
-    /// so the stored value is the bit-exact sub-expression of the direct
-    /// paths); `d` the collective families' `3·(p − 1)` scale or the
-    /// pipeline depth. `Serial` doesn't communicate (all-zero
-    /// coefficients).
+    /// slope the batch multiplies; `d` the collective families'
+    /// `3·(p − 1)` scale or the pipeline depth. `Serial` doesn't
+    /// communicate (all-zero coefficients).
     pub(crate) fn comm_prep(&self, strategy: Strategy) -> CommCoef {
         let core = &*self.core;
         let zero = CommCoef::default();
@@ -918,9 +826,8 @@ impl<'a> CostEngine<'a> {
             Strategy::Pipeline { p, segments } => {
                 // Zero coefficients encode the `p ≤ 1` (no communication)
                 // case; `d = p ≥ 2` flags the real formula. A boundary-less
-                // pipeline zeroes α and the per-sample slope so the
-                // reconstructed `max_p2p` collapses to the same `0.0` the
-                // direct path takes.
+                // pipeline zeroes α and the per-sample slope (the boundary
+                // bytes·β per sample), so its per-stage p2p is `0.0`.
                 if p <= 1 {
                     return zero;
                 }
@@ -930,7 +837,7 @@ impl<'a> CostEngine<'a> {
                 let comm = self.cluster.comm_model(p.min(self.cluster.gpus_per_node.max(2)));
                 let (alpha, per_sample) = if agg.has_boundary {
                     let eff = comm.link.with_contention(comm.contention);
-                    (eff.alpha, self.boundary_per_sample(agg.max_boundary_act, s, eff.beta))
+                    (eff.alpha, agg.max_boundary_act / s * self.config.bytes_per_item * eff.beta)
                 } else {
                     (0.0, 0.0)
                 };
@@ -980,27 +887,21 @@ impl<'a> CostEngine<'a> {
         }
     }
 
-    /// [`CostEngine::comm_time`] reconstructed from precomputed
-    /// coefficients: bit-identical (the batch-invariant sub-terms are the
-    /// stored *values* of the exact sub-expressions `comm_time` computes,
-    /// and the remaining batch-dependent arithmetic mirrors its operation
-    /// order), at a few flops per candidate instead of the full
-    /// collective-model derivation. Debug builds assert the bit equality on
-    /// every call, so every equivalence test crossing this path checks it
-    /// for every scanned candidate.
+    /// The four communication phases of one candidate from its
+    /// [`CommCoef`] row (paper Eqs. 10, 15, 19, 23): the engine's only
+    /// communication formula. [`CostEngine::estimate`] fills its breakdown
+    /// from it, and the kernel ranks by `lower_bound + communication()` of
+    /// the same value, so the two agree bit for bit by construction. The
+    /// compute phases are left zero.
+    ///
     /// Dispatch is on the prep-row family byte ([`StrategyKind`] as `u8`),
-    /// not the strategy itself, so the hot loop never loads or decodes the
-    /// strategy column — every strategy-derived parameter is folded into
-    /// `k` by [`CostEngine::comm_prep`]. `strategy` is a lazy accessor,
-    /// only invoked by the debug-build bit-equality assert — release-mode
-    /// hot loops never touch the strategy column here.
+    /// not the strategy itself, so the kernel's hot loop never loads or
+    /// decodes the strategy column — every strategy-derived parameter is
+    /// folded into `k` by [`CostEngine::comm_prep`]. Only the batch and the
+    /// iteration count enter here, so one coefficient row serves every
+    /// batch.
     #[inline]
-    pub(crate) fn comm_time_prepped(
-        &self,
-        fam: u8,
-        k: &CommCoef,
-        strategy: impl Fn() -> Strategy,
-    ) -> f64 {
+    pub(crate) fn comm_phases(&self, fam: u8, k: &CommCoef) -> PhaseBreakdown {
         const SERIAL: u8 = StrategyKind::Serial as u8;
         const DATA: u8 = StrategyKind::Data as u8;
         const SPATIAL: u8 = StrategyKind::Spatial as u8;
@@ -1011,155 +912,40 @@ impl<'a> CostEngine<'a> {
         const DATA_SPATIAL: u8 = StrategyKind::DataSpatial as u8;
         let b = self.config.batch_size as f64;
         let iters = self.iters_f;
-        let t = match fam {
-            SERIAL => 0.0,
-            DATA => iters * k.a,
+        let mut phases = PhaseBreakdown::default();
+        match fam {
+            SERIAL => {}
+            DATA => phases.gradient_exchange = iters * k.a,
             // Spatial and data+spatial share one shape: the shard divisor
             // of the per-sample halo volume is folded into `c` at prep time,
             // so both reduce to the same fused fixed-plus-slope form.
             SPATIAL | DATA_SPATIAL => {
-                let ge = iters * k.a;
-                let halo = 2.0 * (k.b + b * k.c);
-                ge + iters * halo
+                phases.gradient_exchange = iters * k.a;
+                phases.halo_exchange = iters * (2.0 * (k.b + b * k.c));
             }
-            FILTER | CHANNEL => iters * (k.d * (k.b + b * k.c)),
+            FILTER | CHANNEL => phases.fb_collective = iters * (k.d * (k.b + b * k.c)),
             PIPELINE => {
                 // `d = p` flags a communicating pipeline (`comm_prep` stores
                 // zero coefficients for `p ≤ 1`); `a` is the dataset
                 // prefactor `2·D·(p + s − 2)`, `b`/`c` the effective link's
                 // α and per-sample slope (zeroed for boundary-less
-                // pipelines so `max_p2p` collapses to the direct path's
-                // `0.0`). The one remaining division is by the cell batch.
+                // pipelines, so the per-stage p2p is `0.0`). The one
+                // division is by the cell batch.
                 if k.d > 1.0 {
-                    k.a / b * (k.b + b * k.c)
-                } else {
-                    0.0
+                    phases.pipeline_p2p = k.a / b * (k.b + b * k.c);
                 }
             }
             DATA_FILTER => {
-                let fbcoll = iters * (k.d * (k.b + b * k.c));
-                let ge = iters * k.a;
-                ge + fbcoll
+                phases.gradient_exchange = iters * k.a;
+                phases.fb_collective = iters * (k.d * (k.b + b * k.c));
             }
             _ => unreachable!("family byte out of range"),
-        };
-        debug_assert_eq!(
-            t.to_bits(),
-            self.comm_time(strategy()).to_bits(),
-            "prepped communication time diverged from comm_time for {}",
-            strategy(),
-        );
-        t
-    }
-
-    /// Incremental cost estimate: like [`CostEngine::estimate`], but when
-    /// `prev` is a same-kind neighbour (the sorted-superset order from
-    /// [`crate::search`] places them adjacently) the sub-terms that provably
-    /// cannot change are copied from `prev` instead of recomputed. Copies are
-    /// bit-moves of values produced by the exact same expressions, so the
-    /// result is *identical* to a fresh `estimate(next)` — equivalence is
-    /// property-tested with exact `==`, stronger than the 1e-9 gate.
-    ///
-    /// Reuse table (terms not listed are recomputed):
-    /// - `Data` → `Data`: weight-update (batch-dependent, `p`-invariant).
-    /// - `Spatial` → `Spatial`: weight-update; same total also copies
-    ///   forward/backward and gradient exchange; same halo mask (which dims
-    ///   are split) also copies the halo term.
-    /// - `Pipeline` → `Pipeline` at equal depth: weight-update (per-depth
-    ///   stage aggregate, segment-invariant).
-    /// - `DataFilter` → `DataFilter` at equal total: forward/backward.
-    /// - `DataSpatial` → `DataSpatial`: weight-update; same total also
-    ///   copies forward/backward.
-    /// - `Filter`/`Channel` and every cross-kind pair: full re-estimate
-    ///   (every term depends on the changed axis).
-    ///
-    /// `prev` must come from this engine at the current batch size (the
-    /// copied terms are batch-dependent; this is the same contract as
-    /// [`CostEngine::rebatch`] invalidating outstanding estimates).
-    pub fn estimate_delta(&self, prev: &CostEstimate, next: Strategy) -> CostEstimate {
-        debug_assert_eq!(
-            prev.iterations, self.iters,
-            "estimate_delta requires prev from the same engine and batch"
-        );
-        let core = &*self.core;
-        let d = self.config.dataset_size as f64;
-        let b = self.config.batch_size as f64;
-        let iters = self.iters_f;
-        let pe = &prev.per_epoch;
-        let mut breakdown = PhaseBreakdown::default();
-        match (prev.strategy, next) {
-            (Strategy::Data { .. }, Strategy::Data { p }) => {
-                breakdown.forward_backward = d / p as f64 * core.fw_bw_per_sample;
-                breakdown.weight_update = pe.weight_update;
-                breakdown.gradient_exchange = iters * self.weight_allreduce(p);
-            }
-            (Strategy::Spatial { split: prev_split }, Strategy::Spatial { split }) => {
-                breakdown.weight_update = pe.weight_update;
-                let p = split.total();
-                let same_total = prev_split.total() == p;
-                if same_total {
-                    breakdown.forward_backward = pe.forward_backward;
-                    breakdown.gradient_exchange = pe.gradient_exchange;
-                } else {
-                    breakdown.forward_backward = d / p as f64 * core.fw_bw_per_sample;
-                    breakdown.gradient_exchange = iters * self.weight_allreduce(p);
-                }
-                let same_mask = (prev_split.pw > 1, prev_split.ph > 1, prev_split.pd > 1)
-                    == (split.pw > 1, split.ph > 1, split.pd > 1);
-                if same_total && same_mask {
-                    breakdown.halo_exchange = pe.halo_exchange;
-                } else {
-                    let comm = self.cluster.comm_model(p);
-                    breakdown.halo_exchange = iters * self.halo_time(&comm, split, 1.0, b);
-                }
-            }
-            (Strategy::Pipeline { p: prev_p, .. }, Strategy::Pipeline { p, segments })
-                if prev_p == p =>
-            {
-                let agg = self.pipeline_agg(p);
-                let s = segments.max(1) as f64;
-                let pf = p as f64;
-                breakdown.forward_backward = d * (pf + s - 1.0) / s * (agg.max_fw + agg.max_bw);
-                breakdown.weight_update = pe.weight_update;
-                breakdown.pipeline_p2p = self.pipeline_p2p(p, segments);
-            }
-            (Strategy::DataFilter { p1: q1, p2: q2 }, Strategy::DataFilter { p1, p2 })
-                if q1 * q2 == p1 * p2 =>
-            {
-                breakdown.forward_backward = pe.forward_backward;
-                breakdown.weight_update = iters / p2 as f64 * core.wu_per_iteration;
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                breakdown.fb_collective = iters * self.layerwise_collective(&intra, p2, p1 * p2, b);
-                breakdown.gradient_exchange = iters * self.df_allreduce(p1, p2);
-            }
-            (
-                Strategy::DataSpatial { p1: q1, split: prev_split },
-                Strategy::DataSpatial { p1, split },
-            ) => {
-                breakdown.weight_update = pe.weight_update;
-                if q1 * prev_split.total() == p1 * split.total() {
-                    breakdown.forward_backward = pe.forward_backward;
-                } else {
-                    let p = (p1 * split.total()) as f64;
-                    breakdown.forward_backward = d / p * core.fw_bw_per_sample;
-                }
-                let p2 = split.total();
-                let intra = self.cluster.comm_model(p2.min(self.cluster.gpus_per_node));
-                breakdown.halo_exchange = iters * self.halo_time(&intra, split, p1 as f64, b);
-                breakdown.gradient_exchange = iters * self.ds_allreduce(p1, p2);
-            }
-            (_, next) => return self.estimate(next),
         }
-        CostEstimate {
-            strategy: next,
-            per_epoch: breakdown,
-            iterations: self.iters,
-            memory_per_pe_bytes: self.memory_per_pe(next),
-        }
+        phases
     }
 
     /// Forward/backward and weight-update epoch times of `strategy` — the
-    /// compute part shared by [`CostEngine::estimate_with_memory`] and
+    /// compute part shared by [`CostEngine::estimate`] and
     /// [`CostEngine::lower_bound`].
     fn compute_terms(&self, strategy: Strategy) -> (f64, f64) {
         let core = &*self.core;
@@ -1248,81 +1034,23 @@ impl<'a> CostEngine<'a> {
 
     /// Batch-invariant per-sample halo bytes·β for one split mask:
     /// `halo_elems/shard · δ · β` (`shard` is `1` for `Spatial`, the data
-    /// replica count `p1` for `DataSpatial`). Every batch-dependent halo
-    /// term is `batch · halo_per_sample(..)`, so [`CostEngine::comm_prep`]
-    /// stores this value once per candidate and the reconstruction in
-    /// `comm_time_prepped` is bit-identical by sharing this expression.
+    /// replica count `p1` for `DataSpatial`) — the `c` coefficient of both
+    /// halo-exchanging families in [`CostEngine::comm_prep`].
     #[inline]
     fn halo_per_sample(&self, comm: &CommModel, mask: usize, shard: f64) -> f64 {
         self.core.halo_elems[mask] / shard * self.config.bytes_per_item * comm.link.beta
     }
 
     /// Batch-invariant per-sample collective bytes·φ·β of filter/channel
-    /// parallelism: `act_out_except_last/p_total · δ · φ · β`. Shared by
-    /// the direct paths and [`CostEngine::comm_prep`] for the same
-    /// bit-identity-by-construction reason as `halo_per_sample`.
+    /// parallelism: `act_out_except_last/p_total · δ · φ · β` — the `c`
+    /// coefficient of the layer-wise collective families in
+    /// [`CostEngine::comm_prep`].
     #[inline]
     fn collective_per_sample(&self, comm: &CommModel, p_total: usize) -> f64 {
         self.core.act_out_except_last / p_total as f64
             * self.config.bytes_per_item
             * comm.contention
             * comm.link.beta
-    }
-
-    /// Batch-invariant per-sample boundary-activation bytes·β of pipeline
-    /// parallelism: `max_boundary_act/segments · δ · β_eff`.
-    #[inline]
-    fn boundary_per_sample(&self, act: f64, segments: f64, beta: f64) -> f64 {
-        act / segments * self.config.bytes_per_item * beta
-    }
-
-    /// Halo-exchange time for one iteration over the precomputed
-    /// per-split-mask aggregates (paper Eq. 10). `shard` divides the
-    /// per-sample halo volume (data replicas process `batch/shard` samples
-    /// each); the batch multiplies *last*, so the whole batch-dependence is
-    /// one fused multiply-add over prep-stored coefficients.
-    fn halo_time(&self, comm: &CommModel, split: SpatialSplit, shard: f64, batch: f64) -> f64 {
-        let core = &*self.core;
-        let mask = halo_mask(split);
-        2.0 * (core.halo_pairs[mask] * 2.0 * comm.p2p(0.0)
-            + batch * self.halo_per_sample(comm, mask, shard))
-    }
-
-    /// Layer-wise collective time of filter/channel parallelism for one
-    /// iteration (paper Eq. 15/19), over the precomputed activation total.
-    /// Batch-last form, like [`CostEngine::halo_time`].
-    fn layerwise_collective(&self, comm: &CommModel, p: usize, p_total: usize, batch: f64) -> f64 {
-        let core = &*self.core;
-        if p <= 1 {
-            return 0.0;
-        }
-        3.0 * (p as f64 - 1.0)
-            * (core.collective_layers * comm.link.alpha
-                + batch * self.collective_per_sample(comm, p_total))
-    }
-
-    /// Pipeline boundary-exchange epoch time (paper Eq. 23), shared by
-    /// [`CostEngine::estimate_with_memory`], [`CostEngine::comm_time`] and
-    /// [`CostEngine::estimate_delta`] so the three paths stay
-    /// bit-identical by construction. Batch-last form: the per-stage p2p
-    /// is `α_eff + batch · boundary_per_sample(..)`.
-    fn pipeline_p2p(&self, p: usize, segments: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let agg = self.pipeline_agg(p);
-        let d = self.config.dataset_size as f64;
-        let b = self.config.batch_size as f64;
-        let s = segments.max(1) as f64;
-        let pf = p as f64;
-        let comm = self.cluster.comm_model(p.min(self.cluster.gpus_per_node.max(2)));
-        let max_p2p = if agg.has_boundary {
-            let eff = comm.link.with_contention(comm.contention);
-            eff.alpha + b * self.boundary_per_sample(agg.max_boundary_act, s, eff.beta)
-        } else {
-            0.0
-        };
-        2.0 * d * (pf + s - 2.0) / b * max_p2p
     }
 }
 
@@ -1781,6 +1509,14 @@ mod tests {
             let lb = engine.lower_bound(s);
             assert!(lb <= est.epoch_time(), "{s}: bound {lb} > total {}", est.epoch_time());
             assert_eq!(lb, est.per_epoch.compute(), "{s}: bound must equal the compute part");
+            // The kernel's ranking identity: the bound plus the priced
+            // coefficient row is the estimate's epoch time, bit for bit.
+            let comm = engine.comm_phases(s.kind() as u8, &engine.comm_prep(s)).communication();
+            assert_eq!(
+                (lb + comm).to_bits(),
+                est.epoch_time().to_bits(),
+                "{s}: kernel time diverged from the estimate"
+            );
         }
     }
 

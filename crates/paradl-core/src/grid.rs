@@ -38,8 +38,9 @@
 //!   is recomputed, bit-identically, only where an estimate is built),
 //! * **communication columns** — in top-k mode, one batch-invariant
 //!   communication-coefficient row per superset candidate and (model,
-//!   cluster) pair, from which the kernel reconstructs exact epoch times;
-//!   full ranking never reads them, so it skips the stage,
+//!   cluster) pair, which the kernel prices into exact epoch times with
+//!   the engine's one communication formula; full ranking builds a fresh
+//!   [`CostEngine::estimate`] per candidate instead, so it skips the stage,
 //! * **reporting** — in top-k mode only the `k` best and the per-budget
 //!   winners are reported, so they are folded incrementally instead of
 //!   materializing the hundreds of thousands of costed candidates per cell,
@@ -55,11 +56,11 @@
 //!   ([`CostEngine::prep_terms`]), static dominance bounds seeded per cell
 //!   (seed *selection* reuses the device-dependent prep columns across
 //!   clusters; seed *times* are costed per cell because communication is
-//!   cluster-dependent), a branchless pass over the exact epoch times, and
-//!   incremental [`CostEngine::estimate_delta`] chains in
-//!   full-ranking mode. Which engine tables the delta path may reuse is
-//!   documented in the `engine` module (batch-invariant vs batch-dependent
-//!   — load-bearing, exactly as with [`CostEngine::rebatch`]).
+//!   cluster-dependent, and are priced from the cell's coefficient
+//!   column), a branchless pass over the exact epoch times, and one fresh
+//!   [`CostEngine::estimate`] per candidate in full-ranking mode. Both
+//!   modes price communication with the same per-family formula, so their
+//!   epoch times agree bit for bit.
 //!
 //! [`GridSweep::run_timed`] returns the per-stage wall-clock timings of a
 //! sweep.
@@ -670,8 +671,8 @@ impl GridSweep {
         // parameters — the dominant per-candidate cost) are tabulated once
         // per pair instead of being re-derived in every batch's cell. Rows
         // no batch's prep references (invalid or memory-infeasible at every
-        // batch) are skipped. Full ranking costs every candidate through
-        // the delta chain and never reads the columns.
+        // batch) are skipped. Full ranking builds a fresh estimate per
+        // candidate and never reads the columns.
         let coefs: Vec<Vec<CommCoef>> = if constraints.top_k.is_some() {
             let used: Vec<Vec<bool>> = (0..n_models * n_groups)
                 .map(|i| {

@@ -1,5 +1,5 @@
 //! The analytic candidate-evaluation kernel: static dominance bounds,
-//! branchless survivor compaction and incremental cost deltas over the
+//! branchless survivor compaction and fresh estimates over the
 //! structure-of-arrays prep columns.
 //!
 //! `eval_chunk_kernel` is the one evaluation loop behind every ranked
@@ -23,20 +23,19 @@
 //!    dispatch is branch-predicted within runs, and equal PE-budget slots
 //!    form runs whose bound is hoisted). One pass per chunk reconstructs
 //!    each feasible candidate's *exact* epoch time from the batch-invariant
-//!    communication-coefficient row (`lb` plus the reconstructed
-//!    communication time, bit-identical to the full estimate's epoch time)
+//!    communication-coefficient row (`lb` plus the communication phases the
+//!    engine prices every estimate with, so it is the full estimate's epoch
+//!    time by construction)
 //!    and compacts the indices and times that beat both the static bound
 //!    and a stale snapshot of the shared top-k/budget thresholds —
 //!    branch-free, one conditional-increment store per candidate. Only that
 //!    survivor list is walked again, and the full
 //!    [`crate::cost::CostEstimate`] is assembled only for the rare candidate
 //!    that improves a budget slot or enters the top-k heap.
-//! 3. **Incremental cost deltas** (full-ranking mode). Lexicographically
-//!    adjacent candidates differ in one axis, so
-//!    [`CostEngine::estimate_delta`] chains each candidate off
-//!    its predecessor, copying the phase terms the axis change provably
-//!    leaves bit-identical (see the `engine` module docs for which tables
-//!    the delta path may reuse) instead of recomputing them.
+//! 3. **Fresh estimates** (full-ranking mode). Nothing may be pruned, so
+//!    every feasible candidate gets its own [`CostEngine::estimate`] — the
+//!    same compute terms and communication formula as the top-k pass, from
+//!    a freshly derived coefficient row.
 //!
 //! The kernel is *exact*: ranked output, budget winners and the
 //! `enumerated`/`pruned_by_memory` accounting match the per-layer
@@ -48,7 +47,6 @@
 //! [`GridSweep::with_chunk_size`](crate::grid::GridSweep::with_chunk_size);
 //! the default is picked by the chunk sweep recorded in `BENCH_kernel.json`.
 
-use crate::cost::CostEstimate;
 use crate::engine::{CommCoef, CostEngine};
 use crate::oracle::{Constraints, Projection};
 use crate::search::{candidate_cmp, strategy_sort_key, RankedCandidate, SearchShared};
@@ -114,10 +112,12 @@ pub(crate) struct StaticBounds {
 }
 
 impl StaticBounds {
-    /// Costs the seed panel and derives the per-slot bounds, pre-tightening
-    /// `shared`'s top-k threshold and per-budget best times with the seed
-    /// results (sound: seeds are real candidates, re-offered during the
-    /// scan, so priming never changes the final report).
+    /// Costs the seed panel from the cell's coefficient column (top-k mode
+    /// only; full ranking has no column and prunes nothing) and derives the
+    /// per-slot bounds, pre-tightening `shared`'s top-k threshold and
+    /// per-budget best times with the seed results (sound: seeds are real
+    /// candidates, re-offered during the scan, so priming never changes the
+    /// final report).
     pub(crate) fn from_seeds(
         engine: &CostEngine<'_>,
         cols: &KernelColumns<'_>,
@@ -131,7 +131,7 @@ impl StaticBounds {
         let mut slot_u = vec![f64::INFINITY; n_slots];
         let mut times: Vec<f64> = Vec::with_capacity(seeds.len());
         for &i in seeds {
-            let t = cols.lbs[i] + engine.comm_time(cols.strategy(i));
+            let t = cols.time(engine, i);
             times.push(t);
             let s = cols.slots[i] as usize;
             if t < slot_u[s] {
@@ -189,12 +189,11 @@ thread_local! {
 /// family byte), the model's candidate `superset` the rows index into (row
 /// `x` is `superset[sup[x]]`), and the superset-aligned
 /// communication-coefficient column of the cell's (model, cluster) pair,
-/// from which the fused evaluation pass reconstructs every candidate's
-/// exact communication time ([`CostEngine::comm_time_prepped`], dispatched
-/// on the `fams` byte). No memory column: the rows are memory-feasible, and
-/// an estimate recomputes the per-PE memory (bit-identical to the prep's
-/// capacity check). Only top-k mode reads `fams`/`coef`; a full-ranking
-/// sweep passes an empty `coef`.
+/// which the fused evaluation pass prices with the engine's communication
+/// formula (dispatched on the `fams` byte). No memory column: the rows are
+/// memory-feasible, and an estimate recomputes the per-PE memory
+/// (bit-identical to the prep's capacity check). Only top-k mode reads
+/// `fams`/`coef`; a full-ranking sweep passes an empty `coef`.
 #[derive(Clone, Copy)]
 pub(crate) struct KernelColumns<'c> {
     pub(crate) superset: &'c [Strategy],
@@ -211,6 +210,15 @@ impl KernelColumns<'_> {
     fn strategy(&self, x: usize) -> Strategy {
         self.superset[self.sup[x] as usize]
     }
+
+    /// The exact epoch time of row `x`: its compute lower bound plus the
+    /// communication phases of its coefficient row — bit-identical to
+    /// `engine.estimate(..).epoch_time()`, which adds the same two sums.
+    #[inline]
+    fn time(&self, engine: &CostEngine<'_>, x: usize) -> f64 {
+        self.lbs[x]
+            + engine.comm_phases(self.fams[x], &self.coef[self.sup[x] as usize]).communication()
+    }
 }
 
 /// Evaluates one candidate chunk through the analytic kernel. The
@@ -223,8 +231,8 @@ impl KernelColumns<'_> {
 /// survivor list; the finishing pass re-checks survivors against the fresh
 /// shared gates and assembles a full estimate only for candidates that
 /// improve a budget slot or the heap.
-/// Full-ranking mode costs every candidate through the incremental delta
-/// chain and appends to `found` once per chunk. Every shared-state
+/// Full-ranking mode builds a fresh estimate per candidate and appends to
+/// `found` once per chunk. Every shared-state
 /// transition is monotone (thresholds only decrease, winners are minima
 /// under a total order), so any interleaving of chunks produces the same
 /// final report.
@@ -240,7 +248,7 @@ pub(crate) fn eval_chunk_kernel(
     winners: &[Mutex<Option<RankedCandidate>>],
     found: &Mutex<Vec<RankedCandidate>>,
 ) {
-    let KernelColumns { lbs, slots, sup, fams, coef, .. } = *cols;
+    let slots = cols.slots;
     if constraints.top_k.is_some() {
         SCRATCH.with(|tls| {
             let scratch = &mut *tls.borrow_mut();
@@ -266,11 +274,10 @@ pub(crate) fn eval_chunk_kernel(
             // slots form runs: hoist the bounds per run and compact the
             // surviving row indices branch-free (unconditional index/time
             // store, length bumped by the keep bit); the family dispatch
-            // inside `comm_time_prepped` is perfectly predicted within a
-            // run. The pass computes each candidate's *exact* epoch time —
-            // the coefficient-reconstructed communication time costs barely
-            // more than a lower bound and spares the survivor side any
-            // recomputation. The static cut
+            // inside `comm_phases` is perfectly predicted within a run. The
+            // pass computes each candidate's *exact* epoch time — pricing a
+            // coefficient row costs barely more than a lower bound and
+            // spares the survivor side any recomputation. The static cut
             // (`time ≤ bound`, counted as dominance-pruned) is deterministic:
             // the bound is fixed before the scan and the time is exact,
             // and a candidate above it is provably outside the top-k and
@@ -297,10 +304,7 @@ pub(crate) fn eval_chunk_kernel(
                 let dyn_b = bud_stale[slot as usize].max(thr_stale).min(b);
                 let mut kept = 0usize;
                 for x in i..j {
-                    let time = lbs[x]
-                        + engine.comm_time_prepped(fams[x], &coef[sup[x] as usize], || {
-                            cols.strategy(x)
-                        });
+                    let time = cols.time(engine, x);
                     kept += (time <= b) as usize;
                     surv[n] = x as u32;
                     tims[n] = time;
@@ -313,9 +317,9 @@ pub(crate) fn eval_chunk_kernel(
                 shared.count_dominance_pruned(pruned);
             }
             // Finishing pass over survivors. The scalar time is
-            // bit-identical to `estimate(..).epoch_time()` (the
-            // lower bound *is* the compute sum and `total()` adds
-            // communication last), so the improves/threshold decisions
+            // bit-identical to `estimate(..).epoch_time()` (the lower bound
+            // *is* the compute sum, `total()` adds communication last, and
+            // both price it with `comm_phases`), so the improves/threshold decisions
             // match a full estimate's; the full estimate is assembled only
             // when needed.
             for (pos, &xu) in surv[..n].iter().enumerate() {
@@ -386,21 +390,15 @@ pub(crate) fn eval_chunk_kernel(
         return;
     }
     // Full-ranking mode: every memory-feasible candidate is a survivor
-    // (no bound may drop anything), so the work is pure costing — chain
-    // each candidate off its predecessor through the incremental delta
-    // path, and batch survivors through the per-worker scratch to keep
-    // lock traffic at one append per chunk.
+    // (no bound may drop anything), so the work is pure costing — one
+    // fresh estimate per candidate, batched through the per-worker scratch
+    // to keep lock traffic at one append per chunk.
     SCRATCH.with(|tls| {
         let scratch = &mut *tls.borrow_mut();
         scratch.found.clear();
-        let mut prev: Option<CostEstimate> = None;
         for x in lo..hi {
             let strategy = cols.strategy(x);
-            let cost = match prev.as_ref() {
-                Some(p) => engine.estimate_delta(p, strategy),
-                None => engine.estimate(strategy),
-            };
-            prev = Some(cost);
+            let cost = engine.estimate(strategy);
             scratch.found.push(RankedCandidate {
                 strategy,
                 projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
