@@ -214,7 +214,8 @@ impl KernelColumns<'_> {
     /// The exact epoch time of row `x`: its compute lower bound plus the
     /// communication phases of its coefficient row — bit-identical to
     /// `engine.estimate(..).epoch_time()`, which adds the same two sums.
-    #[inline]
+    /// Always inlined: it is the evaluation pass's per-candidate body.
+    #[inline(always)]
     fn time(&self, engine: &CostEngine<'_>, x: usize) -> f64 {
         self.lbs[x]
             + engine.comm_phases(self.fams[x], &self.coef[self.sup[x] as usize]).communication()
