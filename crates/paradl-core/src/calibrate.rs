@@ -25,12 +25,12 @@
 //!   the parameters to finished estimates in O(1).
 //!
 //! **Bit-consistency.** Calibration multiplies *finished* phase breakdowns;
-//! the engine's internal batch-last [`CommCoef`](crate::engine) path — the
-//! `fixed + batch·per_sample` helpers and their `to_bits` reconstruction
-//! asserts — runs uncalibrated underneath and keeps holding verbatim.
+//! the engine's internal batch-last [`CommCoef`](crate::engine) pricing —
+//! the `fixed + batch·per_sample` coefficients that estimates and the
+//! kernel share — runs uncalibrated underneath and keeps holding verbatim.
 //! Scaling the coefficients themselves would be algebraically equivalent
 //! but *not* bit-equivalent (floating-point multiplication does not
-//! distribute), so the decorator scales after reconstruction, never before.
+//! distribute), so the decorator scales finished phases, never coefficients.
 //! A direct consequence: [`Calibration::identity`] is bit-identical to the
 //! uncalibrated engine (`1.0 * x == x` and `x + 0.0 == x` bitwise for every
 //! finite non-negative `x`, and the engine verifies its outputs finite at
@@ -619,8 +619,8 @@ fn rezero_bias(samples: &[CalSample], scale: FamilyScale) -> FamilyScale {
 /// A calibrated view over a [`CostEngine`]: the same O(1) estimate surface,
 /// with the fitted per-family parameters applied to every finished
 /// breakdown. The engine underneath is untouched — its batch-last
-/// `CommCoef` reconstruction path (and the kernel's bit-equality asserts)
-/// run exactly as they do uncalibrated.
+/// `CommCoef` pricing, shared by estimates and the kernel, runs exactly as
+/// it does uncalibrated.
 pub struct CalibratedCostModel<'e, 'a> {
     engine: &'e CostEngine<'a>,
     calibration: Calibration,

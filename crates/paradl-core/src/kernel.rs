@@ -21,7 +21,7 @@
 //! 2. **Branchless fused evaluation** (top-k mode). Candidates arrive in
 //!    sorted-superset order (family-major, so the per-family coefficient
 //!    dispatch is branch-predicted within runs, and equal PE-budget slots
-//!    form runs whose bound is hoisted). One pass per chunk reconstructs
+//!    form runs whose bound is hoisted). One pass per chunk prices
 //!    each feasible candidate's *exact* epoch time from the batch-invariant
 //!    communication-coefficient row (`lb` plus the communication phases the
 //!    engine prices every estimate with, so it is the full estimate's epoch
@@ -92,7 +92,7 @@ pub(crate) fn select_seeds(fams: &[u8], lbs: &[f64], slots: &[u8], n_slots: usiz
 }
 
 /// Per-budget-slot static prune bounds, fixed before the evaluation scan:
-/// a candidate at slot `s` whose exact epoch time (reconstructed from the
+/// a candidate at slot `s` whose exact epoch time (priced from the
 /// comm-coefficient columns) exceeds `bound[s]` is provably outside the
 /// final top-k *and* every budget slot it is admissible for, so it is
 /// discarded without building an estimate.

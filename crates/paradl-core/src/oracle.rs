@@ -320,7 +320,7 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// suggestion competes on calibrated time, surveys and rankings are
     /// rescaled ([`QueryAnswer::recalibrated`]) — the search itself runs on
     /// the uncalibrated engine, whose kernel invariants (bit-consistent
-    /// `CommCoef` reconstruction, admissible lower bounds) presume raw
+    /// `CommCoef` pricing, admissible lower bounds) presume raw
     /// analytic costs.
     pub fn answer_with_engine(&self, engine: &CostEngine<'_>, query: &Query) -> QueryAnswer {
         let constraints = query.effective_constraints();
