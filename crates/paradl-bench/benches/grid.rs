@@ -1,4 +1,4 @@
-//! Benchmarks of the amortized multi-query grid path: the incremental
+//! Benchmarks of the amortized multi-query grid path: the in-place
 //! `CostEngine::rebatch` against a full engine rebuild, engine construction
 //! with a shared per-cluster `ClusterCache` against private per-engine
 //! table derivation, and a small `GridSweep` against the naive

@@ -1,7 +1,7 @@
 //! Kernel-trajectory summary: times the analytic candidate-evaluation
 //! kernel (`paradl_core::kernel` — static dominance bounds, branchless mask
-//! filtering, coefficient-reconstructed communication times, incremental
-//! cost deltas) on the same paper-scale grid `bench_grid_summary` sweeps,
+//! filtering, coefficient-reconstructed communication times, per-chunk
+//! top-k folds) on the same paper-scale grid `bench_grid_summary` sweeps,
 //! sets it against the committed numbers of the retired pre-kernel
 //! *mechanical* evaluation (sort-based enumeration, separate memory/bound
 //! prep calls, one full estimate per candidate), sweeps the evaluation

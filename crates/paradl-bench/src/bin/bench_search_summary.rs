@@ -1,5 +1,5 @@
 //! Search-throughput summary: times the reference search path against the
-//! engine-backed search (full ranking and branch-and-bound top-k) on the
+//! engine-backed search (full ranking and dominance-pruned top-k) on the
 //! CosmoFlow-scale exhaustive space and writes a machine-readable
 //! `BENCH_search.json` so CI can track the performance trajectory.
 //!
@@ -65,9 +65,9 @@ fn main() {
         rate(t_topk)
     );
     println!(
-        "top-k run: {} memory-pruned, {} bound-pruned, {} costed; winner {}",
+        "top-k run: {} memory-pruned, {} dominance-pruned, {} costed; winner {}",
         report.pruned_by_memory,
-        report.pruned_by_bound,
+        report.pruned_by_dominance,
         report.evaluated(),
         report.best().map(|b| b.strategy.to_string()).unwrap_or_else(|| "none".into()),
     );
@@ -87,7 +87,7 @@ fn main() {
             "  \"speedup_engine_full\": {:.2},\n",
             "  \"speedup_engine_topk\": {:.2},\n",
             "  \"pruned_by_memory\": {},\n",
-            "  \"pruned_by_bound\": {}\n",
+            "  \"pruned_by_dominance\": {}\n",
             "}}\n"
         ),
         model.name,
@@ -101,7 +101,7 @@ fn main() {
         speedup_full,
         speedup_topk,
         report.pruned_by_memory,
-        report.pruned_by_bound,
+        report.pruned_by_dominance,
     );
     std::fs::write("BENCH_search.json", &json).expect("write BENCH_search.json");
     println!("\nwrote BENCH_search.json");

@@ -41,9 +41,10 @@
 //!   cluster) pair, which the kernel prices into exact epoch times with
 //!   the engine's one communication formula; full ranking builds a fresh
 //!   [`CostEngine::estimate`] per candidate instead, so it skips the stage,
-//! * **reporting** — in top-k mode only the `k` best and the per-budget
-//!   winners are reported, so they are folded incrementally instead of
-//!   materializing the hundreds of thousands of costed candidates per cell,
+//! * **reporting** — every chunk returns its own results: in top-k mode
+//!   only its `k` best and its best candidate per PE-budget slot, so a cell
+//!   never materializes the hundreds of thousands of costed candidates it
+//!   scans. The sweep merges a cell's chunk results and ranks them once,
 //! * **parallelism** — evaluation is split into fixed-size candidate chunks
 //!   interleaved round-robin across *all* cells and run rayon-parallel, so
 //!   one huge query (a CosmoFlow-scale exhaustive space) doesn't serialize
@@ -67,9 +68,10 @@
 //!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
-//! rebatched engines are bit-equal to freshly built ones, the reduction is
-//! order-independent, and the static `pruned_by_dominance` count is fixed
-//! before the scan (`pruned_by_bound` is always 0). Property-tested in
+//! rebatched engines are bit-equal to freshly built ones, each chunk's
+//! result depends on its rows alone and the merge ranks by a total order,
+//! and the static `pruned_by_dominance` count is fixed before the scan
+//! (`pruned_by_bound` is always 0). Property-tested in
 //! `tests/proptest_grid.rs` across chunk sizes, with full-ranking cells
 //! also checked against [`Oracle::search_reference`].
 //!
@@ -85,10 +87,7 @@ use crate::engine::{cluster_fingerprint, engine_fingerprint, CommCoef, CostEngin
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::model::Model;
 use crate::oracle::Constraints;
-use crate::search::{
-    budget_index, finish_report, finish_report_topk, RankedCandidate, SearchReport, SearchShared,
-    StrategySpace,
-};
+use crate::search::{budget_index, finish_report, RankedCandidate, SearchReport, StrategySpace};
 use crate::strategy::Strategy;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -413,14 +412,9 @@ struct CellCtx<'e, 'a> {
     /// The prep's rows over the model's superset and this cell's
     /// communication column.
     cols: KernelColumns<'e>,
-    shared: SearchShared,
     /// Static dominance-prune bounds derived from the prep's seed panel
     /// through this cell's engine.
     bounds: StaticBounds,
-    /// Survivor accumulator (full-ranking mode, `top_k == None`).
-    found: Mutex<Vec<RankedCandidate>>,
-    /// Per-budget-slot running winners (top-k mode).
-    winners: Vec<Mutex<Option<RankedCandidate>>>,
 }
 
 /// Per-stage wall-clock seconds of one [`GridSweep::run_timed`] sweep,
@@ -444,7 +438,8 @@ pub struct GridStageTimings {
     pub cells: f64,
     /// Chunked candidate evaluation — the kernel hot loop.
     pub eval: f64,
-    /// Final per-cell ranking and report assembly.
+    /// Per-cell merge of the chunk results, final ranking and report
+    /// assembly.
     pub finish: f64,
 }
 
@@ -700,22 +695,18 @@ impl GridSweep {
         };
         timings.comms = laps.lap();
 
-        // Cell contexts: the engine at the cell's batch plus the shared
-        // search state each cell's chunks reduce into. The memory-pruned
-        // count is seeded from the prep; the static dominance bounds cost
-        // the prep's seed panel through the cell's own engine
-        // (communication is cluster-dependent, so seed *times* are per cell
-        // even though seed *selection* is per prep).
+        // Cell contexts: the engine at the cell's batch, its kernel columns
+        // and its static dominance bounds, which cost the prep's seed panel
+        // through the cell's own engine (communication is
+        // cluster-dependent, so seed *times* are per cell even though seed
+        // *selection* is per prep).
+        let n_slots = budget_index(constraints.max_pes.max(1)) + 1;
         let mut cells: Vec<CellCtx<'_, '_>> =
             Vec::with_capacity(n_models * batches.len() * n_clusters);
         for m in 0..n_models {
             for (b, &batch) in batches.iter().enumerate() {
                 for c in 0..n_clusters {
                     let prep = &preps[m * n_groups + group_of[c]][b];
-                    let shared = SearchShared::new(constraints);
-                    shared.set_memory_pruned(prep.mem_pruned);
-                    let winners =
-                        (0..shared.num_budget_slots()).map(|_| Mutex::new(None)).collect();
                     let engine = at_batch(&engines[m * n_clusters + c], batch);
                     let cols = KernelColumns {
                         superset: &supersets[m],
@@ -725,16 +716,19 @@ impl GridSweep {
                         fams: &prep.fams,
                         coef: coefs.get(m * n_clusters + c).map_or(&[][..], Vec::as_slice),
                     };
-                    let bounds = StaticBounds::from_seeds(&engine, &cols, &prep.seeds, &shared);
+                    let bounds = StaticBounds::from_seeds(
+                        &engine,
+                        &cols,
+                        &prep.seeds,
+                        constraints.top_k,
+                        n_slots,
+                    );
                     cells.push(CellCtx {
                         query: GridQuery { model: m, cluster: c, batch },
                         engine,
                         prep,
                         cols,
-                        shared,
                         bounds,
-                        found: Mutex::new(Vec::new()),
-                        winners,
                     });
                 }
             }
@@ -743,11 +737,10 @@ impl GridSweep {
 
         // Candidate-level work splitting: fixed-size chunks, interleaved
         // round-robin across cells so a huge cell spreads over all workers
-        // instead of pinning one. Round-robin also runs every cell's
-        // lowest-bound chunk first, tightening the pruning thresholds before
-        // the (wholesale-prunable) tails are touched. Workers take chunks
-        // in that order as they free up: the early rounds cost more than
-        // the pruned tails, so a static split would leave one worker idle.
+        // instead of pinning one. Workers take chunks in that order as they
+        // free up: chunks differ in cost (full estimates, survivor counts),
+        // so a static split would leave one worker idle. Each chunk returns
+        // its prune count and costed candidates, in `items` order.
         let chunk = self.chunk;
         let mut items: Vec<(usize, usize)> = Vec::new();
         let mut round = 0usize;
@@ -765,41 +758,29 @@ impl GridSweep {
             round += 1;
         }
         let order: Vec<usize> = (0..items.len()).collect();
-        let _: Vec<()> = par_map_scheduled(&order, |k| {
+        let results = par_map_scheduled(&order, |k| {
             let (ci, round) = items[k];
             let cell = &cells[ci];
             let lo = round * chunk;
             let hi = (lo + chunk).min(cell.prep.sup.len());
-            eval_chunk_kernel(
-                &cell.engine,
-                &cell.cols,
-                &cell.bounds,
-                lo,
-                hi,
-                constraints,
-                &cell.shared,
-                &cell.winners,
-                &cell.found,
-            );
+            eval_chunk_kernel(&cell.engine, &cell.cols, &cell.bounds, lo, hi, constraints)
         });
         timings.eval = laps.lap();
 
-        // Per-cell final ranking, in parallel across cells.
-        let cells: Vec<GridCell> = cells
+        // Per-cell merge of the chunk results, then the final ranking in
+        // parallel across cells.
+        let mut merged: Vec<(GridQuery, &PreppedSpace, usize, Vec<RankedCandidate>)> =
+            cells.iter().map(|cell| (cell.query, cell.prep, 0, Vec::new())).collect();
+        for (&(ci, _), (pruned, found)) in items.iter().zip(results) {
+            merged[ci].2 += pruned;
+            merged[ci].3.extend(found);
+        }
+        let cells: Vec<GridCell> = merged
             .into_par_iter()
-            .map(|cell| {
-                let report = if constraints.top_k.is_some() {
-                    let slot_best = cell
-                        .winners
-                        .into_iter()
-                        .map(|slot| slot.into_inner().expect("winner slot poisoned"))
-                        .collect();
-                    finish_report_topk(cell.prep.enumerated, slot_best, constraints, cell.shared)
-                } else {
-                    let survivors = cell.found.into_inner().expect("grid accumulator poisoned");
-                    finish_report(cell.prep.enumerated, survivors, constraints, cell.shared)
-                };
-                GridCell { query: cell.query, report }
+            .map(|(query, prep, pruned, found)| {
+                let report =
+                    finish_report(prep.enumerated, prep.mem_pruned, pruned, found, constraints);
+                GridCell { query, report }
             })
             .collect();
         timings.finish = laps.lap();

@@ -5,8 +5,10 @@
 //! `eval_chunk_kernel` is the one evaluation loop behind every ranked
 //! query. Its only caller is the sweep of [`crate::grid::GridSweep`], which
 //! runs grids, the daemon's coalesced groups, and — as one-cell grids —
-//! `Oracle::search`, ranked `Oracle::answer`s and `Query::run`. The kernel
-//! works in three layers:
+//! `Oracle::search`, ranked `Oracle::answer`s and `Query::run`. A chunk is a
+//! pure function of its rows: it returns its prune count and its costed
+//! candidates, and the sweep merges a cell's chunks into one report. The
+//! kernel works in three layers:
 //!
 //! 1. **Static dominance bounds** (`StaticBounds`). Before any candidate
 //!    is costed, a tiny seed panel — the per-(strategy family, PE-budget
@@ -25,13 +27,15 @@
 //!    each feasible candidate's *exact* epoch time from the batch-invariant
 //!    communication-coefficient row (`lb` plus the communication phases the
 //!    engine prices every estimate with, so it is the full estimate's epoch
-//!    time by construction)
-//!    and compacts the indices and times that beat both the static bound
-//!    and a stale snapshot of the shared top-k/budget thresholds —
-//!    branch-free, one conditional-increment store per candidate. Only that
-//!    survivor list is walked again, and the full
-//!    [`crate::cost::CostEstimate`] is assembled only for the rare candidate
-//!    that improves a budget slot or enters the top-k heap.
+//!    time by construction) and compacts the indices and times within the
+//!    static bound — branch-free, one conditional-increment store per
+//!    candidate. A second pass folds those survivors into the chunk's own
+//!    `k` best and its best row per PE-budget slot, both ordered by (time
+//!    bits, strategy sort key, row), and the full
+//!    [`crate::cost::CostEstimate`] is built only for the rows of those two
+//!    sets. The fold is exact: every row of a cell's final top-k is in its
+//!    chunk's top-k, and every budget winner is its chunk's best for its
+//!    slot.
 //! 3. **Fresh estimates** (full-ranking mode). Nothing may be pruned, so
 //!    every feasible candidate gets its own [`CostEngine::estimate`] — the
 //!    same compute terms and communication formula as the top-k pass, from
@@ -49,10 +53,10 @@
 
 use crate::engine::{CommCoef, CostEngine};
 use crate::oracle::{Constraints, Projection};
-use crate::search::{candidate_cmp, strategy_sort_key, RankedCandidate, SearchShared};
+use crate::search::{strategy_sort_key, RankedCandidate};
 use crate::strategy::Strategy;
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::collections::BinaryHeap;
 
 /// Default candidates-per-chunk granularity of the interleaved evaluation:
 /// small enough that a paper-scale query splits into dozens of units, large
@@ -101,11 +105,12 @@ pub(crate) fn select_seeds(fams: &[u8], lbs: &[f64], slots: &[u8], n_slots: usiz
 /// seed time (`+∞` when fewer than `k` seeds exist, `−∞` when `k == 0`)
 /// and `R[s]` is the running minimum of the per-slot best seed times over
 /// slots `≤ s`. Soundness: a pruned candidate's epoch time is strictly
-/// above `T` (it cannot displace the k seeds
-/// already at or below `T`) and strictly above some surviving candidate's
-/// time at a slot `≤ s` (which [`finish_report_topk`]'s running minimum
-/// offers to every budget the pruned candidate is admissible for). In
-/// full-ranking mode every bound is `+∞` — nothing may be dropped.
+/// above `T`, so the `k` seeds at or below `T` — within every bound, so
+/// never pruned — all rank ahead of it. It is also strictly above `R[s]`,
+/// the time of the fastest seed at slots `≤ s`; that seed is within its
+/// own slot's bound, fits every budget the pruned candidate fits, and so
+/// beats it there. In full-ranking mode every bound is `+∞` — nothing may
+/// be dropped.
 pub(crate) struct StaticBounds {
     /// Prune threshold per PE-budget slot.
     pub(crate) bound: Vec<f64>,
@@ -114,18 +119,15 @@ pub(crate) struct StaticBounds {
 impl StaticBounds {
     /// Costs the seed panel from the cell's coefficient column (top-k mode
     /// only; full ranking has no column and prunes nothing) and derives the
-    /// per-slot bounds, pre-tightening `shared`'s top-k threshold and
-    /// per-budget best times with the seed results (sound: seeds are real
-    /// candidates, re-offered during the scan, so priming never changes the
-    /// final report).
+    /// bounds of `n_slots` PE-budget slots.
     pub(crate) fn from_seeds(
         engine: &CostEngine<'_>,
         cols: &KernelColumns<'_>,
         seeds: &[usize],
-        shared: &SearchShared,
+        top_k: Option<usize>,
+        n_slots: usize,
     ) -> StaticBounds {
-        let n_slots = shared.num_budget_slots();
-        let Some(k) = shared.top_k() else {
+        let Some(k) = top_k else {
             return StaticBounds { bound: vec![f64::INFINITY; n_slots] };
         };
         let mut slot_u = vec![f64::INFINITY; n_slots];
@@ -134,55 +136,51 @@ impl StaticBounds {
             let t = cols.time(engine, i);
             times.push(t);
             let s = cols.slots[i] as usize;
-            if t < slot_u[s] {
-                slot_u[s] = t;
-            }
+            slot_u[s] = slot_u[s].min(t);
         }
         let t_k = if k == 0 {
             f64::NEG_INFINITY
         } else if times.len() >= k {
-            times.sort_unstable_by(|a, b| a.total_cmp(b));
-            let t = times[k - 1];
-            shared.prime_threshold(t);
-            t
+            times.sort_unstable_by(f64::total_cmp);
+            times[k - 1]
         } else {
             f64::INFINITY
         };
-        let mut bound = vec![f64::INFINITY; n_slots];
         let mut running = f64::INFINITY;
-        for (s, &u) in slot_u.iter().enumerate() {
-            if u.is_finite() {
-                shared.record_budget(s, u);
-            }
-            running = running.min(u);
-            bound[s] = t_k.max(running);
-        }
+        let bound = slot_u
+            .iter()
+            .map(|&u| {
+                running = running.min(u);
+                t_k.max(running)
+            })
+            .collect();
         StaticBounds { bound }
     }
 }
 
-/// Per-worker reusable buffers — the compacted survivor-index lane and the
-/// full-ranking survivor batch — retaining capacity across chunks so the
-/// hot path never allocates.
+/// Per-worker reusable buffers — the compacted survivor lanes — retaining
+/// capacity across chunks so the evaluation pass never allocates.
 #[derive(Default)]
 struct KernelScratch {
     /// Branchless survivor compaction: the evaluation pass writes each row
     /// index unconditionally and bumps the length by the keep bit, so the
-    /// finishing pass walks exactly the survivors instead of re-scanning a
-    /// mask lane over the whole chunk.
+    /// fold walks exactly the survivors instead of re-scanning a mask lane
+    /// over the whole chunk.
     surv: Vec<u32>,
-    /// Exact epoch times aligned with `surv`, so the finishing pass never
+    /// Exact epoch times aligned with `surv`, so the fold never
     /// recomputes communication.
     tims: Vec<f64>,
-    found: Vec<RankedCandidate>,
-    /// Stale per-slot budget-best snapshot, refreshed once per chunk (the
-    /// shared values only decrease, so a stale bound is conservative).
-    bud: Vec<f64>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
 }
+
+/// A survivor's place in the ranking order: its epoch time's bits
+/// (non-negative times order like their bits), its strategy sort key, and
+/// its row. Orders exactly like [`crate::search::candidate_cmp`] on the
+/// candidates the rows become.
+type Rank = (u64, (u8, usize, usize, usize, usize), u32);
 
 /// The structure-of-arrays candidate columns one [`eval_chunk_kernel`] call
 /// scans: the caller's prep rows (superset index, lower bound, budget slot,
@@ -220,24 +218,31 @@ impl KernelColumns<'_> {
         self.lbs[x]
             + engine.comm_phases(self.fams[x], &self.coef[self.sup[x] as usize]).communication()
     }
+
+    /// Row `x` as a ranked candidate with a fresh full estimate.
+    fn candidate(&self, engine: &CostEngine<'_>, x: usize) -> RankedCandidate {
+        let strategy = self.strategy(x);
+        let cost = engine.estimate(strategy);
+        RankedCandidate {
+            strategy,
+            projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
+        }
+    }
 }
 
-/// Evaluates one candidate chunk through the analytic kernel. The
-/// structure-of-arrays columns come from the caller's prep pass; `bounds`
-/// is the chunk-invariant static prune table.
+/// Evaluates rows `lo..hi` through the analytic kernel and returns how many
+/// the static bound pruned together with the chunk's costed candidates, in
+/// no particular order. The structure-of-arrays columns come from the
+/// caller's prep pass; `bounds` is the cell's static prune table.
+///
 /// Top-k mode runs the fused evaluation pass: per slot run it hoists the
 /// static bound, computes each candidate's exact epoch time from the
-/// coefficient columns, bulk-counts the static-bound prunes, and branch-free-compacts the
-/// indices and times beating the stale dynamic threshold snapshot into the
-/// survivor list; the finishing pass re-checks survivors against the fresh
-/// shared gates and assembles a full estimate only for candidates that
-/// improve a budget slot or the heap.
-/// Full-ranking mode builds a fresh estimate per candidate and appends to
-/// `found` once per chunk. Every shared-state
-/// transition is monotone (thresholds only decrease, winners are minima
-/// under a total order), so any interleaving of chunks produces the same
-/// final report.
-#[allow(clippy::too_many_arguments)]
+/// coefficient columns, counts the rows above the bound and branch-free
+/// compacts the rest into the survivor lanes. The fold over the survivors
+/// keeps the chunk's `k` best and its best row per PE-budget slot, and only
+/// those rows get a full estimate.
+/// Full-ranking mode builds a fresh estimate for every row and prunes
+/// nothing.
 pub(crate) fn eval_chunk_kernel(
     engine: &CostEngine<'_>,
     cols: &KernelColumns<'_>,
@@ -245,168 +250,99 @@ pub(crate) fn eval_chunk_kernel(
     lo: usize,
     hi: usize,
     constraints: &Constraints,
-    shared: &SearchShared,
-    winners: &[Mutex<Option<RankedCandidate>>],
-    found: &Mutex<Vec<RankedCandidate>>,
-) {
+) -> (usize, Vec<RankedCandidate>) {
+    let Some(k) = constraints.top_k else {
+        return (0, (lo..hi).map(|x| cols.candidate(engine, x)).collect());
+    };
     let slots = cols.slots;
-    if constraints.top_k.is_some() {
-        SCRATCH.with(|tls| {
-            let scratch = &mut *tls.borrow_mut();
-            let surv = &mut scratch.surv;
-            surv.clear();
-            surv.resize(hi - lo, 0);
-            let tims = &mut scratch.tims;
-            tims.clear();
-            tims.resize(hi - lo, 0.0);
-            // Stale snapshots of the shared prune state, refreshed once per
-            // chunk: both the threshold and the per-slot budget bests only
-            // ever decrease, so a value above a snapshot is above the fresh
-            // one too — the evaluation and finishing passes gate on two
-            // local compares instead of two cross-thread atomic loads, and
-            // a candidate passing the stale gate re-checks fresh values.
-            let thr_stale = shared.threshold_time();
-            let bud_stale = &mut scratch.bud;
-            bud_stale.clear();
-            bud_stale.extend((0..bounds.bound.len()).map(|s| shared.budget_best_time(s)));
-            // Fused evaluation pass. Candidates arrive in sorted-superset
-            // order — family-major (the sort key leads with the family
-            // byte), budget slots non-decreasing within a family — so equal
-            // slots form runs: hoist the bounds per run and compact the
-            // surviving row indices branch-free (unconditional index/time
-            // store, length bumped by the keep bit); the family dispatch
-            // inside `comm_phases` is perfectly predicted within a run. The
-            // pass computes each candidate's *exact* epoch time — pricing a
-            // coefficient row costs barely more than a lower bound and
-            // spares the survivor side any recomputation. The static cut
-            // (`time ≤ bound`, counted as dominance-pruned) is deterministic:
-            // the bound is fixed before the scan and the time is exact,
-            // and a candidate above it is provably outside the top-k and
-            // every budget slot it is admissible for (the `StaticBounds`
-            // argument).
-            //
-            // The pass folds in a second, *dynamic* cut at the same cost:
-            // a time above both stale snapshots can neither improve its
-            // budget slot nor enter the top-k (the shared values only
-            // decrease), exactly the skip the finishing pass's gate would
-            // take. Only the static cut is counted as dominance-pruned —
-            // the dynamic cut depends on scan order, so folding it into
-            // the counter would break the counter's determinism.
-            let mut i = lo;
-            let mut n = 0usize;
-            let mut pruned = 0usize;
-            while i < hi {
-                let slot = slots[i];
-                let mut j = i;
-                while j < hi && slots[j] == slot {
-                    j += 1;
-                }
-                let b = bounds.bound[slot as usize];
-                let dyn_b = bud_stale[slot as usize].max(thr_stale).min(b);
-                let mut kept = 0usize;
-                for x in i..j {
-                    let time = cols.time(engine, x);
-                    kept += (time <= b) as usize;
-                    surv[n] = x as u32;
-                    tims[n] = time;
-                    n += (time <= dyn_b) as usize;
-                }
-                pruned += (j - i) - kept;
-                i = j;
-            }
-            if pruned > 0 {
-                shared.count_dominance_pruned(pruned);
-            }
-            // Finishing pass over survivors. The scalar time is
-            // bit-identical to `estimate(..).epoch_time()` (the lower bound
-            // *is* the compute sum, `total()` adds communication last, and
-            // both price it with `comm_phases`), so the improves/threshold decisions
-            // match a full estimate's; the full estimate is assembled only
-            // when needed.
-            for (pos, &xu) in surv[..n].iter().enumerate() {
-                let x = xu as usize;
-                let idx = slots[x] as usize;
-                let time = tims[pos];
-                if time > bud_stale[idx] && time > thr_stale {
-                    continue;
-                }
-                let improves_budget = time <= shared.budget_best_time(idx);
-                if !improves_budget && time > shared.threshold_time() {
-                    continue;
-                }
-                // Lazy estimate assembly: the budget-winner and top-k
-                // decisions both order by (epoch time, strategy sort key)
-                // alone — `candidate_cmp` and the heap's `HeapEntry` agree
-                // on that — so the full estimate is built only when this
-                // candidate actually displaces a winner slot or enters the
-                // heap, not for every gate survivor.
-                let strategy = cols.strategy(x);
-                let build = || {
-                    let cost = engine.estimate(strategy);
-                    debug_assert_eq!(
-                        time.to_bits(),
-                        cost.epoch_time().to_bits(),
-                        "scalar kernel time diverged from the full estimate for {strategy}",
-                    );
-                    debug_assert!(
-                        cost.memory_per_pe_bytes <= constraints.memory_capacity_bytes,
-                        "recomputed memory diverged from the prep's capacity check for {strategy}",
-                    );
-                    RankedCandidate {
-                        strategy,
-                        projection: Projection {
-                            cost,
-                            fits_memory: true,
-                            within_scaling_limit: true,
-                        },
-                    }
-                };
-                if improves_budget {
-                    shared.record_budget(idx, time);
-                    bud_stale[idx] = bud_stale[idx].min(time);
-                    let mut slot = winners[idx].lock().expect("winner slot poisoned");
-                    let better = slot
-                        .map(|cur| {
-                            (time.to_bits(), strategy_sort_key(&strategy))
-                                < (cur.epoch_time().to_bits(), strategy_sort_key(&cur.strategy))
-                        })
-                        .unwrap_or(true);
-                    if better {
-                        let c = build();
-                        debug_assert!(slot
-                            .map(|cur| candidate_cmp(&c, &cur) == std::cmp::Ordering::Less)
-                            .unwrap_or(true));
-                        *slot = Some(c);
-                        drop(slot);
-                        shared.offer_topk(&c);
-                    } else {
-                        drop(slot);
-                        shared.offer_topk_lazy(time, &strategy, build);
-                    }
-                } else {
-                    shared.offer_topk_lazy(time, &strategy, build);
-                }
-            }
-        });
-        return;
-    }
-    // Full-ranking mode: every memory-feasible candidate is a survivor
-    // (no bound may drop anything), so the work is pure costing — one
-    // fresh estimate per candidate, batched through the per-worker scratch
-    // to keep lock traffic at one append per chunk.
-    SCRATCH.with(|tls| {
+    let (pruned, ranks) = SCRATCH.with(|tls| {
         let scratch = &mut *tls.borrow_mut();
-        scratch.found.clear();
-        for x in lo..hi {
-            let strategy = cols.strategy(x);
-            let cost = engine.estimate(strategy);
-            scratch.found.push(RankedCandidate {
-                strategy,
-                projection: Projection { cost, fits_memory: true, within_scaling_limit: true },
-            });
+        let surv = &mut scratch.surv;
+        surv.clear();
+        surv.resize(hi - lo, 0);
+        let tims = &mut scratch.tims;
+        tims.clear();
+        tims.resize(hi - lo, 0.0);
+        // Fused evaluation pass. Candidates arrive in sorted-superset
+        // order — family-major (the sort key leads with the family byte),
+        // budget slots non-decreasing within a family — so equal slots form
+        // runs: hoist the bound per run and compact the surviving row
+        // indices branch-free (unconditional index/time store, length
+        // bumped by the keep bit); the family dispatch inside `comm_phases`
+        // is perfectly predicted within a run. The pass computes each
+        // candidate's *exact* epoch time — pricing a coefficient row costs
+        // barely more than a lower bound and spares the fold any
+        // recomputation. The cut (`time ≤ bound`, counted as
+        // dominance-pruned) is deterministic: the bound is fixed before the
+        // scan and the time is exact, and a candidate above it is provably
+        // outside the top-k and every budget slot it is admissible for (the
+        // `StaticBounds` argument).
+        let mut i = lo;
+        let mut n = 0usize;
+        while i < hi {
+            let slot = slots[i];
+            let mut j = i;
+            while j < hi && slots[j] == slot {
+                j += 1;
+            }
+            let b = bounds.bound[slot as usize];
+            for x in i..j {
+                let time = cols.time(engine, x);
+                surv[n] = x as u32;
+                tims[n] = time;
+                n += (time <= b) as usize;
+            }
+            i = j;
         }
-        if !scratch.found.is_empty() {
-            found.lock().expect("kernel survivor accumulator poisoned").append(&mut scratch.found);
+        let pruned = (hi - lo) - n;
+        // Fold: the chunk's `k` best (a max-heap whose top is the worst
+        // kept) and its best row per slot. The sort key is computed only
+        // for a survivor whose time can still place in either set.
+        let mut heap: BinaryHeap<Rank> = BinaryHeap::new();
+        let mut best: Vec<Option<Rank>> = vec![None; bounds.bound.len()];
+        for (&xu, &time) in surv[..n].iter().zip(&tims[..n]) {
+            let bits = time.to_bits();
+            let slot = &mut best[slots[xu as usize] as usize];
+            let to_slot = slot.is_none_or(|r| bits <= r.0);
+            let to_heap = heap.len() < k || heap.peek().is_some_and(|r| bits <= r.0);
+            if !to_slot && !to_heap {
+                continue;
+            }
+            let rank = (bits, strategy_sort_key(&cols.strategy(xu as usize)), xu);
+            if to_slot && slot.is_none_or(|r| rank < r) {
+                *slot = Some(rank);
+            }
+            if to_heap {
+                heap.push(rank);
+                if heap.len() > k {
+                    heap.pop();
+                }
+            }
         }
+        let mut ranks: Vec<Rank> = heap.into_vec();
+        ranks.extend(best.into_iter().flatten());
+        ranks.sort_unstable();
+        ranks.dedup();
+        (pruned, ranks)
     });
+    // Full estimates for the union of the two sets only.
+    let found = ranks
+        .into_iter()
+        .map(|(bits, _, x)| {
+            let c = cols.candidate(engine, x as usize);
+            debug_assert_eq!(
+                bits,
+                c.epoch_time().to_bits(),
+                "scalar kernel time diverged from the full estimate for {}",
+                c.strategy,
+            );
+            debug_assert!(
+                c.projection.cost.memory_per_pe_bytes <= constraints.memory_capacity_bytes,
+                "recomputed memory diverged from the prep's capacity check for {}",
+                c.strategy,
+            );
+            c
+        })
+        .collect();
+    (pruned, found)
 }

@@ -16,8 +16,9 @@
 //! [`crate::grid::GridSweep`] on the oracle's cached engine: candidates are
 //! memory-pruned before costing, and — when [`Constraints::top_k`] is set —
 //! the analytic kernel ([`crate::kernel`]) drops statically dominated
-//! candidates while a bounded heap keeps the `k` best instead of sorting
-//! every feasible candidate. The result is a ranked [`SearchReport`].
+//! candidates and each chunk of the scan returns only its own `k` best and
+//! per-budget winners, so only those are costed in full and sorted. The
+//! result is a ranked [`SearchReport`].
 //! [`Oracle::search_reference`] is the original per-layer path, kept as the
 //! independent reference the tests compare the kernel against.
 
@@ -30,9 +31,7 @@ use crate::oracle::{Constraints, Oracle, PeSweep, Projection};
 use crate::scaling::powers_of_two;
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use rayon::prelude::*;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
 
 /// The exhaustive candidate space for one (model, batch, constraints)
 /// problem. Construction enumerates and deduplicates all valid candidates;
@@ -538,252 +537,35 @@ impl SearchReport {
     }
 }
 
-/// Max-heap entry of the bounded top-k heap: the *worst* retained candidate
-/// sits at the top so it can be evicted in `O(log k)`.
-struct HeapEntry {
-    /// The candidate's epoch time as IEEE-754 bits: epoch times are
-    /// non-negative, so the bit pattern orders like the float value.
-    time_bits: u64,
-    key: (u8, usize, usize, usize, usize),
-    candidate: RankedCandidate,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time_bits, self.key).cmp(&(other.time_bits, other.key))
-    }
-}
-
 /// Budget index of a PE count: the smallest `i` with `2^i ≥ p`.
 pub(crate) fn budget_index(pes: usize) -> usize {
     pes.max(1).next_power_of_two().trailing_zeros() as usize
 }
 
-/// Lowers a shared non-negative f64 (stored as bits) towards `value`.
-fn atomic_min(cell: &AtomicU64, value: f64) {
-    let new_bits = value.to_bits();
-    let mut current = cell.load(Ordering::Relaxed);
-    while value < f64::from_bits(current) {
-        match cell.compare_exchange_weak(current, new_bits, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(observed) => current = observed,
-        }
-    }
-}
-
-/// Shared state of one cell of a sweep: prune counters, the per-budget
-/// atomic best costs, and — when `top_k` is set — the bounded heap plus the
-/// atomic k-th-best threshold the kernel gates on. All updates are monotone
-/// (thresholds only decrease), so stale reads are merely conservative and
-/// the final results are order-independent — which is what lets
-/// [`crate::grid::GridSweep`] interleave the chunks of one query with other
-/// queries' work.
-pub(crate) struct SearchShared {
-    top_k: Option<usize>,
-    /// Current k-th best epoch time (bits); `+∞` until the heap holds `k`.
-    threshold: AtomicU64,
-    /// Best epoch time seen per budget index (bits).
-    budget_best: Vec<AtomicU64>,
-    heap: Mutex<BinaryHeap<HeapEntry>>,
-    pruned_memory: AtomicUsize,
-    pruned_dominance: AtomicUsize,
-}
-
-impl SearchShared {
-    pub(crate) fn new(constraints: &Constraints) -> Self {
-        let slots = budget_index(constraints.max_pes.max(1)) + 1;
-        SearchShared {
-            top_k: constraints.top_k,
-            threshold: AtomicU64::new(f64::INFINITY.to_bits()),
-            budget_best: (0..slots).map(|_| AtomicU64::new(f64::INFINITY.to_bits())).collect(),
-            heap: Mutex::new(BinaryHeap::new()),
-            pruned_memory: AtomicUsize::new(0),
-            pruned_dominance: AtomicUsize::new(0),
-        }
-    }
-
-    /// Seeds the memory-pruned counter (the grid sweep memory-filters
-    /// candidates once per (model, batch) before the per-cluster
-    /// evaluation).
-    pub(crate) fn set_memory_pruned(&self, n: usize) {
-        self.pruned_memory.store(n, Ordering::Relaxed);
-    }
-
-    /// Number of PE-budget slots tracked by this search.
-    pub(crate) fn num_budget_slots(&self) -> usize {
-        self.budget_best.len()
-    }
-
-    /// Current best epoch time recorded for budget slot `idx` (`+∞` until a
-    /// candidate of that budget is observed).
-    pub(crate) fn budget_best_time(&self, idx: usize) -> f64 {
-        f64::from_bits(self.budget_best[idx].load(Ordering::Relaxed))
-    }
-
-    /// Adds `n` statically dominance-pruned candidates (the kernel counts
-    /// per chunk and adds in bulk; addition is commutative, so the total is
-    /// order-independent and deterministic).
-    pub(crate) fn count_dominance_pruned(&self, n: usize) {
-        self.pruned_dominance.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The `top_k` this search was configured with.
-    pub(crate) fn top_k(&self) -> Option<usize> {
-        self.top_k
-    }
-
-    /// Pre-tightens the top-k threshold from the kernel's seed panel: the
-    /// k-th best seed time is an upper bound on the final k-th best overall,
-    /// so candidates strictly above it can be rejected from the heap's fast
-    /// path immediately instead of after `k` heap insertions. Seeds are real
-    /// candidates that are re-offered during the normal scan, so priming
-    /// never changes the final heap contents. No-op unless `top_k ≥ 1`.
-    pub(crate) fn prime_threshold(&self, time: f64) {
-        if matches!(self.top_k, Some(k) if k > 0) {
-            atomic_min(&self.threshold, time);
-        }
-    }
-
-    /// Lowers the budget slot's best time towards `time` (a no-op when
-    /// `time` is not an improvement, so callers may skip it in that case).
-    pub(crate) fn record_budget(&self, idx: usize, time: f64) {
-        atomic_min(&self.budget_best[idx], time);
-    }
-
-    /// Current top-k threshold (the k-th best epoch time; `+∞` until the
-    /// heap holds `k` candidates). Candidates strictly above it can never
-    /// enter the heap — the threshold only decreases.
-    pub(crate) fn threshold_time(&self) -> f64 {
-        f64::from_bits(self.threshold.load(Ordering::Relaxed))
-    }
-
-    /// Offers an evaluated candidate to the bounded top-k heap (no-op when
-    /// `top_k` is unset or the candidate is strictly worse than the current
-    /// k-th best).
-    pub(crate) fn offer_topk(&self, candidate: &RankedCandidate) {
-        self.offer_topk_lazy(candidate.epoch_time(), &candidate.strategy, || *candidate);
-    }
-
-    /// [`SearchShared::offer_topk`] with the candidate's construction
-    /// deferred: heap ordering is exactly `(epoch-time bits, strategy sort
-    /// key)` — see [`HeapEntry`] — so admission is decided from the scalar
-    /// `time` and the strategy alone, and `make` (typically a full
-    /// [`CostEstimate`] assembly) runs only when the entry actually enters
-    /// the heap. The candidate-evaluation kernel leans on this: of the
-    /// millions of gate survivors it offers, only the handful that displace
-    /// a heap entry pay for an estimate. `make` must produce a candidate
-    /// whose epoch time is `time` (debug-asserted).
-    pub(crate) fn offer_topk_lazy(
-        &self,
-        time: f64,
-        strategy: &Strategy,
-        make: impl FnOnce() -> RankedCandidate,
-    ) {
-        let Some(k) = self.top_k else { return };
-        if k == 0 {
-            return;
-        }
-        // Lock-free fast path: strictly worse than the current k-th best can
-        // never enter the heap (the threshold only decreases).
-        if time > self.threshold_time() {
-            return;
-        }
-        let time_bits = time.to_bits();
-        let key = strategy_sort_key(strategy);
-        let mut heap = self.heap.lock().expect("top-k heap poisoned");
-        if heap.len() < k {
-            let candidate = make();
-            debug_assert_eq!(candidate.epoch_time().to_bits(), time_bits);
-            heap.push(HeapEntry { time_bits, key, candidate });
-            if heap.len() == k {
-                let worst = heap.peek().expect("non-empty heap");
-                self.threshold.store(worst.time_bits, Ordering::Relaxed);
-            }
-        } else if let Some(worst) = heap.peek() {
-            if (time_bits, key) < (worst.time_bits, worst.key) {
-                let candidate = make();
-                debug_assert_eq!(candidate.epoch_time().to_bits(), time_bits);
-                heap.pop();
-                heap.push(HeapEntry { time_bits, key, candidate });
-                let worst = heap.peek().expect("non-empty heap");
-                self.threshold.store(worst.time_bits, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Assembles a full-ranking report from the costed survivors.
-/// Order-independent: `ranked` is sorted by the total candidate order and
-/// the budget winners are minima under the same order, so any interleaving
-/// of the evaluation produces the same report.
+/// Builds a cell's report from its costed candidates, given in any order:
+/// ranks them by [`candidate_cmp`], takes the first fit of every
+/// power-of-two PE budget, and keeps the [`Constraints::top_k`] best (all
+/// of them without `top_k`). The order is total, so the report does not
+/// depend on the order the candidates arrive in. In top-k mode the
+/// candidates only need to include every row of the final top-k and every
+/// budget winner, which is what the kernel's chunks return.
 pub(crate) fn finish_report(
     enumerated: usize,
-    survivors: Vec<RankedCandidate>,
+    pruned_by_memory: usize,
+    pruned_by_dominance: usize,
+    mut ranked: Vec<RankedCandidate>,
     constraints: &Constraints,
-    shared: SearchShared,
 ) -> SearchReport {
-    debug_assert!(shared.top_k.is_none(), "top-k reports finish through finish_report_topk");
-    let mut ranked = survivors;
     ranked.sort_by(candidate_cmp);
-    let mut best_per_budget = Vec::new();
-    for budget in powers_of_two(1, constraints.max_pes.max(1)) {
-        let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
-        if let Some(candidate) = winner {
-            best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
-        }
-    }
-    SearchReport {
-        enumerated,
-        pruned_by_memory: shared.pruned_memory.load(Ordering::Relaxed),
-        pruned_by_bound: 0,
-        pruned_by_dominance: shared.pruned_dominance.load(Ordering::Relaxed),
-        ranked,
-        best_per_budget,
-    }
-}
-
-/// Top-k variant of [`finish_report`] taking the per-budget-slot best
-/// candidates instead of a survivor list. The kernel maintains the slots
-/// incrementally during evaluation (the minimum under [`candidate_cmp`] is
-/// order-independent), which avoids materializing the hundreds of
-/// thousands of costed candidates a paper-scale cell produces when only
-/// the `k` best and the budget winners are reported.
-pub(crate) fn finish_report_topk(
-    enumerated: usize,
-    slot_best: Vec<Option<RankedCandidate>>,
-    constraints: &Constraints,
-    shared: SearchShared,
-) -> SearchReport {
-    let pruned_by_memory = shared.pruned_memory.load(Ordering::Relaxed);
-    let pruned_by_dominance = shared.pruned_dominance.load(Ordering::Relaxed);
-    let heap = shared.heap.into_inner().expect("top-k heap poisoned");
-    let ranked: Vec<RankedCandidate> =
-        heap.into_sorted_vec().into_iter().map(|e| e.candidate).collect();
-    let mut best_per_budget = Vec::new();
-    let mut running: Option<RankedCandidate> = None;
-    for (i, budget) in powers_of_two(1, constraints.max_pes.max(1)).into_iter().enumerate() {
-        if let Some(c) = slot_best.get(i).copied().flatten() {
-            let better = running
-                .map(|cur| candidate_cmp(&c, &cur) == std::cmp::Ordering::Less)
-                .unwrap_or(true);
-            if better {
-                running = Some(c);
-            }
-        }
-        if let Some(candidate) = running {
-            best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
-        }
+    let best_per_budget = powers_of_two(1, constraints.max_pes.max(1))
+        .into_iter()
+        .filter_map(|budget| {
+            let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget)?;
+            Some(BudgetWinner { max_pes: budget, candidate: *winner })
+        })
+        .collect();
+    if let Some(k) = constraints.top_k {
+        ranked.truncate(k);
     }
     SearchReport {
         enumerated,
@@ -806,9 +588,9 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// analytic kernel, run as a one-cell [`crate::grid::GridSweep`] on
     /// this oracle's cached engine (parallel across cores with rayon).
     /// Memory-infeasible candidates are pruned before costing; with
-    /// [`Constraints::top_k`] set, only the `k` best are kept (bounded
-    /// heap) and statically dominated candidates are skipped. Deterministic,
-    /// and equal up to floating-point reassociation to
+    /// [`Constraints::top_k`] set, only the `k` best are kept (a bounded
+    /// heap per chunk) and statically dominated candidates are skipped.
+    /// Deterministic, and equal up to floating-point reassociation to
     /// [`Oracle::search_reference`].
     ///
     /// Delegates to [`Oracle::answer`] with a ranked-mode
@@ -842,31 +624,13 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// `paradl-bench` `engine` benchmark.
     pub fn search_reference(&self, constraints: &Constraints) -> SearchReport {
         let candidates = self.strategy_space(constraints).into_vec();
-        let outcomes: Vec<Option<RankedCandidate>> = candidates
+        let ranked: Vec<RankedCandidate> = candidates
             .par_iter()
-            .map(|&strategy| self.evaluate_reference(strategy, constraints))
+            .filter_map(|&strategy| self.evaluate_reference(strategy, constraints))
             .collect();
-
-        let mut ranked: Vec<RankedCandidate> = outcomes.into_iter().flatten().collect();
         let pruned_by_memory = candidates.len() - ranked.len();
-        ranked.sort_by(candidate_cmp);
-
-        let mut best_per_budget = Vec::new();
-        for budget in powers_of_two(1, constraints.max_pes.max(1)) {
-            let winner = ranked.iter().find(|c| c.strategy.total_pes() <= budget).copied();
-            if let Some(candidate) = winner {
-                best_per_budget.push(BudgetWinner { max_pes: budget, candidate });
-            }
-        }
-
-        SearchReport {
-            enumerated: candidates.len(),
-            pruned_by_memory,
-            pruned_by_bound: 0,
-            pruned_by_dominance: 0,
-            ranked,
-            best_per_budget,
-        }
+        let constraints = Constraints { top_k: None, ..*constraints };
+        finish_report(candidates.len(), pruned_by_memory, 0, ranked, &constraints)
     }
 
     /// Memory-prunes then costs one candidate through the reference
@@ -1120,7 +884,8 @@ mod tests {
         let (m, d, cl, cfg) = oracle_parts();
         let oracle = Oracle::new(&m, &d, &cl, cfg);
         let full = oracle.search(&constraints());
-        for k in [1usize, 3, 10] {
+        // `usize::MAX`: `k` is caller input, so nothing may size by it.
+        for k in [1usize, 3, 10, usize::MAX] {
             let pruned = oracle.search(&Constraints { top_k: Some(k), ..constraints() });
             assert_eq!(pruned.enumerated, full.enumerated);
             assert_eq!(pruned.ranked.len(), k.min(full.ranked.len()));

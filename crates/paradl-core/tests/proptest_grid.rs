@@ -6,7 +6,8 @@
 //! for byte — same counts, same ranking, same per-budget winners, same
 //! serialized answer. Full-ranking cells are also checked against the
 //! per-layer [`Oracle::search_reference`], up to floating-point
-//! reassociation.
+//! reassociation, and top-k cells against a full-ranking sweep at the same
+//! chunk size.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
@@ -85,16 +86,35 @@ proptest! {
         constraints in arb_constraints(),
         chunk in 1usize..400,
     ) {
-        let grid = QueryGrid::new(constraints)
-            .with_model(model_a, TrainingConfig::small(8192, 64))
-            .with_model(model_b, TrainingConfig::small(2048, 64))
-            .with_batches(batches)
-            .with_cluster(ClusterSpec::paper_system())
-            .with_cluster(ClusterSpec::workstation(8));
+        let grid_under = |constraints: Constraints| {
+            QueryGrid::new(constraints)
+                .with_model(model_a.clone(), TrainingConfig::small(8192, 64))
+                .with_model(model_b.clone(), TrainingConfig::small(2048, 64))
+                .with_batches(batches.clone())
+                .with_cluster(ClusterSpec::paper_system())
+                .with_cluster(ClusterSpec::workstation(8))
+        };
+        let grid = grid_under(constraints);
         let chunked = GridSweep::new().with_chunk_size(chunk).run(&grid);
         let default = GridSweep::new().run(&grid);
         prop_assert!(chunked.len() == grid.num_queries());
         prop_assert!(default.len() == grid.num_queries());
+        // Each chunk keeps only its own k best and per-budget winners; the
+        // merge of many chunks must still equal the full ranking's prefix.
+        if let Some(k) = constraints.top_k {
+            let full = GridSweep::new()
+                .with_chunk_size(chunk)
+                .run(&grid_under(Constraints { top_k: None, ..constraints }));
+            for (a, f) in chunked.cells.iter().zip(&full.cells) {
+                let prefix = &f.report.ranked[..k.min(f.report.ranked.len())];
+                prop_assert!(a.report.ranked == prefix, "{:?}: top-{k} is not the prefix", a.query);
+                prop_assert!(
+                    a.report.best_per_budget == f.report.best_per_budget,
+                    "{:?}: budget winners diverged from the full ranking",
+                    a.query
+                );
+            }
+        }
         for ((a, d), q) in chunked.cells.iter().zip(&default.cells).zip(grid.queries()) {
             prop_assert!(a.query == q && d.query == q);
             let gm = &grid.models()[q.model];

@@ -28,7 +28,7 @@
 //! This is sound because a grid sweep is defined to produce, cell for cell,
 //! the same `SearchReport` a standalone search would (the conformance tests
 //! in `paradl-core` pin that), and because `QueryAnswer::to_json` excludes
-//! the one order-dependent counter (`pruned_by_bound`). Served answers are
+//! `pruned_by_bound`, a counter that is always 0. Served answers are
 //! therefore **byte-identical** to local `Oracle::answer` results — the
 //! integration tests assert exactly that.
 //!
