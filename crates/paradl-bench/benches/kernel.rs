@@ -1,7 +1,8 @@
 //! Benchmarks of the analytic candidate-evaluation kernel: a small grid
 //! through the fused coefficient-reconstruction pass (static dominance
-//! bounds, branchless survivor compaction, lazy estimates), and the
-//! evaluation chunk granularity. The paper-scale end-to-end numbers (and
+//! bounds, branchless survivor compaction, full estimates only for each
+//! chunk's `k` best and budget winners), and the evaluation chunk
+//! granularity. The paper-scale end-to-end numbers (and
 //! the ≥ 5× acceptance floor over the committed grid throughput) live in
 //! the `bench_kernel_summary` binary, which writes `BENCH_kernel.json`.
 

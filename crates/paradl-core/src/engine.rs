@@ -1192,9 +1192,6 @@ impl<V: Clone> Lru<V> {
         key: u64,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        if self.cap == 0 {
-            return Ok((build()?, false));
-        }
         // Recover from poisoning rather than unwrap: the serve daemon runs
         // query evaluation under `catch_unwind`, and a panic while this lock
         // is held must cost that one request, not brick the cache (and with
@@ -1219,13 +1216,11 @@ impl<V: Clone> Lru<V> {
 
     /// Whether `key` is cached, without promoting it.
     fn contains(&self, key: u64) -> bool {
-        self.cap != 0
-            && self
-                .entries
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .iter()
-                .any(|(k, _)| *k == key)
+        self.entries
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .iter()
+            .any(|(k, _)| *k == key)
     }
 }
 
@@ -1241,14 +1236,13 @@ pub struct EngineCacheStats {
 
 /// A thread-safe LRU of [`EngineCore`]s and [`ClusterCache`]s, keyed by the
 /// stable fingerprints above. This is the engine-reuse hook behind
-/// `Oracle::engine()`'s per-instance caching, `GridSweep::run_cached`, and
-/// the `paradl-serve` daemon's cross-request reuse: repeated queries against
-/// the same (model, device, cluster, γ·δ) problem skip the `O(layers²)`
-/// engine build and the topology-table derivation entirely, paying only the
-/// `O(layers²)`-float [`CostEngine::rebatch`].
+/// `GridSweep::run_cached` and the `paradl-serve` daemon's cross-request
+/// reuse: repeated queries against the same (model, device, cluster, γ·δ)
+/// problem skip the `O(layers²)` engine build and the topology-table
+/// derivation entirely, paying only the `O(layers²)`-float
+/// [`CostEngine::rebatch`]. [`EngineCache::engine`] is the one way in.
 ///
-/// Capacity `0` disables caching (every lookup builds fresh) — used as the
-/// serve daemon's no-reuse baseline.
+/// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
     cores: Lru<Arc<EngineCore>>,
     clusters: Lru<Arc<ClusterCache>>,
@@ -1284,48 +1278,52 @@ impl EngineCache {
         }
     }
 
-    /// The core for `key` (an [`engine_fingerprint`]), building and caching
-    /// it with `build` on a miss.
-    pub fn core(&self, key: u64, build: impl FnOnce() -> Arc<EngineCore>) -> Arc<EngineCore> {
-        let (core, hit) = self.cores.get_or_insert(key, build);
-        self.count(hit);
-        core
+    /// An engine for `model` on `cluster` at `config`'s batch, and whether
+    /// its core came from the cache. The topology tables come from the
+    /// cluster LRU and the core from the core LRU; on a miss the core is
+    /// built fallibly, and a build error ([`EngineError`]) propagates with
+    /// nothing cached (the miss is still counted). The engine is hydrated
+    /// with [`CostEngine::from_core`], so it is byte-for-byte identical to
+    /// a fresh build.
+    pub fn engine<'a>(
+        &self,
+        model: &'a Model,
+        cluster: &'a ClusterSpec,
+        config: TrainingConfig,
+    ) -> Result<(CostEngine<'a>, bool), EngineError> {
+        let topology =
+            self.cluster(cluster_fingerprint(cluster), || Arc::new(ClusterCache::new(cluster)));
+        let (core, hit) = self.try_core(engine_fingerprint(model, cluster, &config), || {
+            Ok(CostEngine::with_cache(model, &cluster.device, cluster, config, &topology)?
+                .core_handle())
+        })?;
+        Ok((CostEngine::from_core(model, cluster, config, core)?, hit))
     }
 
-    /// Like [`EngineCache::core`], but with a fallible builder: a build
-    /// error ([`EngineError`]) propagates to the caller, nothing is cached,
-    /// and the miss is still counted. Returns `(core, was_hit)` — the serve
-    /// daemon's admission path uses the hit flag for its per-response
-    /// `cache_hit` stat.
-    pub fn try_core(
+    /// The core for `key` (an [`engine_fingerprint`]), built with the
+    /// fallible `build` on a miss. A build error propagates, nothing is
+    /// cached, and the miss is still counted. Returns `(core, was_hit)`.
+    fn try_core(
         &self,
         key: u64,
         build: impl FnOnce() -> Result<Arc<EngineCore>, EngineError>,
     ) -> Result<(Arc<EngineCore>, bool), EngineError> {
         let result = self.cores.try_get_or_insert(key, build);
-        if let Ok((_, hit)) = &result {
-            self.count(*hit);
-        } else {
-            self.count(false);
-        }
+        self.count(matches!(result, Ok((_, true))));
         result
     }
 
     /// The cluster cache for `key` (a [`cluster_fingerprint`]), building and
     /// caching it with `build` on a miss.
-    pub fn cluster(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Arc<ClusterCache>,
-    ) -> Arc<ClusterCache> {
+    fn cluster(&self, key: u64, build: impl FnOnce() -> Arc<ClusterCache>) -> Arc<ClusterCache> {
         let (cache, hit) = self.clusters.get_or_insert(key, build);
         self.count(hit);
         cache
     }
 
-    /// Whether a core for `key` is currently cached (a non-promoting peek —
-    /// the serve daemon uses this to report per-response `cache_hit` without
-    /// perturbing recency).
+    /// Whether a core for `key` (an [`engine_fingerprint`]) is currently
+    /// cached (a non-promoting peek — the serve daemon uses this to report
+    /// per-response `cache_hit` without perturbing recency).
     pub fn contains_core(&self, key: u64) -> bool {
         self.cores.contains(key)
     }
@@ -1623,20 +1621,22 @@ mod tests {
         let cfg = TrainingConfig::small(4096, 64);
         let key = engine_fingerprint(&m, &c, &cfg);
         let cache = EngineCache::new(2);
-        let build = || CostEngine::new(&m, &d, &c, cfg).expect("engine builds").core_handle();
-        let first = cache.core(key, build);
+        let build = || Ok::<_, EngineError>(CostEngine::new(&m, &d, &c, cfg)?.core_handle());
+        let (first, hit) = cache.try_core(key, build).unwrap();
+        assert!(!hit);
         assert!(cache.contains_core(key));
-        let second = cache.core(key, || panic!("must not rebuild on a hit"));
+        let (second, hit) = cache.try_core(key, || panic!("must not rebuild on a hit")).unwrap();
+        assert!(hit);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats(), EngineCacheStats { hits: 1, misses: 1 });
         // Fill past capacity: the least-recently-used key falls out.
-        cache.core(key ^ 1, build);
-        cache.core(key ^ 2, build);
+        cache.try_core(key ^ 1, build).unwrap();
+        cache.try_core(key ^ 2, build).unwrap();
         assert!(!cache.contains_core(key), "LRU entry should have been evicted");
         assert!(cache.contains_core(key ^ 2));
         // Capacity 0 disables caching entirely.
         let off = EngineCache::new(0);
-        off.core(key, build);
+        off.try_core(key, build).unwrap();
         assert!(!off.contains_core(key));
         assert_eq!(off.stats(), EngineCacheStats { hits: 0, misses: 1 });
     }

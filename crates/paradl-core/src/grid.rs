@@ -8,12 +8,13 @@
 //! oracle's own engine. [`Oracle::search_reference`] is the independent
 //! per-layer path the tests compare against. A sweep has two parts:
 //!
-//! 1. **engine acquisition** — one [`ClusterCache`] per cluster
-//!    ([`std::sync::Arc`]-shared, so every engine on a cluster reuses its
-//!    communication-model derivations) and one [`CostEngine`] per (model,
-//!    cluster) pair, built fresh or hydrated from an [`EngineCache`]
-//!    ([`GridSweep::run_cached`]); a one-cell answer skips this part and
-//!    brings its own engine;
+//! 1. **engine acquisition** — one [`CostEngine`] per (model, cluster)
+//!    pair, either built fresh on one shared [`ClusterCache`] per cluster
+//!    (so every engine on a cluster reuses its communication-model
+//!    derivations) or taken from [`EngineCache::engine`]
+//!    ([`GridSweep::run_cached`], which fails with the [`EngineError`] of
+//!    an unbuildable engine instead of sweeping); a one-cell answer skips
+//!    this part and brings its own engine;
 //! 2. **the sweep over prepared engines**, which amortizes everything
 //!    shareable across cells:
 //!
@@ -83,7 +84,7 @@
 use crate::cluster::{ClusterCache, ClusterSpec};
 use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
-use crate::engine::{cluster_fingerprint, engine_fingerprint, CommCoef, CostEngine, EngineCache};
+use crate::engine::{CommCoef, CostEngine, EngineCache, EngineError};
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::model::Model;
 use crate::oracle::Constraints;
@@ -92,7 +93,7 @@ use crate::strategy::Strategy;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
@@ -488,26 +489,36 @@ impl GridSweep {
     /// Evaluates every cell of `grid`, returning one [`SearchReport`] per
     /// cell in [`QueryGrid::queries`] order — each identical to what
     /// [`Oracle::search`](crate::oracle::Oracle::search) returns for that cell.
+    ///
+    /// Panics if an engine cannot be built: a grid's workloads are curated
+    /// by the caller, so an unbuildable one is a caller bug, not a request.
     pub fn run(&self, grid: &QueryGrid) -> GridReport {
-        self.run_with(grid, None).0
+        self.run_timed(grid).0
     }
 
     /// Like [`GridSweep::run`], but also returns per-stage wall-clock
     /// timings (used by `bench_kernel_summary` to report the prep/eval
     /// split of the kernel trajectory).
     pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
-        self.run_with(grid, None)
+        self.run_with(grid, None).expect("grid engine build failed")
     }
 
-    /// Like [`GridSweep::run`], but sourcing engine cores and cluster caches
-    /// from (and contributing them back to) an [`EngineCache`], so *repeated*
-    /// sweeps over the same (model, device, cluster, γ·δ) problems skip the
-    /// engine builds entirely — the cross-request amortization behind the
-    /// `paradl-serve` daemon. Exactly the same results as [`GridSweep::run`]:
-    /// a hydrated engine is byte-for-byte identical to a fresh build
-    /// ([`CostEngine::from_core`]).
-    pub fn run_cached(&self, grid: &QueryGrid, cache: &EngineCache) -> GridReport {
-        self.run_with(grid, Some(cache)).0
+    /// Like [`GridSweep::run`], but acquiring every engine through
+    /// [`EngineCache::engine`], so *repeated* sweeps over the same (model,
+    /// device, cluster, γ·δ) problems skip the engine builds entirely — the
+    /// cross-request amortization behind the `paradl-serve` daemon. Exactly
+    /// the same results as [`GridSweep::run`]: a hydrated engine is
+    /// byte-for-byte identical to a fresh build ([`CostEngine::from_core`]).
+    ///
+    /// Errors with the first [`EngineError`] when an engine cannot be built
+    /// (a spec that passed vet can still yield non-finite tables); nothing
+    /// unbuildable is cached.
+    pub fn run_cached(
+        &self,
+        grid: &QueryGrid,
+        cache: &EngineCache,
+    ) -> Result<GridReport, EngineError> {
+        self.run_with(grid, Some(cache)).map(|(report, _)| report)
     }
 
     /// One ranked query as a one-cell sweep on the caller's engine — the
@@ -532,33 +543,30 @@ impl GridSweep {
         cells.pop().expect("a one-cell sweep yields one cell").report
     }
 
-    /// Engine acquisition — shared topology caches and one engine per
-    /// (model, cluster) pair at the grid's largest batch, from `ecache`
-    /// when one is supplied — followed by the sweep over those engines.
+    /// Engine acquisition — one engine per (model, cluster) pair at the
+    /// grid's largest batch, from `ecache` when one is supplied, else built
+    /// fresh on shared per-cluster topology caches — followed by the sweep
+    /// over those engines.
     fn run_with(
         &self,
         grid: &QueryGrid,
         ecache: Option<&EngineCache>,
-    ) -> (GridReport, GridStageTimings) {
+    ) -> Result<(GridReport, GridStageTimings), EngineError> {
         let mut timings = GridStageTimings::default();
         if grid.num_queries() == 0 {
-            return (GridReport { cells: Vec::new() }, timings);
+            return Ok((GridReport { cells: Vec::new() }, timings));
         }
         let mut laps = Laps(Instant::now());
         let n_clusters = grid.clusters.len();
         let max_batch = *grid.batches.iter().max().expect("non-empty batch axis");
 
-        // Shared per-cluster topology caches, sourced from the engine cache
-        // when one is supplied (the cache stores models, not times, so the
-        // derived engines are identical either way).
-        let caches: Vec<Arc<ClusterCache>> = grid
-            .clusters
-            .iter()
-            .map(|c| match ecache {
-                Some(ec) => ec.cluster(cluster_fingerprint(c), || Arc::new(ClusterCache::new(c))),
-                None => Arc::new(ClusterCache::new(c)),
-            })
-            .collect();
+        // Fresh builds share one topology cache per cluster (the cache
+        // stores models, not times, so the derived engines are identical
+        // either way); the engine cache keeps its own.
+        let caches: Vec<ClusterCache> = match ecache {
+            Some(_) => Vec::new(),
+            None => grid.clusters.iter().map(ClusterCache::new).collect(),
+        };
         timings.caches = laps.lap();
 
         // One engine per (model, cluster) pair, sharing the cluster caches;
@@ -567,27 +575,19 @@ impl GridSweep {
         let order = costliest_first(grid.models.len() * n_clusters, |i| {
             grid.models[i / n_clusters].model.layers.len()
         });
-        let engines: Vec<CostEngine<'_>> = par_map_scheduled(&order, |i| {
+        let engines = par_map_scheduled(&order, |i| {
             let (m, c) = (i / n_clusters, i % n_clusters);
             let gm = &grid.models[m];
             let cluster = &grid.clusters[c];
             let config = gm.config_at(max_batch);
-            let build = || {
-                CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
-                    .expect("grid engine build failed")
-            };
-            // The grid's workloads are vetted/curated upstream; an
-            // unbuildable engine here is a caller bug, not a request.
             match ecache {
-                Some(ec) => {
-                    let key = engine_fingerprint(&gm.model, cluster, &gm.base);
-                    let core = ec.core(key, || build().core_handle());
-                    CostEngine::from_core(&gm.model, cluster, config, core)
-                        .expect("grid engine hydration failed")
+                Some(ec) => ec.engine(&gm.model, cluster, config).map(|(engine, _)| engine),
+                None => {
+                    CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
                 }
-                None => build(),
             }
         });
+        let engines = engines.into_iter().collect::<Result<Vec<_>, _>>()?;
         timings.engines = laps.lap();
 
         // Group clusters by device profile: per-PE memory and the compute
@@ -613,7 +613,7 @@ impl GridSweep {
             &mut laps,
             &mut timings,
         );
-        (GridReport { cells }, timings)
+        Ok((GridReport { cells }, timings))
     }
 
     /// The sweep over prepared engines. `engines` holds one engine per
@@ -1031,7 +1031,7 @@ mod tests {
         let sweep = GridSweep::new();
         let cache = EngineCache::new(16);
         let plain = sweep.run(&grid);
-        let cached = sweep.run_cached(&grid, &cache);
+        let cached = sweep.run_cached(&grid, &cache).expect("engines build");
         for (a, b) in plain.cells.iter().zip(&cached.cells) {
             assert_eq!(a.query, b.query);
             assert_reports_equal(&a.report, &b.report, &format!("cold {:?}", a.query));
@@ -1040,7 +1040,7 @@ mod tests {
         assert!(first.misses > 0, "cold sweep must populate the cache");
         // A second sweep over the same grid hits for every engine and
         // cluster cache, and still produces identical reports.
-        let warm = sweep.run_cached(&grid, &cache);
+        let warm = sweep.run_cached(&grid, &cache).expect("engines build");
         let second = cache.stats();
         assert_eq!(second.misses, first.misses, "warm sweep must not rebuild");
         assert!(second.hits > first.hits, "warm sweep must hit");

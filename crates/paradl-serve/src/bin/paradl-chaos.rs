@@ -95,7 +95,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// The soak workload: cheap queries covering all three answer shapes and
-/// both batcher paths (ranked → coalescing grid, suggest/survey → single).
+/// both group kinds (ranked → coalescing grid, suggest/survey → group of
+/// one).
 fn workload() -> Vec<Query> {
     let base = |mode: QueryMode, batch: usize| {
         Query::suggest()

@@ -1,14 +1,22 @@
 //! Closed-loop load generator for `paradl-serve`.
 //!
-//! Spawns a coalescing daemon and a no-coalescing baseline daemon on temp
-//! unix sockets (or targets an external daemon via `--connect`), drives
-//! them with concurrent ranked queries at several concurrency levels, and
-//! writes sustained qps plus p50/p99 latency per level to
-//! `BENCH_serve.json`.
+//! Spawns one daemon on a temp unix socket (or targets an external daemon
+//! via `--connect`) and drives it with concurrent ranked queries at several
+//! concurrency levels, twice per level:
 //!
-//! With `PARADL_ASSERT_SPEEDUP` set, the run fails unless coalescing
-//! reaches the required qps multiple over the baseline at concurrency ≥ 8
-//! (floor 2.0, or the env var's numeric value).
+//! * **shared** traffic — every worker asks the same problem class, so
+//!   concurrent requests coalesce into shared grid sweeps;
+//! * **distinct** traffic — worker `w` asks for `90 + w` epochs. Epochs are
+//!   part of the coalescing key but not of the engine core or the
+//!   per-epoch answer, so every request costs the same as a shared one,
+//!   and no two requests coalesce. This is the reference.
+//!
+//! It writes sustained qps plus p50/p99 latency per level and traffic to
+//! `BENCH_serve.json`, with the speedup (shared qps / distinct qps). The
+//! run fails if distinct traffic ever reports a mean group size above 1.
+//! With `PARADL_ASSERT_SPEEDUP` set, it also fails unless the speedup
+//! reaches the floor at concurrency ≥ 8 (2.0, or the env var's numeric
+//! value).
 
 use paradl_core::cluster::ClusterSpec;
 use paradl_core::config::TrainingConfig;
@@ -25,6 +33,8 @@ use std::time::{Duration, Instant};
 const BATCHES: [usize; 2] = [256, 1024];
 const TOP_K: usize = 10;
 const MAX_PES: usize = 1024;
+/// The epochs every shared request asks for, and distinct worker 0.
+const EPOCHS: usize = 90;
 
 const USAGE: &str = "\
 paradl-loadgen: benchmark a paradl-serve daemon
@@ -32,16 +42,22 @@ paradl-loadgen: benchmark a paradl-serve daemon
 USAGE:
     paradl-loadgen [OPTIONS]
 
+Drives one daemon at each concurrency level with shared traffic (one
+problem class, so requests coalesce) and distinct traffic (worker w asks
+for 90 + w epochs: the same work per request, but nothing coalesces), and
+reports the speedup shared qps / distinct qps.
+
 OPTIONS:
-    --quick           short run (levels 2 and 8, ~0.6s each)
+    --quick           short run (levels 2 and 8, ~0.6s per traffic)
     --out PATH        output file (default BENCH_serve.json)
-    --connect TARGET  benchmark an external daemon instead of spawning the
-                      in-process coalesced/baseline pair (no speedup column)
-    --duration-ms N   measurement window per level (default 1500, quick 600)
+    --connect TARGET  benchmark an external daemon instead of spawning one
+    --duration-ms N   measurement window per level and traffic
+                      (default 1500, quick 600)
     --help            print this help
 
-Set PARADL_ASSERT_SPEEDUP=1 (or a numeric floor) to fail the run unless
-coalescing beats the baseline by that qps factor at concurrency >= 8.";
+The run fails if distinct traffic reports a mean group size above 1. Set
+PARADL_ASSERT_SPEEDUP=1 (or a numeric floor) to also fail it unless the
+speedup reaches that factor at concurrency >= 8.";
 
 struct Args {
     quick: bool,
@@ -81,12 +97,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn workload_query(batch: usize) -> Query {
+fn workload_query(batch: usize, epochs: usize) -> Query {
     // Exhaustive PE sweep: evaluation dominates the request round trip, as
     // it does for any serving workload worth putting a daemon in front of.
     Query::top_k(TOP_K)
         .with_model(paradl_models::resnet50())
-        .with_config(TrainingConfig::imagenet(batch))
+        .with_config(TrainingConfig { epochs, ..TrainingConfig::imagenet(batch) })
         .with_cluster(ClusterSpec::paper_system())
         .with_constraints(Constraints {
             max_pes: MAX_PES,
@@ -159,12 +175,14 @@ impl StatsAgg {
 }
 
 /// One measurement: `concurrency` closed-loop workers hammer `target` for
-/// `window`, cycling through the batch sizes. Returns latencies in µs plus
-/// the aggregated server-side stats.
+/// `window`, cycling through the batch sizes — all in one problem class,
+/// or, with `distinct`, each worker in its own. Returns latencies in µs
+/// plus the aggregated server-side stats.
 fn drive(
     target: &Bind,
     concurrency: usize,
     window: Duration,
+    distinct: bool,
 ) -> Result<(Vec<u64>, StatsAgg), String> {
     let target = Arc::new(target.clone());
     let stop_at = Instant::now() + window;
@@ -177,8 +195,9 @@ fn drive(
                 let mut latencies = Vec::new();
                 let mut agg = StatsAgg::default();
                 let mut iteration = worker; // stagger the batch cycle per worker
+                let epochs = if distinct { EPOCHS + worker } else { EPOCHS };
                 while Instant::now() < stop_at {
-                    let query = workload_query(BATCHES[iteration % BATCHES.len()]);
+                    let query = workload_query(BATCHES[iteration % BATCHES.len()], epochs);
                     iteration += 1;
                     let start = Instant::now();
                     match connection.query(&query, None).map_err(|e| format!("query: {e}"))? {
@@ -242,9 +261,14 @@ struct Measurement {
     errors: u64,
 }
 
-fn measure(target: &Bind, concurrency: usize, window: Duration) -> Result<Measurement, String> {
+fn measure(
+    target: &Bind,
+    concurrency: usize,
+    window: Duration,
+    distinct: bool,
+) -> Result<Measurement, String> {
     let start = Instant::now();
-    let (mut latencies, agg) = drive(target, concurrency, window)?;
+    let (mut latencies, agg) = drive(target, concurrency, window, distinct)?;
     let elapsed = start.elapsed().as_secs_f64();
     latencies.sort_unstable();
     Ok(Measurement {
@@ -282,12 +306,13 @@ fn measurement_json(m: &Measurement) -> Json {
     ])
 }
 
-/// Warm a server's cache so measurements compare steady states, not the
-/// first engine build.
+/// Warm the server's cache so measurements compare steady states, not the
+/// first engine build. Both traffics share the one engine core.
 fn warm(target: &Bind) -> Result<(), String> {
     let mut connection = Connection::connect(target).map_err(|e| format!("connect: {e}"))?;
     for batch in BATCHES {
-        match connection.query(&workload_query(batch), None).map_err(|e| format!("warmup: {e}"))? {
+        let query = workload_query(batch, EPOCHS);
+        match connection.query(&query, None).map_err(|e| format!("warmup: {e}"))? {
             Response::Answer { .. } => {}
             other => return Err(format!("warmup got {other:?}")),
         }
@@ -295,10 +320,14 @@ fn warm(target: &Bind) -> Result<(), String> {
     Ok(())
 }
 
-fn temp_socket(tag: &str) -> Bind {
-    Bind::Unix(
-        std::env::temp_dir().join(format!("paradl-loadgen-{}-{tag}.sock", std::process::id())),
-    )
+/// Prints a measurement's non-success outcomes, if it had any.
+fn print_pressure(label: &str, m: &Measurement) {
+    if m.degraded + m.shed + m.deadline_expired + m.errors > 0 {
+        println!(
+            "{:>11}  {label} pressure: degraded {} shed {} expired {} errors {}",
+            "", m.degraded, m.shed, m.deadline_expired, m.errors
+        );
+    }
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -307,83 +336,53 @@ fn run() -> Result<ExitCode, String> {
     let window =
         Duration::from_millis(args.duration_ms.unwrap_or(if args.quick { 600 } else { 1500 }));
 
-    // Either an external target, or the in-process coalesced/baseline pair.
-    let mut servers: Vec<Server> = Vec::new();
-    let (coalesced_target, baseline_target) = match &args.connect {
+    // Either an external target, or one in-process daemon.
+    let (target, server) = match &args.connect {
         Some(text) => (parse_target(text)?, None),
         None => {
-            let coalesced_bind = temp_socket("coalesced");
-            let baseline_bind = temp_socket("baseline");
-            servers.push(
-                Server::start(coalesced_bind.clone(), ServerConfig::default())
-                    .map_err(|e| format!("start coalesced server: {e}"))?,
+            let bind = Bind::Unix(
+                std::env::temp_dir().join(format!("paradl-loadgen-{}.sock", std::process::id())),
             );
-            servers.push(
-                Server::start(
-                    baseline_bind.clone(),
-                    ServerConfig { coalesce: false, cache_entries: 0, ..ServerConfig::default() },
-                )
-                .map_err(|e| format!("start baseline server: {e}"))?,
-            );
-            (coalesced_bind, Some(baseline_bind))
+            let server = Server::start(bind.clone(), ServerConfig::default())
+                .map_err(|e| format!("start server: {e}"))?;
+            (bind, Some(server))
         }
     };
-
-    warm(&coalesced_target)?;
-    if let Some(baseline) = &baseline_target {
-        warm(baseline)?;
-    }
+    warm(&target)?;
 
     let mut level_rows = Vec::new();
     let mut speedup_at_8plus: f64 = 0.0;
+    let mut max_distinct_group: f64 = 0.0;
     println!(
         "{:>11}  {:>21}  {:>21}  {:>7}",
-        "concurrency", "coalesced qps/p50/p99", "baseline qps/p50/p99", "speedup"
+        "concurrency", "shared qps/p50/p99", "distinct qps/p50/p99", "speedup"
     );
     for &concurrency in levels {
-        let coalesced = measure(&coalesced_target, concurrency, window)?;
-        let mut fields = vec![
-            ("concurrency".to_string(), Json::count(concurrency)),
-            ("coalesced".to_string(), measurement_json(&coalesced)),
-        ];
-        match &baseline_target {
-            Some(target) => {
-                let baseline = measure(target, concurrency, window)?;
-                let speedup = coalesced.qps / baseline.qps;
-                if concurrency >= 8 {
-                    speedup_at_8plus = speedup_at_8plus.max(speedup);
-                }
-                println!(
-                    "{concurrency:>11}  {:>8.1} {:>5.1} {:>6.1}  {:>8.1} {:>5.1} {:>6.1}  {speedup:>6.2}x  [group {:.1}, eval {:.0}µs vs {:.0}µs, hit {:.0}%]",
-                    coalesced.qps, coalesced.p50_ms, coalesced.p99_ms,
-                    baseline.qps, baseline.p50_ms, baseline.p99_ms,
-                    coalesced.mean_coalesced, coalesced.mean_eval_us,
-                    baseline.mean_eval_us, coalesced.cache_hit_rate * 100.0,
-                );
-                fields.push(("baseline".to_string(), measurement_json(&baseline)));
-                fields.push(("speedup".to_string(), Json::Num(speedup)));
-            }
-            None => {
-                println!(
-                    "{concurrency:>11}  {:>8.1} {:>5.1} {:>6.1}  {:>21}  {:>7}",
-                    coalesced.qps, coalesced.p50_ms, coalesced.p99_ms, "-", "-",
-                );
-            }
+        let shared = measure(&target, concurrency, window, false)?;
+        let distinct = measure(&target, concurrency, window, true)?;
+        let speedup = shared.qps / distinct.qps;
+        if concurrency >= 8 {
+            speedup_at_8plus = speedup_at_8plus.max(speedup);
         }
-        if coalesced.degraded + coalesced.shed + coalesced.deadline_expired + coalesced.errors > 0 {
-            println!(
-                "{:>11}  pressure: degraded {} shed {} expired {} errors {}",
-                "",
-                coalesced.degraded,
-                coalesced.shed,
-                coalesced.deadline_expired,
-                coalesced.errors
-            );
-        }
-        level_rows.push(Json::Obj(fields));
+        max_distinct_group = max_distinct_group.max(distinct.mean_coalesced);
+        println!(
+            "{concurrency:>11}  {:>8.1} {:>5.1} {:>6.1}  {:>8.1} {:>5.1} {:>6.1}  {speedup:>6.2}x  [group {:.1} vs {:.1}, eval {:.0}µs vs {:.0}µs, hit {:.0}%]",
+            shared.qps, shared.p50_ms, shared.p99_ms,
+            distinct.qps, distinct.p50_ms, distinct.p99_ms,
+            shared.mean_coalesced, distinct.mean_coalesced,
+            shared.mean_eval_us, distinct.mean_eval_us, shared.cache_hit_rate * 100.0,
+        );
+        print_pressure("shared", &shared);
+        print_pressure("distinct", &distinct);
+        level_rows.push(Json::obj([
+            ("concurrency", Json::count(concurrency)),
+            ("shared", measurement_json(&shared)),
+            ("distinct", measurement_json(&distinct)),
+            ("speedup", Json::Num(speedup)),
+        ]));
     }
 
-    for server in servers {
+    if let Some(server) = server {
         server.shutdown_and_join();
     }
 
@@ -409,11 +408,15 @@ fn run() -> Result<ExitCode, String> {
     std::fs::write(&args.out, rendered).map_err(|e| format!("write {}: {e}", args.out))?;
     println!("wrote {}", args.out);
 
+    // A distinct request that coalesced would make the reference cheaper
+    // than the per-request cost it stands for.
+    if max_distinct_group > 1.0 {
+        return Err(format!(
+            "distinct traffic coalesced (mean group size {max_distinct_group:.2} > 1)"
+        ));
+    }
     if let Ok(value) = std::env::var("PARADL_ASSERT_SPEEDUP") {
         let floor = value.parse::<f64>().ok().filter(|f| *f > 1.0).unwrap_or(2.0);
-        if baseline_target.is_none() {
-            return Err("PARADL_ASSERT_SPEEDUP needs the in-process pair (omit --connect)".into());
-        }
         if speedup_at_8plus < floor {
             return Err(format!(
                 "coalescing speedup {speedup_at_8plus:.2}x at concurrency >= 8 is below the {floor:.1}x floor"

@@ -13,7 +13,6 @@ USAGE:
 OPTIONS:
     --unix PATH       listen on a unix-domain socket at PATH
     --tcp ADDR        listen on a TCP address (e.g. 127.0.0.1:7700; port 0 picks one)
-    --no-coalesce     disable request coalescing and engine caching (baseline mode)
     --no-degrade      answer every query exactly as asked — disable the overload
                       degradation ladder (FullRank -> TopK(10) -> Suggest)
     --queue-cap N     bounded queue depth before shedding (default 1024)
@@ -24,6 +23,9 @@ OPTIONS:
     --write-timeout-ms N
                       evict a peer that won't drain its socket for N ms (default 5000)
     --help            print this help
+
+Concurrent ranked queries that differ only in batch size are answered by
+one shared grid sweep; every query reuses cached engine cores.
 
 Stop the daemon with `paradl-client --connect <target> --shutdown`: queued
 queries drain, then the process exits.";
@@ -39,10 +41,6 @@ fn parse_args() -> Result<(Bind, ServerConfig), String> {
         match arg.as_str() {
             "--unix" => bind = Some(Bind::Unix(value(&mut args, "--unix")?.into())),
             "--tcp" => bind = Some(Bind::Tcp(value(&mut args, "--tcp")?)),
-            "--no-coalesce" => {
-                config.coalesce = false;
-                config.cache_entries = 0;
-            }
             "--no-degrade" => config.degrade = false,
             "--queue-cap" => {
                 config.queue_cap = value(&mut args, "--queue-cap")?

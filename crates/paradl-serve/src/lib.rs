@@ -13,8 +13,9 @@
 //! * **`paradl-client`** — a one-shot CLI client: build a query from flags,
 //!   print the ranked answer (or ping / stats / shutdown the daemon).
 //! * **`paradl-loadgen`** — a closed-loop load generator that measures
-//!   sustained qps and p50/p99 latency at several concurrency levels,
-//!   against both a coalescing and a non-coalescing daemon, and writes the
+//!   sustained qps and p50/p99 latency at several concurrency levels on one
+//!   daemon, under shared traffic (requests coalesce) and distinct traffic
+//!   (the same work per request, nothing coalesces), and writes the
 //!   comparison to `BENCH_serve.json`.
 //! * **`paradl-chaos`** — a chaos soak: N retrying clients against a
 //!   daemon under an escalating, seeded fault schedule ([`fault`]),

@@ -16,14 +16,18 @@
 //! ## The coalescing invariant
 //!
 //! The batcher lingers briefly after the first dequeue, drains everything
-//! else that arrived, and groups the ranked queries (top-k / full-rank) by
-//! their *problem class*: same model name, same cluster fingerprint, same
+//! else that arrived, and splits the batch into *groups*, each answered by
+//! one evaluation. Ranked queries (top-k / full-rank) group by their
+//! *problem class*: same model name, same cluster fingerprint, same
 //! non-batch config fields (dataset, epochs, δ, γ) and same effective
-//! constraints. Each group becomes one [`QueryGrid`] whose batch axis is
-//! the group's distinct batch sizes, answered by a single
+//! constraints. Each such group becomes one [`QueryGrid`] whose batch axis
+//! is the group's distinct batch sizes, answered by a single
 //! [`GridSweep::run_cached`] pass — so `n` concurrent requests over `k ≤ n`
 //! distinct batches cost `k` cell evaluations plus one (usually cached)
-//! engine-core build, instead of `n` full evaluations.
+//! engine-core build, instead of `n` full evaluations. A suggest or survey
+//! query is a group of one, answered on an engine from
+//! [`EngineCache::engine`]. Every engine the daemon uses comes from that
+//! one cache.
 //!
 //! This is sound because a grid sweep is defined to produce, cell for cell,
 //! the same `SearchReport` a standalone search would (the conformance tests
@@ -31,9 +35,6 @@
 //! `pruned_by_bound`, a counter that is always 0. Served answers are
 //! therefore **byte-identical** to local `Oracle::answer` results — the
 //! integration tests assert exactly that.
-//!
-//! Suggest and survey queries are cheap and are answered per-request, still
-//! sharing the engine-core LRU.
 //!
 //! ## Robustness
 //!
@@ -47,7 +48,8 @@
 //!   and enumeration blow-ups are refused as [`ErrorKind::BadRequest`]
 //!   (with the offending field named) before they cost queue space or an
 //!   engine build. A spec that slips past vet and still defeats engine
-//!   construction surfaces the typed `EngineError` the same way.
+//!   construction surfaces the typed `EngineError` the same way, for every
+//!   member of its group, with the text a local `Query::run` reports.
 //! * Overload: before shedding, the batcher walks the **degradation
 //!   ladder** — under queue or deadline pressure a ranked query steps down
 //!   `FullRank → TopK(10) → Suggest` (the answer says so via
@@ -80,10 +82,7 @@ use crate::client::Stream;
 use crate::fault::FaultSchedule;
 use crate::proto::{self, AnswerStats, ErrorKind, FrameRead, Request, Response, MAX_FRAME};
 use crate::resolve::resolve_model;
-use paradl_core::cluster::ClusterCache;
-use paradl_core::engine::{
-    cluster_fingerprint, engine_fingerprint, CostEngine, EngineCache, EngineError,
-};
+use paradl_core::engine::{cluster_fingerprint, engine_fingerprint, EngineCache, EngineError};
 use paradl_core::grid::{GridSweep, QueryGrid};
 use paradl_core::jsonio::Json;
 use paradl_core::oracle::Oracle;
@@ -137,10 +136,6 @@ pub type EvalHook = Arc<dyn Fn(&Query, EvalStage) + Send + Sync>;
 /// Tunables for a [`Server`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Merge concurrent ranked queries into shared grid sweeps and reuse
-    /// cached engine cores. Off = the per-request baseline the load
-    /// generator compares against.
-    pub coalesce: bool,
     /// Capacity of the engine-core/cluster LRU (0 disables caching).
     pub cache_entries: usize,
     /// Bounded queue depth; requests beyond it are shed.
@@ -173,7 +168,6 @@ pub struct ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("coalesce", &self.coalesce)
             .field("cache_entries", &self.cache_entries)
             .field("queue_cap", &self.queue_cap)
             .field("linger", &self.linger)
@@ -190,7 +184,6 @@ impl std::fmt::Debug for ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            coalesce: true,
             cache_entries: 32,
             queue_cap: 1024,
             linger: Duration::from_millis(1),
@@ -638,7 +631,7 @@ fn batcher_loop(rx: &Receiver<Pending>, shared: &Arc<Shared>) {
             Err(RecvTimeoutError::Disconnected) => break,
         };
         // Linger so concurrent requests can join this batch, then drain.
-        if shared.config.coalesce && !shared.config.linger.is_zero() {
+        if !shared.config.linger.is_zero() {
             thread::sleep(shared.config.linger);
         }
         let mut batch = vec![first];
@@ -743,22 +736,15 @@ fn process_batch(batch: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
         if let Some(hook) = &shared.config.eval_hook {
             hook(&p.query, EvalStage::Batch);
         }
-        if !shared.config.coalesce {
-            answer_uncoalesced(p, shared);
-            continue;
-        }
         match p.query.mode {
             QueryMode::TopK(_) | QueryMode::FullRank => {
                 groups.entry(group_key(&p.query)).or_default().push(p);
             }
-            QueryMode::Suggest | QueryMode::Survey { .. } => singles.push(p),
+            QueryMode::Suggest | QueryMode::Survey { .. } => singles.push(vec![p]),
         }
     }
-    for p in singles {
-        answer_single(p, shared);
-    }
-    for (_, group) in groups {
-        answer_ranked_group(group, sweep, shared);
+    for group in singles.into_iter().chain(groups.into_values()) {
+        answer_group(group, sweep, shared);
     }
 }
 
@@ -825,145 +811,65 @@ fn run_contained<T>(
     })
 }
 
-/// Evaluation-kernel work counters for one answer: (candidates costed,
-/// candidates pruned before costing) from the search report when the
-/// answer carries one, zero for suggestion/survey answers. Deterministic
-/// on the analytic kernel path (the static dominance count is fixed by
-/// the pre-scan bounds).
-fn kernel_counters(answer: &QueryAnswer) -> (usize, usize) {
-    match answer {
-        QueryAnswer::Ranked(report) => (report.evaluated(), report.pruned()),
-        _ => (0, 0),
-    }
-}
-
-/// Baseline path (coalescing off): evaluate the query from scratch, exactly
-/// like a standalone `Query::run`.
-fn answer_uncoalesced(p: Pending, shared: &Arc<Shared>) {
-    let queue_us = p.enqueued.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let response = match run_contained(&p.query, shared, || p.query.run()) {
-        Ok(Ok(answer)) => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            let eval_us = start.elapsed().as_micros() as u64;
-            record_eval_time(shared, eval_us);
-            let (candidates_evaluated, candidates_pruned) = kernel_counters(&answer);
-            Response::Answer {
-                answer: answer.to_json(),
-                stats: AnswerStats {
-                    cache_hit: false,
-                    coalesced: 1,
-                    batch_cells: 1,
-                    queue_us,
-                    eval_us,
-                    degraded: p.degraded,
-                    candidates_evaluated,
-                    candidates_pruned,
-                },
-            }
-        }
-        Ok(Err(e)) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            Response::error(ErrorKind::BadRequest, e)
-        }
-        Err(quarantined) => quarantined,
-    };
-    let _ = p.reply.send(response);
-}
-
-/// Suggest/survey path: per-request evaluation on a (usually cached) engine
-/// core.
-fn answer_single(p: Pending, shared: &Arc<Shared>) {
-    let queue_us = p.enqueued.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let query = &p.query;
-
-    let outcome = run_contained(query, shared, || {
-        let model = query.model.as_ref().expect("validated at enqueue");
-        let cluster = query.cluster.as_ref().expect("validated at enqueue");
-        let config = query.config.expect("validated at enqueue");
-        let key = engine_fingerprint(model, cluster, &config);
-        let cache_hit = shared.cache.contains_core(key);
-        let topology = shared
-            .cache
-            .cluster(cluster_fingerprint(cluster), || Arc::new(ClusterCache::new(cluster)));
-        // A spec that passed vet but still defeats engine construction
-        // (non-finite tables) comes back as a typed EngineError — never
-        // cached, so the cache holds only buildable cores.
-        let (core, _) = shared.cache.try_core(key, || {
-            Ok(CostEngine::with_cache(model, &cluster.device, cluster, config, &topology)?
-                .core_handle())
-        })?;
-        let engine = CostEngine::from_core(model, cluster, config, core)?;
-        let oracle = Oracle::new(model, &cluster.device, cluster, config);
-        Ok::<_, EngineError>((oracle.answer_with_engine(&engine, query), cache_hit))
-    });
-
-    let response = match outcome {
-        Ok(Ok((answer, cache_hit))) => {
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            let eval_us = start.elapsed().as_micros() as u64;
-            record_eval_time(shared, eval_us);
-            let (candidates_evaluated, candidates_pruned) = kernel_counters(&answer);
-            Response::Answer {
-                answer: answer.to_json(),
-                stats: AnswerStats {
-                    cache_hit,
-                    coalesced: 1,
-                    batch_cells: 1,
-                    queue_us,
-                    eval_us,
-                    degraded: p.degraded,
-                    candidates_evaluated,
-                    candidates_pruned,
-                },
-            }
-        }
-        Ok(Err(e)) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            Response::error(ErrorKind::BadRequest, e.to_string())
-        }
-        Err(quarantined) => quarantined,
-    };
-    let _ = p.reply.send(response);
-}
-
-/// Ranked path: one shared grid sweep answers the whole group.
-fn answer_ranked_group(group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
+/// Answers one group with one evaluation: the ranked members of a problem
+/// class share one [`GridSweep::run_cached`] pass over their distinct
+/// batches, and a suggestion or survey (a group of one) is answered on an
+/// engine from [`EngineCache::engine`]. An engine that cannot be built
+/// refuses every member with the typed [`EngineError`]; a panic quarantines
+/// every member (they share the poisoned evaluation).
+fn answer_group(group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
     let coalesced = group.len();
     if coalesced > 1 {
         shared.counters.coalesced_groups.fetch_add(1, Ordering::Relaxed);
     }
-    let lead = &group[0];
-    let model = lead.query.model.clone().expect("validated at enqueue");
-    let cluster = lead.query.cluster.clone().expect("validated at enqueue");
-    let base = lead.query.config.expect("validated at enqueue");
-    let constraints = lead.query.effective_constraints();
-
-    let mut batches: Vec<usize> =
-        group.iter().map(|p| p.query.config.expect("validated at enqueue").batch_size).collect();
+    let lead = &group[0].query;
+    let model = lead.model.as_ref().expect("validated at enqueue");
+    let cluster = lead.cluster.as_ref().expect("validated at enqueue");
+    let config = lead.config.expect("validated at enqueue");
+    let batch_of = |p: &Pending| p.query.config.expect("validated at enqueue").batch_size;
+    let mut batches: Vec<usize> = group.iter().map(batch_of).collect();
     batches.sort_unstable();
     batches.dedup();
+    let cache_hit = shared.cache.contains_core(engine_fingerprint(model, cluster, &config));
 
-    let cache_hit = shared.cache.contains_core(engine_fingerprint(&model, &cluster, &base));
-
-    // Pre-flight the group's shared engine core fallibly: a spec that passed
-    // vet can still defeat construction (finite inputs whose derived tables
-    // overflow to non-finite). The grid's internals assume buildable
-    // engines, so refuse the whole group with a typed error here instead of
-    // letting the sweep panic into quarantine. On success the core is
-    // cached, so the sweep below pays nothing extra.
-    let topology = shared
-        .cache
-        .cluster(cluster_fingerprint(&cluster), || Arc::new(ClusterCache::new(&cluster)));
-    let preflight = run_contained(&lead.query, shared, || {
-        shared.cache.try_core(engine_fingerprint(&model, &cluster, &base), || {
-            Ok(CostEngine::with_cache(&model, &cluster.device, &cluster, base, &topology)?
-                .core_handle())
-        })
+    // Each member's answer with its kernel work counters: (candidates
+    // costed, candidates pruned before costing), zero for suggestions and
+    // surveys.
+    let start = Instant::now();
+    let outcome = run_contained(lead, shared, || match lead.mode {
+        QueryMode::TopK(_) | QueryMode::FullRank => {
+            let grid = QueryGrid::new(lead.effective_constraints())
+                .with_model(model.clone(), config)
+                .with_batches(batches.iter().copied())
+                .with_cluster(cluster.clone());
+            let report = sweep.run_cached(&grid, &shared.cache)?;
+            Ok(group
+                .iter()
+                .map(|p| {
+                    let cell =
+                        report.get(0, batch_of(p), 0).expect("sweep covers every requested cell");
+                    let answer = QueryAnswer::Ranked(cell.report.clone());
+                    // Calibration is per query, applied after the shared
+                    // sweep: queries differing only in calibration still
+                    // coalesce onto one sweep.
+                    let answer = match &p.query.calibration {
+                        Some(calibration) => answer.recalibrated(calibration),
+                        None => answer,
+                    };
+                    (answer, cell.report.evaluated(), cell.report.pruned())
+                })
+                .collect())
+        }
+        QueryMode::Suggest | QueryMode::Survey { .. } => {
+            let (engine, _) = shared.cache.engine(model, cluster, config)?;
+            let oracle = Oracle::new(model, &cluster.device, cluster, config);
+            Ok::<_, EngineError>(vec![(oracle.answer_with_engine(&engine, lead), 0, 0)])
+        }
     });
-    match preflight {
-        Ok(Ok(_)) => {}
+    let eval_us = start.elapsed().as_micros() as u64;
+
+    let answers = match outcome {
+        Ok(Ok(answers)) => answers,
         Ok(Err(e)) => {
             for p in group {
                 shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -977,48 +883,16 @@ fn answer_ranked_group(group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shar
             }
             return;
         }
-    }
-
-    let grid = QueryGrid::new(constraints)
-        .with_model(model, base)
-        .with_batches(batches.iter().copied())
-        .with_cluster(cluster);
-    let batch_cells = grid.num_queries();
-
-    let start = Instant::now();
-    let report = match run_contained(&lead.query, shared, || sweep.run_cached(&grid, &shared.cache))
-    {
-        Ok(report) => report,
-        Err(quarantined) => {
-            // The shared sweep panicked: every query in the group is
-            // quarantined (they share the poisoned evaluation).
-            for p in group {
-                let _ = p.reply.send(quarantined.clone());
-            }
-            return;
-        }
     };
-    let eval_us = start.elapsed().as_micros() as u64;
     record_eval_time(shared, eval_us);
-
-    for p in group {
-        let batch = p.query.config.expect("validated at enqueue").batch_size;
-        let cell = report.get(0, batch, 0).expect("sweep covers every requested cell");
-        let candidates_evaluated = cell.report.evaluated();
-        let candidates_pruned = cell.report.pruned();
-        let mut answer = QueryAnswer::Ranked(cell.report.clone());
-        // Calibration is per-query, applied after the shared sweep: queries
-        // differing only in calibration still coalesce onto one sweep.
-        if let Some(calibration) = &p.query.calibration {
-            answer = answer.recalibrated(calibration);
-        }
+    for (p, (answer, candidates_evaluated, candidates_pruned)) in group.into_iter().zip(answers) {
         shared.counters.served.fetch_add(1, Ordering::Relaxed);
         let _ = p.reply.send(Response::Answer {
             answer: answer.to_json(),
             stats: AnswerStats {
                 cache_hit,
                 coalesced,
-                batch_cells,
+                batch_cells: batches.len(),
                 queue_us: start.duration_since(p.enqueued).as_micros() as u64,
                 eval_us,
                 degraded: p.degraded,

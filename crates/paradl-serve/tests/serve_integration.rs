@@ -2,11 +2,13 @@
 //!
 //! The headline property: a served answer is **byte-identical** to
 //! `Query::run()?.to_json().render()` computed locally — through the cache
-//! miss path, the cache hit path, and the coalescing grid path alike. The
-//! rest pins the robustness contract: malformed frames cost at most a
-//! connection, never the daemon; full queues shed; expired deadlines are
-//! refused; graceful shutdown drains.
+//! miss path, the cache hit path, and the coalescing grid path alike, with
+//! and without a calibration — and a served refusal carries the local
+//! error text. The rest pins the robustness contract: malformed frames
+//! cost at most a connection, never the daemon; full queues shed; expired
+//! deadlines are refused; graceful shutdown drains.
 
+use paradl_core::calibrate::Calibration;
 use paradl_core::cluster::ClusterSpec;
 use paradl_core::config::TrainingConfig;
 use paradl_core::jsonio::Json;
@@ -41,6 +43,12 @@ fn query(mode: QueryMode, batch: usize) -> Query {
         .with_mode(mode)
 }
 
+/// The calibration committed in `BENCH_sim.json`.
+fn committed_calibration() -> Calibration {
+    let snapshot = Json::parse(include_str!("../../../BENCH_sim.json")).unwrap();
+    Calibration::from_json(snapshot.get("calibration").unwrap()).unwrap()
+}
+
 fn answer_bytes(response: Response) -> (String, proto::AnswerStats) {
     match response {
         Response::Answer { answer, stats } => (answer.render(), stats),
@@ -53,20 +61,26 @@ fn served_answers_are_byte_identical_to_local_ones() {
     let (bind, _path) = temp_socket();
     let server = Server::start(bind.clone(), ServerConfig::default()).unwrap();
 
-    // Modes covering all three answer shapes and both batcher paths
-    // (ranked → grid coalescing, suggest/survey → single path).
+    // Modes covering all three answer shapes, ranked groups and groups of
+    // one, uncalibrated and calibrated (a calibrated ranked query shares
+    // its sweep with the uncalibrated one at the same batch).
+    let calibration = committed_calibration();
     let queries: Vec<Query> = vec![
         query(QueryMode::TopK(5), 256),
         query(QueryMode::TopK(5), 512),
         query(QueryMode::FullRank, 256),
         query(QueryMode::Suggest, 256),
         query(QueryMode::Survey { pes: 16 }, 256),
+        query(QueryMode::TopK(5), 256).with_calibration(calibration.clone()),
+        query(QueryMode::Suggest, 256).with_calibration(calibration.clone()),
+        query(QueryMode::Survey { pes: 16 }, 256).with_calibration(calibration),
     ];
 
-    // Concurrent clients: every thread checks its own query against a
-    // locally computed answer, bytewise. This exercises the cache-miss path
-    // and (with luck and the linger window) actual coalescing.
-    let workers: Vec<_> = (0..8)
+    // Concurrent clients, two per query: every thread checks its own query
+    // against a locally computed answer, bytewise. This exercises the
+    // cache-miss path and (with luck and the linger window) actual
+    // coalescing.
+    let workers: Vec<_> = (0..2 * queries.len())
         .map(|i| {
             let bind = bind.clone();
             let q = queries[i % queries.len()].clone();
@@ -89,29 +103,17 @@ fn served_answers_are_byte_identical_to_local_ones() {
     let (served, stats) = answer_bytes(connection.query(&q, None).unwrap());
     assert_eq!(served, q.run().unwrap().to_json().render());
     assert!(stats.cache_hit, "second identical query should hit the engine-core cache");
-    // A ranked answer carries the kernel work counters. The served path
-    // answers through the coalesced grid sweep, whose batch-invariant
-    // communication-coefficient columns let the static dominance cut use
-    // exact epoch times — it prunes at least as hard as the local
-    // per-query path's compute-only bound — so the individual counters
-    // are path-dependent, but the accounting always closes over the same
-    // path-invariant enumeration total.
+    // A ranked answer carries the kernel work counters. A local answer is
+    // the same one-cell sweep the daemon runs, so the counters agree.
     let local = match q.run().unwrap() {
         paradl_core::prelude::QueryAnswer::Ranked(report) => report,
         other => panic!("expected a ranked answer, got {other:?}"),
     };
     assert!(stats.candidates_evaluated > 0, "ranked answers report costed candidates");
     assert_eq!(
-        stats.candidates_evaluated + stats.candidates_pruned,
-        local.evaluated() + local.pruned(),
-        "enumeration accounting diverged"
-    );
-    assert!(
-        stats.candidates_evaluated <= local.evaluated(),
-        "the coefficient-backed grid path should never cost more candidates \
-         than the per-query path ({} > {})",
-        stats.candidates_evaluated,
-        local.evaluated()
+        (stats.candidates_evaluated, stats.candidates_pruned),
+        (local.evaluated(), local.pruned()),
+        "served kernel counters diverged from the local answer"
     );
 
     server.shutdown_and_join();
@@ -210,6 +212,67 @@ fn malformed_frames_do_not_kill_the_daemon() {
     // After all of that, the daemon still answers real queries.
     let mut connection = Connection::connect(&bind).unwrap();
     assert_eq!(connection.roundtrip(&Request::Ping).unwrap(), Response::Pong);
+    let q = query(QueryMode::TopK(3), 256);
+    let (served, _) = answer_bytes(connection.query(&q, None).unwrap());
+    assert_eq!(served, q.run().unwrap().to_json().render());
+
+    server.shutdown_and_join();
+}
+
+#[test]
+fn unbuildable_specs_that_pass_vet_are_refused_like_local_runs() {
+    let (bind, _path) = temp_socket();
+    // A long linger so the two ranked queries coalesce into one group.
+    let config = ServerConfig { linger: Duration::from_millis(300), ..ServerConfig::default() };
+    let server = Server::start(bind.clone(), config).unwrap();
+
+    // The smallest subnormal rate is finite and positive, so vet admits it,
+    // but every layer time overflows and the engine build fails.
+    let mut cluster = ClusterSpec::workstation(8);
+    cluster.device.peak_flops = f64::from_bits(1);
+    let unbuildable =
+        |mode: QueryMode, batch: usize| query(mode, batch).with_cluster(cluster.clone());
+    let queries = [
+        unbuildable(QueryMode::TopK(3), 256),
+        unbuildable(QueryMode::TopK(3), 512),
+        unbuildable(QueryMode::Suggest, 256),
+    ];
+    for q in &queries {
+        assert!(q.vet().is_ok(), "the spec must pass vet");
+    }
+
+    let workers: Vec<_> = queries
+        .iter()
+        .cloned()
+        .map(|q| {
+            let bind = bind.clone();
+            std::thread::spawn(move || {
+                let mut connection = Connection::connect(&bind).unwrap();
+                let response = connection.query(&q, None).unwrap();
+                (q, response)
+            })
+        })
+        .collect();
+    for worker in workers {
+        let (q, response) = worker.join().unwrap();
+        let local = q.run().expect_err("the local run refuses the spec too");
+        match response {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, ErrorKind::BadRequest);
+                assert_eq!(message, local, "served refusal drifted from the local one");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    let mut connection = Connection::connect(&bind).unwrap();
+    let stats = match connection.roundtrip(&Request::Stats).unwrap() {
+        Response::ServerStats(json) => json,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    assert_eq!(stats.get("coalesced_groups").and_then(Json::usize), Some(1), "{stats:?}");
+
+    // Nothing unbuildable was cached: a good query is answered as usual.
     let q = query(QueryMode::TopK(3), 256);
     let (served, _) = answer_bytes(connection.query(&q, None).unwrap());
     assert_eq!(served, q.run().unwrap().to_json().render());
