@@ -1,21 +1,12 @@
 //! Benchmarks of the amortized multi-query grid path: the in-place
-//! `CostEngine::rebatch` against a full engine rebuild, engine construction
-//! with a shared per-cluster `ClusterCache` against private per-engine
-//! table derivation, and a small `GridSweep` against the naive
-//! one-`Oracle::search`-per-cell baseline (`paradl_bench::per_query_sweep`). The paper-scale end-to-end numbers (and
-//! the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
+//! `CostEngine::rebatch` against a full engine rebuild, and a small
+//! `GridSweep` against the naive one-`Oracle::search`-per-cell baseline
+//! (`paradl_bench::per_query_sweep`). The paper-scale end-to-end numbers
+//! (and the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
 //! which writes `BENCH_grid.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
-
-fn imagenet_or_cosmoflow(m: &Model, batch: usize) -> TrainingConfig {
-    if m.name.starts_with("CosmoFlow") {
-        TrainingConfig::cosmoflow(batch)
-    } else {
-        TrainingConfig::imagenet(batch)
-    }
-}
 
 fn bench_rebatch_vs_rebuild(c: &mut Criterion) {
     let model = paradl_models::resnet50();
@@ -41,38 +32,6 @@ fn bench_rebatch_vs_rebuild(c: &mut Criterion) {
             batch = if batch == 512 { 1024 } else { 512 };
             engine.rebatch(batch);
             std::hint::black_box(engine.config().batch_size)
-        })
-    });
-}
-
-fn bench_shared_vs_private_cluster_tables(c: &mut Criterion) {
-    let models = paradl_models::paper_models();
-    let device = DeviceProfile::v100();
-    let cluster = ClusterSpec::paper_system();
-    c.bench_function("grid/4models_private_tables", |b| {
-        b.iter(|| {
-            for m in &models {
-                let _ = std::hint::black_box(CostEngine::new(
-                    m,
-                    &device,
-                    &cluster,
-                    imagenet_or_cosmoflow(m, 512),
-                ));
-            }
-        })
-    });
-    c.bench_function("grid/4models_shared_cluster_cache", |b| {
-        let cache = cluster.cache();
-        b.iter(|| {
-            for m in &models {
-                let _ = std::hint::black_box(CostEngine::with_cache(
-                    m,
-                    &device,
-                    &cluster,
-                    imagenet_or_cosmoflow(m, 512),
-                    &cache,
-                ));
-            }
         })
     });
 }
@@ -108,6 +67,6 @@ fn bench_sweep_vs_per_query(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_rebatch_vs_rebuild, bench_shared_vs_private_cluster_tables, bench_sweep_vs_per_query
+    targets = bench_rebatch_vs_rebuild, bench_sweep_vs_per_query
 );
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //! four Table-5 model families × four global batch sizes × two clusters,
 //! exhaustive PE sweep) through the amortized `GridSweep` against the naive
 //! per-query baseline (`per_query_sweep`: one `Oracle::search` — and thus
-//! one engine build and one candidate enumeration — per cell), plus the rebatch-vs-rebuild and
-//! shared-vs-private-table micro numbers, and writes a machine-readable
+//! one engine build and one candidate enumeration — per cell), plus the
+//! rebatch-vs-rebuild micro numbers, and writes a machine-readable
 //! `BENCH_grid.json` so CI can track the performance trajectory next to
 //! `BENCH_search.json`.
 //!
@@ -82,8 +82,7 @@ fn main() {
         rate(t_grid)
     );
 
-    // Micro numbers: incremental rebatch vs full engine rebuild, and engine
-    // construction with a shared cluster cache vs private table derivation.
+    // Micro numbers: incremental rebatch vs full engine rebuild.
     let resnet = paradl_models::resnet50();
     let device = DeviceProfile::v100();
     let cluster = ClusterSpec::paper_system();
@@ -96,14 +95,9 @@ fn main() {
         flip = !flip;
         engine.rebatch(if flip { 1024 } else { 512 });
     });
-    let cache = cluster.cache();
-    let t_cached_build = best_of(50, || {
-        CostEngine::with_cache(&resnet, &device, &cluster, TrainingConfig::imagenet(1024), &cache)
-    });
     println!(
-        "resnet50 engine  : rebuild {:>7.1} us | cached build {:>7.1} us | rebatch {:>7.2} us ({:.0}x)",
+        "resnet50 engine  : rebuild {:>7.1} us | rebatch {:>7.2} us ({:.0}x)",
         t_rebuild * 1e6,
-        t_cached_build * 1e6,
         t_rebatch * 1e6,
         t_rebuild / t_rebatch
     );
@@ -137,7 +131,6 @@ fn main() {
             "  \"grid_candidates_per_sec\": {:.0},\n",
             "  \"speedup_grid\": {:.2},\n",
             "  \"engine_rebuild_seconds\": {:.9},\n",
-            "  \"engine_cached_build_seconds\": {:.9},\n",
             "  \"engine_rebatch_seconds\": {:.9},\n",
             "  \"speedup_rebatch\": {:.2}\n",
             "}}\n"
@@ -153,7 +146,6 @@ fn main() {
         rate(t_grid),
         speedup,
         t_rebuild,
-        t_cached_build,
         t_rebatch,
         t_rebuild / t_rebatch,
     );

@@ -21,8 +21,9 @@
 //!   squared *relative* error — the quantity §5.2 reports) over a ladder of
 //!   regressor bases, followed by a bias-zeroing rescale so each family's
 //!   mean signed relative error on its training samples is driven to zero,
-//! * [`CalibratedCostModel`] — a decorator over [`CostEngine`] that applies
-//!   the parameters to finished estimates in O(1).
+//!   and applied to a finished [`CostEngine`](crate::engine::CostEngine)
+//!   estimate in O(1) by
+//!   [`Calibration::apply_estimate`].
 //!
 //! **Bit-consistency.** Calibration multiplies *finished* phase breakdowns;
 //! the engine's internal batch-last [`CommCoef`](crate::engine) pricing —
@@ -30,7 +31,7 @@
 //! kernel share — runs uncalibrated underneath and keeps holding verbatim.
 //! Scaling the coefficients themselves would be algebraically equivalent
 //! but *not* bit-equivalent (floating-point multiplication does not
-//! distribute), so the decorator scales finished phases, never coefficients.
+//! distribute), so calibration scales finished phases, never coefficients.
 //! A direct consequence: [`Calibration::identity`] is bit-identical to the
 //! uncalibrated engine (`1.0 * x == x` and `x + 0.0 == x` bitwise for every
 //! finite non-negative `x`, and the engine verifies its outputs finite at
@@ -43,7 +44,6 @@
 //! calibration names the exact replay population it was fitted on.
 
 use crate::cost::{CostEstimate, PhaseBreakdown};
-use crate::engine::CostEngine;
 use crate::jsonio::Json;
 use crate::oracle::Projection;
 use crate::strategy::{Strategy, StrategyKind};
@@ -252,8 +252,7 @@ fn family_index(kind: StrategyKind) -> usize {
 }
 
 /// Per-family overhead calibration, fitted from conformance replays. Apply
-/// with [`Calibration::apply_estimate`] or through a
-/// [`CalibratedCostModel`].
+/// with [`Calibration::apply_estimate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Parameters in [`StrategyKind::ALL`] order.
@@ -616,51 +615,13 @@ fn rezero_bias(samples: &[CalSample], scale: FamilyScale) -> FamilyScale {
     }
 }
 
-/// A calibrated view over a [`CostEngine`]: the same O(1) estimate surface,
-/// with the fitted per-family parameters applied to every finished
-/// breakdown. The engine underneath is untouched — its batch-last
-/// `CommCoef` pricing, shared by estimates and the kernel, runs exactly as
-/// it does uncalibrated.
-pub struct CalibratedCostModel<'e, 'a> {
-    engine: &'e CostEngine<'a>,
-    calibration: Calibration,
-}
-
-impl<'e, 'a> CalibratedCostModel<'e, 'a> {
-    /// Wraps an engine with a calibration.
-    pub fn new(engine: &'e CostEngine<'a>, calibration: Calibration) -> Self {
-        CalibratedCostModel { engine, calibration }
-    }
-
-    /// The calibration being applied.
-    pub fn calibration(&self) -> &Calibration {
-        &self.calibration
-    }
-
-    /// The uncalibrated engine underneath.
-    pub fn engine(&self) -> &CostEngine<'a> {
-        self.engine
-    }
-
-    /// Calibrated estimate: the engine's O(1) estimate with the family's
-    /// parameters applied to the time phases (memory is reported
-    /// uncalibrated).
-    pub fn estimate(&self, strategy: Strategy) -> CostEstimate {
-        self.calibration.apply_estimate(&self.engine.estimate(strategy))
-    }
-
-    /// Calibrated per-epoch total time, O(1).
-    pub fn epoch_time(&self, strategy: Strategy) -> f64 {
-        self.estimate(strategy).epoch_time()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::compute::DeviceProfile;
     use crate::config::TrainingConfig;
+    use crate::engine::CostEngine;
     use crate::layer::Layer;
     use crate::model::Model;
 
@@ -888,7 +849,7 @@ mod tests {
         let cluster = ClusterSpec::paper_system();
         let config = TrainingConfig::small(4096, 64);
         let engine = CostEngine::new(&model, &device, &cluster, config).unwrap();
-        let calibrated = CalibratedCostModel::new(&engine, Calibration::identity());
+        let identity = Calibration::identity();
         for s in [
             Strategy::Serial,
             Strategy::Data { p: 8 },
@@ -897,7 +858,7 @@ mod tests {
             Strategy::Pipeline { p: 4, segments: 8 },
         ] {
             let raw = engine.estimate(s);
-            let cal = calibrated.estimate(s);
+            let cal = identity.apply_estimate(&engine.estimate(s));
             assert_eq!(raw.epoch_time().to_bits(), cal.epoch_time().to_bits(), "{s}");
             assert_eq!(raw, cal, "{s}");
         }
@@ -913,15 +874,14 @@ mod tests {
         let mut cal = Calibration::identity();
         cal.scales[family_index(StrategyKind::Filter)] =
             FamilyScale { fbc_scale: 2.0, ..FamilyScale::IDENTITY };
-        let calibrated = CalibratedCostModel::new(&engine, cal);
         let s = Strategy::Filter { p: 4 };
         let raw = engine.estimate(s);
-        let out = calibrated.estimate(s);
+        let out = cal.apply_estimate(&engine.estimate(s));
         assert_eq!(out.per_epoch.compute(), raw.per_epoch.compute());
         assert!(
             (out.per_epoch.communication() - 2.0 * raw.per_epoch.communication()).abs() < 1e-12
         );
-        assert_eq!(calibrated.epoch_time(s), out.epoch_time());
+        assert_eq!(cal.apply_estimate(&engine.estimate(s)).epoch_time(), out.epoch_time());
     }
 
     #[test]

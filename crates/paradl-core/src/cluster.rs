@@ -13,10 +13,10 @@ use crate::comm::{CommModel, LinkParams};
 use crate::compute::DeviceProfile;
 
 /// Largest exponent of the power-of-two communicator tables (`2^24` = 16 Mi
-/// PEs, far beyond any machine the oracle models). [`ClusterCache`] and the
-/// collective tables of [`crate::engine::CostEngine`] cover communicator
-/// sizes up to `2^MAX_LOG2_PES`; larger or non-power-of-two sizes fall back
-/// to the closed-form Hockney formulas, which are themselves `O(1)`.
+/// PEs, far beyond any machine the oracle models). The collective tables of
+/// [`crate::engine::CostEngine`] cover communicator sizes up to
+/// `2^MAX_LOG2_PES`; larger or non-power-of-two sizes are priced on the fly
+/// by the same closed-form Hockney formulas, which are themselves `O(1)`.
 pub const MAX_LOG2_PES: usize = 24;
 
 /// Hierarchy levels of the interconnect, ordered from fastest/closest to
@@ -137,88 +137,10 @@ impl ClusterSpec {
     /// over the same inter-node link, so φ equals the number of segments
     /// sharing the link (the paper uses 2× for its two-rail nodes; with
     /// `gpus_per_node` segments over `rails = 2` rails this is
-    /// `gpus_per_node / rails`). Topology-derived, so it is tabulated in
-    /// [`ClusterCache`].
+    /// `gpus_per_node / rails`).
     pub fn segmented_allreduce_contention(&self, group_size: usize) -> f64 {
         let rails = 2.0;
         (group_size.min(self.gpus_per_node) as f64 / rails).max(1.0)
-    }
-
-    /// Builds the shareable [`ClusterCache`] of this cluster's
-    /// topology-derived communication models.
-    pub fn cache(&self) -> ClusterCache {
-        ClusterCache::new(self)
-    }
-}
-
-/// Topology-derived communication models of one cluster, tabulated for every
-/// power-of-two communicator size up to `2^`[`MAX_LOG2_PES`] — everything a
-/// [`crate::engine::CostEngine`] needs from the [`ClusterSpec`] to memoize
-/// its gradient-exchange collective times, hoisted out of the engine so that
-/// **every engine on the same cluster shares one cache** (wrap it in an
-/// [`std::sync::Arc`]; that is what [`crate::grid::GridSweep`] does for a
-/// multi-model query grid).
-///
-/// The cached models are *value-identical* to deriving them on the fly
-/// through [`ClusterSpec::comm_model`] / [`ClusterSpec::comm_model_inter_group`] /
-/// [`ClusterSpec::segmented_allreduce_contention`]: the cache only avoids the
-/// repeated derivation, so engines built with and without a cache produce
-/// byte-for-byte identical estimates.
-#[derive(Debug, Clone)]
-pub struct ClusterCache {
-    /// The cluster the cache was derived from (used to sanity-check reuse).
-    cluster: ClusterSpec,
-    /// `pow2[k]` = [`ClusterSpec::comm_model`]`(2^k)`: the flat communicator
-    /// of `2^k` consecutive PEs (also the inter-group model of any
-    /// `groups × group_size` split with span `2^k`, which bottlenecks on the
-    /// same hierarchy level).
-    pow2: Vec<CommModel>,
-    /// `intra[j]` = [`ClusterSpec::comm_model`]`(min(2^j, gpus_per_node))`:
-    /// the intra-group communicator of a node-sized group of `2^j` PEs.
-    intra: Vec<CommModel>,
-    /// `phi[j]` = [`ClusterSpec::segmented_allreduce_contention`]`(2^j)`.
-    phi: Vec<f64>,
-}
-
-impl ClusterCache {
-    /// Tabulates every power-of-two communication model of `cluster`.
-    pub fn new(cluster: &ClusterSpec) -> Self {
-        let n = MAX_LOG2_PES + 1;
-        ClusterCache {
-            cluster: cluster.clone(),
-            pow2: (0..n).map(|k| cluster.comm_model(1 << k)).collect(),
-            intra: (0..n)
-                .map(|j| cluster.comm_model((1 << j).min(cluster.gpus_per_node)))
-                .collect(),
-            phi: (0..n).map(|j| cluster.segmented_allreduce_contention(1 << j)).collect(),
-        }
-    }
-
-    /// The cluster this cache was derived from.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
-    }
-
-    /// Flat communicator model over `2^k` PEs.
-    pub fn pow2(&self, k: usize) -> &CommModel {
-        &self.pow2[k]
-    }
-
-    /// Inter-group communicator model of `2^i` groups of `2^j` PEs (spans
-    /// `2^(i+j)` PEs, bottlenecking on the same level as a flat communicator
-    /// of that size).
-    pub fn inter_group(&self, i: usize, j: usize) -> &CommModel {
-        &self.pow2[i + j]
-    }
-
-    /// Intra-group (node-capped) communicator model of a group of `2^j` PEs.
-    pub fn intra(&self, j: usize) -> &CommModel {
-        &self.intra[j]
-    }
-
-    /// Segmented-Allreduce contention φ of a group of `2^j` PEs.
-    pub fn segmented_phi(&self, j: usize) -> f64 {
-        self.phi[j]
     }
 }
 
@@ -273,33 +195,5 @@ mod tests {
         let c = ClusterSpec::workstation(8);
         assert_eq!(c.total_gpus(), 8);
         assert_eq!(c.level_for(8), CommLevel::IntraNode);
-    }
-
-    #[test]
-    fn cache_matches_on_the_fly_derivation() {
-        for cluster in [ClusterSpec::paper_system(), ClusterSpec::workstation(6)] {
-            let cache = cluster.cache();
-            assert_eq!(cache.cluster(), &cluster);
-            for k in 0..=MAX_LOG2_PES {
-                assert_eq!(*cache.pow2(k), cluster.comm_model(1 << k), "pow2[{k}]");
-                assert_eq!(
-                    *cache.intra(k),
-                    cluster.comm_model((1 << k).min(cluster.gpus_per_node)),
-                    "intra[{k}]"
-                );
-                assert_eq!(
-                    cache.segmented_phi(k),
-                    cluster.segmented_allreduce_contention(1 << k),
-                    "phi[{k}]"
-                );
-            }
-            // The inter-group model only depends on the communicator span.
-            for (i, j) in [(0, 2), (3, 1), (8, 4)] {
-                assert_eq!(
-                    *cache.inter_group(i, j),
-                    cluster.comm_model_inter_group(1 << i, 1 << j)
-                );
-            }
-        }
     }
 }

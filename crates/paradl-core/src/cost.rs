@@ -235,7 +235,7 @@ pub fn estimate_with_memory<C: ComputeModel + ?Sized>(
             // Allreduces sharing the inter-node link (paper §5.2 uses φ = 2).
             let inter = cluster
                 .comm_model_inter_group(p1, p2)
-                .with_contention(segmented_allreduce_contention(cluster, p2));
+                .with_contention(cluster.segmented_allreduce_contention(p2));
             breakdown.gradient_exchange =
                 iters * inter.allreduce(p1, total_weight_bytes / p2 as f64);
         }
@@ -338,15 +338,6 @@ pub fn hierarchical_allreduce_time(
         t += inter.allreduce(groups, bytes);
     }
     t
-}
-
-/// Contention coefficient φ of the segmented Allreduce used by Data+Filter
-/// (paper §5.2). Forwards to
-/// [`ClusterSpec::segmented_allreduce_contention`], where the
-/// topology-derived quantity now lives so the per-cluster
-/// [`crate::cluster::ClusterCache`] can tabulate it.
-pub fn segmented_allreduce_contention(cluster: &ClusterSpec, group_size: usize) -> f64 {
-    cluster.segmented_allreduce_contention(group_size)
 }
 
 #[cfg(test)]

@@ -30,9 +30,8 @@
 //!   on),
 //! * memoized collective-time building blocks keyed by communicator size for
 //!   the gradient-exchange Allreduce of the data, spatial, data+filter and
-//!   data+spatial strategies — derived from the topology tables of a
-//!   [`ClusterCache`] that can itself be `Arc`-shared between every engine
-//!   on the same cluster ([`CostEngine::with_cache`]),
+//!   data+spatial strategies — priced straight from the [`ClusterSpec`]
+//!   by the same per-collective formulas the non-power-of-two sizes use,
 //! * the model's scaling-limit table ([`ModelLimits`]) used by candidate
 //!   enumeration and validation,
 //! * the per-candidate communication coefficients (`CommCoef`, from
@@ -67,16 +66,15 @@
 //! After construction, [`CostEngine::estimate`], [`CostEngine::memory_per_pe`]
 //! and [`CostEngine::lower_bound`] all run in `O(1)` per candidate (no
 //! allocation), which is what makes the pruned search in [`crate::search`]
-//! much faster than the reference path at scale. Measured end to end on a
-//! CosmoFlow-scale exhaustive space (≈ 226k candidates at 16 Ki PEs, see
-//! `paradl-bench/benches/engine.rs`, 16-core container): the reference path
-//! finishes the search in ≈ 0.82 s (≈ 0.28 M candidates/s), the engine-backed
-//! full ranking in ≈ 0.17 s (≈ 1.4 M candidates/s), and the engine with
-//! top-10 pruning in ≈ 0.08 s (≈ 2.9 M candidates/s) — a 5–10× end-to-end
-//! speedup, with engine construction itself costing ≈ 17 µs (CosmoFlow) to
-//! ≈ 170–230 µs (ResNet-50), and a [`CostEngine::rebatch`] ≈ 36 µs on
-//! ResNet-50 — ≈ 7× cheaper than the rebuild it replaces
-//! (`paradl-bench/benches/grid.rs`).
+//! much faster than the reference path at scale. Measured on a 2-vCPU
+//! Intel Xeon host (`nproc` = 2), on the CosmoFlow-scale exhaustive space
+//! of `paradl-bench/benches/engine.rs` (16 Ki PEs, criterion medians): the
+//! reference path finishes the search in ≈ 0.94 s, the engine-backed full
+//! ranking in ≈ 0.24 s, and the engine with top-10 pruning in ≈ 0.03 s — a
+//! 4–33× end-to-end speedup. On the same host `bench_grid_summary` (best of
+//! 50) builds a ResNet-50 engine in ≈ 314–323 µs and
+//! [`CostEngine::rebatch`]es it in ≈ 46–48 µs, ≈ 7× cheaper than the
+//! rebuild it replaces.
 //!
 //! The engine is numerically *equivalent* to the reference model (same
 //! formulas, refactored around precomputed aggregates) but not bit-identical
@@ -86,13 +84,11 @@
 //! are fully deterministic, which is why the parallel and serial searches
 //! agree exactly.
 
-use crate::cluster::{ClusterCache, ClusterSpec, MAX_LOG2_PES};
+use crate::cluster::{ClusterSpec, MAX_LOG2_PES};
 use crate::comm::CommModel;
 use crate::compute::{ComputeModel, LayerTimes};
 use crate::config::TrainingConfig;
-use crate::cost::{
-    hierarchical_allreduce_time, segmented_allreduce_contention, CostEstimate, PhaseBreakdown,
-};
+use crate::cost::{hierarchical_allreduce_time, CostEstimate, PhaseBreakdown};
 use crate::model::Model;
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -439,9 +435,7 @@ pub struct CostEngine<'a> {
 impl<'a> CostEngine<'a> {
     /// Builds the engine: one `O(layers²)` precomputation pass (the quadratic
     /// part is the per-depth pipeline table; everything else is linear),
-    /// deriving the topology tables from a private [`ClusterCache`]. When
-    /// building several engines on the same cluster, build the cache once
-    /// and use [`CostEngine::with_cache`] instead.
+    /// with the collective tables priced straight from `cluster`.
     ///
     /// Errors instead of building when the config is invalid (zero batch,
     /// zero dataset, …) or when any precomputed table entry comes out
@@ -452,22 +446,6 @@ impl<'a> CostEngine<'a> {
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
     ) -> Result<Self, EngineError> {
-        Self::with_cache(model, device, cluster, config, &ClusterCache::new(cluster))
-    }
-
-    /// Like [`CostEngine::new`], but reuses a (typically
-    /// [`Arc`]-shared) [`ClusterCache`] of `cluster`'s topology-derived
-    /// communication models, so the collective tables skip the per-engine
-    /// model derivation. Produces byte-for-byte the same engine as
-    /// [`CostEngine::new`] — the cache holds models, not times.
-    pub fn with_cache<C: ComputeModel + ?Sized>(
-        model: &'a Model,
-        device: &C,
-        cluster: &'a ClusterSpec,
-        config: TrainingConfig,
-        cache: &ClusterCache,
-    ) -> Result<Self, EngineError> {
-        debug_assert_eq!(cache.cluster(), cluster, "ClusterCache reused across clusters");
         // Validate *before* any arithmetic: `rebatch` below divides by the
         // batch size, and a zero batch must be a typed error, not a panic.
         config.validate().map_err(EngineError::Config)?;
@@ -554,7 +532,7 @@ impl<'a> CostEngine<'a> {
             pipeline.push(agg);
         }
 
-        let tables = CollectiveTables::build(cache, total_weight_bytes);
+        let tables = CollectiveTables::build(cluster, total_weight_bytes);
 
         let core = EngineCore {
             limits: ModelLimits::of(model),
@@ -640,7 +618,7 @@ impl<'a> CostEngine<'a> {
     /// precomputation pass entirely (no device queries — the device model
     /// is already baked into the core's tables). The batch-dependent tables
     /// are filled through the same [`CostEngine::rebatch`] path
-    /// [`CostEngine::with_cache`] uses, so the result is **byte-for-byte
+    /// [`CostEngine::new`] uses, so the result is **byte-for-byte
     /// identical** to a fresh build at `config`.
     ///
     /// Contract: `core` must have been built for this `model`, this
@@ -1005,7 +983,7 @@ impl<'a> CostEngine<'a> {
                 return t;
             }
         }
-        self.cluster.comm_model(p).allreduce(p, self.core.total_weight_bytes)
+        CollectiveTables::flat_entry(self.cluster, self.core.total_weight_bytes, p)
     }
 
     /// Data+filter gradient exchange: segmented inter-group Allreduce of the
@@ -1055,74 +1033,45 @@ impl<'a> CostEngine<'a> {
 }
 
 impl CollectiveTables {
-    /// Evaluates the memoized collective times from the cluster's cached
-    /// communication models. Value-identical to deriving each model on the
-    /// fly (the fallback entries below), since the cache stores models, not
-    /// times, and both paths share the same core formulas.
-    fn build(cache: &ClusterCache, weight_bytes: f64) -> Self {
+    /// Tabulates every power-of-two collective time with the very formulas
+    /// the non-power-of-two sizes are priced with at query time, so a
+    /// memoized entry is bit-identical to the on-the-fly price.
+    fn build(cluster: &ClusterSpec, weight_bytes: f64) -> Self {
         let n = MAX_LOG2_PES + 1;
-        let flat: Vec<f64> =
-            (0..n).map(|i| cache.pow2(i).allreduce(1 << i, weight_bytes)).collect();
-        let mut df = Vec::with_capacity(n);
-        let mut ds = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut df_row = Vec::with_capacity(n);
-            let mut ds_row = Vec::with_capacity(n);
-            for j in 0..n {
-                if i + j <= MAX_LOG2_PES {
-                    df_row.push(Self::df_core(
-                        cache.inter_group(i, j),
-                        cache.segmented_phi(j),
-                        1 << i,
-                        1 << j,
-                        weight_bytes,
-                    ));
-                    ds_row.push(Self::ds_core(
-                        cache.intra(j),
-                        cache.inter_group(i, j),
-                        1 << i,
-                        1 << j,
-                        weight_bytes,
-                    ));
-                } else {
-                    break;
-                }
-            }
-            df.push(df_row);
-            ds.push(ds_row);
+        let row = |entry: fn(&ClusterSpec, f64, usize, usize) -> f64, i: usize| -> Vec<f64> {
+            (0..n - i).map(|j| entry(cluster, weight_bytes, 1 << i, 1 << j)).collect()
+        };
+        CollectiveTables {
+            flat: (0..n).map(|i| Self::flat_entry(cluster, weight_bytes, 1 << i)).collect(),
+            df: (0..n).map(|i| row(Self::df_entry, i)).collect(),
+            ds: (0..n).map(|i| row(Self::ds_entry, i)).collect(),
         }
-        CollectiveTables { flat, df, ds }
     }
 
-    /// Data+filter gradient-exchange time from already-derived communication
-    /// models: the single formula shared by the power-of-two table above and
-    /// the non-power-of-two fallback below, so the two can never drift.
-    fn df_core(inter: &CommModel, phi: f64, p1: usize, p2: usize, weight_bytes: f64) -> f64 {
-        inter.with_contention(phi).allreduce(p1, weight_bytes / p2 as f64)
+    /// Data / spatial gradient exchange: flat Allreduce of the full weight
+    /// buffer over `p` consecutive PEs.
+    fn flat_entry(cluster: &ClusterSpec, weight_bytes: f64, p: usize) -> f64 {
+        cluster.comm_model(p).allreduce(p, weight_bytes)
     }
 
-    /// Data+spatial gradient-exchange time from already-derived models (see
-    /// [`CollectiveTables::df_core`]).
-    fn ds_core(intra: &CommModel, inter: &CommModel, p1: usize, p2: usize, bytes: f64) -> f64 {
-        hierarchical_allreduce_time(intra, inter, p2, p1, bytes)
-    }
-
+    /// Data+filter gradient exchange: the `|w|/p2` shard Allreduced over
+    /// `p1` groups on the inter-group link, slowed by the segmented
+    /// Allreduce's contention φ.
     fn df_entry(cluster: &ClusterSpec, weight_bytes: f64, p1: usize, p2: usize) -> f64 {
-        Self::df_core(
-            &cluster.comm_model_inter_group(p1, p2),
-            segmented_allreduce_contention(cluster, p2),
-            p1,
-            p2,
-            weight_bytes,
-        )
+        cluster
+            .comm_model_inter_group(p1, p2)
+            .with_contention(cluster.segmented_allreduce_contention(p2))
+            .allreduce(p1, weight_bytes / p2 as f64)
     }
 
+    /// Data+spatial gradient exchange: hierarchical leader-based Allreduce
+    /// over `p1` groups of `p2` node-local PEs.
     fn ds_entry(cluster: &ClusterSpec, weight_bytes: f64, p1: usize, p2: usize) -> f64 {
-        Self::ds_core(
+        hierarchical_allreduce_time(
             &cluster.comm_model(p2.min(cluster.gpus_per_node)),
             &cluster.comm_model_inter_group(p1, p2),
-            p1,
             p2,
+            p1,
             weight_bytes,
         )
     }
@@ -1141,7 +1090,7 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 /// Stable fingerprint of a cluster (device profile, shape and link
-/// parameters — everything a [`ClusterCache`]'s topology tables depend on).
+/// parameters — everything an engine's collective tables depend on).
 /// Two specs with equal `Debug` representations hash equally; `Debug` for
 /// the float fields prints shortest-round-trip decimals, so distinct bit
 /// patterns yield distinct strings.
@@ -1177,16 +1126,9 @@ impl<V: Clone> Lru<V> {
 
     /// Looks up `key`, promoting a hit to most-recent; on miss inserts
     /// `build()` and evicts the least-recent entry past capacity. Returns
-    /// `(value, was_hit)`. With `cap == 0` the cache is disabled: every call
-    /// builds fresh.
-    fn get_or_insert(&self, key: u64, build: impl FnOnce() -> V) -> (V, bool) {
-        self.try_get_or_insert::<std::convert::Infallible>(key, || Ok(build()))
-            .unwrap_or_else(|never| match never {})
-    }
-
-    /// [`Lru::get_or_insert`] with a fallible builder: a build error
-    /// propagates to the caller and nothing is inserted (a later lookup
-    /// rebuilds).
+    /// `(value, was_hit)`. A build error propagates to the caller and
+    /// nothing is inserted (a later lookup rebuilds). With `cap == 0` the
+    /// cache is disabled: every call builds fresh.
     fn try_get_or_insert<E>(
         &self,
         key: u64,
@@ -1224,8 +1166,9 @@ impl<V: Clone> Lru<V> {
     }
 }
 
-/// Cumulative hit/miss counters of an [`EngineCache`] (cores and cluster
-/// caches pooled together).
+/// Cumulative hit/miss counters of an [`EngineCache`]: one count per core
+/// lookup, so one [`EngineCache::engine`] call is exactly one hit or one
+/// miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineCacheStats {
     /// Lookups answered from the cache.
@@ -1234,18 +1177,16 @@ pub struct EngineCacheStats {
     pub misses: u64,
 }
 
-/// A thread-safe LRU of [`EngineCore`]s and [`ClusterCache`]s, keyed by the
-/// stable fingerprints above. This is the engine-reuse hook behind
-/// `GridSweep::run_cached` and the `paradl-serve` daemon's cross-request
-/// reuse: repeated queries against the same (model, device, cluster, γ·δ)
-/// problem skip the `O(layers²)` engine build and the topology-table
-/// derivation entirely, paying only the `O(layers²)`-float
+/// A thread-safe LRU of [`EngineCore`]s, keyed by [`engine_fingerprint`].
+/// This is the engine-reuse hook behind `GridSweep::run_cached` and the
+/// `paradl-serve` daemon's cross-request reuse: repeated queries against
+/// the same (model, device, cluster, γ·δ) problem skip the `O(layers²)`
+/// engine build entirely, paying only the `O(layers²)`-float
 /// [`CostEngine::rebatch`]. [`EngineCache::engine`] is the one way in.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
     cores: Lru<Arc<EngineCore>>,
-    clusters: Lru<Arc<ClusterCache>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -1260,42 +1201,25 @@ impl std::fmt::Debug for EngineCache {
 }
 
 impl EngineCache {
-    /// A cache holding up to `cap` engine cores and `cap` cluster caches.
+    /// A cache holding up to `cap` engine cores.
     pub fn new(cap: usize) -> Self {
-        EngineCache {
-            cores: Lru::new(cap),
-            clusters: Lru::new(cap),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        EngineCache { cores: Lru::new(cap), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
     }
 
     /// An engine for `model` on `cluster` at `config`'s batch, and whether
-    /// its core came from the cache. The topology tables come from the
-    /// cluster LRU and the core from the core LRU; on a miss the core is
-    /// built fallibly, and a build error ([`EngineError`]) propagates with
-    /// nothing cached (the miss is still counted). The engine is hydrated
-    /// with [`CostEngine::from_core`], so it is byte-for-byte identical to
-    /// a fresh build.
+    /// its core came from the cache. On a miss the core is built with
+    /// [`CostEngine::new`], and a build error ([`EngineError`]) propagates
+    /// with nothing cached (the miss is still counted). The engine is
+    /// hydrated with [`CostEngine::from_core`], so it is byte-for-byte
+    /// identical to a fresh build.
     pub fn engine<'a>(
         &self,
         model: &'a Model,
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
     ) -> Result<(CostEngine<'a>, bool), EngineError> {
-        let topology =
-            self.cluster(cluster_fingerprint(cluster), || Arc::new(ClusterCache::new(cluster)));
         let (core, hit) = self.try_core(engine_fingerprint(model, cluster, &config), || {
-            Ok(CostEngine::with_cache(model, &cluster.device, cluster, config, &topology)?
-                .core_handle())
+            Ok(CostEngine::new(model, &cluster.device, cluster, config)?.core_handle())
         })?;
         Ok((CostEngine::from_core(model, cluster, config, core)?, hit))
     }
@@ -1309,16 +1233,9 @@ impl EngineCache {
         build: impl FnOnce() -> Result<Arc<EngineCore>, EngineError>,
     ) -> Result<(Arc<EngineCore>, bool), EngineError> {
         let result = self.cores.try_get_or_insert(key, build);
-        self.count(matches!(result, Ok((_, true))));
+        let counter = if matches!(result, Ok((_, true))) { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         result
-    }
-
-    /// The cluster cache for `key` (a [`cluster_fingerprint`]), building and
-    /// caching it with `build` on a miss.
-    fn cluster(&self, key: u64, build: impl FnOnce() -> Arc<ClusterCache>) -> Arc<ClusterCache> {
-        let (cache, hit) = self.clusters.get_or_insert(key, build);
-        self.count(hit);
-        cache
     }
 
     /// Whether a core for `key` (an [`engine_fingerprint`]) is currently
@@ -1466,16 +1383,14 @@ mod tests {
 
     #[test]
     fn memoized_collective_tables_match_fallback_formulas() {
-        // The power-of-two tables are built from the ClusterCache's derived
-        // communication models; the non-power-of-two runtime path derives
-        // the models on the fly. Both must produce bit-identical times for
-        // the sizes the tables cover (the cache holds models, not times,
-        // and both paths share df_core/ds_core).
+        // The power-of-two tables and the non-power-of-two runtime path
+        // price each collective with the same entry formula, so they must
+        // agree bit for bit on the sizes the tables cover.
         let m = model();
         let d = DeviceProfile::v100();
         let c = ClusterSpec::paper_system();
         let cfg = TrainingConfig::small(4096, 64);
-        let engine = CostEngine::with_cache(&m, &d, &c, cfg, &c.cache()).expect("engine builds");
+        let engine = CostEngine::new(&m, &d, &c, cfg).expect("engine builds");
         let w = m.total_weights() as f64 * cfg.bytes_per_item;
         let tables = &engine.core.tables;
         for i in 0..10usize {
@@ -1639,6 +1554,19 @@ mod tests {
         off.try_core(key, build).unwrap();
         assert!(!off.contains_core(key));
         assert_eq!(off.stats(), EngineCacheStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn engine_calls_count_one_core_lookup_each() {
+        let m = model();
+        let c = ClusterSpec::paper_system();
+        let cache = EngineCache::new(4);
+        let (cold, hit) = cache.engine(&m, &c, TrainingConfig::small(4096, 64)).unwrap();
+        assert!(!hit);
+        let (warm, hit) = cache.engine(&m, &c, TrainingConfig::small(4096, 128)).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&cold.core, &warm.core), "the warm call must reuse the core");
+        assert_eq!(cache.stats(), EngineCacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

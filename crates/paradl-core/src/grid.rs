@@ -9,12 +9,10 @@
 //! per-layer path the tests compare against. A sweep has two parts:
 //!
 //! 1. **engine acquisition** — one [`CostEngine`] per (model, cluster)
-//!    pair, either built fresh on one shared [`ClusterCache`] per cluster
-//!    (so every engine on a cluster reuses its communication-model
-//!    derivations) or taken from [`EngineCache::engine`]
-//!    ([`GridSweep::run_cached`], which fails with the [`EngineError`] of
-//!    an unbuildable engine instead of sweeping); a one-cell answer skips
-//!    this part and brings its own engine;
+//!    pair, either built fresh with [`CostEngine::new`] or taken from
+//!    [`EngineCache::engine`] ([`GridSweep::run_cached`], which fails with
+//!    the [`EngineError`] of an unbuildable engine instead of sweeping); a
+//!    one-cell answer skips this part and brings its own engine;
 //! 2. **the sweep over prepared engines**, which amortizes everything
 //!    shareable across cells:
 //!
@@ -81,7 +79,7 @@
 //! [`Oracle::search_reference`]: crate::oracle::Oracle::search_reference
 //! [`ModelLimits::is_valid`]: crate::engine::ModelLimits::is_valid
 
-use crate::cluster::{ClusterCache, ClusterSpec};
+use crate::cluster::ClusterSpec;
 use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
 use crate::engine::{CommCoef, CostEngine, EngineCache, EngineError};
@@ -423,7 +421,9 @@ struct CellCtx<'e, 'a> {
 /// (prep, evaluation) is visible next to the end-to-end number.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridStageTimings {
-    /// Cluster topology-cache derivation.
+    /// Always 0: engines price their collective tables straight from the
+    /// cluster, so no per-cluster stage precedes the engine builds. Kept so
+    /// existing readers of the stage breakdown keep compiling.
     pub caches: f64,
     /// Candidate-superset enumeration (one per model).
     pub supersets: f64,
@@ -457,8 +457,8 @@ impl Laps {
     }
 }
 
-/// Evaluates a [`QueryGrid`], amortizing engines, topology caches and
-/// candidate enumeration across cells (see the [module docs](crate::grid)).
+/// Evaluates a [`QueryGrid`], amortizing engines and candidate
+/// enumeration across cells (see the [module docs](crate::grid)).
 #[derive(Debug, Clone)]
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
@@ -545,8 +545,7 @@ impl GridSweep {
 
     /// Engine acquisition — one engine per (model, cluster) pair at the
     /// grid's largest batch, from `ecache` when one is supplied, else built
-    /// fresh on shared per-cluster topology caches — followed by the sweep
-    /// over those engines.
+    /// fresh — followed by the sweep over those engines.
     fn run_with(
         &self,
         grid: &QueryGrid,
@@ -560,17 +559,8 @@ impl GridSweep {
         let n_clusters = grid.clusters.len();
         let max_batch = *grid.batches.iter().max().expect("non-empty batch axis");
 
-        // Fresh builds share one topology cache per cluster (the cache
-        // stores models, not times, so the derived engines are identical
-        // either way); the engine cache keeps its own.
-        let caches: Vec<ClusterCache> = match ecache {
-            Some(_) => Vec::new(),
-            None => grid.clusters.iter().map(ClusterCache::new).collect(),
-        };
-        timings.caches = laps.lap();
-
-        // One engine per (model, cluster) pair, sharing the cluster caches;
-        // every batch of the grid reuses the pair's batch-invariant core.
+        // One engine per (model, cluster) pair; every batch of the grid
+        // reuses the pair's batch-invariant core.
         // The engine tables are per layer, so the deepest models go first.
         let order = costliest_first(grid.models.len() * n_clusters, |i| {
             grid.models[i / n_clusters].model.layers.len()
@@ -582,9 +572,7 @@ impl GridSweep {
             let config = gm.config_at(max_batch);
             match ecache {
                 Some(ec) => ec.engine(&gm.model, cluster, config).map(|(engine, _)| engine),
-                None => {
-                    CostEngine::with_cache(&gm.model, &cluster.device, cluster, config, &caches[c])
-                }
+                None => CostEngine::new(&gm.model, &cluster.device, cluster, config),
             }
         });
         let engines = engines.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -1038,8 +1026,8 @@ mod tests {
         }
         let first = cache.stats();
         assert!(first.misses > 0, "cold sweep must populate the cache");
-        // A second sweep over the same grid hits for every engine and
-        // cluster cache, and still produces identical reports.
+        // A second sweep over the same grid hits for every engine, and
+        // still produces identical reports.
         let warm = sweep.run_cached(&grid, &cache).expect("engines build");
         let second = cache.stats();
         assert_eq!(second.misses, first.misses, "warm sweep must not rebuild");

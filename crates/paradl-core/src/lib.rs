@@ -68,8 +68,8 @@ pub mod vet;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::calibrate::{CalSample, CalibratedCostModel, Calibration, FamilyScale};
-    pub use crate::cluster::{ClusterCache, ClusterSpec, CommLevel};
+    pub use crate::calibrate::{CalSample, Calibration, FamilyScale};
+    pub use crate::cluster::{ClusterSpec, CommLevel};
     pub use crate::comm::{CollectiveAlgorithm, CommModel, LinkParams};
     pub use crate::compute::{ComputeModel, DeviceProfile, LayerTimes, TabulatedProfile};
     pub use crate::config::TrainingConfig;

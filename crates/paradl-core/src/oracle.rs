@@ -145,19 +145,21 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
 
     /// Projects the cost of a single strategy (reference slow path; for
     /// repeated projections under one configuration prefer
-    /// [`Oracle::engine`]).
+    /// [`Oracle::engine`]). Does not gate memory; see
+    /// [`Oracle::project_with`].
     pub fn project(&self, strategy: Strategy) -> Projection {
         self.project_with(strategy, &self.config)
     }
 
     /// Projects the cost of a strategy under an explicit configuration
     /// (useful for weak-scaling sweeps where `B` grows with `p`).
+    ///
+    /// Does not gate memory: `fits_memory` is `false` only for a NaN
+    /// footprint. Memory capacity is checked against
+    /// [`Constraints::memory_capacity_bytes`] by the searches and surveys.
     pub fn project_with(&self, strategy: Strategy, config: &TrainingConfig) -> Projection {
         let cost = estimate(self.model, self.device, self.cluster, config, strategy);
-        let fits_memory = cost.memory_per_pe_bytes <= memory::V100_MEMORY_BYTES.max(0.0)
-            || cost.memory_per_pe_bytes <= f64::INFINITY;
-        // Feasibility against the *cluster device* capacity is checked by the
-        // caller through `Constraints`; here we only record scaling validity.
+        let fits_memory = !cost.memory_per_pe_bytes.is_nan();
         let within_scaling_limit = strategy.validate(self.model, config.batch_size).is_ok();
         Projection { cost, fits_memory, within_scaling_limit }
     }

@@ -2,8 +2,9 @@
 //! replay population the closed-form fit must be deterministic for a fixed
 //! seed, must never increase a family's training bias or decrease its
 //! training accuracy (the identity is always a candidate), must only emit
-//! admissible parameters, and the identity [`CalibratedCostModel`] must be
-//! bit-identical to the raw engine on random models and strategies.
+//! admissible parameters, and the identity calibration applied to an
+//! engine estimate must be bit-identical to the raw estimate on random
+//! models and strategies.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, proptest, ProptestConfig};
@@ -194,11 +195,11 @@ proptest! {
         let cluster = ClusterSpec::paper_system();
         let config = TrainingConfig::small(dataset, 1 << log_batch);
         let engine = CostEngine::new(&model, &device, &cluster, config).expect("engine builds");
-        let calibrated = CalibratedCostModel::new(&engine, Calibration::identity());
+        let identity = Calibration::identity();
         let constraints = Constraints { max_pes: 128, ..Constraints::default() };
         for s in StrategySpace::new(&model, config.batch_size, &constraints).take(200) {
             let raw = engine.estimate(s);
-            let cal = calibrated.estimate(s);
+            let cal = identity.apply_estimate(&engine.estimate(s));
             prop_assert!(
                 raw.epoch_time().to_bits() == cal.epoch_time().to_bits(),
                 "{s}: identity calibration changed bits: {} vs {}",

@@ -136,7 +136,7 @@ pub type EvalHook = Arc<dyn Fn(&Query, EvalStage) + Send + Sync>;
 /// Tunables for a [`Server`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Capacity of the engine-core/cluster LRU (0 disables caching).
+    /// Capacity of the engine-core LRU (0 disables caching).
     pub cache_entries: usize,
     /// Bounded queue depth; requests beyond it are shed.
     pub queue_cap: usize,
@@ -372,7 +372,7 @@ impl Server {
         &self.bound
     }
 
-    /// Engine-cache statistics (hits/misses so far).
+    /// Engine-cache statistics: hits and misses of the core lookups so far.
     pub fn cache_stats(&self) -> paradl_core::engine::EngineCacheStats {
         self.shared.cache.stats()
     }

@@ -1,9 +1,9 @@
 //! Batched multi-query oracle: sweep every bundled model across a grid of
 //! global batch sizes and two clusters in ONE amortized `GridSweep` — the
-//! engines, per-cluster topology caches and candidate enumerations are
-//! shared across all cells instead of being rebuilt per query, which is
-//! what makes paper-scale surveys (tables of best strategies per model ×
-//! batch × system) run at near-single-query cost.
+//! engines and candidate enumerations are shared across all cells instead
+//! of being rebuilt per query, which is what makes paper-scale surveys
+//! (tables of best strategies per model × batch × system) run at
+//! near-single-query cost.
 //!
 //! Run with: `cargo run --release --example survey_grid`
 
