@@ -16,19 +16,34 @@
 //!   fixtures and wire frames therefore survive a parse→render cycle
 //!   bit-exactly; tolerances in tests only absorb arithmetic drift, not
 //!   serialization loss.
+//! * **Cheap per value.** Rendering a ranked answer writes tens of thousands
+//!   of keys, numbers and strings, so no value allocates on its way out:
+//!   - object keys are `Cow<'static, str>`, so the fixed keys of an answer
+//!     document are borrowed literals (parsed keys are `Cow::Owned`);
+//!   - numbers are written in place through `fmt::Write`. Two fast paths
+//!     skip the float formatter: `+0.0` writes `0`, and an integral value
+//!     with |n| < 2^53 (never `-0.0`) writes its integer digits. Both give
+//!     exactly the bytes of `Display` (a test pins this on random bit
+//!     patterns). Every other number goes through `Display`, which is the
+//!     floor of what rendering costs: on a 1 Ki `FullRank` answer it is
+//!     over half of the remaining render time;
+//!   - a string with no quote, backslash or control byte is copied in one
+//!     `push_str`; only the others are escaped char by char.
 //! * **Non-panicking parse.** [`Json::parse`] returns a [`JsonError`] with a
 //!   byte offset instead of panicking, so a daemon can reject a malformed
 //!   frame without dying. The panicking accessors ([`Json::req`],
 //!   [`Json::as_str`], …) are sugar for tests and fixtures where a schema
 //!   mismatch *should* abort loudly.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object fields keep their insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// An object: ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    /// An object: ordered key/value pairs. Keys are usually `'static`
+    /// literals; parsed keys are owned.
+    Obj(Vec<(Cow<'static, str>, Json)>),
     /// An array.
     Arr(Vec<Json>),
     /// A string.
@@ -68,7 +83,7 @@ impl Json {
     // -- construction sugar -------------------------------------------------
 
     /// An object from key/value pairs (insertion order is preserved).
-    pub fn obj(fields: impl IntoIterator<Item = (impl Into<String>, Json)>) -> Json {
+    pub fn obj(fields: impl IntoIterator<Item = (impl Into<Cow<'static, str>>, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
@@ -123,7 +138,7 @@ impl Json {
     }
 
     /// The fields, if this is an object.
-    pub fn fields(&self) -> Option<&[(String, Json)]> {
+    pub fn fields(&self) -> Option<&[(Cow<'static, str>, Json)]> {
         match self {
             Json::Obj(fields) => Some(fields),
             _ => None,
@@ -144,10 +159,12 @@ impl Json {
     }
 
     /// The number as a non-negative integer count (`None` when missing,
-    /// non-numeric, negative, or not an integer).
+    /// non-numeric, negative, not an integer, or too large for `usize`).
     pub fn usize(&self) -> Option<usize> {
         let n = self.number()?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 {
+        // `usize::MAX as f64` rounds up to 2^64, which does not fit: the
+        // bound is 2^BITS, exclusive (powers of two are exact in `powi`).
+        if n >= 0.0 && n.fract() == 0.0 && n < 2f64.powi(usize::BITS as i32) {
             Some(n as usize)
         } else {
             None
@@ -233,13 +250,7 @@ impl Json {
     fn write_scalar(&self, out: &mut String) {
         match self {
             Json::Str(s) => write_escaped(out, s),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_number(out, *n),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Null => out.push_str("null"),
             Json::Obj(_) | Json::Arr(_) => unreachable!("containers handled by callers"),
@@ -345,9 +356,40 @@ impl Json {
     }
 }
 
+/// 2^53: below it every integer is an exact `f64`, and `Display` writes an
+/// integral value as its plain integer digits.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// Writes `n` with exactly the bytes of `format!("{n}")`, or `null` when it
+/// is not finite. `+0.0` and integral values below 2^53 skip the float
+/// formatter; `-0.0` does not (`Display` writes it as `-0`).
+fn write_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n == 0.0 && n.is_sign_positive() {
+        out.push('0');
+    } else if n != 0.0 && n.fract() == 0.0 && n.abs() < EXACT_INT_BOUND {
+        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
+    } else {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    }
+}
+
 /// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
-/// control characters.
+/// control characters. Strings that need no escape (every key and strategy
+/// name of an answer) are copied whole.
 fn write_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        write_escaped_chars(out, s);
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    }
+}
+
+/// The char-by-char escaper behind [`write_escaped`].
+fn write_escaped_chars(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -357,7 +399,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -437,7 +479,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
-            fields.push((key, self.value(depth + 1)?));
+            fields.push((Cow::Owned(key), self.value(depth + 1)?));
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
@@ -539,13 +581,17 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"))
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         let Some(text) = self.bytes.get(self.pos..end) else {
             return Err(self.err("truncated \\u escape"));
         };
-        let text = std::str::from_utf8(text).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let mut v = 0;
+        for &b in text {
+            let digit = (b as char).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -577,6 +623,109 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Numbers whose rendering takes each branch of `write_number`, and the
+    /// bounds of its integer fast path.
+    const EDGE_NUMBERS: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        EXACT_INT_BOUND - 1.0,
+        -(EXACT_INT_BOUND - 1.0),
+        EXACT_INT_BOUND,
+        EXACT_INT_BOUND + 2.0, // 2^53 + 1 is not an f64; this is its neighbour
+        -EXACT_INT_BOUND,
+        1e300,
+        -1e300,
+        5e-324,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        0.5,
+        -1024.25,
+    ];
+
+    /// Asserts that `x` renders exactly as `Display` does (`null` when it is
+    /// not finite).
+    fn renders_like_display(x: f64) -> Result<(), TestCaseError> {
+        let expected = if x.is_finite() { format!("{x}") } else { "null".to_string() };
+        let rendered = Json::Num(x).render();
+        prop_assert!(rendered == expected, "{:#018x}: {rendered} != {expected}", x.to_bits());
+        Ok(())
+    }
+
+    /// The char-by-char escaper on its own.
+    fn escaped_by_chars(s: &str) -> String {
+        let mut out = String::new();
+        write_escaped_chars(&mut out, s);
+        out
+    }
+
+    /// Characters that take each arm of the escaper.
+    const ESCAPE_POOL: [char; 14] =
+        ['a', 'Z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', 'λ', '💡'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn numbers_render_like_display_on_random_bit_patterns(bits in 0u64..u64::MAX) {
+            renders_like_display(f64::from_bits(bits))?;
+        }
+
+        #[test]
+        fn integral_numbers_render_like_display(v in 0u64..(1 << 55), neg in 0u32..2, scale in 0u32..4) {
+            // Integers around the 2^53 fast-path bound, and small ones.
+            let x = (v >> (scale * 16)) as f64;
+            renders_like_display(if neg == 1 { -x } else { x })?;
+        }
+
+        #[test]
+        fn escape_fast_path_equals_the_char_escaper(
+            picks in (0u64..u64::MAX, 0u64..u64::MAX, 0usize..24),
+        ) {
+            let (a, b, len) = picks;
+            // Plain strings (fast path) and strings with escapes (slow path).
+            let pool: &[char] = if len % 2 == 0 { &ESCAPE_POOL[..4] } else { &ESCAPE_POOL };
+            let s: String = (0..len)
+                .map(|i| {
+                    let r = if i < 12 { a >> (i * 5) } else { b >> ((i - 12) * 5) };
+                    pool[r as usize % pool.len()]
+                })
+                .collect();
+            let rendered = Json::str(s.as_str()).render();
+            prop_assert!(rendered == escaped_by_chars(&s), "{s:?}: {rendered}");
+            prop_assert!(Json::parse(&rendered).unwrap().as_str() == s);
+        }
+    }
+
+    #[test]
+    fn edge_numbers_render_like_display() {
+        for x in EDGE_NUMBERS {
+            renders_like_display(x).unwrap();
+        }
+        assert_eq!(Json::Num(-0.0).render(), "-0");
+        assert_eq!(Json::Num(0.0).render(), "0");
+        for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(x).render(), "null");
+        }
+    }
+
+    #[test]
+    fn escape_fast_path_equals_the_char_escaper_on_edge_strings() {
+        for s in [
+            "",
+            "plain",
+            "with \"quotes\"",
+            "back\\slash",
+            "tab\tnl\n",
+            "é λ 💡",
+            "ctrl\u{1}\u{7f}",
+        ] {
+            assert_eq!(Json::str(s).render(), escaped_by_chars(s), "{s:?}");
+        }
+    }
 
     #[test]
     fn parses_and_renders_all_value_kinds() {
@@ -636,6 +785,9 @@ mod tests {
             "[1 2]",
             "\"\\q\"",
             "\"\\u12\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
             "\"\\ud800\"",
             "--5",
         ] {
@@ -718,5 +870,22 @@ mod tests {
         assert_eq!(Json::Num(-1.0).usize(), None);
         assert_eq!(Json::Num(1.5).usize(), None);
         assert_eq!(Json::Num(7.0).usize(), Some(7));
+    }
+
+    #[test]
+    fn usize_rejects_values_from_the_first_that_does_not_fit() {
+        // The largest f64 below 2^BITS fits; 2^BITS itself (which is what
+        // `usize::MAX as f64` rounds to on 64-bit targets) does not.
+        let bound = 2f64.powi(usize::BITS as i32);
+        let below = f64::from_bits(bound.to_bits() - 1);
+        assert_eq!(Json::Num(below).usize(), Some(below as usize));
+        assert_eq!(Json::Num(bound).usize(), None);
+        assert_eq!(Json::Num(bound * 2.0).usize(), None);
+        if usize::BITS == 64 {
+            assert_eq!(Json::parse("18446744073709549568").unwrap().usize(), Some(below as usize));
+            for text in ["18446744073709551615", "18446744073709551616"] {
+                assert_eq!(Json::parse(text).unwrap().usize(), None, "{text}");
+            }
+        }
     }
 }

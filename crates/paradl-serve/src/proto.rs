@@ -186,14 +186,11 @@ impl Request {
     pub fn to_json(&self) -> Result<Json, String> {
         Ok(match self {
             Request::Query { query, deadline_ms } => {
-                let mut fields = vec![
-                    ("op".to_string(), Json::str("query")),
-                    ("query".to_string(), query.to_json()?),
-                ];
+                let mut fields = vec![("op", Json::str("query")), ("query", query.to_json()?)];
                 if let Some(ms) = deadline_ms {
-                    fields.push(("deadline_ms".to_string(), Json::count(*ms as usize)));
+                    fields.push(("deadline_ms", Json::count(*ms as usize)));
                 }
-                Json::Obj(fields)
+                Json::obj(fields)
             }
             Request::Ping => Json::obj([("op", Json::str("ping"))]),
             Request::Stats => Json::obj([("op", Json::str("stats"))]),
