@@ -11,32 +11,37 @@
 //!   preserved, never re-sorted), so rendering the same value twice produces
 //!   byte-identical output — which is what lets the serve integration tests
 //!   compare served answers against locally computed ones *as bytes*.
-//! * **Shortest-round-trip floats.** Numbers render with Rust's `Display`
-//!   for `f64`, the shortest decimal that reparses to the same bits. Blessed
-//!   fixtures and wire frames therefore survive a parse→render cycle
-//!   bit-exactly; tolerances in tests only absorb arithmetic drift, not
-//!   serialization loss.
+//! * **Shortest-round-trip floats.** A number renders as the shortest
+//!   decimal that reparses to the same bits, byte for byte what Rust's
+//!   `Display` for `f64` writes. Blessed fixtures and wire frames therefore
+//!   survive a parse→render cycle bit-exactly; tolerances in tests only
+//!   absorb arithmetic drift, not serialization loss.
 //! * **Cheap per value.** Rendering a ranked answer writes tens of thousands
 //!   of keys, numbers and strings, so no value allocates on its way out:
 //!   - object keys are `Cow<'static, str>`, so the fixed keys of an answer
 //!     document are borrowed literals (parsed keys are `Cow::Owned`);
-//!   - numbers are written in place through `fmt::Write`. Two fast paths
-//!     skip the float formatter: `+0.0` writes `0`, and an integral value
-//!     with |n| < 2^53 (never `-0.0`) writes its integer digits. Both give
-//!     exactly the bytes of `Display` (a test pins this on random bit
-//!     patterns). Every other number goes through `Display`, which is the
-//!     floor of what rendering costs: on a 1 Ki `FullRank` answer it is
-//!     over half of the remaining render time;
+//!   - numbers are written from a stack buffer by one writer,
+//!     `write_number`. An integral value below 2^53 writes its integer
+//!     digits; any other finite value writes the digits of the `ryu`
+//!     submodule, an implementation of Ryū (Ulf Adams, "Ryū: fast
+//!     float-to-string conversion", PLDI 2018) with `Display`'s tie rule.
+//!     Both are laid out in `Display`'s fixed notation, which tests pin
+//!     with `format!("{x}")` as the oracle. On an answer's non-integral
+//!     numbers it takes about 0.4 of the time `Display` does
+//!     (`render/fullrank_numbers` in `paradl-bench`, 2-vCPU Intel Xeon);
 //!   - a string with no quote, backslash or control byte is copied in one
 //!     `push_str`; only the others are escaped char by char.
-//! * **Non-panicking parse.** [`Json::parse`] returns a [`JsonError`] with a
-//!   byte offset instead of panicking, so a daemon can reject a malformed
-//!   frame without dying. The panicking accessors ([`Json::req`],
-//!   [`Json::as_str`], …) are sugar for tests and fixtures where a schema
-//!   mismatch *should* abort loudly.
+//! * **Non-panicking, strict parse.** [`Json::parse`] returns a
+//!   [`JsonError`] with a byte offset instead of panicking, so a daemon can
+//!   reject a malformed frame without dying. Numbers must follow RFC 8259's
+//!   grammar: `+1`, `.5`, `1.` and `01` are errors. The panicking
+//!   accessors ([`Json::req`], [`Json::as_str`], …) are sugar for tests and
+//!   fixtures where a schema mismatch *should* abort loudly.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+
+mod ryu;
 
 /// A parsed JSON value. Object fields keep their insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,13 +325,11 @@ impl Json {
             self.write_inline(out);
             return;
         }
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
         match self {
             Json::Obj(fields) => {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    push_indent(out, indent + 1);
                     write_escaped(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
@@ -335,20 +338,20 @@ impl Json {
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                push_indent(out, indent);
                 out.push('}');
             }
             Json::Arr(items) => {
                 out.push_str("[\n");
                 for (i, v) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    push_indent(out, indent + 1);
                     v.write_pretty(out, indent + 1);
                     if i + 1 < items.len() {
                         out.push(',');
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                push_indent(out, indent);
                 out.push(']');
             }
             _ => unreachable!("scalars have no container children"),
@@ -356,23 +359,91 @@ impl Json {
     }
 }
 
+/// Two spaces per indentation level.
+fn push_indent(out: &mut String, indent: usize) {
+    out.extend(std::iter::repeat_n(' ', 2 * indent));
+}
+
 /// 2^53: below it every integer is an exact `f64`, and `Display` writes an
 /// integral value as its plain integer digits.
 const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
 
 /// Writes `n` with exactly the bytes of `format!("{n}")`, or `null` when it
-/// is not finite. `+0.0` and integral values below 2^53 skip the float
-/// formatter; `-0.0` does not (`Display` writes it as `-0`).
+/// is not finite. The digits are the integer itself for an integral |n|
+/// below 2^53 (zero included) and the shortest round-trip digits of Ryū
+/// ([`ryu::shortest`]) otherwise. They are laid out like `Display`: fixed
+/// notation with no exponent, no trailing `.0`, `0.000…` below 1, trailing
+/// zeros for large values, and `-0` for negative zero.
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
-    } else if n == 0.0 && n.is_sign_positive() {
-        out.push('0');
-    } else if n != 0.0 && n.fract() == 0.0 && n.abs() < EXACT_INT_BOUND {
-        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
-    } else {
-        write!(out, "{n}").expect("writing to a String cannot fail");
+        return;
     }
+    if n.is_sign_negative() {
+        out.push('-');
+    }
+    let abs = n.abs();
+    let (mantissa, exponent) = if abs < EXACT_INT_BOUND && abs as i64 as f64 == abs {
+        (abs as u64, 0)
+    } else {
+        ryu::shortest(abs)
+    };
+    // The digits, zero-padded to 20, end the buffer. It starts out all
+    // zeros, so the `0.` and leading zeros of a small number are written
+    // in front of the digits in place.
+    let mut buf = [b'0'; 40];
+    let len = mantissa.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let start = buf.len() - len;
+    write_digits(&mut buf, mantissa);
+    // Digits before the decimal point; none or negative means `0.` first.
+    let point = len as i32 + exponent;
+    let text = if point <= 0 {
+        let zeros = point.unsigned_abs() as usize;
+        if zeros + 2 <= start {
+            buf[start - zeros - 1] = b'.';
+            &buf[start - zeros - 2..]
+        } else {
+            out.push_str("0.");
+            out.extend(std::iter::repeat_n('0', zeros));
+            &buf[start..]
+        }
+    } else if (point as usize) < len {
+        let point = start + point as usize;
+        buf.copy_within(start..point, start - 1);
+        buf[point - 1] = b'.';
+        &buf[start - 1..]
+    } else {
+        out.push_str(std::str::from_utf8(&buf[start..]).expect("digits are ASCII"));
+        out.extend(std::iter::repeat_n('0', point as usize - len));
+        return;
+    };
+    out.push_str(std::str::from_utf8(text).expect("digits are ASCII"));
+}
+
+/// Writes the decimal digits of `v` to the end of `buf`, zero-padded to 20.
+fn write_digits(buf: &mut [u8; 40], v: u64) {
+    let (high, low) = (v / 100_000_000, (v % 100_000_000) as u32);
+    write_8_digits(&mut buf[32..], low);
+    if high > 0 {
+        write_8_digits(&mut buf[24..32], (high % 100_000_000) as u32);
+        write_4_digits(&mut buf[20..24], (high / 100_000_000) as u32);
+    }
+}
+
+fn write_8_digits(buf: &mut [u8], v: u32) {
+    write_4_digits(&mut buf[..4], v / 10_000);
+    write_4_digits(&mut buf[4..8], v % 10_000);
+}
+
+fn write_4_digits(buf: &mut [u8], v: u32) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let (high, low) = ((v / 100) as usize * 2, (v % 100) as usize * 2);
+    buf[..2].copy_from_slice(&PAIRS[high..high + 2]);
+    buf[2..4].copy_from_slice(&PAIRS[low..low + 2]);
 }
 
 /// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
@@ -596,16 +667,31 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// A number in the RFC 8259 grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. A leading `+`,
+    /// a bare `.5` or `1.`, and a leading zero (`01`) are errors.
     fn number(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
+        self.eat(b'-');
+        match self.bytes.get(self.pos) {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("bad number: expected a digit")),
+        }
+        if self.eat(b'.') && !self.digits() {
+            return Err(self.err("bad number: expected a digit after '.'"));
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if !self.digits() {
+                return Err(self.err("bad number: expected an exponent digit"));
+            }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+            .expect("the grammar admits ASCII only");
         match text.parse::<f64>() {
             // Reject overflowing exponents (`1e999` parses to Inf): a
             // non-finite literal must never reach a query field. Renders of
@@ -617,6 +703,22 @@ impl<'a> Parser<'a> {
             }),
             Err(_) => Err(JsonError { message: format!("bad number {text:?}"), at: start }),
         }
+    }
+
+    /// Consumes `b` if it comes next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Consumes a run of ASCII digits; whether there was at least one.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
 }
 
@@ -652,7 +754,24 @@ mod tests {
         let expected = if x.is_finite() { format!("{x}") } else { "null".to_string() };
         let rendered = Json::Num(x).render();
         prop_assert!(rendered == expected, "{:#018x}: {rendered} != {expected}", x.to_bits());
+        if x.is_finite() {
+            let back = Json::parse(&rendered).map(|v| v.as_num().to_bits());
+            prop_assert!(
+                back == Ok(x.to_bits()),
+                "{:#018x}: {rendered} reparses as {back:?}",
+                x.to_bits()
+            );
+        }
         Ok(())
+    }
+
+    /// `x` and its neighbours one ulp below and above, of either sign.
+    fn with_neighbours(x: f64) -> impl Iterator<Item = f64> {
+        let bits = x.to_bits();
+        [bits.wrapping_sub(1), bits, bits + 1]
+            .into_iter()
+            .filter(|&b| b >> 63 == 0)
+            .flat_map(|b| [f64::from_bits(b), -f64::from_bits(b)])
     }
 
     /// The char-by-char escaper on its own.
@@ -682,6 +801,14 @@ mod tests {
         }
 
         #[test]
+        fn numbers_render_like_display_log_uniformly_from_1e_minus_12_to_1e12(
+            exponent in -12.0f64..12.0,
+        ) {
+            // The range of the epoch and phase times an answer holds.
+            renders_like_display(10f64.powf(exponent))?;
+        }
+
+        #[test]
         fn escape_fast_path_equals_the_char_escaper(
             picks in (0u64..u64::MAX, 0u64..u64::MAX, 0usize..24),
         ) {
@@ -700,6 +827,19 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32_768))]
+
+        #[test]
+        fn numbers_render_like_display_where_a_rounding_bound_can_be_exact(
+            bits in (1076u64 << 52)..(1150u64 << 52),
+        ) {
+            // From 2^53 to 2^127 a bound of the rounding interval can be a
+            // short decimal itself, which Ryū handles on a separate path.
+            renders_like_display(f64::from_bits(bits))?;
+        }
+    }
+
     #[test]
     fn edge_numbers_render_like_display() {
         for x in EDGE_NUMBERS {
@@ -709,6 +849,72 @@ mod tests {
         assert_eq!(Json::Num(0.0).render(), "0");
         for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(Json::Num(x).render(), "null");
+        }
+    }
+
+    #[test]
+    fn powers_of_two_and_ten_render_like_display_with_their_neighbours() {
+        // Powers of two have asymmetric rounding intervals; powers of ten
+        // sit at digit-count boundaries.
+        let twos = (-1074..=1023).map(|e| 2f64.powi(e));
+        let tens = (-323..=308).map(|e| format!("1e{e}").parse::<f64>().unwrap());
+        for x in twos.chain(tens).flat_map(with_neighbours) {
+            renders_like_display(x).unwrap();
+        }
+    }
+
+    #[test]
+    fn subnormals_and_extremes_render_like_display() {
+        // Subnormal mantissas from one bit (5e-324) to all 52 (the largest
+        // subnormal), and the largest finite value.
+        let subnormals = (0..52).flat_map(|b| [1u64 << b, (2u64 << b) - 1, (1u64 << b) | 1]);
+        for x in subnormals.map(f64::from_bits).chain([f64::MAX]).flat_map(with_neighbours) {
+            renders_like_display(x).unwrap();
+        }
+    }
+
+    #[test]
+    fn integers_around_2_pow_53_render_like_display() {
+        // Both sides of the integer fast path, and the even integers just
+        // above 2^53 that need the float writer.
+        for k in 0..512 {
+            for x in [EXACT_INT_BOUND - k as f64, EXACT_INT_BOUND + 2.0 * k as f64] {
+                renders_like_display(x).unwrap();
+                renders_like_display(-x).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ties_round_half_up_like_display() {
+        // 2^50 + 0.25 lies exactly halfway between the shortest candidates
+        // …624.2 and …624.3: `Display` rounds up, where Ryū's reference
+        // rounds to even.
+        assert_eq!(Json::Num(2f64.powi(50) + 0.25).render(), "1125899906842624.3");
+        assert_eq!(Json::Num(2f64.powi(50) + 1.25).render(), "1125899906842625.3");
+        // Every multiple of the ulp just above 2^44..2^52, ties included.
+        for e in 44..53 {
+            let base = 2f64.powi(e);
+            for k in 0..256 {
+                renders_like_display(base + k as f64 * 2f64.powi(e - 52)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_in_rfc_8259_form_parse() {
+        for (text, value) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-1.5e-3", -1.5e-3),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("2e2", 200.0),
+            ("0e0", 0.0),
+        ] {
+            let parsed = Json::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            assert_eq!(parsed.as_num().to_bits(), value.to_bits(), "{text:?}");
         }
     }
 
@@ -790,6 +996,17 @@ mod tests {
             "\"\\u 041\"",
             "\"\\ud800\"",
             "--5",
+            "+1",
+            ".5",
+            "1.",
+            "01",
+            "-.5",
+            "00",
+            "-",
+            "1e",
+            "1e+",
+            "[-01]",
+            "{\"a\": +1}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail to parse");
         }

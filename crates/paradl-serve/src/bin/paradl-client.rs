@@ -269,7 +269,7 @@ fn main() -> ExitCode {
         }
     };
     if args.json {
-        println!("{}", response.to_json().render_pretty());
+        println!("{}", response.into_json().render_pretty());
         return ExitCode::SUCCESS;
     }
     match response {

@@ -386,12 +386,13 @@ impl Response {
         }
     }
 
-    /// Serializes the response envelope.
-    pub fn to_json(&self) -> Json {
+    /// Serializes the response envelope. It consumes the response, so an
+    /// answer moves into the envelope instead of being copied.
+    pub fn into_json(self) -> Json {
         match self {
             Response::Answer { answer, stats } => Json::obj([
                 ("status", Json::str("ok")),
-                ("answer", answer.clone()),
+                ("answer", answer),
                 ("stats", stats.to_json()),
             ]),
             Response::Error { kind, message } => Json::obj([
@@ -404,7 +405,7 @@ impl Response {
             Response::ShuttingDown => Json::obj([("status", Json::str("shutting_down"))]),
             Response::Pong => Json::obj([("status", Json::str("pong"))]),
             Response::ServerStats(stats) => {
-                Json::obj([("status", Json::str("stats")), ("stats", stats.clone())])
+                Json::obj([("status", Json::str("stats")), ("stats", stats)])
             }
         }
     }
@@ -563,7 +564,7 @@ mod tests {
             Response::Pong,
             Response::ServerStats(Json::obj([("served", Json::count(7))])),
         ] {
-            let rendered = response.to_json().render();
+            let rendered = response.clone().into_json().render();
             let back = Response::from_json(&Json::parse(&rendered).unwrap()).unwrap();
             assert_eq!(back, response);
         }

@@ -473,7 +473,7 @@ fn connection_loop(mut stream: Stream, tx: SyncSender<Pending>, shared: &Arc<Sha
             Ok(FrameRead::Eof) => return,
             Ok(FrameRead::Frame(payload)) => {
                 let response = handle_frame(&payload, &tx, shared);
-                let frame = response.to_json().render();
+                let frame = response.into_json().render();
                 match proto::write_frame(&mut stream, frame.as_bytes(), shared.config.max_frame) {
                     Ok(()) => {}
                     Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -487,7 +487,7 @@ fn connection_loop(mut stream: Stream, tx: SyncSender<Pending>, shared: &Arc<Sha
                         );
                         if proto::write_frame(
                             &mut stream,
-                            fallback.to_json().render().as_bytes(),
+                            fallback.into_json().render().as_bytes(),
                             shared.config.max_frame,
                         )
                         .is_err()
@@ -514,7 +514,7 @@ fn connection_loop(mut stream: Stream, tx: SyncSender<Pending>, shared: &Arc<Sha
                 let response = Response::error(ErrorKind::Protocol, format!("protocol error: {e}"));
                 let _ = proto::write_frame(
                     &mut stream,
-                    response.to_json().render().as_bytes(),
+                    response.into_json().render().as_bytes(),
                     shared.config.max_frame,
                 );
                 return;
