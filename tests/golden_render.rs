@@ -4,10 +4,11 @@
 //! pins the engine's bits; neither notices a change in how a number or a
 //! string is *written*. This test pins the rendered bytes instead: for each
 //! paper model on the `paper` cluster (exhaustive PE sweep to 1 Ki), it runs
-//! `FullRank`, `TopK(10)`, `Suggest` and `Survey { pes: 64 }`, plus one
-//! `TopK(10)` calibrated with the calibration committed in `BENCH_sim.json`,
-//! and feeds the compact [`Json::render`] and the [`Json::render_pretty`] of
-//! each [`QueryAnswer::to_json`] — and the compact render of each query's own
+//! `FullRank`, `TopK(10)`, `Suggest` and `Survey { pes: 64 }`, plus a
+//! ResNet-50 `TopK(10)`, `Suggest` and `Survey { pes: 64 }` calibrated with
+//! the calibration committed in `BENCH_sim.json`, and feeds the compact
+//! [`Json::render`] and the [`Json::render_pretty`] of each
+//! [`QueryAnswer::to_json`] — and the compact render of each query's own
 //! [`Query::to_json`] — into FNV-1a hashes compared with the table below.
 //!
 //! The hashes change only when some rendered byte changes. When that is
@@ -16,7 +17,7 @@
 use paradl::prelude::*;
 
 /// Pinned hashes per case: (query, compact answer, pretty answer).
-const GOLDEN: [(&str, [u64; 3]); 17] = [
+const GOLDEN: [(&str, [u64; 3]); 19] = [
     ("ResNet-50 full_rank", [0x8d08c6648927c9a1, 0x39d43533ce164f05, 0x9839ed44d189a0af]),
     ("ResNet-50 top_10", [0xbca422f1a7aa4ba0, 0x3ed141ad824ec9f4, 0x8911af47dd4601e4]),
     ("ResNet-50 suggest", [0x20af65e7cb493c33, 0xfd3249fa6e625a55, 0x12a5490a9ab8d7e9]),
@@ -34,6 +35,11 @@ const GOLDEN: [(&str, [u64; 3]); 17] = [
     ("CosmoFlow-256 suggest", [0xc3c33afe9ff3b787, 0xcb53ef0343c0f09c, 0xf254d9e08a18dc7a]),
     ("CosmoFlow-256 survey_64", [0x9fe22555b0cbd5db, 0xa70ccfb23c8e5016, 0x5b9604e959a747aa]),
     ("ResNet-50 top_10 calibrated", [0xbaba35f020e88efe, 0x6b793a016aef8365, 0x29ed1eeccbf5e69d]),
+    ("ResNet-50 suggest calibrated", [0xe5b66ae3da32fd2f, 0xde285ce4eecb16aa, 0x26c1a52edb3e2774]),
+    (
+        "ResNet-50 survey_64 calibrated",
+        [0x97276d02201c0833, 0xb146718f14c669a2, 0x3a15894c2fdd2622],
+    ),
 ];
 
 const BATCH: usize = 256;
@@ -93,10 +99,13 @@ fn cases() -> Vec<(String, Query)> {
         .collect();
     let resnet50 =
         models.iter().find(|m| m.name == "ResNet-50").expect("ResNet-50 is a paper model");
-    cases.push((
-        "ResNet-50 top_10 calibrated".to_string(),
-        query(resnet50, QueryMode::TopK(10)).with_calibration(committed_calibration()),
-    ));
+    let calibration = committed_calibration();
+    for (label, mode) in [MODES[1], MODES[2], MODES[3]] {
+        cases.push((
+            format!("ResNet-50 {label} calibrated"),
+            query(resnet50, mode).with_calibration(calibration.clone()),
+        ));
+    }
     cases
 }
 
