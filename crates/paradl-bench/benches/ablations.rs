@@ -5,6 +5,8 @@
 //! These are Criterion benchmarks so they run under `cargo bench`, but their
 //! interesting output is the *model* values they print once at setup — the
 //! timing side just confirms the oracle stays cheap under every setting.
+//! Every estimate is priced through a [`CostEngine`], the oracle's one
+//! pricer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
@@ -43,46 +45,31 @@ fn ablation_contention_phi(c: &mut Criterion) {
         let t = comm.allreduce(16, model.total_weights() as f64 * 4.0 / 4.0);
         println!("  φ = {phi}: {:.3} ms per iteration", t * 1e3);
     }
+    let engine = CostEngine::new(&model, &device, &cluster, config).expect("engine builds");
     c.bench_function("ablation/df_estimate_phi", |b| {
-        b.iter(|| {
-            std::hint::black_box(estimate(
-                &model,
-                &device,
-                &cluster,
-                &config,
-                Strategy::DataFilter { p1: 16, p2: 4 },
-            ))
-        })
+        b.iter(|| std::hint::black_box(engine.estimate(Strategy::DataFilter { p1: 16, p2: 4 })))
     });
 }
 
 fn ablation_gamma_and_segments(c: &mut Criterion) {
     let model = paradl_models::vgg16();
+    let device = DeviceProfile::v100();
+    let cluster = ClusterSpec::paper_system();
+    let engine_at = |config| CostEngine::new(&model, &device, &cluster, config).expect("builds");
     println!("\n[ablation] memory-reuse factor γ (VGG16, data parallelism, 64 GPUs):");
     for gamma in [0.5f64, 0.7, 1.0] {
         let config = TrainingConfig { memory_reuse: gamma, ..TrainingConfig::imagenet(32 * 64) };
-        let mem = memory_per_pe(&model, &config, Strategy::Data { p: 64 });
+        let mem = engine_at(config).memory_per_pe(Strategy::Data { p: 64 });
         println!("  γ = {gamma}: {:.2} GB per GPU", mem / 1e9);
     }
-    let device = DeviceProfile::v100();
-    let cluster = ClusterSpec::paper_system();
-    let config = TrainingConfig::imagenet(64);
+    let engine = engine_at(TrainingConfig::imagenet(64));
     println!("\n[ablation] pipeline segments S (VGG16, 4 stages):");
     for s in [1usize, 2, 4, 8, 16] {
-        let est =
-            estimate(&model, &device, &cluster, &config, Strategy::Pipeline { p: 4, segments: s });
+        let est = engine.estimate(Strategy::Pipeline { p: 4, segments: s });
         println!("  S = {s}: {:.3} s per iteration", est.per_iteration().total());
     }
     c.bench_function("ablation/pipeline_estimate", |b| {
-        b.iter(|| {
-            std::hint::black_box(estimate(
-                &model,
-                &device,
-                &cluster,
-                &config,
-                Strategy::Pipeline { p: 4, segments: 8 },
-            ))
-        })
+        b.iter(|| std::hint::black_box(engine.estimate(Strategy::Pipeline { p: 4, segments: 8 })))
     });
 }
 

@@ -12,7 +12,7 @@ fn main() {
     let base_config = TrainingConfig::cosmoflow(1);
     let oracle = Oracle::new(&model, &device, &cluster, base_config);
     let split = SpatialSplit::balanced_3d(4);
-    let spatial = oracle.project(Strategy::Spatial { split }).cost;
+    let spatial = oracle.project(Strategy::Spatial { split });
 
     println!("Figure 5 — CosmoFlow Spatial+Data scaling (weak scaling over data groups)\n");
     println!(
@@ -23,7 +23,7 @@ fn main() {
         let batch = p1; // one sample per data group (0.25 samples/GPU)
         let config = TrainingConfig::cosmoflow(batch);
         let o = Oracle::new(&model, &device, &cluster, config);
-        let ds = o.project(Strategy::DataSpatial { p1, split }).cost;
+        let ds = o.project(Strategy::DataSpatial { p1, split });
         println!(
             "{:>6} {:>8} {:>18.1} {:>22.1} {:>9.1}x",
             4 * p1,

@@ -15,7 +15,7 @@ fn main() {
     );
     for model in paradl_models::imagenet_models() {
         let config = TrainingConfig::imagenet(32 * 32);
-        let est = estimate(&model, &device, &cluster, &config, Strategy::Data { p: 32 });
+        let est = Oracle::new(&model, &device, &cluster, config).project(Strategy::Data { p: 32 });
         let share = est.per_epoch.weight_update / est.per_epoch.compute();
         println!(
             "{:<12} {:>16.1} {:>16.1} {:>17.1}%",

@@ -16,7 +16,7 @@ fn main() {
         .with_overheads(OverheadModel::chainermnx_quiet())
         .with_samples(3);
 
-    let serial = oracle.project(Strategy::Serial).cost.per_iteration();
+    let serial = oracle.project(Strategy::Serial).per_iteration();
 
     println!("Figure 8 — filter-parallel computation breakdown, ResNet-50 (batch 32)\n");
     println!(

@@ -44,7 +44,7 @@ pub fn compare(
     overheads: OverheadModel,
     samples: usize,
 ) -> ComparisonPoint {
-    let projected = estimate(model, device, cluster, config, strategy);
+    let projected = Oracle::new(model, device, cluster, *config).project(strategy);
     let simulator = Simulator::new(device, cluster).with_overheads(overheads).with_samples(samples);
     let measured = simulator.simulate(model, config, strategy);
     ComparisonPoint {

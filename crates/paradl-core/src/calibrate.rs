@@ -45,7 +45,6 @@
 
 use crate::cost::{CostEstimate, PhaseBreakdown};
 use crate::jsonio::Json;
-use crate::oracle::Projection;
 use crate::strategy::{Strategy, StrategyKind};
 
 /// One calibration observation: the oracle's projected per-phase times
@@ -367,13 +366,6 @@ impl Calibration {
             iterations: cost.iterations,
             memory_per_pe_bytes: cost.memory_per_pe_bytes,
         }
-    }
-
-    /// Applies the calibration to a projection: the cost estimate is
-    /// rescaled ([`Calibration::apply_estimate`]); the feasibility flags
-    /// are untouched (memory and scaling limits are not time quantities).
-    pub fn apply_projection(&self, projection: &Projection) -> Projection {
-        Projection { cost: self.apply_estimate(&projection.cost), ..*projection }
     }
 
     /// Calibrated total epoch time of a projected sample (the quantity the

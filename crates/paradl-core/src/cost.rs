@@ -5,6 +5,10 @@
 //! The formulas are transcribed directly from the paper; the per-layer compute
 //! times `FW_l`, `BW_l`, `WU_l` come from a [`ComputeModel`] and the
 //! communication parameters from the [`ClusterSpec`] / [`CommModel`].
+//!
+//! [`estimate`] walks the layers per call: it is the test reference behind
+//! [`crate::oracle::Oracle::search_reference`]. Every answer the oracle gives
+//! is priced by the precomputed [`crate::engine::CostEngine`] instead.
 
 use crate::cluster::ClusterSpec;
 use crate::comm::CommModel;
@@ -121,7 +125,9 @@ fn compute_sums<C: ComputeModel + ?Sized>(model: &Model, device: &C) -> ComputeS
     ComputeSums { fw_bw_per_sample, wu_per_iteration }
 }
 
-/// Evaluates the analytical cost model for `strategy`.
+/// Evaluates the analytical cost model for `strategy` by walking the layers
+/// (the reference; [`crate::oracle::Oracle::project`] prices through the
+/// engine).
 ///
 /// `config.batch_size` is the *global* mini-batch `B`; under weak scaling the
 /// caller is expected to have already scaled it with the PE count.

@@ -37,8 +37,8 @@
 //! let config = TrainingConfig::small(4096, 64);
 //! let oracle = Oracle::new(&model, &device, &cluster, config);
 //!
-//! let projection = oracle.project(Strategy::Data { p: 16 });
-//! assert!(projection.cost.epoch_time() > 0.0);
+//! let cost = oracle.project(Strategy::Data { p: 16 });
+//! assert!(cost.epoch_time() > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::comm::{CollectiveAlgorithm, CommModel, LinkParams};
     pub use crate::compute::{ComputeModel, DeviceProfile, LayerTimes, TabulatedProfile};
     pub use crate::config::TrainingConfig;
-    pub use crate::cost::{estimate, estimate_with_memory, CostEstimate, PhaseBreakdown};
+    pub use crate::cost::{CostEstimate, PhaseBreakdown};
     pub use crate::engine::{
         cluster_fingerprint, engine_fingerprint, CostEngine, EngineCache, EngineCacheStats,
         EngineError, ModelLimits,
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::jsonio::{Json, JsonError};
     pub use crate::layer::{Layer, LayerKind};
     pub use crate::limits::{diagnose_default, table6, Issue, IssueClass};
-    pub use crate::memory::{fits_in_memory, memory_per_pe, V100_MEMORY_BYTES};
+    pub use crate::memory::{memory_per_pe, V100_MEMORY_BYTES};
     pub use crate::model::Model;
     pub use crate::oracle::{
         breakdown_accuracy, projection_accuracy, Constraints, Oracle, PeSweep, Projection,

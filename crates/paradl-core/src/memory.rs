@@ -71,16 +71,6 @@ pub(crate) fn pipeline_group_raw(model: &Model, b: f64, range: std::ops::Range<u
         .sum::<f64>()
 }
 
-/// Whether the strategy fits into a per-PE memory capacity (bytes).
-pub fn fits_in_memory(
-    model: &Model,
-    config: &TrainingConfig,
-    strategy: Strategy,
-    capacity_bytes: f64,
-) -> bool {
-    memory_per_pe(model, config, strategy) <= capacity_bytes
-}
-
 /// Memory capacity of one V100 GPU (16 GB), the paper's device.
 pub const V100_MEMORY_BYTES: f64 = 16.0 * 1024.0 * 1024.0 * 1024.0;
 
@@ -172,14 +162,6 @@ mod tests {
         c.memory_reuse = 0.5;
         let half = memory_per_pe(&m, &c, Strategy::Serial);
         assert!((half * 2.0 - full).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fits_in_memory_respects_capacity() {
-        let m = model();
-        let c = cfg();
-        assert!(fits_in_memory(&m, &c, Strategy::Serial, V100_MEMORY_BYTES));
-        assert!(!fits_in_memory(&m, &c, Strategy::Serial, 1024.0));
     }
 
     #[test]

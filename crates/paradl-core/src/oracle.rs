@@ -10,13 +10,13 @@ use crate::calibrate::Calibration;
 use crate::cluster::ClusterSpec;
 use crate::compute::ComputeModel;
 use crate::config::TrainingConfig;
-use crate::cost::{estimate, CostEstimate, PhaseBreakdown};
-use crate::engine::{CostEngine, EngineCore, EngineError};
+use crate::cost::{CostEstimate, PhaseBreakdown};
+use crate::engine::{CostEngine, EngineError};
 use crate::memory;
 use crate::model::Model;
 use crate::query::{Query, QueryAnswer, QueryMode};
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 pub use crate::search::{BudgetWinner, RankedCandidate, SearchReport, StrategySpace};
 
@@ -74,11 +74,11 @@ pub struct Oracle<'a, C: ComputeModel + ?Sized> {
     pub cluster: &'a ClusterSpec,
     /// Training configuration (D, B, δ, γ).
     pub config: TrainingConfig,
-    /// Lazily built batch-invariant engine core, so repeated
-    /// [`Oracle::engine`] calls on one oracle pay the `O(layers²)`
-    /// tabulation once and hydrate afterwards. Build failures are cached
-    /// too: a degenerate problem keeps returning the same typed error.
-    core_cache: OnceLock<Result<Arc<EngineCore>, EngineError>>,
+    /// Lazily built engine, so repeated [`Oracle::engine`] calls on one
+    /// oracle pay the `O(layers²)` tabulation once and clone afterwards.
+    /// Build failures are cached too: a degenerate problem keeps returning
+    /// the same typed error.
+    engine_cache: OnceLock<Result<CostEngine<'a>, EngineError>>,
 }
 
 /// A projection for one concrete strategy, with feasibility information.
@@ -108,16 +108,15 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
     ) -> Self {
-        Oracle { model, device, cluster, config, core_cache: OnceLock::new() }
+        Oracle { model, device, cluster, config, engine_cache: OnceLock::new() }
     }
 
     /// The precomputed [`CostEngine`] for this oracle's problem. The first
-    /// call pays the `O(layers²)` tabulation pass; the batch-invariant core
-    /// is then cached on the oracle, so every later call merely hydrates a
-    /// new engine from it ([`CostEngine::from_core`] — byte-for-byte
-    /// identical to a fresh build, at `O(layers²)` float cost instead of
-    /// the full device/topology pass). The search, [`Oracle::survey`] and
-    /// [`Oracle::suggest`] all go through it.
+    /// call pays the `O(layers²)` tabulation pass; the engine is then
+    /// cached on the oracle, so every later call clones it (`O(layers)`:
+    /// the batch-invariant core is shared behind an `Arc`). Every answer the oracle gives —
+    /// [`Oracle::project`], [`Oracle::survey`], [`Oracle::suggest`], the
+    /// search and [`crate::scaling::sweep`] — is priced through it.
     /// # Panics
     ///
     /// Panics if the engine refuses to build (see [`Oracle::try_engine`]
@@ -132,36 +131,24 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
     /// [`EngineError`] the build produced instead of panicking. The error
     /// is cached alongside the success path, so retries are cheap.
     pub fn try_engine(&self) -> Result<CostEngine<'a>, EngineError> {
-        let core = self.core_cache.get_or_init(|| {
-            Ok(CostEngine::new(self.model, self.device, self.cluster, self.config)?.core_handle())
-        });
-        match core {
-            Ok(core) => {
-                CostEngine::from_core(self.model, self.cluster, self.config, Arc::clone(core))
-            }
-            Err(e) => Err(e.clone()),
-        }
+        self.engine_cache
+            .get_or_init(|| CostEngine::new(self.model, self.device, self.cluster, self.config))
+            .clone()
     }
 
-    /// Projects the cost of a single strategy (reference slow path; for
-    /// repeated projections under one configuration prefer
-    /// [`Oracle::engine`]). Does not gate memory; see
-    /// [`Oracle::project_with`].
-    pub fn project(&self, strategy: Strategy) -> Projection {
-        self.project_with(strategy, &self.config)
-    }
-
-    /// Projects the cost of a strategy under an explicit configuration
-    /// (useful for weak-scaling sweeps where `B` grows with `p`).
+    /// Projects the cost of one named strategy: its per-phase times and
+    /// per-PE memory, priced by [`Oracle::engine`] — bit-identical to the
+    /// strategy's entry in a [`Oracle::survey`]. The estimate is bare:
+    /// whether it fits depends on a memory capacity, which the surveys,
+    /// the search and [`crate::scaling::sweep`] take from [`Constraints`].
+    /// For many projections, take one [`Oracle::engine`] and call
+    /// [`CostEngine::estimate`] on it.
     ///
-    /// Does not gate memory: `fits_memory` is `false` only for a NaN
-    /// footprint. Memory capacity is checked against
-    /// [`Constraints::memory_capacity_bytes`] by the searches and surveys.
-    pub fn project_with(&self, strategy: Strategy, config: &TrainingConfig) -> Projection {
-        let cost = estimate(self.model, self.device, self.cluster, config, strategy);
-        let fits_memory = !cost.memory_per_pe_bytes.is_nan();
-        let within_scaling_limit = strategy.validate(self.model, config.batch_size).is_ok();
-        Projection { cost, fits_memory, within_scaling_limit }
+    /// # Panics
+    ///
+    /// Panics if the engine refuses to build (see [`Oracle::engine`]).
+    pub fn project(&self, strategy: Strategy) -> CostEstimate {
+        self.engine().estimate(strategy)
     }
 
     /// Builds a concrete strategy of the given kind using `p` PEs, choosing
@@ -199,16 +186,21 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
         }
     }
 
-    /// Projects a strategy through a prebuilt [`CostEngine`], flagging memory
-    /// feasibility against `constraints`. The scaling-limit check uses the
-    /// engine's current batch, so it stays correct for rebatched engines.
-    fn project_engine(
+    /// Projects a named strategy through a prebuilt [`CostEngine`] — the one
+    /// pricer, gate and calibrator of a named strategy, behind
+    /// [`Oracle::survey`], [`Oracle::suggest`] and [`crate::scaling::sweep`].
+    /// The cost is calibrated when `calibration` is set; memory is gated
+    /// against `constraints`, and the scaling limit against the engine's
+    /// current batch, so both stay correct for rebatched engines.
+    pub(crate) fn project_engine(
         &self,
         engine: &CostEngine<'_>,
         strategy: Strategy,
         constraints: &Constraints,
+        calibration: Option<&Calibration>,
     ) -> Projection {
         let cost = engine.estimate(strategy);
+        let cost = calibration.map_or(cost, |cal| cal.apply_estimate(&cost));
         Projection {
             cost,
             fits_memory: cost.memory_per_pe_bytes <= constraints.memory_capacity_bytes,
@@ -216,12 +208,14 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
         }
     }
 
-    /// Projects every evaluated strategy family at `p` PEs and returns the
-    /// projections (infeasible strategies are included and flagged).
+    /// Projects the paper's balanced instantiation ([`Oracle::instantiate`])
+    /// of every evaluated strategy family at `p` PEs — not each family's
+    /// best candidate at `p`, which a ranked search answers — and returns
+    /// the projections (infeasible strategies are included and flagged).
     /// Equivalent to answering a [`QueryMode::Survey`] query; the cached
-    /// engine core makes repeated calls cheap.
+    /// engine makes repeated calls cheap.
     pub fn survey(&self, p: usize, constraints: &Constraints) -> Vec<Projection> {
-        self.survey_impl(&self.engine(), p, constraints)
+        self.survey_impl(&self.engine(), p, constraints, None)
     }
 
     /// Survey evaluation through an explicit engine — the shared body of
@@ -232,12 +226,13 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
         engine: &CostEngine<'_>,
         p: usize,
         constraints: &Constraints,
+        calibration: Option<&Calibration>,
     ) -> Vec<Projection> {
         StrategyKind::EVALUATED
             .iter()
             .map(|&kind| {
                 let s = self.instantiate(kind, p, constraints.pipeline_segments);
-                self.project_engine(engine, s, constraints)
+                self.project_engine(engine, s, constraints, calibration)
             })
             .collect()
     }
@@ -245,8 +240,8 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
     /// Suggests the best feasible strategy within the constraints: the one
     /// with the smallest projected epoch time among those that fit memory and
     /// scaling limits (paper §4.1, first bullet). Equivalent to answering a
-    /// [`QueryMode::Suggest`] query; the cached engine core makes repeated
-    /// calls cheap.
+    /// [`QueryMode::Suggest`] query; the cached engine makes repeated calls
+    /// cheap.
     pub fn suggest(&self, constraints: &Constraints) -> Option<Projection> {
         self.suggest_impl(&self.engine(), constraints, None)
     }
@@ -272,11 +267,7 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
             let mut p = 1usize;
             while p <= max_p {
                 let s = self.instantiate(kind, p, constraints.pipeline_segments);
-                let proj = self.project_engine(engine, s, constraints);
-                let proj = match calibration {
-                    Some(cal) => cal.apply_projection(&proj),
-                    None => proj,
-                };
+                let proj = self.project_engine(engine, s, constraints, calibration);
                 if proj.feasible() {
                     let better = match &best {
                         None => true,
@@ -319,33 +310,28 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     /// daemon uses for its non-coalescable modes. A ranked query runs as a
     /// one-cell grid sweep on `engine` itself: no rebuild, no rebatch.
     /// With `query.calibration` set, answers come back calibrated: the
-    /// suggestion competes on calibrated time, surveys and rankings are
-    /// rescaled ([`QueryAnswer::recalibrated`]) — the search itself runs on
-    /// the uncalibrated engine, whose kernel invariants (bit-consistent
-    /// `CommCoef` pricing, admissible lower bounds) presume raw
-    /// analytic costs.
+    /// suggestion competes on calibrated time and survey projections are
+    /// calibrated as they are priced; rankings are rescaled afterwards
+    /// ([`SearchReport::recalibrated`]) — the search itself runs on the
+    /// uncalibrated engine, whose kernel invariants (bit-consistent
+    /// `CommCoef` pricing, admissible lower bounds) presume raw analytic
+    /// costs.
     pub fn answer_with_engine(&self, engine: &CostEngine<'_>, query: &Query) -> QueryAnswer {
         let constraints = query.effective_constraints();
+        let calibration = query.calibration.as_ref();
         match query.mode {
-            QueryMode::Suggest => QueryAnswer::Suggestion(self.suggest_impl(
-                engine,
-                &constraints,
-                query.calibration.as_ref(),
-            )),
+            QueryMode::Suggest => {
+                QueryAnswer::Suggestion(self.suggest_impl(engine, &constraints, calibration))
+            }
             QueryMode::Survey { pes } => {
-                let survey = QueryAnswer::Survey(self.survey_impl(engine, pes, &constraints));
-                match &query.calibration {
-                    Some(cal) => survey.recalibrated(cal),
-                    None => survey,
-                }
+                QueryAnswer::Survey(self.survey_impl(engine, pes, &constraints, calibration))
             }
             QueryMode::TopK(_) | QueryMode::FullRank => {
                 let report = crate::grid::GridSweep::new().run_one(engine, &constraints);
-                let ranked = QueryAnswer::Ranked(report);
-                match &query.calibration {
-                    Some(cal) => ranked.recalibrated(cal),
-                    None => ranked,
-                }
+                QueryAnswer::Ranked(match calibration {
+                    Some(cal) => report.recalibrated(cal),
+                    None => report,
+                })
             }
         }
     }

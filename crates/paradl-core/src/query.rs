@@ -292,37 +292,6 @@ impl QueryAnswer {
         }
     }
 
-    /// The answer with `calibration` applied to every projection: rescaled
-    /// estimates, and ranked answers re-sorted by *calibrated* epoch time
-    /// (stable, so calibrated ties keep the engine's deterministic order).
-    /// The candidate set itself is the uncalibrated search's — under
-    /// [`QueryMode::TopK`] a candidate outside the uncalibrated top-k stays
-    /// outside; [`QueryMode::FullRank`] has no such truncation. The
-    /// per-budget winners keep their (uncalibrated-winner) identity with
-    /// rescaled projections.
-    pub fn recalibrated(&self, calibration: &Calibration) -> QueryAnswer {
-        match self {
-            QueryAnswer::Suggestion(p) => {
-                QueryAnswer::Suggestion(p.as_ref().map(|p| calibration.apply_projection(p)))
-            }
-            QueryAnswer::Survey(ps) => {
-                QueryAnswer::Survey(ps.iter().map(|p| calibration.apply_projection(p)).collect())
-            }
-            QueryAnswer::Ranked(report) => {
-                let mut report = report.clone();
-                for candidate in &mut report.ranked {
-                    candidate.projection = calibration.apply_projection(&candidate.projection);
-                }
-                report.ranked.sort_by(|a, b| a.epoch_time().total_cmp(&b.epoch_time()));
-                for winner in &mut report.best_per_budget {
-                    winner.candidate.projection =
-                        calibration.apply_projection(&winner.candidate.projection);
-                }
-                QueryAnswer::Ranked(report)
-            }
-        }
-    }
-
     /// The best epoch time the answer contains, however it was asked:
     /// the suggestion's, the top-ranked candidate's, or the fastest
     /// feasible survey projection's.

@@ -3,7 +3,6 @@
 //! organized.
 
 use crate::compute::ComputeModel;
-use crate::config::TrainingConfig;
 use crate::cost::CostEstimate;
 use crate::oracle::{Constraints, Oracle};
 use crate::strategy::{Strategy, StrategyKind};
@@ -49,7 +48,13 @@ pub struct SweepPoint {
     pub feasible: bool,
 }
 
-/// Sweeps a strategy family over the given PE counts.
+/// Sweeps a strategy family over the given PE counts. One engine from
+/// [`Oracle::engine`] is rebatched to each point's batch, and every point is
+/// priced and gated like a survey entry.
+///
+/// # Panics
+///
+/// Panics if the oracle's engine refuses to build (see [`Oracle::engine`]).
 pub fn sweep<C: ComputeModel + ?Sized>(
     oracle: &Oracle<'_, C>,
     kind: StrategyKind,
@@ -57,15 +62,15 @@ pub fn sweep<C: ComputeModel + ?Sized>(
     mode: ScalingMode,
     constraints: &Constraints,
 ) -> Vec<SweepPoint> {
+    let mut engine = oracle.engine();
     let mut points = Vec::with_capacity(pe_counts.len());
     for &p in pe_counts {
         let batch = mode.batch_at(p).max(1);
-        let config = TrainingConfig { batch_size: batch, ..oracle.config };
+        engine.rebatch(batch);
         let strategy = oracle.instantiate(kind, p, constraints.pipeline_segments);
-        let proj = oracle.project_with(strategy, &config);
-        let feasible = proj.cost.memory_per_pe_bytes <= constraints.memory_capacity_bytes
-            && strategy.validate(oracle.model, batch).is_ok();
-        points.push(SweepPoint { pes: p, batch_size: batch, strategy, cost: proj.cost, feasible });
+        let proj = oracle.project_engine(&engine, strategy, constraints, None);
+        let (cost, feasible) = (proj.cost, proj.feasible());
+        points.push(SweepPoint { pes: p, batch_size: batch, strategy, cost, feasible });
     }
     points
 }
@@ -97,6 +102,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::compute::DeviceProfile;
+    use crate::config::TrainingConfig;
     use crate::layer::Layer;
     use crate::model::Model;
 

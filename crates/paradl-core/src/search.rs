@@ -22,6 +22,7 @@
 //! [`Oracle::search_reference`] is the original per-layer path, kept as the
 //! independent reference the tests compare the kernel against.
 
+use crate::calibrate::Calibration;
 use crate::compute::ComputeModel;
 use crate::cost::estimate_with_memory;
 use crate::engine::ModelLimits;
@@ -535,6 +536,23 @@ impl SearchReport {
     pub fn top(&self, n: usize) -> &[RankedCandidate] {
         &self.ranked[..n.min(self.ranked.len())]
     }
+
+    /// The report with `calibration` applied to every projection: rescaled
+    /// estimates, re-sorted by *calibrated* epoch time (stable, so
+    /// calibrated ties keep the engine's deterministic order). The
+    /// candidate set itself is the uncalibrated search's — under
+    /// [`Constraints::top_k`] a candidate outside the uncalibrated top-k
+    /// stays outside; a full ranking has no such truncation. The per-budget
+    /// winners keep their (uncalibrated-winner) identity with rescaled
+    /// projections.
+    pub fn recalibrated(mut self, calibration: &Calibration) -> SearchReport {
+        let budget_winners = self.best_per_budget.iter_mut().map(|w| &mut w.candidate);
+        for candidate in self.ranked.iter_mut().chain(budget_winners) {
+            candidate.projection.cost = calibration.apply_estimate(&candidate.projection.cost);
+        }
+        self.ranked.sort_by(|a, b| a.epoch_time().total_cmp(&b.epoch_time()));
+        self
+    }
 }
 
 /// Budget index of a PE count: the smallest `i` with `2^i ≥ p`.
@@ -595,7 +613,7 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
     ///
     /// Delegates to [`Oracle::answer`] with a ranked-mode
     /// [`crate::query::Query`] (the canonical entry point); the oracle's
-    /// cached engine core makes repeated calls cheap.
+    /// cached engine makes repeated calls cheap.
     ///
     /// # Panics
     ///

@@ -7,6 +7,7 @@
 //! split dimension, and communication cost is monotone in the message size
 //! and PE count.
 
+use paradl_core::cost::estimate;
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;

@@ -6,6 +6,7 @@
 //! admissible, and the branch-and-bound pruned search must never drop the
 //! true optimum.
 
+use paradl_core::cost::{estimate, estimate_with_memory};
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;

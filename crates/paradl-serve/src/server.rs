@@ -848,15 +848,15 @@ fn answer_group(group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
                 .map(|p| {
                     let cell =
                         report.get(0, batch_of(p), 0).expect("sweep covers every requested cell");
-                    let answer = QueryAnswer::Ranked(cell.report.clone());
                     // Calibration is per query, applied after the shared
                     // sweep: queries differing only in calibration still
                     // coalesce onto one sweep.
-                    let answer = match &p.query.calibration {
-                        Some(calibration) => answer.recalibrated(calibration),
-                        None => answer,
+                    let report = cell.report.clone();
+                    let report = match &p.query.calibration {
+                        Some(calibration) => report.recalibrated(calibration),
+                        None => report,
                     };
-                    (answer, cell.report.evaluated(), cell.report.pruned())
+                    (QueryAnswer::Ranked(report), cell.report.evaluated(), cell.report.pruned())
                 })
                 .collect())
         }

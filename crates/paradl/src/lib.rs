@@ -31,8 +31,8 @@
 //! let cluster = ClusterSpec::paper_system();
 //! let config = TrainingConfig::imagenet(32 * 64);
 //! let oracle = Oracle::new(&model, &device, &cluster, config);
-//! let projection = oracle.project(Strategy::Data { p: 64 });
-//! assert!(projection.cost.epoch_time() > 0.0);
+//! let cost = oracle.project(Strategy::Data { p: 64 });
+//! assert!(cost.epoch_time() > 0.0);
 //! ```
 
 #![warn(missing_docs)]

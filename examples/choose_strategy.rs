@@ -26,7 +26,7 @@ fn main() {
         let config = TrainingConfig::imagenet(16 * p);
         let oracle = Oracle::new(&model, &device, &cluster, config);
         for strategy in [Strategy::Data { p }, Strategy::DataFilter { p1: p / 4, p2: 4 }] {
-            let projected = oracle.project(strategy).cost;
+            let projected = oracle.project(strategy);
             let measured = simulator.simulate(&model, &config, strategy);
             let acc = projection_accuracy(
                 projected.per_iteration().total(),
@@ -49,7 +49,7 @@ fn main() {
         let config = TrainingConfig::imagenet(32);
         let oracle = Oracle::new(&model, &device, &cluster, config);
         let strategy = Strategy::Filter { p };
-        let projected = oracle.project(strategy).cost;
+        let projected = oracle.project(strategy);
         let measured = simulator.simulate(&model, &config, strategy);
         let acc =
             projection_accuracy(projected.per_iteration().total(), measured.per_iteration.total());

@@ -32,7 +32,7 @@ fn main() {
         ),
     ];
     for (label, strategy) in candidates {
-        let mem = memory_per_pe(&model, &config, strategy);
+        let mem = oracle.project(strategy).memory_per_pe_bytes;
         let fits = if mem <= V100_MEMORY_BYTES { "fits" } else { "OUT OF MEMORY" };
         println!("  {:<28} {:>8.1} GB   {fits}", label, mem / 1e9);
     }
@@ -44,12 +44,12 @@ fn main() {
     for p1 in [1usize, 4, 16, 64] {
         let p = 16 * p1;
         let ds = oracle.project(Strategy::DataSpatial { p1, split: SpatialSplit::balanced_3d(16) });
-        let speedup = spatial16.cost.epoch_time() / ds.cost.epoch_time();
+        let speedup = spatial16.epoch_time() / ds.epoch_time();
         println!(
             "{:>6} {:>16.1} {:>18.1} {:>9.1}x",
             p,
-            spatial16.cost.epoch_time(),
-            ds.cost.epoch_time(),
+            spatial16.epoch_time(),
+            ds.epoch_time(),
             speedup
         );
     }

@@ -55,7 +55,7 @@ fn main() {
 
     // 4. Diagnose the limitations of one projection (paper Table 6 style).
     let filter = oracle.project(Strategy::Filter { p: 64 });
-    let diagnosis = diagnose_default(&filter.cost);
+    let diagnosis = diagnose_default(&filter);
     println!("\nDiagnosis of filter parallelism at 64 GPUs:");
     if diagnosis.findings.is_empty() {
         println!("  no dominant bottleneck detected");

@@ -40,7 +40,7 @@ fn oracle_and_simulator_agree_within_paper_accuracy_for_data_parallelism() {
     for p in [16usize, 64, 256] {
         let config = TrainingConfig::imagenet(32 * p);
         let oracle = Oracle::new(&model, &device, &cluster, config);
-        let projected = oracle.project(Strategy::Data { p }).cost;
+        let projected = oracle.project(Strategy::Data { p });
         let measured = sim.simulate(&model, &config, Strategy::Data { p });
         let acc =
             projection_accuracy(projected.per_iteration().total(), measured.per_iteration.total());
@@ -64,7 +64,7 @@ fn suggested_strategy_for_cosmoflow_is_a_spatial_hybrid() {
     let config = TrainingConfig { memory_reuse: 0.5, ..TrainingConfig::cosmoflow(4) };
     let oracle = Oracle::new(&model, &device, &cluster, config);
     let data = oracle.project(Strategy::Data { p: 4 });
-    assert!(data.cost.memory_per_pe_bytes > V100_MEMORY_BYTES);
+    assert!(data.memory_per_pe_bytes > V100_MEMORY_BYTES);
     let best = oracle
         .suggest(&Constraints { max_pes: 256, ..Default::default() })
         .expect("some strategy must fit");
@@ -143,11 +143,109 @@ fn table6_diagnoses_are_consistent_with_projections() {
     let config = TrainingConfig::imagenet(64);
     let oracle = Oracle::new(&model, &device, &cluster, config);
     let filt = oracle.project(Strategy::Filter { p: 64 });
-    let diag = diagnose_default(&filt.cost);
+    let diag = diagnose_default(&filt);
     assert!(diag.findings.iter().any(|(name, _)| name.contains("layer-wise")));
     // And the static Table 6 matrix lists that limitation for filter/channel.
     let rows = table6();
     assert!(rows
         .iter()
         .any(|r| r.remark == "Layer-wise comm." && r.strategies.contains(&StrategyKind::Filter)));
+}
+
+/// The ImageNet or CosmoFlow training configuration at `batch`.
+fn paper_config(model: &Model, batch: usize) -> TrainingConfig {
+    if model.name.starts_with("CosmoFlow") {
+        TrainingConfig::cosmoflow(batch)
+    } else {
+        TrainingConfig::imagenet(batch)
+    }
+}
+
+/// Every bit of an estimate: the six phases, memory and iterations.
+fn estimate_bits(c: &CostEstimate) -> [u64; 8] {
+    let e = &c.per_epoch;
+    [
+        e.forward_backward.to_bits(),
+        e.weight_update.to_bits(),
+        e.gradient_exchange.to_bits(),
+        e.fb_collective.to_bits(),
+        e.halo_exchange.to_bits(),
+        e.pipeline_p2p.to_bits(),
+        c.memory_per_pe_bytes.to_bits(),
+        c.iterations as u64,
+    ]
+}
+
+/// A named strategy has one price: `Oracle::project`, the survey's entry
+/// for it and the oracle's engine agree to the bit, and the per-layer
+/// reference `cost::estimate` agrees within 1e-9 relative.
+#[test]
+fn project_survey_and_engine_price_a_named_strategy_alike() {
+    let device = DeviceProfile::v100();
+    let cluster = ClusterSpec::paper_system();
+    let constraints = Constraints::default();
+    let rel_close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    let (mut pairs, mut mismatched) = (0, Vec::new());
+    for model in paradl::models::paper_models() {
+        for batch in [64, 256, 1024] {
+            let config = paper_config(&model, batch);
+            let oracle = Oracle::new(&model, &device, &cluster, config);
+            let engine = oracle.engine();
+            for p in [1, 4, 16, 64, 256] {
+                for surveyed in oracle.survey(p, &constraints) {
+                    let s = surveyed.cost.strategy;
+                    let projected = oracle.project(s);
+                    pairs += 1;
+                    let bits = estimate_bits(&projected);
+                    if bits != estimate_bits(&surveyed.cost)
+                        || bits != estimate_bits(&engine.estimate(s))
+                    {
+                        mismatched.push(format!("{} B={batch} {s}", model.name));
+                    }
+                    let reference =
+                        paradl::oracle::cost::estimate(&model, &device, &cluster, &config, s);
+                    assert_eq!(projected.iterations, reference.iterations);
+                    for (a, b) in
+                        estimate_bits(&projected)[..7].iter().zip(&estimate_bits(&reference)[..7])
+                    {
+                        let (a, b) = (f64::from_bits(*a), f64::from_bits(*b));
+                        assert!(
+                            rel_close(a, b),
+                            "{} B={batch} {s}: {a} vs reference {b}",
+                            model.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(pairs, 360);
+    assert!(mismatched.is_empty(), "{} of {pairs} differ: {mismatched:?}", mismatched.len());
+}
+
+/// A scaling sweep gates a point the way the survey does: VGG16 data
+/// parallelism on 4 PEs at batch 256 needs more than a V100's 16 GB per PE.
+#[test]
+fn sweep_gates_memory_like_survey() {
+    let model = paradl::models::vgg16();
+    let device = DeviceProfile::v100();
+    let cluster = ClusterSpec::paper_system();
+    let oracle = Oracle::new(&model, &device, &cluster, TrainingConfig::imagenet(256));
+    let constraints = Constraints::default();
+    let surveyed = oracle
+        .survey(4, &constraints)
+        .into_iter()
+        .find(|proj| proj.cost.strategy == Strategy::Data { p: 4 })
+        .expect("the survey projects data parallelism");
+    let point = sweep(
+        &oracle,
+        StrategyKind::Data,
+        &[4],
+        ScalingMode::Strong { batch_size: 256 },
+        &constraints,
+    )[0];
+    assert!(surveyed.cost.memory_per_pe_bytes > V100_MEMORY_BYTES);
+    assert!(!surveyed.feasible());
+    assert!(!point.feasible);
+    assert_eq!(estimate_bits(&point.cost), estimate_bits(&surveyed.cost));
 }

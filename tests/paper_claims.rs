@@ -5,6 +5,7 @@
 //! (`paradl_sim::conformance`), the same oracle-vs-measured loop the paper
 //! runs against ChainerMNX on the 1024-GPU cluster.
 
+use paradl::oracle::cost::estimate;
 use paradl::prelude::*;
 
 fn imagenet_oracle(model: &Model, batch: usize) -> (DeviceProfile, ClusterSpec, TrainingConfig) {
@@ -105,9 +106,8 @@ fn figure5_data_spatial_scaling_is_nearly_linear() {
     let config = TrainingConfig::cosmoflow(64);
     let oracle = Oracle::new(&model, &device, &cluster, config);
     let split = SpatialSplit::balanced_3d(16);
-    let t1 = oracle.project(Strategy::DataSpatial { p1: 1, split }).cost.per_epoch.forward_backward;
-    let t16 =
-        oracle.project(Strategy::DataSpatial { p1: 16, split }).cost.per_epoch.forward_backward;
+    let t1 = oracle.project(Strategy::DataSpatial { p1: 1, split }).per_epoch.forward_backward;
+    let t16 = oracle.project(Strategy::DataSpatial { p1: 16, split }).per_epoch.forward_backward;
     let speedup = t1 / t16;
     assert!((14.0..=16.5).contains(&speedup), "compute speedup with 16 data groups = {speedup}");
 }
