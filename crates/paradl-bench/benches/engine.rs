@@ -46,16 +46,16 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 
 fn bench_engine_construction(c: &mut Criterion) {
     let (model, device, cluster, config, _) = cosmoflow_problem();
-    let oracle = Oracle::new(&model, &device, &cluster, config);
-    c.bench_function("engine/cosmoflow_build_engine", |b| {
-        b.iter(|| std::hint::black_box(oracle.engine()))
-    });
-    c.bench_function("engine/resnet50_build_engine", |b| {
-        let resnet = paradl_models::resnet50();
-        let cfg = TrainingConfig::imagenet(32 * 64);
-        let o = Oracle::new(&resnet, &device, &cluster, cfg);
-        b.iter(|| std::hint::black_box(o.engine()))
-    });
+    let resnet = paradl_models::resnet50();
+    let resnet_config = TrainingConfig::imagenet(32 * 64);
+    for (name, model, config) in [
+        ("engine/cosmoflow_build_engine", &model, config),
+        ("engine/resnet50_build_engine", &resnet, resnet_config),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(CostEngine::new(model, &device, &cluster, config)))
+        });
+    }
 }
 
 criterion_group!(

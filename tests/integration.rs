@@ -161,19 +161,23 @@ fn paper_config(model: &Model, batch: usize) -> TrainingConfig {
     }
 }
 
-/// Every bit of an estimate: the six phases, memory and iterations.
-fn estimate_bits(c: &CostEstimate) -> [u64; 8] {
+/// The six phases and the per-PE memory of an estimate.
+fn estimate_values(c: &CostEstimate) -> [f64; 7] {
     let e = &c.per_epoch;
     [
-        e.forward_backward.to_bits(),
-        e.weight_update.to_bits(),
-        e.gradient_exchange.to_bits(),
-        e.fb_collective.to_bits(),
-        e.halo_exchange.to_bits(),
-        e.pipeline_p2p.to_bits(),
-        c.memory_per_pe_bytes.to_bits(),
-        c.iterations as u64,
+        e.forward_backward,
+        e.weight_update,
+        e.gradient_exchange,
+        e.fb_collective,
+        e.halo_exchange,
+        e.pipeline_p2p,
+        c.memory_per_pe_bytes,
     ]
+}
+
+/// Every bit of an estimate: its values and its iteration count.
+fn estimate_bits(c: &CostEstimate) -> ([u64; 7], usize) {
+    (estimate_values(c).map(f64::to_bits), c.iterations)
 }
 
 /// A named strategy has one price: `Oracle::project`, the survey's entry
@@ -206,9 +210,8 @@ fn project_survey_and_engine_price_a_named_strategy_alike() {
                         paradl::oracle::cost::estimate(&model, &device, &cluster, &config, s);
                     assert_eq!(projected.iterations, reference.iterations);
                     for (a, b) in
-                        estimate_bits(&projected)[..7].iter().zip(&estimate_bits(&reference)[..7])
+                        estimate_values(&projected).into_iter().zip(estimate_values(&reference))
                     {
-                        let (a, b) = (f64::from_bits(*a), f64::from_bits(*b));
                         assert!(
                             rel_close(a, b),
                             "{} B={batch} {s}: {a} vs reference {b}",
