@@ -4,6 +4,10 @@
 //! (`paradl_bench::per_query_sweep`). The paper-scale end-to-end numbers
 //! (and the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
 //! which writes `BENCH_grid.json`.
+//!
+//! The `b.iter` loop of the sweep benchmark reuses one `GridSweep`, so
+//! every iteration after the first refills the column buffers the previous
+//! one kept; the per-query baseline builds fresh oracles each time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;

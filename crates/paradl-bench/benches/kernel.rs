@@ -5,6 +5,10 @@
 //! granularity. The paper-scale end-to-end numbers (and
 //! the ≥ 5× acceptance floor over the committed grid throughput) live in
 //! the `bench_kernel_summary` binary, which writes `BENCH_kernel.json`.
+//!
+//! Each `b.iter` loop reuses one `GridSweep`, so every iteration after the
+//! first refills the column buffers the previous one kept: these numbers
+//! are repeated-sweep times, not cold ones.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;

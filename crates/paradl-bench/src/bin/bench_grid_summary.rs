@@ -53,8 +53,7 @@ fn main() {
         grid = grid.with_model(model, base);
     }
 
-    let sweep = GridSweep::new();
-    let warm = sweep.run(&grid);
+    let warm = GridSweep::new().run(&grid);
     let queries = grid.num_queries();
     let total_candidates: usize = warm.cells.iter().map(|c| c.report.enumerated).sum();
     println!(
@@ -68,7 +67,9 @@ fn main() {
 
     let iters = 3;
     let t_per_query = best_of(iters, || per_query_sweep(&grid));
-    let t_grid = best_of(iters, || sweep.run(&grid));
+    // A fresh sweep per run, like the per-query baseline: a reused
+    // `GridSweep` would also skip re-allocating its column buffers.
+    let t_grid = best_of(iters, || GridSweep::new().run(&grid));
     let speedup = t_per_query / t_grid;
     let rate = |t: f64| total_candidates as f64 / t;
     println!(

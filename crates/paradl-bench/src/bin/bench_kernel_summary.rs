@@ -7,6 +7,9 @@
 //! prep calls, one full estimate per candidate), sweeps the evaluation
 //! chunk granularity, and writes `BENCH_kernel.json` so CI tracks the
 //! candidates/sec trajectory next to `BENCH_search.json`/`BENCH_grid.json`.
+//! `analytic_seconds` times cold sweeps, each on a fresh `GridSweep`;
+//! `analytic_reused_seconds` times repeated runs of one sweep, which refill
+//! the column buffers it kept from its previous run.
 //!
 //! Run with: `cargo run --release -p paradl-bench --bin bench_kernel_summary`
 //!
@@ -146,10 +149,15 @@ fn main() {
         println!("reference guard: {:?} agrees", cell.query);
     }
 
+    // `analytic` times cold sweeps (a fresh `GridSweep` per run, as every
+    // committed number before it); `reused` times `sweep`, which refills
+    // the column buffers its earlier runs kept.
     let iters = 3;
-    let analytic = best_stages(iters, || sweep.run_timed(&grid).1);
+    let analytic = best_stages(iters, || GridSweep::new().run_timed(&grid).1);
+    let reused = best_stages(iters, || sweep.run_timed(&grid).1);
     let mechanical = MECHANICAL_STAGES;
     let (t_analytic, t_mech) = (total_seconds(&analytic), MECHANICAL_SECONDS);
+    let t_reused = total_seconds(&reused);
     let rate = |t: f64| total as f64 / t;
 
     let stage_row = |name: &str, a: f64, m: f64| {
@@ -176,6 +184,11 @@ fn main() {
         "analytic sweep   : {:>8.1} ms  ({:>10.0} candidates/s end-to-end)  {end_speedup:.1}x",
         t_analytic * 1e3,
         rate(t_analytic)
+    );
+    println!(
+        "reused sweep     : {:>8.1} ms  ({:>10.0} candidates/s end-to-end, kept buffers)",
+        t_reused * 1e3,
+        rate(t_reused)
     );
     println!(
         "kernel eval stage: {:>8.1} ms  ({:>10.0} candidates/s)  {eval_speedup:.1}x over mechanical eval",
@@ -222,6 +235,7 @@ fn main() {
             "  \"grid_baseline_candidates_per_sec\": {:.0},\n",
             "  \"mechanical_seconds\": {:.6},\n",
             "  \"analytic_seconds\": {:.6},\n",
+            "  \"analytic_reused_seconds\": {:.6},\n",
             "  \"mechanical_eval_seconds\": {:.6},\n",
             "  \"kernel_eval_seconds\": {:.6},\n",
             "  \"kernel_candidates_per_sec\": {:.0},\n",
@@ -241,6 +255,7 @@ fn main() {
         GRID_BASELINE_CANDIDATES_PER_SEC,
         t_mech,
         t_analytic,
+        t_reused,
         mechanical.eval,
         analytic.eval,
         kernel_rate,

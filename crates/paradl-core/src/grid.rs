@@ -65,6 +65,20 @@
 //! [`GridSweep::run_timed`] returns the per-stage wall-clock timings of a
 //! sweep.
 //!
+//! A [`GridSweep`] keeps the column buffers of its last run — the per-model
+//! supersets, the per-(model, device) prep columns and the per-(model,
+//! cluster) communication columns — and its next run refills them in
+//! place, so a repeated sweep does not allocate and page-fault its working
+//! set again (≈ 160 MiB for the 72-cell paper grid). Nothing is cached:
+//! every run recomputes every value, only the capacity is reused. Each
+//! stage trims the columns it fills to their exact length, so the kept
+//! bytes never exceed what the last run held live. A run that finds the
+//! buffers busy (another thread sweeping on the same value) uses fresh ones;
+//! a clone starts with none, and dropping the sweep frees them. One-cell
+//! answers ([`Oracle::search`], [`crate::query::Query::run`]) sweep on fresh
+//! buffers, and the `paradl-serve` daemon builds a sweep per drained batch,
+//! so neither holds buffers between requests.
+//!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
 //! rebatched engines are bit-equal to freshly built ones, each chunk's
@@ -91,7 +105,7 @@ use crate::strategy::Strategy;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
@@ -305,16 +319,27 @@ impl PreppedSpace {
     /// the capacity at one batch skips the memory computation at every
     /// larger batch (it still counts as enumerated and memory-pruned
     /// there, so the accounting is unchanged).
+    ///
+    /// The tables are written into `preps`, one per batch: every row is
+    /// recomputed, only the columns' capacity is reused.
     fn build_all(
         superset: &[Strategy],
         base: &CostEngine<'_>,
         batches: &[usize],
         constraints: &Constraints,
-    ) -> Vec<PreppedSpace> {
+        preps: &mut Vec<PreppedSpace>,
+    ) {
         let limits = base.limits();
         let engines: Vec<Cow<'_, CostEngine<'_>>> =
             batches.iter().map(|&b| at_batch(base, b)).collect();
-        let mut preps: Vec<PreppedSpace> = batches.iter().map(|_| Default::default()).collect();
+        preps.resize_with(batches.len(), PreppedSpace::default);
+        for prep in preps.iter_mut() {
+            prep.enumerated = 0;
+            prep.sup.clear();
+            prep.lbs.clear();
+            prep.slots.clear();
+            prep.fams.clear();
+        }
         // Ascending batch order: validity at one batch implies validity at
         // every larger one.
         let mut order: Vec<usize> = (0..batches.len()).collect();
@@ -349,40 +374,62 @@ impl PreppedSpace {
             }
         }
         let n_slots = budget_index(constraints.max_pes.max(1)) + 1;
-        for prep in &mut preps {
+        for prep in preps.iter_mut() {
             prep.mem_pruned = prep.enumerated - prep.sup.len();
             prep.seeds = select_seeds(&prep.fams, &prep.lbs, &prep.slots, n_slots);
+            prep.sup.shrink_to_fit();
+            prep.lbs.shrink_to_fit();
+            prep.slots.shrink_to_fit();
+            prep.fams.shrink_to_fit();
         }
-        preps
     }
 }
 
-/// Maps `f` over `0..order.len()` on the worker pool and returns the
-/// results in index order. Workers take the next index of `order` (a
-/// permutation) whenever they free up, instead of each owning a fixed
+/// The column buffers of one sweep: one candidate superset per model, one
+/// prep per batch for every (model, device group), and one
+/// communication-coefficient column per (model, cluster) pair (none in a
+/// full-ranking sweep), each list model-major. A [`GridSweep`] keeps them
+/// between runs and the next sweep refills them in place, so slot `i`
+/// always serves the `i`-th (model, device) or (model, cluster) index of
+/// the sweep at hand. Each stage trims every column it fills to its
+/// length, so no push-growth slack stays live through the later stages or
+/// between runs.
+#[derive(Default)]
+struct SweepBuffers {
+    supersets: Vec<Vec<Strategy>>,
+    preps: Vec<Vec<PreppedSpace>>,
+    coefs: Vec<Vec<CommCoef>>,
+}
+
+/// Calls `f(i, &mut items[i])` for every index of `order` (a permutation
+/// of `0..items.len()`) on the worker pool. Workers take the next index of
+/// `order` whenever they free up, instead of each owning a fixed
 /// contiguous share: the sweep's stages have a few items of very unequal
 /// cost (one per model, or per model and cluster), and a static split
 /// would make the stage's wall time depend on which items the grid's axis
 /// order happens to put on one worker. Callers list the costliest items
 /// first, so the schedule depends on the work alone.
-fn par_map_scheduled<T: Send>(order: &[usize], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let n = order.len();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+fn par_fill_scheduled<T: Send>(order: &[usize], items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    // Each slot is locked by the one worker that took its index.
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    let workers = rayon::current_num_threads().clamp(1, n.max(1));
+    let workers = rayon::current_num_threads().clamp(1, order.len().max(1));
     let _: Vec<()> = (0..workers)
         .into_par_iter()
         .map(|_| {
             while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
+                f(i, &mut slots[i].lock().expect("item slot poisoned"));
             }
         })
         .collect();
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("result slot poisoned").expect("order covers 0..n"))
-        .collect()
+}
+
+/// Maps `f` over `0..order.len()` on the worker pool, scheduled as
+/// [`par_fill_scheduled`], and returns the results in index order.
+fn par_map_scheduled<T: Send>(order: &[usize], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = order.iter().map(|_| None).collect();
+    par_fill_scheduled(order, &mut slots, |i, slot| *slot = Some(f(i)));
+    slots.into_iter().map(|slot| slot.expect("order covers 0..n")).collect()
 }
 
 /// `0..n` by decreasing `cost`, ties in index order: the longest-first
@@ -459,10 +506,35 @@ impl Laps {
 
 /// Evaluates a [`QueryGrid`], amortizing engines and candidate
 /// enumeration across cells (see the [module docs](crate::grid)).
-#[derive(Debug, Clone)]
+///
+/// A sweep keeps the column buffers of its last run — the candidate
+/// supersets, the prep columns and the communication-coefficient columns —
+/// and the next [`run`](GridSweep::run), [`run_timed`](GridSweep::run_timed)
+/// or [`run_cached`](GridSweep::run_cached) refills them in place instead of
+/// allocating (and page-faulting) them again. Every value is still
+/// recomputed on every run; only capacity is reused. The kept columns are
+/// trimmed to the exact length of the last run, so they never hold more
+/// than that run held live. A run that finds the buffers in use by another
+/// thread sweeping on the same value allocates fresh ones for itself.
+/// [`Clone`] gives a sweep with empty buffers, and dropping a sweep frees
+/// them.
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
+    /// The column buffers of the last run.
+    kept: Mutex<SweepBuffers>,
+}
+
+impl Clone for GridSweep {
+    fn clone(&self) -> Self {
+        GridSweep { chunk: self.chunk, kept: Mutex::default() }
+    }
+}
+
+impl std::fmt::Debug for GridSweep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GridSweep").field("chunk", &self.chunk).finish_non_exhaustive()
+    }
 }
 
 impl Default for GridSweep {
@@ -477,7 +549,7 @@ impl GridSweep {
     /// query splits into many units, large enough that chunk dispatch and
     /// mask-pass overhead stay negligible.
     pub fn new() -> Self {
-        GridSweep { chunk: DEFAULT_CHUNK }
+        GridSweep { chunk: DEFAULT_CHUNK, kept: Mutex::default() }
     }
 
     /// Overrides the candidates-per-chunk granularity (clamped to ≥ 1).
@@ -525,7 +597,8 @@ impl GridSweep {
     /// ranked arm of
     /// [`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine).
     /// Nothing is built and nothing rebatched: the cell's candidates are
-    /// enumerated at the engine's own batch.
+    /// enumerated at the engine's own batch. The sweep's kept buffers are
+    /// neither used nor touched: a one-cell answer is a one-shot sweep.
     pub(crate) fn run_one(
         &self,
         engine: &CostEngine<'_>,
@@ -537,7 +610,7 @@ impl GridSweep {
             &[0],
             &[engine.config().batch_size],
             constraints,
-            &mut Laps(Instant::now()),
+            &mut SweepBuffers::default(),
             &mut timings,
         );
         cells.pop().expect("a one-cell sweep yields one cell").report
@@ -553,6 +626,9 @@ impl GridSweep {
     ) -> Result<(GridReport, GridStageTimings), EngineError> {
         let mut timings = GridStageTimings::default();
         if grid.num_queries() == 0 {
+            if let Some(mut kept) = self.kept_buffers() {
+                *kept = SweepBuffers::default();
+            }
             return Ok((GridReport { cells: Vec::new() }, timings));
         }
         let mut laps = Laps(Instant::now());
@@ -593,32 +669,47 @@ impl GridSweep {
             })
             .collect();
 
+        let mut kept = self.kept_buffers();
         let cells = self.sweep(
             &engines,
             &group_of,
             &grid.batches,
             &grid.constraints,
-            &mut laps,
+            kept.as_deref_mut().unwrap_or(&mut SweepBuffers::default()),
             &mut timings,
         );
         Ok((GridReport { cells }, timings))
     }
 
+    /// The kept buffers, or `None` while another thread sweeps with them.
+    /// A poisoned lock is recovered: every sweep clears each buffer before
+    /// refilling it, so a sweep that panicked leaves nothing the next one
+    /// reads.
+    fn kept_buffers(&self) -> Option<MutexGuard<'_, SweepBuffers>> {
+        match self.kept.try_lock() {
+            Ok(kept) => Some(kept),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// The sweep over prepared engines. `engines` holds one engine per
     /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
     /// the device group of cluster `c` (clusters of one group share the
-    /// prep tables). Returns the cells model-major, then batch, then
+    /// prep tables). The supersets, preps and communication columns are
+    /// written into `bufs`. Returns the cells model-major, then batch, then
     /// cluster — [`QueryGrid::queries`] order — and records the stages from
-    /// `supersets` on.
+    /// `supersets` on, timed from the call.
     fn sweep(
         &self,
         engines: &[CostEngine<'_>],
         group_of: &[usize],
         batches: &[usize],
         constraints: &Constraints,
-        laps: &mut Laps,
+        bufs: &mut SweepBuffers,
         timings: &mut GridStageTimings,
     ) -> Vec<GridCell> {
+        let mut laps = Laps(Instant::now());
         let n_clusters = group_of.len();
         let n_models = engines.len() / n_clusters;
         let n_groups = group_of.iter().max().map_or(0, |&g| g + 1);
@@ -630,22 +721,35 @@ impl GridSweep {
         // One candidate superset per model, enumerated at the largest
         // batch; models enumerate in parallel. Nothing cheaper than the
         // enumeration predicts its cost, so models go in grid order.
+        let SweepBuffers { supersets, preps, coefs } = bufs;
         let order: Vec<usize> = (0..n_models).collect();
-        let supersets: Vec<Vec<Strategy>> = par_map_scheduled(&order, |m| {
+        supersets.resize_with(n_models, Vec::new);
+        par_fill_scheduled(&order, supersets, |m, superset| {
             let limits = engines[m * n_clusters].limits();
-            StrategySpace::with_limits(max_batch, constraints, limits).into_vec()
+            StrategySpace::fill(max_batch, constraints, limits, superset);
+            // Trim by copying, not in place: freeing the push-grown buffer
+            // keeps glibc's dynamic mmap and trim thresholds where a cold
+            // sweep always left them (an in-place shrink raised the minor
+            // faults of a mix of one-shot queries about 2.5-fold). A refill
+            // to the same length has no slack and copies nothing.
+            if superset.capacity() > superset.len() {
+                *superset = superset.to_vec();
+            }
         });
+        let supersets: &[Vec<Strategy>] = supersets;
         timings.supersets = laps.lap();
 
         // Per-(model, device) prepped spaces covering the whole batch axis:
         // one superset pass enumerates, memory-prunes and bound-tabulates
         // every batch's candidates, so the largest supersets go first.
         let order = costliest_first(n_models * n_groups, |i| supersets[i / n_groups].len());
-        let preps: Vec<Vec<PreppedSpace>> = par_map_scheduled(&order, |i| {
+        preps.resize_with(n_models * n_groups, Vec::new);
+        par_fill_scheduled(&order, preps, |i, preps| {
             let (m, g) = (i / n_groups, i % n_groups);
             let engine = &engines[m * n_clusters + group_reps[g]];
-            PreppedSpace::build_all(&supersets[m], engine, batches, constraints)
+            PreppedSpace::build_all(&supersets[m], engine, batches, constraints, preps);
         });
+        let preps: &[Vec<PreppedSpace>] = preps;
         timings.preps = laps.lap();
 
         // Per-(model, cluster) communication columns, aligned with the
@@ -656,7 +760,7 @@ impl GridSweep {
         // no batch's prep references (invalid or memory-infeasible at every
         // batch) are skipped. Full ranking builds a fresh estimate per
         // candidate and never reads the columns.
-        let coefs: Vec<Vec<CommCoef>> = if constraints.top_k.is_some() {
+        if constraints.top_k.is_some() {
             let used: Vec<Vec<bool>> = (0..n_models * n_groups)
                 .map(|i| {
                     let mut used = vec![false; supersets[i / n_groups].len()];
@@ -669,18 +773,24 @@ impl GridSweep {
                 })
                 .collect();
             let order = costliest_first(n_models * n_clusters, |i| supersets[i / n_clusters].len());
-            par_map_scheduled(&order, |i| {
+            coefs.resize_with(n_models * n_clusters, Vec::new);
+            par_fill_scheduled(&order, coefs, |i, column| {
                 let (m, c) = (i / n_clusters, i % n_clusters);
-                let engine = &engines[i];
-                supersets[m]
-                    .iter()
-                    .zip(&used[m * n_groups + group_of[c]])
-                    .map(|(&s, &u)| if u { engine.comm_prep(s) } else { CommCoef::default() })
-                    .collect()
-            })
+                let (engine, used) = (&engines[i], &used[m * n_groups + group_of[c]]);
+                column.clear();
+                column.extend(supersets[m].iter().zip(used).map(|(&s, &u)| {
+                    if u {
+                        engine.comm_prep(s)
+                    } else {
+                        CommCoef::default()
+                    }
+                }));
+                column.shrink_to_fit();
+            });
         } else {
-            Vec::new()
-        };
+            coefs.clear();
+        }
+        let coefs: &[Vec<CommCoef>] = coefs;
         timings.comms = laps.lap();
 
         // Cell contexts: the engine at the cell's batch, its kernel columns
@@ -918,8 +1028,14 @@ mod tests {
                     cell_engine(&grid, GridQuery { model: m, cluster: 0, batch: max_batch });
                 let superset =
                     StrategySpace::with_limits(max_batch, &constraints, engine.limits()).into_vec();
-                let preps =
-                    PreppedSpace::build_all(&superset, &engine, &grid.batches, &constraints);
+                let mut preps = Vec::new();
+                PreppedSpace::build_all(
+                    &superset,
+                    &engine,
+                    &grid.batches,
+                    &constraints,
+                    &mut preps,
+                );
                 for (prep, &batch) in preps.iter().zip(&grid.batches) {
                     let what = format!("{} at batch {batch}, capacity {capacity}", gm.model.name);
                     let direct = cell_engine(&grid, GridQuery { model: m, cluster: 0, batch });
@@ -1035,6 +1151,123 @@ mod tests {
         for (a, b) in plain.cells.iter().zip(&warm.cells) {
             assert_reports_equal(&a.report, &b.report, &format!("warm {:?}", a.query));
         }
+    }
+
+    /// Every kept column is trimmed to its length, and the slot counts are
+    /// the last sweep's: `models` supersets, `models × groups` prep lists
+    /// and, for a top-k sweep, `models × clusters` coefficient columns.
+    fn assert_kept_exact(sweep: &GridSweep, grid: &QueryGrid, groups: usize) {
+        let kept = sweep.kept.lock().expect("no sweep running");
+        let n_models = grid.models.len();
+        let n_coefs =
+            if grid.constraints.top_k.is_some() { n_models * grid.clusters.len() } else { 0 };
+        assert_eq!(kept.supersets.len(), n_models, "superset slots");
+        assert_eq!(kept.preps.len(), n_models * groups, "prep slots");
+        assert_eq!(kept.coefs.len(), n_coefs, "coefficient slots");
+        assert!(kept.supersets.iter().all(|s| s.capacity() == s.len()), "supersets trimmed");
+        assert!(kept.coefs.iter().all(|c| c.capacity() == c.len()), "coefficients trimmed");
+        for prep in kept.preps.iter().flatten() {
+            assert_eq!(prep.sup.capacity(), prep.sup.len(), "prep rows trimmed");
+            assert_eq!(prep.lbs.capacity(), prep.lbs.len(), "prep bounds trimmed");
+            assert_eq!(prep.slots.capacity(), prep.slots.len(), "prep slots trimmed");
+            assert_eq!(prep.fams.capacity(), prep.fams.len(), "prep families trimmed");
+        }
+    }
+
+    #[test]
+    fn reused_buffers_reproduce_fresh_sweeps() {
+        let a = small_grid(Constraints {
+            max_pes: 256,
+            top_k: Some(7),
+            sweep: PeSweep::Exhaustive,
+            ..Default::default()
+        });
+        // Other models and batches, fewer slots, full ranking: no
+        // coefficient columns.
+        let b = QueryGrid::new(Constraints { max_pes: 128, ..Default::default() })
+            .with_model(model(3), TrainingConfig::small(2048, 48))
+            .with_batches([48usize, 16])
+            .with_cluster(ClusterSpec::workstation(8));
+        // A's models swapped: every slot A kept now serves another model.
+        let swapped = QueryGrid::new(a.constraints)
+            .with_model(model(1), TrainingConfig::small(4096, 64))
+            .with_model(model(0), TrainingConfig::small(8192, 64))
+            .with_batches([96usize, 32])
+            .with_cluster(ClusterSpec::workstation(8))
+            .with_cluster(ClusterSpec::paper_system());
+        let sweep = GridSweep::new().with_chunk_size(256);
+        let cache = EngineCache::new(16);
+        let runs: [(&str, &QueryGrid, GridReport); 5] = [
+            ("A", &a, sweep.run(&a)),
+            ("B", &b, sweep.run(&b)),
+            ("A again", &a, sweep.run(&a)),
+            ("A swapped", &swapped, sweep.run(&swapped)),
+            ("cached B", &b, sweep.run_cached(&b, &cache).expect("engines build")),
+        ];
+        for (name, grid, report) in &runs {
+            let fresh = GridSweep::new().with_chunk_size(256).run(grid);
+            assert_eq!(report.len(), fresh.len(), "{name}: cells");
+            for (x, y) in report.cells.iter().zip(&fresh.cells) {
+                assert_eq!(x.query, y.query, "{name}: cell order");
+                assert_reports_equal(&x.report, &y.report, &format!("{name} {:?}", x.query));
+            }
+            assert_memory_recomputed(grid, report);
+        }
+        // Every cluster of either grid carries the V100 profile.
+        assert_kept_exact(&sweep, &b, 1);
+        sweep.run(&a);
+        assert_kept_exact(&sweep, &a, 1);
+        // A clone starts empty; an empty grid leaves nothing kept.
+        let clone = sweep.clone();
+        assert!(clone.kept.lock().expect("unlocked").supersets.is_empty());
+        sweep.run(&QueryGrid::new(Constraints::default()));
+        assert!(sweep.kept.lock().expect("unlocked").supersets.is_empty());
+    }
+
+    #[test]
+    fn busy_or_poisoned_buffers_still_sweep_exactly() {
+        let grid = small_grid(Constraints { max_pes: 128, top_k: Some(5), ..Default::default() });
+        let expected = GridSweep::new().run(&grid);
+        let check = |report: &GridReport, what: &str| {
+            for (x, y) in report.cells.iter().zip(&expected.cells) {
+                assert_reports_equal(&x.report, &y.report, &format!("{what} {:?}", x.query));
+            }
+        };
+        let sweep = GridSweep::new();
+        // Buffers held elsewhere: the run sweeps on fresh ones and leaves
+        // the held ones alone.
+        {
+            let held = sweep.kept.lock().expect("unlocked");
+            check(&sweep.run(&grid), "busy");
+            assert!(held.supersets.is_empty(), "a busy run must not touch the held buffers");
+        }
+        // Two threads sweeping on one value at once.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        sweep.run(&grid)
+                    })
+                })
+                .collect();
+            for worker in workers {
+                check(&worker.join().expect("sweep thread"), "concurrent");
+            }
+        });
+        // A panic while the buffers were held poisons the lock; the next
+        // run recovers them.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = sweep.kept.lock();
+                panic!("poison the kept buffers");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && sweep.kept.is_poisoned());
+        check(&sweep.run(&grid), "poisoned");
+        assert!(!sweep.kept.lock().unwrap_or_else(|p| p.into_inner()).supersets.is_empty());
     }
 
     #[test]

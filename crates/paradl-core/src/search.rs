@@ -76,9 +76,23 @@ impl StrategySpace {
     /// loops is pinned by the sieve test against a sort-based reference
     /// enumerator.
     pub fn with_limits(batch: usize, constraints: &Constraints, limits: &ModelLimits) -> Self {
+        let mut candidates = Vec::new();
+        Self::fill(batch, constraints, limits, &mut candidates);
+        StrategySpace { candidates, next: 0 }
+    }
+
+    /// The enumeration behind [`StrategySpace::with_limits`], written into
+    /// `candidates` (cleared first) so a caller that enumerates again can
+    /// keep the buffer's capacity.
+    pub(crate) fn fill(
+        batch: usize,
+        constraints: &Constraints,
+        limits: &ModelLimits,
+        candidates: &mut Vec<Strategy>,
+    ) {
         let max_pes = constraints.max_pes.max(1);
         let sweep = constraints.sweep;
-        let mut candidates: Vec<Strategy> = Vec::new();
+        candidates.clear();
         let mut push = |s: Strategy| {
             if s.total_pes() <= max_pes && limits.is_valid(s, batch) {
                 candidates.push(s);
@@ -208,7 +222,6 @@ impl StrategySpace {
             candidates.windows(2).all(|w| strategy_sort_key(&w[0]) < strategy_sort_key(&w[1])),
             "sieve enumeration must emit strictly increasing sort keys"
         );
-        StrategySpace { candidates, next: 0 }
     }
 
     /// The straightforward nested-loop enumeration [`StrategySpace::with_limits`]
@@ -303,9 +316,11 @@ impl StrategySpace {
         &self.candidates[self.next.min(self.candidates.len())..]
     }
 
-    /// Consumes the space, returning the remaining candidates.
+    /// Consumes the space, returning the remaining candidates in its own
+    /// buffer (only the consumed prefix is removed).
     pub fn into_vec(mut self) -> Vec<Strategy> {
-        self.candidates.split_off(self.next.min(self.candidates.len()))
+        self.candidates.drain(..self.next.min(self.candidates.len()));
+        self.candidates
     }
 }
 
@@ -755,6 +770,23 @@ mod tests {
         assert_eq!(drained.len(), total - 2);
         assert!(space.is_empty());
         assert_eq!(space.len(), 0);
+    }
+
+    #[test]
+    fn into_vec_returns_the_remaining_candidates_in_order() {
+        let m = model();
+        let space = StrategySpace::new(&m, 64, &constraints());
+        let all = space.as_slice().to_vec();
+        // Nothing consumed: the space hands over its own buffer.
+        let buffer = space.as_slice().as_ptr();
+        let whole = space.into_vec();
+        assert_eq!(whole.as_ptr(), buffer, "an unconsumed space must not copy");
+        assert_eq!(whole, all);
+        for consumed in [1, 3, all.len() - 1, all.len()] {
+            let mut space = StrategySpace::new(&m, 64, &constraints());
+            space.by_ref().take(consumed).for_each(drop);
+            assert_eq!(space.into_vec(), all[consumed..], "after {consumed} consumed");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! serialized answer. Full-ranking cells are also checked against the
 //! per-layer [`Oracle::search_reference`], up to floating-point
 //! reassociation, and top-k cells against a full-ranking sweep at the same
-//! chunk size.
+//! chunk size. One chunked [`GridSweep`] runs the grid, its full-ranking
+//! twin and the grid again: the refilled buffers must give the same
+//! reports.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
@@ -95,16 +97,17 @@ proptest! {
                 .with_cluster(ClusterSpec::workstation(8))
         };
         let grid = grid_under(constraints);
-        let chunked = GridSweep::new().with_chunk_size(chunk).run(&grid);
+        // One sweep serves every chunked run, so the later runs refill the
+        // buffers the earlier ones kept.
+        let sweep = GridSweep::new().with_chunk_size(chunk);
+        let chunked = sweep.run(&grid);
         let default = GridSweep::new().run(&grid);
         prop_assert!(chunked.len() == grid.num_queries());
         prop_assert!(default.len() == grid.num_queries());
         // Each chunk keeps only its own k best and per-budget winners; the
         // merge of many chunks must still equal the full ranking's prefix.
         if let Some(k) = constraints.top_k {
-            let full = GridSweep::new()
-                .with_chunk_size(chunk)
-                .run(&grid_under(Constraints { top_k: None, ..constraints }));
+            let full = sweep.run(&grid_under(Constraints { top_k: None, ..constraints }));
             for (a, f) in chunked.cells.iter().zip(&full.cells) {
                 let prefix = &f.report.ranked[..k.min(f.report.ranked.len())];
                 prop_assert!(a.report.ranked == prefix, "{:?}: top-{k} is not the prefix", a.query);
@@ -114,6 +117,11 @@ proptest! {
                     a.query
                 );
             }
+        }
+        let again = sweep.run(&grid);
+        prop_assert!(again.len() == chunked.len());
+        for (a, r) in chunked.cells.iter().zip(&again.cells) {
+            prop_assert!(a.report == r.report, "{:?}: a repeated sweep diverged", a.query);
         }
         for ((a, d), q) in chunked.cells.iter().zip(&default.cells).zip(grid.queries()) {
             prop_assert!(a.query == q && d.query == q);

@@ -618,7 +618,6 @@ fn enqueue_query(
 // ---------------------------------------------------------------------------
 
 fn batcher_loop(rx: &Receiver<Pending>, shared: &Arc<Shared>) {
-    let sweep = GridSweep::new();
     loop {
         let first = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(p) => p,
@@ -638,7 +637,13 @@ fn batcher_loop(rx: &Receiver<Pending>, shared: &Arc<Shared>) {
         while let Ok(p) = rx.try_recv() {
             batch.push(p);
         }
-        process_batch(batch, &sweep, shared);
+        // A fresh sweep per batch: a sweep keeps the column buffers of its
+        // last run, sized for that run's models and batches. Successive
+        // batches group different models at different sizes, so buffers
+        // kept for the daemon's lifetime would pin the largest group's
+        // columns between batches and raise the daemon's live heap; within
+        // one batch, the groups still refill one set of buffers.
+        process_batch(batch, &GridSweep::new(), shared);
     }
     // Stragglers that raced the shutdown check get a refusal, not silence.
     while let Ok(p) = rx.try_recv() {
