@@ -3,8 +3,9 @@
 //! filtering, coefficient-reconstructed communication times, per-chunk
 //! top-k folds) on the same paper-scale grid `bench_grid_summary` sweeps,
 //! sets it against the committed numbers of the retired pre-kernel
-//! *mechanical* evaluation (sort-based enumeration, separate memory/bound
-//! prep calls, one full estimate per candidate), sweeps the evaluation
+//! *mechanical* evaluation (one global sort of every enumerated candidate,
+//! a lower bound computed even for memory-pruned candidates, one full
+//! estimate per candidate, no dominance pruning), sweeps the evaluation
 //! chunk granularity, and writes `BENCH_kernel.json` so CI tracks the
 //! candidates/sec trajectory next to `BENCH_search.json`/`BENCH_grid.json`.
 //! `analytic_seconds` times cold sweeps, each on a fresh `GridSweep`;

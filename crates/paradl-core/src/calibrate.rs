@@ -210,6 +210,12 @@ impl FamilyScale {
         ]
     }
 
+    /// Calibrated total epoch time of `sample` under this scale:
+    /// `features · coefficients`, summed in feature order.
+    fn predict(&self, sample: &CalSample) -> f64 {
+        sample.features().iter().zip(self.coefficients()).map(|(x, c)| x * c).sum()
+    }
+
     /// Builds a scale from a coefficient vector over a regressor subset:
     /// unfitted parameters stay at identity (no evidence, no adjustment).
     fn from_fit(cols: &[usize], beta: &[f64], samples: usize) -> FamilyScale {
@@ -371,8 +377,7 @@ impl Calibration {
     /// Calibrated total epoch time of a projected sample (the quantity the
     /// conformance loop compares against the measured side).
     pub fn project(&self, sample: &CalSample) -> f64 {
-        let coef = self.scale_for(sample.strategy.kind()).coefficients();
-        sample.features().iter().zip(coef).map(|(x, c)| x * c).sum()
+        self.scale_for(sample.strategy.kind()).predict(sample)
     }
 
     /// Serializes the calibration (family table + provenance seed).
@@ -449,13 +454,9 @@ impl Calibration {
 
 /// Mean §5.2 accuracy of a candidate over training samples.
 fn mean_accuracy(samples: &[CalSample], scale: &FamilyScale) -> f64 {
-    let coef = scale.coefficients();
     let sum: f64 = samples
         .iter()
-        .map(|s| {
-            let p: f64 = s.features().iter().zip(&coef).map(|(x, c)| x * c).sum();
-            crate::oracle::projection_accuracy(p, s.measured)
-        })
+        .map(|s| crate::oracle::projection_accuracy(scale.predict(s), s.measured))
         .sum();
     sum / samples.len() as f64
 }
@@ -580,14 +581,7 @@ fn common_scale(samples: &[CalSample]) -> Option<FamilyScale> {
 /// shape, and a positive `t` preserves admissibility.) Falls back to the
 /// unrescaled candidate when `t` is degenerate.
 fn rezero_bias(samples: &[CalSample], scale: FamilyScale) -> FamilyScale {
-    let coef = scale.coefficients();
-    let ratio_sum: f64 = samples
-        .iter()
-        .map(|s| {
-            let p: f64 = s.features().iter().zip(&coef).map(|(x, c)| x * c).sum();
-            p / s.measured
-        })
-        .sum();
+    let ratio_sum: f64 = samples.iter().map(|s| scale.predict(s) / s.measured).sum();
     if !(ratio_sum.is_finite() && ratio_sum > 0.0) {
         return scale;
     }

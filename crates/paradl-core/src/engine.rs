@@ -578,7 +578,9 @@ impl<'a> CostEngine<'a> {
     ///
     /// The result is byte-for-byte identical to building a fresh engine
     /// whose config differs only in `batch_size` (property-tested in
-    /// `tests/proptest_engine.rs`).
+    /// `tests/proptest_engine.rs`). Every stage term `2·batch·act + static`
+    /// has `act ≥ 0`, so pipeline memory, like every other family's, never
+    /// shrinks as the batch grows; the grid's prep pass relies on that.
     pub fn rebatch(&mut self, batch: usize) {
         self.config.batch_size = batch;
         self.iters = self.config.iterations_per_epoch();
@@ -684,6 +686,7 @@ impl<'a> CostEngine<'a> {
 
     /// Maximum memory (bytes) required on one PE, `O(1)` equivalent of
     /// [`crate::memory::memory_per_pe`].
+    #[inline]
     pub fn memory_per_pe(&self, strategy: Strategy) -> f64 {
         let b = self.config.batch_size as f64;
         let raw = match strategy {
@@ -721,65 +724,10 @@ impl<'a> CostEngine<'a> {
     /// `lower_bound(s) ≤ estimate(s).epoch_time()` always holds (every
     /// communication term of the cost model is non-negative). The kernel's
     /// seed panel ([`crate::kernel`]) picks its seeds by this bound.
+    #[inline]
     pub fn lower_bound(&self, strategy: Strategy) -> f64 {
         let (fb, wu) = self.compute_terms(strategy);
         fb + wu
-    }
-
-    /// Fused prep pass: `(memory_per_pe, lower_bound)` from a single
-    /// strategy dispatch. Bit-identical to calling [`CostEngine::memory_per_pe`]
-    /// and [`CostEngine::lower_bound`] separately (same sub-expressions in
-    /// the same order), but the SoA prep loop in [`crate::grid`] only pays
-    /// one `match` per candidate.
-    pub fn prep_terms(&self, strategy: Strategy) -> (f64, f64) {
-        let core = &*self.core;
-        let b = self.config.batch_size as f64;
-        let d = self.config.dataset_size as f64;
-        let iters = self.iters_f;
-        match strategy {
-            Strategy::Serial => (
-                core.gamma_delta * self.mem_raw(1.0, 1.0, b),
-                d * core.fw_bw_per_sample + iters * core.wu_per_iteration,
-            ),
-            Strategy::Data { p } => (
-                core.gamma_delta * self.mem_raw(1.0, 1.0, b / p as f64),
-                d / p as f64 * core.fw_bw_per_sample + iters * core.wu_per_iteration,
-            ),
-            Strategy::Spatial { split } => (
-                core.gamma_delta * self.mem_raw(split.total() as f64, 1.0, b),
-                d / split.total() as f64 * core.fw_bw_per_sample + iters * core.wu_per_iteration,
-            ),
-            Strategy::Filter { p } | Strategy::Channel { p } => {
-                let pf = p as f64;
-                (
-                    core.gamma_delta * self.mem_raw(1.0, pf, b),
-                    d / pf * core.fw_bw_per_sample + iters / pf * core.wu_per_iteration,
-                )
-            }
-            Strategy::Pipeline { p, segments } => {
-                let agg = self.pipeline_agg(p);
-                let s = segments.max(1) as f64;
-                let pf = p as f64;
-                (
-                    core.gamma_delta * self.pipe_mem[self.depth_index(p)],
-                    d * (pf + s - 1.0) / s * (agg.max_fw + agg.max_bw) + iters * agg.max_wu,
-                )
-            }
-            Strategy::DataFilter { p1, p2 } => {
-                let p = (p1 * p2) as f64;
-                (
-                    core.gamma_delta * self.mem_raw(p1 as f64, p2 as f64, b),
-                    d / p * core.fw_bw_per_sample + iters / p2 as f64 * core.wu_per_iteration,
-                )
-            }
-            Strategy::DataSpatial { p1, split } => {
-                let p = (p1 * split.total()) as f64;
-                (
-                    core.gamma_delta * self.mem_raw(p, 1.0, b),
-                    d / p * core.fw_bw_per_sample + iters * core.wu_per_iteration,
-                )
-            }
-        }
     }
 
     /// Tabulates the batch-invariant communication coefficients of

@@ -52,8 +52,9 @@
 //!   are handed to workers as they free up, costliest first, so a sweep's
 //!   wall time does not depend on the order of the grid's axes,
 //! * **analytic evaluation** — the chunks run through the
-//!   [`crate::kernel`] module: a fused memory+bound prep pass
-//!   ([`CostEngine::prep_terms`]), static dominance bounds seeded per cell
+//!   [`crate::kernel`] module: a prep pass that gates each candidate by
+//!   [`CostEngine::memory_per_pe`] and keeps its
+//!   [`CostEngine::lower_bound`], static dominance bounds seeded per cell
 //!   (seed *selection* reuses the device-dependent prep columns across
 //!   clusters; seed *times* are costed per cell because communication is
 //!   cluster-dependent, and are priced from the cell's coefficient
@@ -310,15 +311,15 @@ impl PreppedSpace {
     /// batch instead of being re-checked per batch. `base` is any engine of
     /// the (model, device) pair; per-batch siblings are rebatched from it.
     ///
-    /// Memory and the lower bound come from the fused
-    /// [`CostEngine::prep_terms`] pass (the memory only gates the row; it
-    /// is not kept), the budget-slot and family columns for the kernel are
-    /// tabulated alongside, and — for the
-    /// non-pipeline families, whose per-PE memory is provably nondecreasing
-    /// in the batch (`2·batch·act/div + const`) — a candidate that exceeds
-    /// the capacity at one batch skips the memory computation at every
-    /// larger batch (it still counts as enumerated and memory-pruned
-    /// there, so the accounting is unchanged).
+    /// [`CostEngine::memory_per_pe`] gates each row (the memory is not
+    /// kept), and only a row that fits pays for its
+    /// [`CostEngine::lower_bound`]; the budget-slot and family columns for
+    /// the kernel are tabulated alongside. Per-PE memory is nondecreasing in
+    /// the batch for every family (`2·batch·act/div + const`, and for a
+    /// pipeline the maximum of such terms over its stages), so a candidate
+    /// that exceeds the capacity at one batch skips the memory computation
+    /// at every larger batch (it still counts as enumerated and
+    /// memory-pruned there, so the accounting is unchanged).
     ///
     /// The tables are written into `preps`, one per batch: every row is
     /// recomputed, only the columns' capacity is reused.
@@ -351,10 +352,6 @@ impl PreppedSpace {
             }
             let slot = budget_index(strategy.total_pes()) as u8;
             let fam = strategy.kind() as u8;
-            // Pipeline memory is a per-depth table, not the shared
-            // `2·batch·act + const` form, so the monotone early-break only
-            // applies to the other families.
-            let monotone = !matches!(strategy, Strategy::Pipeline { .. });
             let mut infeasible = false;
             for &bi in &order[j..] {
                 let prep = &mut preps[bi];
@@ -362,13 +359,12 @@ impl PreppedSpace {
                 if infeasible {
                     continue;
                 }
-                let (mem, lb) = engines[bi].prep_terms(strategy);
-                if mem > constraints.memory_capacity_bytes {
-                    infeasible = monotone;
+                if engines[bi].memory_per_pe(strategy) > constraints.memory_capacity_bytes {
+                    infeasible = true;
                     continue;
                 }
                 prep.sup.push(si as u32);
-                prep.lbs.push(lb);
+                prep.lbs.push(engines[bi].lower_bound(strategy));
                 prep.slots.push(slot);
                 prep.fams.push(fam);
             }

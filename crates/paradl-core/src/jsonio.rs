@@ -224,7 +224,7 @@ impl Json {
     /// numbers (which JSON cannot express) render as `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_flat::<false>(&mut out);
         out
     }
 
@@ -262,17 +262,26 @@ impl Json {
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// One-line layout: compact (`{"a":1,"b":2}` / `[1,2]`) for `render`,
+    /// or `SPACED` (`{"a": 1, "b": 2}` / `[1, 2]`) for the leaf containers
+    /// of the pretty renderer.
+    fn write_flat<const SPACED: bool>(&self, out: &mut String) {
+        let sep = |out: &mut String, c: char| {
+            out.push(c);
+            if SPACED {
+                out.push(' ');
+            }
+        };
         match self {
             Json::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        sep(out, ',');
                     }
                     write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
+                    sep(out, ':');
+                    v.write_flat::<SPACED>(out);
                 }
                 out.push('}');
             }
@@ -280,39 +289,9 @@ impl Json {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        sep(out, ',');
                     }
-                    v.write_compact(out);
-                }
-                out.push(']');
-            }
-            scalar => scalar.write_scalar(out),
-        }
-    }
-
-    /// One-line layout with spaces (`{"a": 1, "b": 2}` / `[1, 2]`), used for
-    /// leaf containers in the pretty renderer.
-    fn write_inline(&self, out: &mut String) {
-        match self {
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_inline(out);
-                }
-                out.push('}');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    v.write_inline(out);
+                    v.write_flat::<SPACED>(out);
                 }
                 out.push(']');
             }
@@ -322,7 +301,7 @@ impl Json {
 
     fn write_pretty(&self, out: &mut String, indent: usize) {
         if !self.has_container_child() {
-            self.write_inline(out);
+            self.write_flat::<true>(out);
             return;
         }
         match self {

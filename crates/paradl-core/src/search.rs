@@ -65,16 +65,17 @@ impl StrategySpace {
     /// table (e.g. the one inside a [`CostEngine`](crate::engine::CostEngine))
     /// so every candidate is validated in `O(1)`.
     ///
-    /// Emits candidates directly in enumeration-key order, with no
-    /// global sort: the non-hybrid families already enumerate in key order
-    /// (family-major, PE count ascending, family parameters ascending), and
-    /// the data+filter / data+spatial hybrids are generated total-PE-major
-    /// from a divisor sieve (exhaustive sweep) or a small sorted cross
-    /// product (powers-of-two sweep). The paper-scale exhaustive spaces are
-    /// hybrid-dominated, so skipping the multi-million-candidate sort is one
-    /// of the kernel's enumeration wins. Equivalence with the plain nested
-    /// loops is pinned by the sieve test against a sort-based reference
-    /// enumerator.
+    /// Emits candidates directly in enumeration-key order, with no sort:
+    /// the non-hybrid families already enumerate in key order (family-major,
+    /// PE count ascending, family parameters ascending), and the
+    /// data+filter / data+spatial hybrids are generated total-PE-major, one
+    /// loop per family for both sweeps: every total with its divisors from a
+    /// divisor sieve (exhaustive sweep), or every power-of-two total with
+    /// its power-of-two divisors (powers-of-two sweep, no sieve). The
+    /// paper-scale exhaustive spaces are hybrid-dominated, so skipping the
+    /// multi-million-candidate sort is one of the kernel's enumeration
+    /// wins. Equivalence with the plain nested loops is pinned by the sieve
+    /// test against a sort-based reference enumerator.
     pub fn with_limits(batch: usize, constraints: &Constraints, limits: &ModelLimits) -> Self {
         let mut candidates = Vec::new();
         Self::fill(batch, constraints, limits, &mut candidates);
@@ -134,86 +135,54 @@ impl StrategySpace {
             }
         }
 
-        match sweep {
-            PeSweep::Exhaustive => {
-                // Total-major hybrid enumeration from a divisor sieve: for
-                // every total `T = p1·p2`, the admissible group sizes `p2`
-                // are exactly the divisors of `T` within the family's
-                // scaling limit. Iterating divisors descending makes `p1 =
-                // T/p2` ascend, which is the tie-break order of
-                // `strategy_sort_key` — so the emission is sorted without
-                // comparing a single key.
-                let sieve = DivisorSieve::build(
-                    max_pes.min(
-                        batch
-                            .saturating_mul(limits.min_filters.max(limits.min_spatial_size))
-                            .max(1),
-                    ),
-                    limits.min_filters.max(limits.min_spatial_size),
-                );
-                for t in 2..=sieve.tmax {
-                    for &d in sieve.divisors(t).iter().rev() {
-                        let p2 = d as usize;
-                        if p2 > limits.min_filters {
-                            continue;
-                        }
-                        let p1 = t / p2;
-                        if p1 > batch {
-                            break; // p1 ascends as the divisor descends
-                        }
-                        push(Strategy::DataFilter { p1, p2 });
-                    }
+        // Total-major hybrid enumeration: for every total `T = p1·p2`, the
+        // admissible group sizes `p2` are exactly the divisors of `T` within
+        // the family's scaling limit. Iterating divisors descending makes
+        // `p1 = T/p2` ascend, which is the tie-break order of
+        // `strategy_sort_key` — so the emission is sorted without comparing
+        // a single key. The exhaustive sweep reads each total's divisors from
+        // a sieve; every divisor of a power-of-two total is a power of two,
+        // so that sweep halves its way down from `T` and builds no sieve.
+        let dmax = limits.min_filters.max(limits.min_spatial_size);
+        let tmax = max_pes.min(batch.saturating_mul(dmax).max(1));
+        let sieve = (sweep == PeSweep::Exhaustive).then(|| DivisorSieve::build(tmax, dmax));
+        let totals = || {
+            std::iter::successors(Some(2usize), |&t| match sweep {
+                PeSweep::Exhaustive => t.checked_add(1),
+                PeSweep::PowersOfTwo => t.checked_mul(2),
+            })
+            .take_while(|&t| t <= tmax)
+        };
+        let divisors = |t: usize| match &sieve {
+            Some(sieve) => Divisors::Row(sieve.divisors(t).iter()),
+            None => Divisors::Halvings(t),
+        };
+        for t in totals() {
+            for p2 in divisors(t) {
+                if p2 > limits.min_filters {
+                    continue;
                 }
-                for t in 2..=sieve.tmax {
-                    for &d in sieve.divisors(t).iter().rev() {
-                        let p2 = d as usize;
-                        if p2 > limits.min_spatial_size {
-                            continue;
-                        }
-                        let p1 = t / p2;
-                        if p1 > batch {
-                            break;
-                        }
-                        let splits = split_memo
-                            .entry(p2)
-                            .or_insert_with(|| spatial_factorizations(p2, spatial_caps));
-                        for &split in splits.iter() {
-                            push(Strategy::DataSpatial { p1, split });
-                        }
-                    }
+                let p1 = t / p2;
+                if p1 > batch {
+                    break; // p1 ascends as the divisor descends
                 }
+                push(Strategy::DataFilter { p1, p2 });
             }
-            PeSweep::PowersOfTwo => {
-                // The powers-of-two cross products are tiny (log² many
-                // pairs), so generating them unsorted and sorting per family
-                // is cheaper than building a sieve.
-                let mut tail: Vec<Strategy> = Vec::new();
-                let filter_counts = pe_counts(2, limits.min_filters, sweep);
-                let spatial_counts = pe_counts(2, limits.min_spatial_size, sweep);
-                for p1 in pe_counts(1, batch, sweep) {
-                    for &p2 in &filter_counts {
-                        // Saturating: huge hostile batches must break out,
-                        // not overflow.
-                        if p1.saturating_mul(p2) > max_pes {
-                            break; // PE counts are ascending
-                        }
-                        tail.push(Strategy::DataFilter { p1, p2 });
-                    }
-                    for &p2 in &spatial_counts {
-                        if p1.saturating_mul(p2) > max_pes {
-                            break;
-                        }
-                        let splits = split_memo
-                            .entry(p2)
-                            .or_insert_with(|| spatial_factorizations(p2, spatial_caps));
-                        for &split in splits.iter() {
-                            tail.push(Strategy::DataSpatial { p1, split });
-                        }
-                    }
+        }
+        for t in totals() {
+            for p2 in divisors(t) {
+                if p2 > limits.min_spatial_size {
+                    continue;
                 }
-                tail.sort_by_key(strategy_sort_key);
-                for s in tail {
-                    push(s);
+                let p1 = t / p2;
+                if p1 > batch {
+                    break;
+                }
+                let splits = split_memo
+                    .entry(p2)
+                    .or_insert_with(|| spatial_factorizations(p2, spatial_caps));
+                for &split in splits.iter() {
+                    push(Strategy::DataSpatial { p1, split });
                 }
             }
         }
@@ -420,8 +389,6 @@ fn divisors(p: usize) -> Vec<usize> {
 /// candidate count it drives, so the total-major enumeration stays linear in
 /// its output.
 struct DivisorSieve {
-    /// Largest total covered.
-    tmax: usize,
     /// CSR row offsets: row `T`'s divisors live at `data[off[T]..off[T+1]]`.
     off: Vec<u32>,
     /// Concatenated divisor lists (each ascending).
@@ -454,11 +421,34 @@ impl DivisorSieve {
                 t += d;
             }
         }
-        DivisorSieve { tmax, off, data }
+        DivisorSieve { off, data }
     }
 
     fn divisors(&self, t: usize) -> &[u32] {
         &self.data[self.off[t] as usize..self.off[t + 1] as usize]
+    }
+}
+
+/// The divisors `d ≥ 2` of one hybrid total, descending: a sieve row read
+/// backwards (exhaustive sweep), or the halvings `T, T/2, …, 2` of a
+/// power-of-two total `T`, which are all of its divisors.
+enum Divisors<'a> {
+    Row(std::slice::Iter<'a, u32>),
+    Halvings(usize),
+}
+
+impl Iterator for Divisors<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Divisors::Row(row) => row.next_back().map(|&d| d as usize),
+            Divisors::Halvings(d) => {
+                let cur = *d;
+                *d /= 2;
+                (cur >= 2).then_some(cur)
+            }
+        }
     }
 }
 
@@ -847,6 +837,21 @@ mod tests {
                 assert_eq!(fast, reference, "sweep {sweep:?}, batch {batch}");
             }
         }
+        // A hostile powers-of-two problem: no PE cap and a huge batch. The
+        // doubling totals stop at `batch · limit`, and no sieve is built.
+        let c = Constraints {
+            max_pes: usize::MAX,
+            sweep: crate::oracle::PeSweep::PowersOfTwo,
+            pipeline_segments: 16,
+            ..Constraints::default()
+        };
+        let fast = StrategySpace::with_limits(1 << 40, &c, &limits).into_vec();
+        let reference = StrategySpace::with_limits_reference(1 << 40, &c, &limits).into_vec();
+        assert_eq!(fast, reference, "hostile powers of two");
+        // At a `usize::MAX` batch the doubling stops at overflow instead.
+        // The reference's own products overflow there, so this checks only
+        // that the enumeration ends, in the order `fill` debug-asserts.
+        assert!(StrategySpace::with_limits(usize::MAX, &c, &limits).len() > fast.len());
     }
 
     /// Asserts that a kernel report agrees with the per-layer reference
