@@ -46,11 +46,13 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 
 fn bench_engine_construction(c: &mut Criterion) {
     let (model, device, cluster, config, _) = cosmoflow_problem();
-    let resnet = paradl_models::resnet50();
+    let resnet50 = paradl_models::resnet50();
+    let resnet152 = paradl_models::resnet152();
     let resnet_config = TrainingConfig::imagenet(32 * 64);
     for (name, model, config) in [
         ("engine/cosmoflow_build_engine", &model, config),
-        ("engine/resnet50_build_engine", &resnet, resnet_config),
+        ("engine/resnet50_build_engine", &resnet50, resnet_config),
+        ("engine/resnet152_build_engine", &resnet152, resnet_config),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(CostEngine::new(model, &device, &cluster, config)))
@@ -58,9 +60,33 @@ fn bench_engine_construction(c: &mut Criterion) {
     }
 }
 
+/// `CostEngine::rebatch` alone: re-maximizing each pipeline depth's stage
+/// memory, which a grid sweep pays once per (model, batch) cell and a
+/// cached-core answer once per hydration. Alternates between two batches
+/// so every call does the full rewrite.
+fn bench_engine_rebatch(c: &mut Criterion) {
+    let device = DeviceProfile::v100();
+    let cluster = ClusterSpec::paper_system();
+    let config = TrainingConfig::imagenet(256);
+    for (name, model) in [
+        ("engine/resnet50_rebatch", paradl_models::resnet50()),
+        ("engine/resnet152_rebatch", paradl_models::resnet152()),
+    ] {
+        let mut engine = CostEngine::new(&model, &device, &cluster, config).expect("engine builds");
+        let mut batch = 256;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                batch ^= 256 | 1024;
+                engine.rebatch(batch);
+                std::hint::black_box(&engine);
+            })
+        });
+    }
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_vs_reference, bench_engine_construction
+    targets = bench_engine_vs_reference, bench_engine_construction, bench_engine_rebatch
 );
 criterion_main!(benches);

@@ -24,7 +24,11 @@
 //! * per-pipeline-depth aggregates for every `p ≤ G`: bottleneck stage
 //!   times, boundary activation sizes, and the per-stage memory split into
 //!   `(activation, static)` element pairs — the balanced grouping depends
-//!   only on per-layer FLOPs, never on the batch,
+//!   only on per-layer FLOPs, never on the batch. Of the `G(G+1)/2` stage
+//!   pairs only each depth's Pareto-maximal ones are kept: a pair no larger
+//!   in both parts than another of its depth never decides that depth's
+//!   memory (1,199 of ResNet-50's 15,225 pairs and 3,818 of ResNet-152's
+//!   132,355, at most 9 per depth),
 //! * halo-exchange aggregates per split-dimension mask (which of the ≤ 3
 //!   spatial dimensions are split — the only thing the halo volume depends
 //!   on),
@@ -46,14 +50,14 @@
 //!   ranks by the same formula — so no collective-model derivation, and
 //!   no division, runs in its hot loop.
 //!
-//! **Batch-dependent** (rewritten in place by [`CostEngine::rebatch`],
-//! `O(layers²)` float max/fma operations, no allocation, no device, layer or
+//! **Batch-dependent** (rewritten in place by [`CostEngine::rebatch`], one
+//! multiply-add per kept stage pair, no allocation, no device, layer or
 //! topology queries):
 //!
 //! * the stored [`TrainingConfig`]'s `batch_size` (iteration counts and the
 //!   per-sample → per-batch factors are derived from it at query time),
 //! * the per-depth maximum pipeline-stage memory, re-maximized from the
-//!   batch-invariant `(activation, static)` pairs as
+//!   batch-invariant `(activation, static)` front as
 //!   `max_i (2·B·act_i + static_i)`.
 //!
 //! Because `rebatch` re-runs exactly the arithmetic [`CostEngine::new`] runs
@@ -71,10 +75,14 @@
 //! of `paradl-bench/benches/engine.rs` (16 Ki PEs, criterion medians): the
 //! reference path finishes the search in ≈ 0.94 s, the engine-backed full
 //! ranking in ≈ 0.24 s, and the engine with top-10 pruning in ≈ 0.03 s — a
-//! 4–33× end-to-end speedup. On the same host `bench_grid_summary` (best of
-//! 50) builds a ResNet-50 engine in ≈ 314–323 µs and
-//! [`CostEngine::rebatch`]es it in ≈ 46–48 µs, ≈ 7× cheaper than the
-//! rebuild it replaces.
+//! 4–33× end-to-end speedup. On the same host the criterion rows
+//! `engine/resnet{50,152}_rebatch` read ≈ 1.8–3.0 µs and ≈ 5–9.5 µs per
+//! [`CostEngine::rebatch`] (≈ 42–52 µs and ≈ 0.40–0.49 ms when every
+//! depth kept all of its stage pairs). A build takes ≈ 250–470 µs for
+//! ResNet-50 and ≈ 1.6–3.3 ms for ResNet-152 on that shared host; in five
+//! alternating runs of 100 builds each, the median build fell ≈ 330 → 256 µs
+//! and ≈ 2.6 → 1.7 ms in the quieter runs. What is left of a build is mostly
+//! the `O(G²)` greedy grouping of every pipeline depth.
 //!
 //! The engine is numerically *equivalent* to the reference model (same
 //! formulas, refactored around precomputed aggregates) but not bit-identical
@@ -234,7 +242,7 @@ fn halo_mask(split: SpatialSplit) -> usize {
 /// Batch-invariant aggregates of one pipeline depth `p`: the compute and
 /// boundary quantities of the balanced layer groups. The per-stage memory is
 /// *not* here — it depends on the batch and lives in `CostEngine::pipe_mem`,
-/// re-derived by `rebatch` from [`EngineCore::pipe_mem_parts`].
+/// re-derived by `rebatch` from [`EngineCore::pipe_front`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct PipelineAgg {
     /// Bottleneck per-sample forward time `max_Gi Σ FW_l`.
@@ -254,16 +262,18 @@ struct PipelineAgg {
 /// per-layer FLOP array (same greedy algorithm, same accumulation order, so
 /// the groupings are identical) without re-querying layer shapes. FLOPs do
 /// not depend on the batch, so neither do the groupings — which is what
-/// makes the per-group memory parts batch-invariant.
-fn balanced_groups(flops: &[u64], p: usize) -> Vec<std::ops::Range<usize>> {
+/// makes the per-group memory parts batch-invariant. `flops` holds each
+/// layer's FLOP count already converted to `f64` (the value the model's
+/// loop adds) and `total` their exact integer sum, both hoisted out of the
+/// per-depth loop of [`CostEngine::new`].
+fn balanced_groups(flops: &[f64], total: u64, p: usize) -> Vec<std::ops::Range<usize>> {
     let p = p.clamp(1, flops.len().max(1));
-    let total: u64 = flops.iter().sum();
     let target = total as f64 / p as f64;
     let mut groups = Vec::with_capacity(p);
     let mut start = 0usize;
     let mut acc = 0f64;
     for (i, &f) in flops.iter().enumerate() {
-        acc += f as f64;
+        acc += f;
         let remaining_groups = p - groups.len();
         let remaining_layers = flops.len() - i - 1;
         // Close the group when we reach the target, but always leave at
@@ -276,6 +286,17 @@ fn balanced_groups(flops: &[u64], p: usize) -> Vec<std::ops::Range<usize>> {
     }
     groups.push(start..flops.len());
     groups
+}
+
+/// Whether stage memory parts `a` are at least as large as `b` in both the
+/// activation and the static field. Then `2·B·a.0 + a.1 ≥ 2·B·b.0 + b.1` at
+/// every batch `B ≥ 1` (all terms are `≥ 0` and rounding is monotone), so
+/// `b` never decides a depth's maximum and the engine drops it. A NaN
+/// part is ordered against nothing and an infinite one is covered by no
+/// finite pair, so a non-finite pair always stays in the table for
+/// [`EngineCore::verify_finite`] to reject.
+fn covers(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0 >= b.0 && a.1 >= b.1
 }
 
 /// Memoized gradient-exchange collective times, keyed by power-of-two
@@ -309,6 +330,11 @@ struct CollectiveTables {
 /// built from — `batch_size`, `dataset_size` and `epochs` are *not* baked
 /// in (they are read from the engine's owned config at query time), which
 /// is what [`engine_fingerprint`] encodes.
+///
+/// Its size is linear in the layer count: the per-layer time tables, one
+/// aggregate per pipeline depth and each depth's Pareto front of stage
+/// memory pairs. A ResNet-152 core holds 3,818 front pairs (61 KB), where
+/// the full triangle of per-stage pairs would be 132,355 (2.1 MB).
 #[derive(Debug)]
 pub struct EngineCore {
     /// Scaling limits (model-only).
@@ -343,11 +369,17 @@ pub struct EngineCore {
     /// `pipeline[p-1]`: batch-invariant aggregates of the balanced `p`-stage
     /// pipeline.
     pipeline: Vec<PipelineAgg>,
-    /// Flat triangular table of per-stage memory parts: for depth `p`, the
-    /// `p` entries starting at offset `p(p-1)/2` hold each stage's
-    /// `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element pair; the batch-dependent stage
-    /// memory is `2·B·act + static`, re-maximized by [`CostEngine::rebatch`].
-    pipe_mem_parts: Vec<(f64, f64)>,
+    /// Per-stage memory parts, CSR-style: depth `p`'s entries are
+    /// `pipe_front[pipe_front_offsets[p-1]..pipe_front_offsets[p]]`, each a
+    /// stage's `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element pair. Only the
+    /// Pareto-maximal pairs of each depth are kept (ascending in the
+    /// activation part): the batch-dependent stage memory is
+    /// `2·B·act + static`, re-maximized by [`CostEngine::rebatch`], and a
+    /// pair no larger in both parts than another of its depth never wins
+    /// that maximum at any batch `B ≥ 1`.
+    pipe_front: Vec<(f64, f64)>,
+    /// `G + 1` offsets into `pipe_front`, starting at 0.
+    pipe_front_offsets: Vec<usize>,
     /// Memoized gradient-exchange collectives.
     tables: CollectiveTables,
     /// `γ · δ`: the factor applied to raw memory element counts.
@@ -394,7 +426,7 @@ impl EngineCore {
             "pipeline",
             self.pipeline.iter().flat_map(|a| [a.max_fw, a.max_bw, a.max_wu, a.max_boundary_act]),
         )?;
-        check("pipe_mem_parts", self.pipe_mem_parts.iter().flat_map(|&(act, stat)| [act, stat]))?;
+        check("pipe_front", self.pipe_front.iter().flat_map(|&(act, stat)| [act, stat]))?;
         check(
             "collectives",
             self.tables
@@ -497,6 +529,8 @@ impl<'a> CostEngine<'a> {
         // re-deriving groups.
         let flops: Vec<u64> =
             model.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
+        let total_flops: u64 = flops.iter().sum();
+        let flops: Vec<f64> = flops.into_iter().map(|f| f as f64).collect();
         let prefix = |xs: &dyn Fn(usize) -> f64| -> Vec<f64> {
             let mut acc = 0.0;
             let mut out = Vec::with_capacity(g + 1);
@@ -515,10 +549,17 @@ impl<'a> CostEngine<'a> {
         let range_sum = |pfx: &[f64], r: &std::ops::Range<usize>| pfx[r.end] - pfx[r.start];
 
         let mut pipeline = Vec::with_capacity(g);
-        let mut pipe_mem_parts = Vec::with_capacity(g * (g + 1) / 2);
+        let mut pipe_front = Vec::new();
+        let mut pipe_front_offsets = Vec::with_capacity(g + 1);
+        pipe_front_offsets.push(0);
+        let mut front: Vec<(f64, f64)> = Vec::new();
         for p in 1..=g {
-            let groups = balanced_groups(&flops, p);
+            let groups = balanced_groups(&flops, total_flops, p);
             let mut agg = PipelineAgg { has_boundary: groups.len() > 1, ..Default::default() };
+            front.clear();
+            // Index of the front pair that covered the last stage: adjacent
+            // stages have similar parts, so it is tried first.
+            let mut hint = 0;
             for (gi, range) in groups.iter().enumerate() {
                 agg.max_fw = agg.max_fw.max(range_sum(&fw_prefix, range));
                 agg.max_bw = agg.max_bw.max(range_sum(&bw_prefix, range));
@@ -526,9 +567,22 @@ impl<'a> CostEngine<'a> {
                 if gi + 1 < groups.len() {
                     agg.max_boundary_act = agg.max_boundary_act.max(out_sizes[range.end - 1]);
                 }
-                pipe_mem_parts
-                    .push((range_sum(&act_prefix, range), range_sum(&static_prefix, range)));
+                let part = (range_sum(&act_prefix, range), range_sum(&static_prefix, range));
+                if front.get(hint).is_some_and(|&kept| covers(kept, part)) {
+                    continue;
+                }
+                match front.iter().position(|&kept| covers(kept, part)) {
+                    Some(j) => hint = j,
+                    None => {
+                        front.retain(|&kept| !covers(part, kept));
+                        hint = front.len();
+                        front.push(part);
+                    }
+                }
             }
+            front.sort_by(|x, y| x.0.total_cmp(&y.0));
+            pipe_front.extend_from_slice(&front);
+            pipe_front_offsets.push(pipe_front.len());
             pipeline.push(agg);
         }
 
@@ -548,7 +602,8 @@ impl<'a> CostEngine<'a> {
             halo_pairs,
             halo_elems,
             pipeline,
-            pipe_mem_parts,
+            pipe_front,
+            pipe_front_offsets,
             tables,
             gamma_delta: config.memory_reuse * delta,
         };
@@ -571,10 +626,11 @@ impl<'a> CostEngine<'a> {
 
     /// Switches the engine to a new global mini-batch `batch`, rewriting
     /// only the batch-dependent tables: the stored `batch_size` and the
-    /// per-depth pipeline stage memory (re-maximized from the precomputed
-    /// per-group `(activation, static)` pairs). `O(layers²)` float
-    /// operations, zero allocation, and no device, layer or topology
-    /// queries — a small fraction of a full [`CostEngine::new`].
+    /// per-depth pipeline stage memory (re-maximized over each depth's
+    /// Pareto front of per-group `(activation, static)` pairs). One
+    /// multiply-add per front pair (at most a few per depth on the paper
+    /// models), zero allocation, and no device, layer or topology queries —
+    /// a small fraction of a full [`CostEngine::new`].
     ///
     /// The result is byte-for-byte identical to building a fresh engine
     /// whose config differs only in `batch_size` (property-tested in
@@ -586,15 +642,11 @@ impl<'a> CostEngine<'a> {
         self.iters = self.config.iterations_per_epoch();
         self.iters_f = self.iters as f64;
         let b = batch as f64;
-        let mut off = 0usize;
-        for (depth0, slot) in self.pipe_mem.iter_mut().enumerate() {
-            let groups = depth0 + 1; // depth p has exactly p balanced groups
-            let mut mem = 0.0f64;
-            for &(act, stat) in &self.core.pipe_mem_parts[off..off + groups] {
-                mem = mem.max(2.0 * b * act + stat);
-            }
-            *slot = mem;
-            off += groups;
+        let core = &self.core;
+        for (slot, span) in self.pipe_mem.iter_mut().zip(core.pipe_front_offsets.windows(2)) {
+            *slot = core.pipe_front[span[0]..span[1]]
+                .iter()
+                .fold(0.0f64, |mem, &(act, stat)| mem.max(2.0 * b * act + stat));
         }
     }
 
@@ -682,6 +734,17 @@ impl<'a> CostEngine<'a> {
     /// The per-layer compute-time tables.
     pub fn layer_times(&self) -> &LayerTimes {
         &self.core.times
+    }
+
+    /// The stage memory parts the engine keeps for the balanced `p`-stage
+    /// pipeline (`p` clamped to `1..=G`): the Pareto-maximal
+    /// `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element pairs of its stages, ascending
+    /// in the activation part. The pipeline's raw per-PE memory at batch
+    /// `B` is the largest `2·B·act + static` over them.
+    pub fn pipeline_memory_front(&self, p: usize) -> &[(f64, f64)] {
+        let d = self.depth_index(p);
+        let offsets = &self.core.pipe_front_offsets;
+        offsets.get(d + 1).map_or(&[], |&end| &self.core.pipe_front[offsets[d]..end])
     }
 
     /// Maximum memory (bytes) required on one PE, `O(1)` equivalent of
@@ -1129,8 +1192,8 @@ pub struct EngineCacheStats {
 /// This is the engine-reuse hook behind `GridSweep::run_cached` and the
 /// `paradl-serve` daemon's cross-request reuse: repeated queries against
 /// the same (model, device, cluster, γ·δ) problem skip the `O(layers²)`
-/// engine build entirely, paying only the `O(layers²)`-float
-/// [`CostEngine::rebatch`]. [`EngineCache::engine`] is the one way in.
+/// engine build entirely, paying only the [`CostEngine::rebatch`] over each
+/// depth's stage-memory front. [`EngineCache::engine`] is the one way in.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
@@ -1423,9 +1486,10 @@ mod tests {
         let m = model();
         let flops: Vec<u64> =
             m.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
+        let flops_f: Vec<f64> = flops.iter().map(|&f| f as f64).collect();
         for p in 1..=m.num_layers() + 2 {
             assert_eq!(
-                balanced_groups(&flops, p),
+                balanced_groups(&flops_f, flops.iter().sum(), p),
                 m.balanced_pipeline_groups(p.min(m.num_layers()).max(1)),
                 "grouping diverges at p={p}"
             );

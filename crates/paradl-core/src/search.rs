@@ -240,14 +240,18 @@ impl StrategySpace {
         let filter_counts = pe_counts(2, limits.min_filters, sweep);
         let spatial_counts = pe_counts(2, limits.min_spatial_size, sweep);
         for p1 in pe_counts(1, batch, sweep) {
+            // The totals grow with `p2`; stop at the first over the cap or
+            // past `usize::MAX` (a saturated product would equal an uncapped
+            // `max_pes` and never stop the loop).
+            let within_cap = |p2: usize| p1.checked_mul(p2).is_some_and(|t| t <= max_pes);
             for &p2 in &filter_counts {
-                if p1.saturating_mul(p2) > max_pes {
+                if !within_cap(p2) {
                     break;
                 }
                 push(Strategy::DataFilter { p1, p2 });
             }
             for &p2 in &spatial_counts {
-                if p1.saturating_mul(p2) > max_pes {
+                if !within_cap(p2) {
                     break;
                 }
                 let splits = split_memo
@@ -848,10 +852,13 @@ mod tests {
         let fast = StrategySpace::with_limits(1 << 40, &c, &limits).into_vec();
         let reference = StrategySpace::with_limits_reference(1 << 40, &c, &limits).into_vec();
         assert_eq!(fast, reference, "hostile powers of two");
-        // At a `usize::MAX` batch the doubling stops at overflow instead.
-        // The reference's own products overflow there, so this checks only
-        // that the enumeration ends, in the order `fill` debug-asserts.
-        assert!(StrategySpace::with_limits(usize::MAX, &c, &limits).len() > fast.len());
+        // At a `usize::MAX` batch the doubling stops at overflow instead,
+        // and the reference stops each hybrid row at its first overflowing
+        // total.
+        let fast_max = StrategySpace::with_limits(usize::MAX, &c, &limits).into_vec();
+        assert!(fast_max.len() > fast.len());
+        let reference_max = StrategySpace::with_limits_reference(usize::MAX, &c, &limits);
+        assert_eq!(fast_max, reference_max.into_vec(), "powers of two at a usize::MAX batch");
     }
 
     /// Asserts that a kernel report agrees with the per-layer reference

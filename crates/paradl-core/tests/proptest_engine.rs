@@ -3,8 +3,10 @@
 //! configuration and candidate strategy, the engine must reproduce
 //! `estimate` / `memory_per_pe` (to floating-point
 //! reassociation tolerance), its compute-only lower bound must be
-//! admissible, its per-PE memory must not shrink as the batch grows, and
-//! the branch-and-bound pruned search must never drop the true optimum.
+//! admissible, its per-PE memory must not shrink as the batch grows, its
+//! pipeline memory fronts must be exactly the Pareto-maximal stage parts
+//! with the same memory bits as a maximum over every stage, and the
+//! branch-and-bound pruned search must never drop the true optimum.
 
 use paradl_core::cost::{estimate, estimate_with_memory};
 use paradl_core::prelude::*;
@@ -159,6 +161,47 @@ proptest! {
         for s in sample_candidates(&model, batch) {
             let (a, b) = (small.memory_per_pe(s), large.memory_per_pe(s));
             prop_assert!(a <= b, "{s}: memory {a} at B={batch} > {b} at B={}", batch + gap);
+        }
+    }
+
+    #[test]
+    fn pipeline_fronts_are_pareto_maximal_and_change_no_memory_bit(
+        model in arb_model(),
+        config in arb_config(),
+    ) {
+        let device = DeviceProfile::v100();
+        let cluster = ClusterSpec::paper_system();
+        let engine = CostEngine::new(&model, &device, &cluster, config).expect("engine builds");
+        let gamma_delta = config.memory_reuse * config.bytes_per_item;
+        for p in 1..=model.num_layers() {
+            // Each balanced stage's `(Σ(|x|+|y|), Σ(2|w|+|bi|))` pair; the
+            // sums are small integers, so exact in any order.
+            let parts: Vec<(f64, f64)> = model
+                .balanced_pipeline_groups(p)
+                .into_iter()
+                .map(|range| {
+                    let layers = &model.layers[range];
+                    let act: usize = layers.iter().map(|l| l.input_size() + l.output_size()).sum();
+                    let stat: usize =
+                        layers.iter().map(|l| 2 * l.weight_count() + l.bias_count()).sum();
+                    (act as f64, stat as f64)
+                })
+                .collect();
+            let mut front: Vec<(f64, f64)> = parts
+                .iter()
+                .copied()
+                .filter(|&x| !parts.iter().any(|&y| y.0 >= x.0 && y.1 >= x.1 && y != x))
+                .collect();
+            front.sort_by(|x, y| x.0.total_cmp(&y.0));
+            front.dedup();
+            prop_assert!(engine.pipeline_memory_front(p) == front.as_slice(), "depth {p}");
+            for batch in [1usize, config.batch_size, 1536, 1 << 40] {
+                let b = batch as f64;
+                let raw = parts.iter().fold(0.0f64, |m, &(act, stat)| m.max(2.0 * b * act + stat));
+                let s = Strategy::Pipeline { p, segments: 1 };
+                let mem = engine.rebatched(batch).memory_per_pe(s);
+                prop_assert!(mem.to_bits() == (gamma_delta * raw).to_bits(), "depth {p} B={batch}");
+            }
         }
     }
 

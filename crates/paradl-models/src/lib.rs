@@ -38,13 +38,15 @@ pub fn imagenet_models() -> Vec<Model> {
     vec![resnet50(), resnet152(), vgg16()]
 }
 
-/// Looks a model up by its (case-insensitive) name.
+/// Looks a model up by its (case-insensitive) name: a short alias or the
+/// display name ([`Model::name`]) of any model in [`paper_models`] or
+/// [`alexnet()`].
 pub fn by_name(name: &str) -> Option<Model> {
     match name.to_ascii_lowercase().as_str() {
         "resnet-50" | "resnet50" => Some(resnet50()),
         "resnet-152" | "resnet152" => Some(resnet152()),
         "vgg16" | "vgg-16" => Some(vgg16()),
-        "cosmoflow" => Some(cosmoflow()),
+        "cosmoflow" | "cosmoflow-256" => Some(cosmoflow()),
         "alexnet" => Some(alexnet()),
         _ => None,
     }

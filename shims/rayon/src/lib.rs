@@ -1,11 +1,14 @@
 //! Offline stand-in for the subset of [`rayon`](https://docs.rs/rayon) used by
 //! this workspace. The container building this repository cannot reach
 //! crates.io, so this shim reimplements data-parallel iteration on
-//! `std::thread::scope`: items are split into one contiguous chunk per
-//! available core, each chunk is mapped on its own OS thread, and results are
-//! reassembled in order. Unlike real rayon there is no work stealing — chunks
-//! are static — which is adequate for the uniform per-item workloads this
-//! workspace parallelizes (candidate-strategy evaluation).
+//! `std::thread::scope`: items are split into one contiguous share per
+//! available core, the calling thread maps the last share while one scoped
+//! OS thread maps each other share, and results are reassembled in order.
+//! Unlike real rayon there is no pool and no work stealing — shares are
+//! static — which is adequate for the uniform per-item workloads this
+//! workspace parallelizes (candidate-strategy evaluation). A panic in any
+//! share, the caller's included, propagates out of the call with its
+//! original payload.
 //!
 //! Supported surface: `par_iter()` / `into_par_iter()` on slices, `Vec`, and
 //! `Range<usize>`, with `map`, `filter`, `filter_map`, `flat_map`, `collect`
@@ -13,14 +16,21 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::OnceLock;
 use std::thread;
 
 /// Returns the number of worker threads the shim will use (one per core).
+/// Read from the OS once per process: `available_parallelism` parses
+/// cgroup files on Linux, which would otherwise cost every parallel call
+/// tens of microseconds.
 pub fn current_num_threads() -> usize {
-    thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs `f` over `items` in parallel, preserving order.
+/// Runs `f` over `items` in parallel, preserving order. An `n`-share call
+/// spawns `n − 1` threads: the calling thread, which would otherwise only
+/// wait for them, maps the last share itself.
 fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -28,32 +38,34 @@ where
     F: Fn(T) -> R + Sync,
 {
     let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
     let workers = current_num_threads().min(len);
-    if workers == 1 {
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk_len = len.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
+    let share_len = len.div_ceil(workers);
+    let mut shares: Vec<Vec<T>> = Vec::with_capacity(workers);
     let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
+    while it.len() > 0 {
+        shares.push(it.by_ref().take(share_len).collect());
     }
+    let own = shares.pop().expect("at least two items");
     let f = &f;
-    let per_chunk: Vec<Vec<R>> = thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    thread::scope(|scope| {
+        let handles: Vec<_> = shares
             .into_iter()
-            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
+            .map(|share| scope.spawn(move || share.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("parallel worker panicked")).collect()
-    });
-    per_chunk.into_iter().flatten().collect()
+        let own: Vec<R> = own.into_iter().map(f).collect();
+        let mut out = Vec::with_capacity(len);
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out.extend(own);
+        out
+    })
 }
 
 /// A parallel iterator over owned items.
@@ -194,8 +206,11 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
-        let doubled: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
+        // Lengths that split into uneven shares on any core count.
+        for n in [1usize, 2, 3, 5, 17, 101, 1000] {
+            let doubled: Vec<usize> = (0..n).into_par_iter().map(|i| i * 2).collect();
+            assert_eq!(doubled, (0..n).map(|i| i * 2).collect::<Vec<_>>(), "{n} items");
+        }
     }
 
     #[test]
@@ -221,6 +236,42 @@ mod tests {
     fn flat_map_concatenates_in_order() {
         let out: Vec<usize> = (0..5).into_par_iter().flat_map(|i| vec![i; i]).collect();
         assert_eq!(out, vec![1, 2, 2, 3, 3, 3, 4, 4, 4, 4]);
+    }
+
+    #[test]
+    fn the_calling_thread_maps_the_last_share() {
+        let me = std::thread::current().id();
+        for n in [1usize, 2, 3, 7, 64] {
+            let ids: Vec<_> = (0..n).into_par_iter().map(|_| std::thread::current().id()).collect();
+            assert_eq!(ids.last(), Some(&me), "{n} items");
+        }
+    }
+
+    #[test]
+    fn thread_count_is_stable_across_calls() {
+        let first = super::current_num_threads();
+        assert!(first >= 1);
+        for _ in 0..16 {
+            assert_eq!(super::current_num_threads(), first);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_any_share_propagates_with_its_payload() {
+        let n = 16usize;
+        // Item `n - 1` lies in the calling thread's share, item 0 in a
+        // spawned one whenever more than one core is available.
+        for bad in [0, n / 2, n - 1] {
+            let caught = std::panic::catch_unwind(|| {
+                (0..n)
+                    .into_par_iter()
+                    .map(|i| if i == bad { panic!("share item {i}") } else { i })
+                    .collect::<Vec<usize>>()
+            });
+            let payload = caught.expect_err("the panic propagates");
+            let message = payload.downcast_ref::<String>().expect("formatted payload");
+            assert_eq!(message, &format!("share item {bad}"));
+        }
     }
 
     #[test]
