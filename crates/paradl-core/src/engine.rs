@@ -1268,7 +1268,7 @@ impl EngineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::DeviceProfile;
+    use crate::compute::{DeviceProfile, TabulatedProfile};
     use crate::cost::estimate;
     use crate::layer::Layer;
     use crate::memory::memory_per_pe;
@@ -1636,6 +1636,36 @@ mod tests {
         let err = CostEngine::from_core(&m, &c, TrainingConfig::small(4096, 0), good.core_handle())
             .expect_err("zero batch must not hydrate");
         assert!(matches!(err, EngineError::Config(_)), "{err}");
+    }
+
+    /// The test model with measured forward times `fw` for its first three
+    /// layers (`c1`, `r1`, `p1`); every other time is V100's.
+    fn tabulated(fw: [f64; 3]) -> TabulatedProfile {
+        let mut device = TabulatedProfile::new(DeviceProfile::v100());
+        for (layer, t) in model().layers.iter().zip(fw) {
+            device.insert(layer.name.clone(), t, 1e-6, 0.0);
+        }
+        device
+    }
+
+    #[test]
+    fn a_stage_sum_overflow_fails_the_build() {
+        // Every layer time and every whole-model sum is finite, but the
+        // balanced 5-stage pipeline groups `r1`, `p1` and `c2` into one
+        // stage, whose forward time 1e308 + 1e308 overflows.
+        let m = model();
+        let c = ClusterSpec::paper_system();
+        let cfg = TrainingConfig::small(4096, 64);
+        assert!(m.balanced_pipeline_groups(5).contains(&(1..4)));
+        let err = CostEngine::new(&m, &tabulated([-1e308, 1e308, 1e308]), &c, cfg)
+            .expect_err("an overflowing stage sum must not build");
+        match &err {
+            EngineError::NonFinite { table, .. } => assert_eq!(*table, "pipeline", "{err}"),
+            other => panic!("expected NonFinite, got {other}"),
+        }
+        // Huge times whose stage sums all stay finite still build.
+        CostEngine::new(&m, &tabulated([1e308, -1e308, 1e308]), &c, cfg)
+            .expect("finite stage sums build");
     }
 
     #[test]
