@@ -58,12 +58,24 @@ fn bench_engine_construction(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(CostEngine::new(model, &device, &cluster, config)))
         });
     }
+    // A build followed by a read of every pipeline depth: what an
+    // exhaustive sweep pays, which filling depths on first read cannot
+    // shorten.
+    c.bench_function("engine/resnet152_build_all_depths", |b| {
+        b.iter(|| {
+            let engine = CostEngine::new(&resnet152, &device, &cluster, resnet_config)
+                .expect("engine builds");
+            for p in 1..=resnet152.num_layers() {
+                std::hint::black_box(engine.pipeline_memory_front(p));
+            }
+        })
+    });
 }
 
-/// `CostEngine::rebatch` alone: re-maximizing each pipeline depth's stage
-/// memory, which a grid sweep pays once per (model, batch) cell and a
-/// cached-core answer once per hydration. Alternates between two batches
-/// so every call does the full rewrite.
+/// `CostEngine::rebatch` alone: storing the batch and its iteration count,
+/// which a grid sweep pays once per (model, batch) cell and a cached-core
+/// answer once per hydration. Alternates between two batches so every call
+/// does the full rewrite.
 fn bench_engine_rebatch(c: &mut Criterion) {
     let device = DeviceProfile::v100();
     let cluster = ClusterSpec::paper_system();

@@ -8,27 +8,27 @@
 //! identical between candidates.
 //!
 //! [`CostEngine`] precomputes, once per (model, device, cluster, config)
-//! problem, every model-dependent table the cost formulas need. The tables
-//! fall into two classes, and the split is **load-bearing** for
-//! [`CostEngine::rebatch`] (which rewrites only the second class when the
-//! global batch changes, e.g. across the cells of a
-//! [`crate::grid::QueryGrid`]):
-//!
-//! **Batch-invariant** (held in one [`std::sync::Arc`]-shared core, so
-//! rebatched siblings of an engine share it without copying):
+//! problem, every model-dependent table the cost formulas need. All of them
+//! are batch-invariant and live in one [`std::sync::Arc`]-shared core, so
+//! [`CostEngine::rebatch`] (used when the global batch changes, e.g. across
+//! the cells of a [`crate::grid::QueryGrid`]) only stores the new batch:
 //!
 //! * per-layer `FW`/`BW`/`WU` times ([`LayerTimes`]) and their totals — the
 //!   device model is only a function of layer shapes,
 //! * activation/weight/bias element totals for the memory model (the batch
 //!   factor is applied at query time),
-//! * per-pipeline-depth aggregates for every `p ≤ G`: bottleneck stage
-//!   times, boundary activation sizes, and the per-stage memory split into
+//! * per-pipeline-depth tables for every `p ≤ G`: bottleneck stage times,
+//!   boundary activation sizes, and the per-stage memory split into
 //!   `(activation, static)` element pairs — the balanced grouping depends
 //!   only on per-layer FLOPs, never on the batch. Of the `G(G+1)/2` stage
 //!   pairs only each depth's Pareto-maximal ones are kept: a pair no larger
 //!   in both parts than another of its depth never decides that depth's
 //!   memory (1,199 of ResNet-50's 15,225 pairs and 3,818 of ResNet-152's
-//!   132,355, at most 9 per depth),
+//!   132,355, at most 9 per depth). A build keeps only the `O(G)` inputs of
+//!   these tables (per-layer FLOPs, prefix sums, output sizes) and fills
+//!   each depth the first time it is read, so a cold engine pays only for
+//!   the depths its queries price (at most `⌊log₂ G⌋ + 1` under a
+//!   powers-of-two sweep, where building every depth is `O(G²)`),
 //! * halo-exchange aggregates per split-dimension mask (which of the ≤ 3
 //!   spatial dimensions are split — the only thing the halo volume depends
 //!   on),
@@ -50,39 +50,31 @@
 //!   ranks by the same formula — so no collective-model derivation, and
 //!   no division, runs in its hot loop.
 //!
-//! **Batch-dependent** (rewritten in place by [`CostEngine::rebatch`], one
-//! multiply-add per kept stage pair, no allocation, no device, layer or
-//! topology queries):
-//!
-//! * the stored [`TrainingConfig`]'s `batch_size` (iteration counts and the
-//!   per-sample → per-batch factors are derived from it at query time),
-//! * the per-depth maximum pipeline-stage memory, re-maximized from the
-//!   batch-invariant `(activation, static)` front as
-//!   `max_i (2·B·act_i + static_i)`.
-//!
-//! Because `rebatch` re-runs exactly the arithmetic [`CostEngine::new`] runs
-//! for the batch-dependent tables (same per-group pairs, same fold order), a
+//! The engine itself holds only the batch-dependent state: the stored
+//! [`TrainingConfig`]'s `batch_size` and the iteration count derived from
+//! it. Every batch enters the formulas at query time — a pipeline's stage
+//! memory is `max_i (2·B·act_i + static_i)` over its depth's front — so a
 //! rebatched engine is **byte-for-byte identical** to an engine freshly
-//! built at the new batch — which is what lets [`crate::grid::GridSweep`]
-//! answer a whole batch sweep from one engine while returning exactly what
-//! per-query searches would.
+//! built at the new batch, and a depth is a pure function of (model, `p`),
+//! so no bit depends on which engine, thread or query filled it first.
+//! That is what lets [`crate::grid::GridSweep`] answer a whole batch sweep
+//! from one engine while returning exactly what per-query searches would.
 //!
 //! After construction, [`CostEngine::estimate`], [`CostEngine::memory_per_pe`]
 //! and [`CostEngine::lower_bound`] all run in `O(1)` per candidate (no
-//! allocation), which is what makes the pruned search in [`crate::search`]
-//! much faster than the reference path at scale. Measured on a 2-vCPU
-//! Intel Xeon host (`nproc` = 2), on the CosmoFlow-scale exhaustive space
-//! of `paradl-bench/benches/engine.rs` (16 Ki PEs, criterion medians): the
-//! reference path finishes the search in ≈ 0.94 s, the engine-backed full
-//! ranking in ≈ 0.24 s, and the engine with top-10 pruning in ≈ 0.03 s — a
-//! 4–33× end-to-end speedup. On the same host the criterion rows
-//! `engine/resnet{50,152}_rebatch` read ≈ 1.8–3.0 µs and ≈ 5–9.5 µs per
-//! [`CostEngine::rebatch`] (≈ 42–52 µs and ≈ 0.40–0.49 ms when every
-//! depth kept all of its stage pairs). A build takes ≈ 250–470 µs for
-//! ResNet-50 and ≈ 1.6–3.3 ms for ResNet-152 on that shared host; in five
-//! alternating runs of 100 builds each, the median build fell ≈ 330 → 256 µs
-//! and ≈ 2.6 → 1.7 ms in the quieter runs. What is left of a build is mostly
-//! the `O(G²)` greedy grouping of every pipeline depth.
+//! allocation once a depth is filled), which is what makes the pruned
+//! search in [`crate::search`] much faster than the reference path at
+//! scale. Measured on a 2-vCPU Intel Xeon host (`nproc` = 2), on the
+//! CosmoFlow-scale exhaustive space of `paradl-bench/benches/engine.rs`
+//! (16 Ki PEs, criterion medians): the reference path finishes the search
+//! in ≈ 0.94 s, the engine-backed full ranking in ≈ 0.24 s, and the engine
+//! with top-10 pruning in ≈ 0.03 s — a 4–33× end-to-end speedup. On the
+//! same host a build (`engine/resnet{50,152}_build_engine`) takes
+//! ≈ 60–90 µs for ResNet-50 and ≈ 0.17–0.21 ms for ResNet-152, against
+//! ≈ 420–470 µs and ≈ 2.9–3.1 ms when every depth was built up front; a
+//! build followed by a read of every ResNet-152 depth
+//! (`engine/resnet152_build_all_depths`, what an exhaustive sweep pays)
+//! takes ≈ 2.9–3.0 ms.
 //!
 //! The engine is numerically *equivalent* to the reference model (same
 //! formulas, refactored around precomputed aggregates) but not bit-identical
@@ -100,7 +92,7 @@ use crate::cost::{hierarchical_allreduce_time, CostEstimate, PhaseBreakdown};
 use crate::model::Model;
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Precomputed scaling-limit table of one model (paper Table 3, last
 /// column): the quantities [`Strategy::validate`] re-derives by walking the
@@ -241,8 +233,8 @@ fn halo_mask(split: SpatialSplit) -> usize {
 
 /// Batch-invariant aggregates of one pipeline depth `p`: the compute and
 /// boundary quantities of the balanced layer groups. The per-stage memory is
-/// *not* here — it depends on the batch and lives in `CostEngine::pipe_mem`,
-/// re-derived by `rebatch` from [`EngineCore::pipe_front`].
+/// *not* here — it depends on the batch and is folded from the depth's
+/// front at query time ([`Depth::front`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct PipelineAgg {
     /// Bottleneck per-sample forward time `max_Gi Σ FW_l`.
@@ -258,14 +250,27 @@ struct PipelineAgg {
     has_boundary: bool,
 }
 
+/// The batch-invariant tables of one pipeline depth, filled the first time
+/// the depth is read ([`EngineCore::depth`]).
+#[derive(Debug)]
+struct Depth {
+    /// Compute and boundary aggregates of the balanced stages.
+    agg: PipelineAgg,
+    /// The stages' Pareto-maximal `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element
+    /// pairs, ascending in the activation part. The batch-dependent stage
+    /// memory is `2·B·act + static`, and a pair no larger in both parts than
+    /// another of its depth never wins that maximum at any batch `B ≥ 1`.
+    front: Vec<(f64, f64)>,
+}
+
 /// Replica of [`Model::balanced_pipeline_groups`] operating on a flat
 /// per-layer FLOP array (same greedy algorithm, same accumulation order, so
 /// the groupings are identical) without re-querying layer shapes. FLOPs do
 /// not depend on the batch, so neither do the groupings — which is what
 /// makes the per-group memory parts batch-invariant. `flops` holds each
 /// layer's FLOP count already converted to `f64` (the value the model's
-/// loop adds) and `total` their exact integer sum, both hoisted out of the
-/// per-depth loop of [`CostEngine::new`].
+/// loop adds) and `total` their exact integer sum, both computed once per
+/// core and read by every [`EngineCore::fill_depth`].
 fn balanced_groups(flops: &[f64], total: u64, p: usize) -> Vec<std::ops::Range<usize>> {
     let p = p.clamp(1, flops.len().max(1));
     let target = total as f64 / p as f64;
@@ -331,10 +336,15 @@ struct CollectiveTables {
 /// in (they are read from the engine's owned config at query time), which
 /// is what [`engine_fingerprint`] encodes.
 ///
-/// Its size is linear in the layer count: the per-layer time tables, one
-/// aggregate per pipeline depth and each depth's Pareto front of stage
-/// memory pairs. A ResNet-152 core holds 3,818 front pairs (61 KB), where
-/// the full triangle of per-stage pairs would be 132,355 (2.1 MB).
+/// A build keeps only the `O(layers)` inputs of the pipeline tables (the
+/// per-layer FLOPs, five prefix sums and the output sizes) and fills each
+/// depth — its aggregates and its Pareto front of stage memory pairs — the
+/// first time a query reads it, through a per-depth [`OnceLock`]. A depth
+/// is a pure function of (model, `p`), so neither the order nor the thread
+/// that fills it changes any bit. Its size stays linear in the layer count:
+/// a 72-byte slot per depth, and with every depth filled a ResNet-152 core
+/// holds 3,818 front pairs (61 KB), where the full triangle of per-stage
+/// pairs would be 132,355 (2.1 MB).
 #[derive(Debug)]
 pub struct EngineCore {
     /// Scaling limits (model-only).
@@ -366,20 +376,24 @@ pub struct EngineCore {
     /// `halo_elems[mask]`: `Σ_l (halo(x_l) + halo(dL/dy_l))` elements for the
     /// same masks.
     halo_elems: [f64; 8],
-    /// `pipeline[p-1]`: batch-invariant aggregates of the balanced `p`-stage
-    /// pipeline.
-    pipeline: Vec<PipelineAgg>,
-    /// Per-stage memory parts, CSR-style: depth `p`'s entries are
-    /// `pipe_front[pipe_front_offsets[p-1]..pipe_front_offsets[p]]`, each a
-    /// stage's `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element pair. Only the
-    /// Pareto-maximal pairs of each depth are kept (ascending in the
-    /// activation part): the batch-dependent stage memory is
-    /// `2·B·act + static`, re-maximized by [`CostEngine::rebatch`], and a
-    /// pair no larger in both parts than another of its depth never wins
-    /// that maximum at any batch `B ≥ 1`.
-    pipe_front: Vec<(f64, f64)>,
-    /// `G + 1` offsets into `pipe_front`, starting at 0.
-    pipe_front_offsets: Vec<usize>,
+    /// Per-layer forward + backward FLOPs as `f64`, the balanced grouping's
+    /// input.
+    flops: Vec<f64>,
+    /// The exact integer sum of `flops`.
+    total_flops: u64,
+    /// Prefix sums (`G + 1` entries, starting at 0) of the per-layer `FW`,
+    /// `BW` and `WU` times, so a stage's sum is one difference.
+    fw_prefix: Vec<f64>,
+    bw_prefix: Vec<f64>,
+    wu_prefix: Vec<f64>,
+    /// Prefix sums of the per-layer memory parts `|x|+|y|` and `2|w|+|bi|`.
+    act_prefix: Vec<f64>,
+    static_prefix: Vec<f64>,
+    /// `|y_l|` per layer: the stage-boundary activation sizes.
+    out_sizes: Vec<f64>,
+    /// `depths[p-1]`: the balanced `p`-stage pipeline's tables, filled on
+    /// first read by [`EngineCore::depth`].
+    depths: Vec<OnceLock<Depth>>,
     /// Memoized gradient-exchange collectives.
     tables: CollectiveTables,
     /// `γ · δ`: the factor applied to raw memory element counts.
@@ -387,9 +401,82 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
+    /// The tables of the balanced `p`-stage pipeline (`1 ≤ p ≤ G`), filled
+    /// by [`EngineCore::fill_depth`] the first time any engine sharing this
+    /// core reads them.
+    #[inline]
+    fn depth(&self, p: usize) -> &Depth {
+        self.depths[p - 1].get_or_init(|| self.fill_depth(p))
+    }
+
+    /// Groups the layers into `p` balanced stages with the greedy algorithm
+    /// of [`Model::balanced_pipeline_groups`] and turns every per-stage sum
+    /// into a prefix-sum difference — no layer re-walk. The stage memory is
+    /// kept as batch-invariant `(activation, static)` element pairs, of
+    /// which only the Pareto-maximal ones survive. Out of line, so the
+    /// callers' inlined fast path stays one load and a branch.
+    #[cold]
+    #[inline(never)]
+    fn fill_depth(&self, p: usize) -> Depth {
+        let range_sum = |pfx: &[f64], r: &std::ops::Range<usize>| pfx[r.end] - pfx[r.start];
+        let groups = balanced_groups(&self.flops, self.total_flops, p);
+        let mut agg = PipelineAgg { has_boundary: groups.len() > 1, ..Default::default() };
+        let mut front: Vec<(f64, f64)> = Vec::new();
+        // Index of the front pair that covered the last stage: adjacent
+        // stages have similar parts, so it is tried first.
+        let mut hint = 0;
+        for (gi, range) in groups.iter().enumerate() {
+            agg.max_fw = agg.max_fw.max(range_sum(&self.fw_prefix, range));
+            agg.max_bw = agg.max_bw.max(range_sum(&self.bw_prefix, range));
+            agg.max_wu = agg.max_wu.max(range_sum(&self.wu_prefix, range));
+            if gi + 1 < groups.len() {
+                agg.max_boundary_act = agg.max_boundary_act.max(self.out_sizes[range.end - 1]);
+            }
+            let part = (range_sum(&self.act_prefix, range), range_sum(&self.static_prefix, range));
+            if front.get(hint).is_some_and(|&kept| covers(kept, part)) {
+                continue;
+            }
+            match front.iter().position(|&kept| covers(kept, part)) {
+                Some(j) => hint = j,
+                None => {
+                    front.retain(|&kept| !covers(part, kept));
+                    hint = front.len();
+                    front.push(part);
+                }
+            }
+        }
+        front.sort_by(|x, y| x.0.total_cmp(&y.0));
+        Depth { agg, front }
+    }
+
+    /// Whether every depth value is sure to be finite without filling it.
+    /// Each is a maximum, seeded at `0.0`, of output sizes or of
+    /// differences of two entries of one prefix array; when the entries are
+    /// finite and `2·max|entry|` is too, no rounded difference can exceed
+    /// that bound.
+    fn depths_are_finite(&self) -> bool {
+        let bounded = |pfx: &[f64]| {
+            let mut max = 0.0f64;
+            for &v in pfx {
+                if !v.is_finite() {
+                    return false;
+                }
+                max = max.max(v.abs());
+            }
+            (2.0 * max).is_finite()
+        };
+        [&self.fw_prefix, &self.bw_prefix, &self.wu_prefix, &self.act_prefix, &self.static_prefix]
+            .into_iter()
+            .all(|pfx| bounded(pfx))
+            && self.out_sizes.iter().all(|v| v.is_finite())
+    }
+
     /// Sweeps every tabulated f64 for finiteness, so a degenerate spec
     /// (zero device rates, NaN link parameters, …) fails construction with
-    /// a named table instead of poisoning every downstream ranking.
+    /// a named table instead of poisoning every downstream ranking. The
+    /// pipeline depths are checked without being filled when
+    /// [`EngineCore::depths_are_finite`] proves them finite; otherwise
+    /// (only near `f64::MAX`) every depth is filled and swept here.
     fn verify_finite(&self) -> Result<(), EngineError> {
         fn check(
             table: &'static str,
@@ -422,11 +509,20 @@ impl EngineCore {
             ],
         )?;
         check("halo", self.halo_pairs.iter().chain(&self.halo_elems).copied())?;
-        check(
-            "pipeline",
-            self.pipeline.iter().flat_map(|a| [a.max_fw, a.max_bw, a.max_wu, a.max_boundary_act]),
-        )?;
-        check("pipe_front", self.pipe_front.iter().flat_map(|&(act, stat)| [act, stat]))?;
+        if !self.depths_are_finite() {
+            let depths = || (1..=self.depths.len()).map(|p| self.depth(p));
+            check(
+                "pipeline",
+                depths().flat_map(|d| {
+                    let a = d.agg;
+                    [a.max_fw, a.max_bw, a.max_wu, a.max_boundary_act]
+                }),
+            )?;
+            check(
+                "pipe_front",
+                depths().flat_map(|d| d.front.iter().flat_map(|&(act, stat)| [act, stat])),
+            )?;
+        }
         check(
             "collectives",
             self.tables
@@ -454,9 +550,6 @@ pub struct CostEngine<'a> {
     config: TrainingConfig,
     /// Batch-invariant tables, `Arc`-shared between rebatched siblings.
     core: Arc<EngineCore>,
-    /// Batch-dependent: `pipe_mem[p-1]` is the raw (pre-`γδ`) memory of the
-    /// largest stage of the balanced `p`-stage pipeline at the current batch.
-    pipe_mem: Vec<f64>,
     /// Batch-dependent: cached `config.iterations_per_epoch()` (the
     /// estimate hot path reads it several times per candidate).
     iters: usize,
@@ -465,13 +558,16 @@ pub struct CostEngine<'a> {
 }
 
 impl<'a> CostEngine<'a> {
-    /// Builds the engine: one `O(layers²)` precomputation pass (the quadratic
-    /// part is the per-depth pipeline table; everything else is linear),
-    /// with the collective tables priced straight from `cluster`.
+    /// Builds the engine: one `O(layers)` precomputation pass, with the
+    /// collective tables priced straight from `cluster`. Each pipeline
+    /// depth (`O(layers)` more) is filled the first time it is read.
     ///
     /// Errors instead of building when the config is invalid (zero batch,
     /// zero dataset, …) or when any precomputed table entry comes out
-    /// non-finite — see [`EngineError`].
+    /// non-finite — see [`EngineError`]. A depth that could come out
+    /// non-finite is refused here too: when the cheap bound of
+    /// `EngineCore::depths_are_finite` fails, every depth is filled and
+    /// checked at build.
     pub fn new<C: ComputeModel + ?Sized>(
         model: &'a Model,
         device: &C,
@@ -509,24 +605,23 @@ impl<'a> CostEngine<'a> {
         for mask in 0usize..8 {
             let part = |bit: usize| if mask & bit != 0 { 2 } else { 1 };
             let splits = [part(1), part(2), part(4)];
-            for l in &model.layers {
+            for (i, l) in model.layers.iter().enumerate() {
                 let hx = l.halo_size(&splits[..l.spatial_dims().min(3)]) as f64;
                 if hx == 0.0 {
                     continue;
                 }
-                let hdy = hx * (l.output_size() as f64 / l.input_size().max(1) as f64);
+                // `(n as f64).max(1.0)` is `n.max(1) as f64` for every `usize`.
+                let hdy = hx * (out_sizes[i] / in_sizes[i].max(1.0));
                 halo_pairs[mask] += 1.0;
                 halo_elems[mask] += hx + hdy;
             }
         }
 
-        // Pipeline aggregates for every depth 1..=G. The balanced grouping is
-        // recomputed from a flat FLOP array with the exact greedy algorithm of
-        // `Model::balanced_pipeline_groups`, and all per-group sums become
-        // prefix-sum differences — no per-depth allocation or layer re-walk.
-        // The per-group memory is kept as batch-invariant (activation,
-        // static) element pairs so `rebatch` can re-maximize without
-        // re-deriving groups.
+        // The inputs of every pipeline depth: the balanced grouping runs on
+        // a flat FLOP array with the exact greedy algorithm of
+        // `Model::balanced_pipeline_groups`, and every per-stage sum becomes
+        // a prefix-sum difference. The depths themselves are filled on first
+        // read (`EngineCore::depth`).
         let flops: Vec<u64> =
             model.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
         let total_flops: u64 = flops.iter().sum();
@@ -546,45 +641,6 @@ impl<'a> CostEngine<'a> {
         let wu_prefix = prefix(&|i| times.weight_update[i]);
         let act_prefix = prefix(&|i| in_sizes[i] + out_sizes[i]);
         let static_prefix = prefix(&|i| 2.0 * weights[i] + biases[i]);
-        let range_sum = |pfx: &[f64], r: &std::ops::Range<usize>| pfx[r.end] - pfx[r.start];
-
-        let mut pipeline = Vec::with_capacity(g);
-        let mut pipe_front = Vec::new();
-        let mut pipe_front_offsets = Vec::with_capacity(g + 1);
-        pipe_front_offsets.push(0);
-        let mut front: Vec<(f64, f64)> = Vec::new();
-        for p in 1..=g {
-            let groups = balanced_groups(&flops, total_flops, p);
-            let mut agg = PipelineAgg { has_boundary: groups.len() > 1, ..Default::default() };
-            front.clear();
-            // Index of the front pair that covered the last stage: adjacent
-            // stages have similar parts, so it is tried first.
-            let mut hint = 0;
-            for (gi, range) in groups.iter().enumerate() {
-                agg.max_fw = agg.max_fw.max(range_sum(&fw_prefix, range));
-                agg.max_bw = agg.max_bw.max(range_sum(&bw_prefix, range));
-                agg.max_wu = agg.max_wu.max(range_sum(&wu_prefix, range));
-                if gi + 1 < groups.len() {
-                    agg.max_boundary_act = agg.max_boundary_act.max(out_sizes[range.end - 1]);
-                }
-                let part = (range_sum(&act_prefix, range), range_sum(&static_prefix, range));
-                if front.get(hint).is_some_and(|&kept| covers(kept, part)) {
-                    continue;
-                }
-                match front.iter().position(|&kept| covers(kept, part)) {
-                    Some(j) => hint = j,
-                    None => {
-                        front.retain(|&kept| !covers(part, kept));
-                        hint = front.len();
-                        front.push(part);
-                    }
-                }
-            }
-            front.sort_by(|x, y| x.0.total_cmp(&y.0));
-            pipe_front.extend_from_slice(&front);
-            pipe_front_offsets.push(pipe_front.len());
-            pipeline.push(agg);
-        }
 
         let tables = CollectiveTables::build(cluster, total_weight_bytes);
 
@@ -601,36 +657,27 @@ impl<'a> CostEngine<'a> {
             collective_layers: g.saturating_sub(1) as f64,
             halo_pairs,
             halo_elems,
-            pipeline,
-            pipe_front,
-            pipe_front_offsets,
+            flops,
+            total_flops,
+            fw_prefix,
+            bw_prefix,
+            wu_prefix,
+            act_prefix,
+            static_prefix,
+            out_sizes,
+            depths: (0..g).map(|_| OnceLock::new()).collect(),
             tables,
             gamma_delta: config.memory_reuse * delta,
         };
         core.verify_finite()?;
-        let mut engine = CostEngine {
-            model,
-            cluster,
-            config,
-            core: Arc::new(core),
-            pipe_mem: vec![0.0; g],
-            iters: 0,
-            iters_f: 0.0,
-        };
-        // Fill the batch-dependent pipeline-memory table through the same
-        // code path `rebatch` uses, so fresh and rebatched engines are
-        // byte-for-byte identical.
-        engine.rebatch(config.batch_size);
-        Ok(engine)
+        Self::from_core(model, cluster, config, Arc::new(core))
     }
 
-    /// Switches the engine to a new global mini-batch `batch`, rewriting
-    /// only the batch-dependent tables: the stored `batch_size` and the
-    /// per-depth pipeline stage memory (re-maximized over each depth's
-    /// Pareto front of per-group `(activation, static)` pairs). One
-    /// multiply-add per front pair (at most a few per depth on the paper
-    /// models), zero allocation, and no device, layer or topology queries —
-    /// a small fraction of a full [`CostEngine::new`].
+    /// Switches the engine to a new global mini-batch `batch`: it stores the
+    /// new `batch_size` and the iteration count derived from it, `O(1)` with
+    /// no allocation and no device, layer or topology queries. Nothing else
+    /// depends on the batch: the pipeline stage memory is folded from the
+    /// depth's Pareto front at the current batch when it is read.
     ///
     /// The result is byte-for-byte identical to building a fresh engine
     /// whose config differs only in `batch_size` (property-tested in
@@ -641,19 +688,12 @@ impl<'a> CostEngine<'a> {
         self.config.batch_size = batch;
         self.iters = self.config.iterations_per_epoch();
         self.iters_f = self.iters as f64;
-        let b = batch as f64;
-        let core = &self.core;
-        for (slot, span) in self.pipe_mem.iter_mut().zip(core.pipe_front_offsets.windows(2)) {
-            *slot = core.pipe_front[span[0]..span[1]]
-                .iter()
-                .fold(0.0f64, |mem, &(act, stat)| mem.max(2.0 * b * act + stat));
-        }
     }
 
     /// A sibling engine at a different global mini-batch, sharing every
     /// batch-invariant table with `self` through the [`Arc`]-held core
-    /// (the clone copies one pointer and the `O(layers)` pipeline-memory
-    /// vector, then [`CostEngine::rebatch`]es it).
+    /// (the clone copies one pointer and the config, then
+    /// [`CostEngine::rebatch`]es it).
     pub fn rebatched(&self, batch: usize) -> Self {
         let mut sibling = self.clone();
         sibling.rebatch(batch);
@@ -662,17 +702,19 @@ impl<'a> CostEngine<'a> {
 
     /// A shared handle to this engine's batch-invariant core, suitable for
     /// stashing in an [`EngineCache`] and later hydrating a fresh engine
-    /// with [`CostEngine::from_core`] — skipping the whole `O(layers²)`
-    /// precomputation pass.
+    /// with [`CostEngine::from_core`] — skipping the precomputation pass and
+    /// every pipeline depth the core has filled so far.
     pub fn core_handle(&self) -> Arc<EngineCore> {
         Arc::clone(&self.core)
     }
 
-    /// Hydrates an engine from a previously built core, skipping the
-    /// precomputation pass entirely (no device queries — the device model
-    /// is already baked into the core's tables). The batch-dependent tables
-    /// are filled through the same [`CostEngine::rebatch`] path
-    /// [`CostEngine::new`] uses, so the result is **byte-for-byte
+    /// Hydrates an engine from a previously built core in `O(1)`, skipping
+    /// the precomputation pass entirely (no device queries — the device
+    /// model is already baked into the core's tables). The engine reads
+    /// the pipeline depths the core has filled so far and fills the others
+    /// on first read, like every engine sharing the core. [`CostEngine::new`]
+    /// hydrates its own core through this function, and the batch is set
+    /// through [`CostEngine::rebatch`], so the result is **byte-for-byte
     /// identical** to a fresh build at `config`.
     ///
     /// Contract: `core` must have been built for this `model`, this
@@ -696,16 +738,7 @@ impl<'a> CostEngine<'a> {
             (config.memory_reuse * config.bytes_per_item).to_bits(),
             "core reused across γ·δ"
         );
-        let g = core.pipeline.len();
-        let mut engine = CostEngine {
-            model,
-            cluster,
-            config,
-            core,
-            pipe_mem: vec![0.0; g],
-            iters: 0,
-            iters_f: 0.0,
-        };
+        let mut engine = CostEngine { model, cluster, config, core, iters: 0, iters_f: 0.0 };
         engine.rebatch(config.batch_size);
         Ok(engine)
     }
@@ -740,11 +773,13 @@ impl<'a> CostEngine<'a> {
     /// pipeline (`p` clamped to `1..=G`): the Pareto-maximal
     /// `(Σ(|x|+|y|), Σ(2|w|+|bi|))` element pairs of its stages, ascending
     /// in the activation part. The pipeline's raw per-PE memory at batch
-    /// `B` is the largest `2·B·act + static` over them.
+    /// `B` is the largest `2·B·act + static` over them. Fills the depth if
+    /// no engine sharing this core has read it yet.
     pub fn pipeline_memory_front(&self, p: usize) -> &[(f64, f64)] {
-        let d = self.depth_index(p);
-        let offsets = &self.core.pipe_front_offsets;
-        offsets.get(d + 1).map_or(&[], |&end| &self.core.pipe_front[offsets[d]..end])
+        if self.core.depths.is_empty() {
+            return &[];
+        }
+        &self.depth(p).front
     }
 
     /// Maximum memory (bytes) required on one PE, `O(1)` equivalent of
@@ -757,7 +792,11 @@ impl<'a> CostEngine<'a> {
             Strategy::Data { p } => self.mem_raw(1.0, 1.0, b / p as f64),
             Strategy::Spatial { split } => self.mem_raw(split.total() as f64, 1.0, b),
             Strategy::Filter { p } | Strategy::Channel { p } => self.mem_raw(1.0, p as f64, b),
-            Strategy::Pipeline { p, .. } => self.pipe_mem[self.depth_index(p)],
+            Strategy::Pipeline { p, .. } => self
+                .depth(p)
+                .front
+                .iter()
+                .fold(0.0f64, |mem, &(act, stat)| mem.max(2.0 * b * act + stat)),
             Strategy::DataFilter { p1, p2 } => self.mem_raw(p1 as f64, p2 as f64, b),
             Strategy::DataSpatial { p1, split } => {
                 self.mem_raw((p1 * split.total()) as f64, 1.0, b)
@@ -977,13 +1016,14 @@ impl<'a> CostEngine<'a> {
         2.0 * batch * core.act_io_sum / act_div + 2.0 * core.weight_sum / weight_div + core.bias_sum
     }
 
-    /// Clamped index of pipeline depth `p` into the per-depth tables.
-    fn depth_index(&self, p: usize) -> usize {
-        p.clamp(1, self.core.pipeline.len().max(1)) - 1
+    /// The tables of pipeline depth `p`, clamped to `1..=G`.
+    #[inline]
+    fn depth(&self, p: usize) -> &Depth {
+        self.core.depth(p.clamp(1, self.core.depths.len().max(1)))
     }
 
     fn pipeline_agg(&self, p: usize) -> PipelineAgg {
-        self.core.pipeline[self.depth_index(p)]
+        self.depth(p).agg
     }
 
     /// Flat ring/tree Allreduce of the full weight buffer
@@ -1124,7 +1164,8 @@ pub fn engine_fingerprint(model: &Model, cluster: &ClusterSpec, config: &Trainin
 
 /// A tiny thread-safe LRU: a `Mutex`-guarded vec in recency order. Fine for
 /// the capacities the serve daemon uses (tens of entries); lookups are
-/// `O(len)` but each hit saves an `O(layers²)` engine build.
+/// `O(len)` but each hit saves an engine build and every pipeline depth the
+/// cached core has filled.
 struct Lru<V: Clone> {
     entries: Mutex<Vec<(u64, V)>>,
     cap: usize,
@@ -1191,9 +1232,10 @@ pub struct EngineCacheStats {
 /// A thread-safe LRU of [`EngineCore`]s, keyed by [`engine_fingerprint`].
 /// This is the engine-reuse hook behind `GridSweep::run_cached` and the
 /// `paradl-serve` daemon's cross-request reuse: repeated queries against
-/// the same (model, device, cluster, γ·δ) problem skip the `O(layers²)`
-/// engine build entirely, paying only the [`CostEngine::rebatch`] over each
-/// depth's stage-memory front. [`EngineCache::engine`] is the one way in.
+/// the same (model, device, cluster, γ·δ) problem skip the engine build
+/// entirely and reuse every pipeline depth an earlier query filled, paying
+/// only an `O(1)` [`CostEngine::from_core`]. [`EngineCache::engine`] is the
+/// one way in.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
@@ -1663,9 +1705,23 @@ mod tests {
             EngineError::NonFinite { table, .. } => assert_eq!(*table, "pipeline", "{err}"),
             other => panic!("expected NonFinite, got {other}"),
         }
-        // Huge times whose stage sums all stay finite still build.
-        CostEngine::new(&m, &tabulated([1e308, -1e308, 1e308]), &c, cfg)
+        // Huge times whose stage sums all stay finite still build; their
+        // prefix sums defeat the cheap bound, so every depth was filled and
+        // checked at build.
+        let filled =
+            |e: &CostEngine<'_>| e.core.depths.iter().filter(|d| d.get().is_some()).count();
+        let huge = CostEngine::new(&m, &tabulated([1e308, -1e308, 1e308]), &c, cfg)
             .expect("finite stage sums build");
+        assert!(!huge.core.depths_are_finite());
+        assert_eq!(filled(&huge), m.num_layers());
+        // An ordinary model takes the lazy path: its build fills no depth,
+        // and a read fills only the depth it prices.
+        let lazy = CostEngine::new(&m, &DeviceProfile::v100(), &c, cfg).expect("engine builds");
+        assert!(lazy.core.depths_are_finite());
+        assert_eq!(filled(&lazy), 0);
+        lazy.memory_per_pe(Strategy::Pipeline { p: 3, segments: 1 });
+        assert_eq!(filled(&lazy), 1);
+        assert!(lazy.core.depths[2].get().is_some());
     }
 
     #[test]

@@ -148,9 +148,12 @@ impl Model {
         Ok(())
     }
 
-    /// Splits the layer list into `p` contiguous groups whose forward FLOPs
-    /// are as balanced as possible (greedy prefix partitioning). Used by the
-    /// pipeline strategy. Returns the layer-index ranges of each group.
+    /// Splits the layer list into `p` contiguous groups by their forward
+    /// plus backward FLOPs, with a greedy prefix fill: a group closes once
+    /// its sum reaches `total / p`, or when only one layer per remaining
+    /// group is left. Early groups can overshoot, so the bottleneck group
+    /// is not always the smallest possible. Used by the pipeline strategy.
+    /// Returns the layer-index ranges of each group.
     pub fn balanced_pipeline_groups(&self, p: usize) -> Vec<std::ops::Range<usize>> {
         assert!(p >= 1);
         let p = p.min(self.layers.len());

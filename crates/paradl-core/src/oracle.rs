@@ -75,7 +75,7 @@ pub struct Oracle<'a, C: ComputeModel + ?Sized> {
     /// Training configuration (D, B, δ, γ).
     pub config: TrainingConfig,
     /// Lazily built engine, so repeated [`Oracle::engine`] calls on one
-    /// oracle pay the `O(layers²)` tabulation once and clone afterwards.
+    /// oracle pay the `O(layers)` tabulation once and clone afterwards.
     /// Build failures are cached too: a degenerate problem keeps returning
     /// the same typed error.
     engine_cache: OnceLock<Result<CostEngine<'a>, EngineError>>,
@@ -112,9 +112,10 @@ impl<'a, C: ComputeModel + ?Sized> Oracle<'a, C> {
     }
 
     /// The precomputed [`CostEngine`] for this oracle's problem. The first
-    /// call pays the `O(layers²)` tabulation pass; the engine is then
-    /// cached on the oracle, so every later call clones it (`O(layers)`:
-    /// the batch-invariant core is shared behind an `Arc`). Every answer the oracle gives —
+    /// call pays the `O(layers)` tabulation pass; the engine is then
+    /// cached on the oracle, so every later call clones it (`O(1)`: the
+    /// batch-invariant core, with every pipeline depth filled so far, is
+    /// shared behind an `Arc`). Every answer the oracle gives —
     /// [`Oracle::project`], [`Oracle::survey`], [`Oracle::suggest`], the
     /// search and [`crate::scaling::sweep`] — is priced through it.
     /// # Panics

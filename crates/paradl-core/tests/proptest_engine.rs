@@ -5,7 +5,8 @@
 //! reassociation tolerance), its compute-only lower bound must be
 //! admissible, its per-PE memory must not shrink as the batch grows, its
 //! pipeline memory fronts must be exactly the Pareto-maximal stage parts
-//! with the same memory bits as a maximum over every stage, and the
+//! with the same memory bits as a maximum over every stage, no depth's
+//! bits may depend on the order or the threads that fill it, and the
 //! branch-and-bound pruned search must never drop the true optimum.
 
 use paradl_core::cost::{estimate, estimate_with_memory};
@@ -52,8 +53,118 @@ fn sample_candidates(model: &Model, batch: usize) -> Vec<Strategy> {
     StrategySpace::new(model, batch, &constraints).take(400).collect()
 }
 
+/// Every pipeline bit `engine` prices at `batch`: for each depth, the
+/// memory, bound and estimate phases of a 1- and a 4-segment pipeline, and
+/// the stored memory front.
+fn pipeline_bits(engine: &CostEngine<'_>, batch: usize) -> Vec<u64> {
+    let e = engine.rebatched(batch);
+    let mut bits = Vec::new();
+    for p in 1..=e.model().num_layers() {
+        for segments in [1, 4] {
+            let s = Strategy::Pipeline { p, segments };
+            let est = e.estimate(s);
+            let ph = est.per_epoch;
+            bits.extend(
+                [
+                    e.memory_per_pe(s),
+                    e.lower_bound(s),
+                    est.memory_per_pe_bytes,
+                    ph.forward_backward,
+                    ph.weight_update,
+                    ph.gradient_exchange,
+                    ph.fb_collective,
+                    ph.halo_exchange,
+                    ph.pipeline_p2p,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        bits.extend(e.pipeline_memory_front(p).iter().flat_map(|&(a, s)| [a, s].map(f64::to_bits)));
+    }
+    bits
+}
+
+/// The depths `1..=g` in a seeded random order (Fisher–Yates driven by
+/// SplitMix64).
+fn shuffled_depths(g: usize, mut seed: u64) -> Vec<usize> {
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut depths: Vec<usize> = (1..=g).collect();
+    for i in (1..g).rev() {
+        depths.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    depths
+}
+
+/// Reads depth `p` through one of the engine's four depth readers.
+fn read_depth(engine: &CostEngine<'_>, p: usize, reader: usize) {
+    let s = Strategy::Pipeline { p, segments: 2 };
+    match reader % 4 {
+        0 => _ = engine.memory_per_pe(s),
+        1 => _ = engine.lower_bound(s),
+        2 => _ = engine.estimate(s),
+        _ => _ = engine.pipeline_memory_front(p),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn depth_fill_order_and_threads_change_no_bit(
+        model in arb_model(),
+        config in arb_config(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let device = DeviceProfile::v100();
+        let cluster = ClusterSpec::paper_system();
+        let g = model.num_layers();
+        let build = || CostEngine::new(&model, &device, &cluster, config).expect("engine builds");
+        let ascending = build();
+        for p in 1..=g {
+            read_depth(&ascending, p, p);
+        }
+        let shuffled = build();
+        for (i, p) in shuffled_depths(g, seed).into_iter().enumerate() {
+            read_depth(&shuffled, p, i);
+        }
+        // Four threads fill one core at once, each in its own order; the
+        // barrier releases them together.
+        let threaded = build();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (engine, start) = (&threaded, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for p in shuffled_depths(g, seed ^ t as u64) {
+                        read_depth(engine, p, t);
+                    }
+                });
+            }
+        });
+        // A core with every other depth filled, hydrated at another batch.
+        let half = build();
+        for p in (1..=g).step_by(2) {
+            read_depth(&half, p, p);
+        }
+        let other = TrainingConfig { batch_size: config.batch_size * 2, ..config };
+        let hydrated = CostEngine::from_core(&model, &cluster, other, half.core_handle())
+            .expect("hydration succeeds");
+        for batch in [1usize, 64, 1536, 1 << 40] {
+            let want = pipeline_bits(&ascending, batch);
+            for (order, engine) in
+                [("shuffled", &shuffled), ("threaded", &threaded), ("hydrated", &hydrated)]
+            {
+                prop_assert!(pipeline_bits(engine, batch) == want, "{order} batch {batch}");
+            }
+        }
+    }
 
     #[test]
     fn engine_matches_reference_for_every_candidate(
