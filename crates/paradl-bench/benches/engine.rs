@@ -7,7 +7,9 @@
 //! is `search` ≥ 5× faster than `search_reference` on this space.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use paradl_core::key::ModelKey;
 use paradl_core::prelude::*;
+use std::sync::Arc;
 
 /// CosmoFlow at 256³ with a 16 Ki PE budget and an exhaustive PE sweep:
 /// ≈ 178 k candidates (data × spatial-factorization × pipeline-segment
@@ -96,9 +98,37 @@ fn bench_engine_rebatch(c: &mut Criterion) {
     }
 }
 
+/// The problem-key work of a served answer: a ResNet-152 model key hashed
+/// from scratch (what a resolved zoo entry pays once), and an
+/// `EngineCache::engine` hit on a warm cache for a resolved ResNet-50
+/// under its precomputed key (what a served group pays per answer before
+/// its sweep).
+fn bench_problem_key(c: &mut Criterion) {
+    let resnet152 = paradl_models::resnet152();
+    c.bench_function("engine/resnet152_model_key", |b| {
+        b.iter(|| std::hint::black_box(ModelKey::of(std::hint::black_box(&resnet152))))
+    });
+    let resnet50 = Arc::new(KeyedModel::new(paradl_models::resnet50()));
+    let cluster = ClusterSpec::paper_system();
+    let config = TrainingConfig::imagenet(256);
+    let key = ProblemKey::of(&resnet50, &cluster, &config);
+    let cache = EngineCache::new(32);
+    cache.engine(&key, &resnet50, &cluster, config).expect("engine builds");
+    c.bench_function("engine/resnet50_cache_hit", |b| {
+        b.iter(|| {
+            let (engine, hit) = cache.engine(&key, &resnet50, &cluster, config).expect("cached");
+            assert!(hit);
+            std::hint::black_box(engine);
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_vs_reference, bench_engine_construction, bench_engine_rebatch
+    targets = bench_engine_vs_reference,
+        bench_engine_construction,
+        bench_engine_rebatch,
+        bench_problem_key
 );
 criterion_main!(benches);

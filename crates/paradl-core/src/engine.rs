@@ -76,6 +76,16 @@
 //! (`engine/resnet152_build_all_depths`, what an exhaustive sweep pays)
 //! takes ≈ 2.9–3.0 ms.
 //!
+//! A built core can outlive its engine: [`EngineCache`] keeps cores across
+//! queries, filed under the [`ProblemKey`] of their (model, cluster, δ, γ)
+//! problem — per-part keys hashed from the fields' bits ([`crate::key`]),
+//! computed once by the caller, whose model is resolved once into a
+//! [`KeyedModel`] (the serve daemon's zoo). A hit confirms the stored
+//! problem, not only the key, so a key collision costs a build, never a
+//! wrong core. A warm ResNet-50 hit takes ≈ 0.1 µs
+//! (`engine/resnet50_cache_hit`), where keying the problem from its
+//! `Debug` text once took ≈ 130 µs.
+//!
 //! The engine is numerically *equivalent* to the reference model (same
 //! formulas, refactored around precomputed aggregates) but not bit-identical
 //! to it: sums are reassociated, so individual phase times can differ by a
@@ -89,6 +99,7 @@ use crate::comm::CommModel;
 use crate::compute::{ComputeModel, LayerTimes};
 use crate::config::TrainingConfig;
 use crate::cost::{hierarchical_allreduce_time, CostEstimate, PhaseBreakdown};
+use crate::key::{KeyedModel, ProblemKey};
 use crate::model::Model;
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,7 +345,7 @@ struct CollectiveTables {
 /// (model, device, cluster, `bytes_per_item`, `memory_reuse`) tuple it was
 /// built from — `batch_size`, `dataset_size` and `epochs` are *not* baked
 /// in (they are read from the engine's owned config at query time), which
-/// is what [`engine_fingerprint`] encodes.
+/// is why a [`ProblemKey`] leaves them out.
 ///
 /// A build keeps only the `O(layers)` inputs of the pipeline tables (the
 /// per-layer FLOPs, five prefix sums and the output sizes) and fills each
@@ -719,9 +730,9 @@ impl<'a> CostEngine<'a> {
     ///
     /// Contract: `core` must have been built for this `model`, this
     /// `cluster`, the same device, and a config with the same
-    /// `bytes_per_item` and `memory_reuse` — i.e. the same
-    /// [`engine_fingerprint`]. `batch_size`, `dataset_size` and `epochs`
-    /// may differ freely (they are not baked into any core table).
+    /// `bytes_per_item` and `memory_reuse` — i.e. the same problem behind
+    /// its [`ProblemKey`]. `batch_size`, `dataset_size` and `epochs` may
+    /// differ freely (they are not baked into any core table).
     ///
     /// Errors when `config` is invalid (the core's tables are known-finite
     /// by construction, so that is the only way hydration can fail).
@@ -1128,64 +1139,66 @@ impl CollectiveTables {
     }
 }
 
-/// FNV-1a 64-bit over a byte stream — the workspace has no external hashing
-/// crates, and a stable, documented hash is preferable for fingerprints that
-/// cross the serve wire anyway.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// One cached core and the problem it was built for: the key it is
+/// filed under, and the values a hit confirms.
+struct CachedCore {
+    key: ProblemKey,
+    model: Arc<KeyedModel>,
+    cluster: ClusterSpec,
+    /// Bits of the build config's `bytes_per_item` and `memory_reuse`.
+    memory: [u64; 2],
+    core: Arc<EngineCore>,
+}
+
+/// The bits of the config fields an engine core bakes in (`δ`, `γ`).
+fn memory_bits(config: &TrainingConfig) -> [u64; 2] {
+    [config.bytes_per_item.to_bits(), config.memory_reuse.to_bits()]
+}
+
+impl CachedCore {
+    /// Whether this entry was built for exactly this problem: the key
+    /// first, then the model (the same allocation, or else an equal
+    /// model), the cluster and the memory bits. Equal keys alone prove
+    /// nothing.
+    fn is(
+        &self,
+        key: &ProblemKey,
+        model: &Arc<KeyedModel>,
+        cluster: &ClusterSpec,
+        memory: [u64; 2],
+    ) -> bool {
+        self.key == *key
+            && (Arc::ptr_eq(&self.model, model) || self.model.model() == model.model())
+            && self.cluster == *cluster
+            && self.memory == memory
     }
-    h
-}
-
-/// Stable fingerprint of a cluster (device profile, shape and link
-/// parameters — everything an engine's collective tables depend on).
-/// Two specs with equal `Debug` representations hash equally; `Debug` for
-/// the float fields prints shortest-round-trip decimals, so distinct bit
-/// patterns yield distinct strings.
-pub fn cluster_fingerprint(cluster: &ClusterSpec) -> u64 {
-    fnv1a(format!("{cluster:?}").into_bytes())
-}
-
-/// Stable fingerprint of the validity key of an [`EngineCore`]:
-/// (model, cluster incl. device profile, `bytes_per_item`, `memory_reuse`).
-/// Deliberately **excludes** `batch_size`, `dataset_size` and `epochs` —
-/// cores are batch-invariant (see [`EngineCore`]), so one cached core
-/// serves every batch/dataset variant of the same problem via
-/// [`CostEngine::from_core`].
-pub fn engine_fingerprint(model: &Model, cluster: &ClusterSpec, config: &TrainingConfig) -> u64 {
-    let mut bytes = format!("{model:?}|{cluster:?}|").into_bytes();
-    bytes.extend_from_slice(&config.bytes_per_item.to_bits().to_be_bytes());
-    bytes.extend_from_slice(&config.memory_reuse.to_bits().to_be_bytes());
-    fnv1a(bytes)
 }
 
 /// A tiny thread-safe LRU: a `Mutex`-guarded vec in recency order. Fine for
 /// the capacities the serve daemon uses (tens of entries); lookups are
-/// `O(len)` but each hit saves an engine build and every pipeline depth the
-/// cached core has filled.
-struct Lru<V: Clone> {
-    entries: Mutex<Vec<(u64, V)>>,
+/// `O(len)` key comparisons but each hit saves an engine build and every
+/// pipeline depth the cached core has filled.
+struct Lru {
+    entries: Mutex<Vec<CachedCore>>,
     cap: usize,
 }
 
-impl<V: Clone> Lru<V> {
+impl Lru {
     fn new(cap: usize) -> Self {
         Lru { entries: Mutex::new(Vec::new()), cap }
     }
 
-    /// Looks up `key`, promoting a hit to most-recent; on miss inserts
-    /// `build()` and evicts the least-recent entry past capacity. Returns
-    /// `(value, was_hit)`. A build error propagates to the caller and
-    /// nothing is inserted (a later lookup rebuilds). With `cap == 0` the
-    /// cache is disabled: every call builds fresh.
+    /// Looks up the first entry `is_it` accepts, promoting a hit to
+    /// most-recent; on miss inserts `build()` and evicts the least-recent
+    /// entry past capacity. Returns `(core, was_hit)`. A build error
+    /// propagates to the caller and nothing is inserted (a later lookup
+    /// rebuilds). With `cap == 0` the cache is disabled: every call builds
+    /// fresh.
     fn try_get_or_insert<E>(
         &self,
-        key: u64,
-        build: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(V, bool), E> {
+        is_it: impl Fn(&CachedCore) -> bool,
+        build: impl FnOnce() -> Result<CachedCore, E>,
+    ) -> Result<(Arc<EngineCore>, bool), E> {
         // Recover from poisoning rather than unwrap: the serve daemon runs
         // query evaluation under `catch_unwind`, and a panic while this lock
         // is held must cost that one request, not brick the cache (and with
@@ -1193,28 +1206,20 @@ impl<V: Clone> Lru<V> {
         // guarded Vec is structurally valid at every await-free step above,
         // so the recovered state is safe to keep using.
         let mut entries = self.entries.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
+        if let Some(pos) = entries.iter().position(is_it) {
             let entry = entries.remove(pos);
-            let value = entry.1.clone();
+            let core = Arc::clone(&entry.core);
             entries.insert(0, entry);
-            return Ok((value, true));
+            return Ok((core, true));
         }
         // Build while holding the lock: concurrent requests for the same key
         // then build once, and the daemon's batcher (the only heavy caller)
         // is single-threaded anyway.
-        let value = build()?;
-        entries.insert(0, (key, value.clone()));
+        let entry = build()?;
+        let core = Arc::clone(&entry.core);
+        entries.insert(0, entry);
         entries.truncate(self.cap);
-        Ok((value, false))
-    }
-
-    /// Whether `key` is cached, without promoting it.
-    fn contains(&self, key: u64) -> bool {
-        self.entries
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .any(|(k, _)| *k == key)
+        Ok((core, false))
     }
 }
 
@@ -1229,17 +1234,23 @@ pub struct EngineCacheStats {
     pub misses: u64,
 }
 
-/// A thread-safe LRU of [`EngineCore`]s, keyed by [`engine_fingerprint`].
-/// This is the engine-reuse hook behind `GridSweep::run_cached` and the
-/// `paradl-serve` daemon's cross-request reuse: repeated queries against
-/// the same (model, device, cluster, γ·δ) problem skip the engine build
-/// entirely and reuse every pipeline depth an earlier query filled, paying
-/// only an `O(1)` [`CostEngine::from_core`]. [`EngineCache::engine`] is the
-/// one way in.
+/// A thread-safe LRU of [`EngineCore`]s, filed under [`ProblemKey`]s.
+/// This is the engine-reuse hook behind the `paradl-serve` daemon's
+/// cross-request reuse: repeated queries against the same (model, device,
+/// cluster, γ·δ) problem skip the engine build entirely and reuse every
+/// pipeline depth an earlier query filled, paying only an `O(1)`
+/// [`CostEngine::from_core`]. [`EngineCache::engine`] is the one way in.
+///
+/// The caller resolves its model once into an `Arc<KeyedModel>` and keys
+/// the problem once; a lookup hashes nothing. A key is a hash, so a hit
+/// confirms the whole problem, not only the key: the model stored at build
+/// must be the caller's (`Arc::ptr_eq`) or else equal to it, and the
+/// cluster and the config's `δ` and `γ` must be equal too. Two problems
+/// that collide on one key get two cores.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
-    cores: Lru<Arc<EngineCore>>,
+    cores: Lru,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -1260,42 +1271,50 @@ impl EngineCache {
     }
 
     /// An engine for `model` on `cluster` at `config`'s batch, and whether
-    /// its core came from the cache. On a miss the core is built with
-    /// [`CostEngine::new`], and a build error ([`EngineError`]) propagates
-    /// with nothing cached (the miss is still counted). The engine is
-    /// hydrated with [`CostEngine::from_core`], so it is byte-for-byte
-    /// identical to a fresh build.
+    /// its core came from the cache, looked up under `key` — the problem's
+    /// [`ProblemKey`], which the caller computes once. On a miss the core
+    /// is built with [`CostEngine::new`] and stored with `model` itself, so
+    /// a later hit on it confirms the model by pointer; a build error
+    /// ([`EngineError`]) propagates with nothing cached (the miss is still
+    /// counted). The engine is hydrated with [`CostEngine::from_core`], so
+    /// it is byte-for-byte identical to a fresh build. A `key` that does
+    /// not belong to the problem costs hits, never a wrong core.
     pub fn engine<'a>(
         &self,
-        model: &'a Model,
+        key: &ProblemKey,
+        model: &'a Arc<KeyedModel>,
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
     ) -> Result<(CostEngine<'a>, bool), EngineError> {
-        let (core, hit) = self.try_core(engine_fingerprint(model, cluster, &config), || {
-            Ok(CostEngine::new(model, &cluster.device, cluster, config)?.core_handle())
+        let (core, hit) = self.try_core(key, model, cluster, &config, || {
+            Ok(CostEngine::new(model.model(), &cluster.device, cluster, config)?.core_handle())
         })?;
-        Ok((CostEngine::from_core(model, cluster, config, core)?, hit))
+        Ok((CostEngine::from_core(model.model(), cluster, config, core)?, hit))
     }
 
-    /// The core for `key` (an [`engine_fingerprint`]), built with the
-    /// fallible `build` on a miss. A build error propagates, nothing is
-    /// cached, and the miss is still counted. Returns `(core, was_hit)`.
+    /// The core of the problem (`key`, `model`, `cluster`, `config`'s `δ`
+    /// and `γ`), built with the fallible `build` on a miss. A build error
+    /// propagates, nothing is cached, and the miss is still counted.
+    /// Returns `(core, was_hit)`.
     fn try_core(
         &self,
-        key: u64,
+        key: &ProblemKey,
+        model: &Arc<KeyedModel>,
+        cluster: &ClusterSpec,
+        config: &TrainingConfig,
         build: impl FnOnce() -> Result<Arc<EngineCore>, EngineError>,
     ) -> Result<(Arc<EngineCore>, bool), EngineError> {
-        let result = self.cores.try_get_or_insert(key, build);
+        let memory = memory_bits(config);
+        let result = self.cores.try_get_or_insert(
+            |entry| entry.is(key, model, cluster, memory),
+            || {
+                let (model, cluster) = (Arc::clone(model), cluster.clone());
+                Ok(CachedCore { key: *key, model, cluster, memory, core: build()? })
+            },
+        );
         let counter = if matches!(result, Ok((_, true))) { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         result
-    }
-
-    /// Whether a core for `key` (an [`engine_fingerprint`]) is currently
-    /// cached (a non-promoting peek — the serve daemon uses this to report
-    /// per-response `cache_hit` without perturbing recency).
-    pub fn contains_core(&self, key: u64) -> bool {
-        self.cores.contains(key)
     }
 
     /// Cumulative hit/miss counters.
@@ -1560,9 +1579,19 @@ mod tests {
         assert!(Arc::ptr_eq(&base.core, &hydrated.core), "hydration must share the core");
     }
 
+    /// `cache.engine` with the problem keyed from scratch.
+    fn lookup<'a>(
+        cache: &EngineCache,
+        model: &'a Arc<KeyedModel>,
+        cluster: &'a ClusterSpec,
+        config: TrainingConfig,
+    ) -> (CostEngine<'a>, bool) {
+        cache.engine(&ProblemKey::of(model, cluster, &config), model, cluster, config).unwrap()
+    }
+
     #[test]
-    fn engine_fingerprint_ignores_batch_but_not_problem() {
-        let m = model();
+    fn problem_key_ignores_batch_but_not_problem() {
+        let m = Arc::new(KeyedModel::new(model()));
         let c = ClusterSpec::paper_system();
         let cfg_a = TrainingConfig::small(4096, 64);
         let mut cfg_b = cfg_a;
@@ -1570,57 +1599,111 @@ mod tests {
         cfg_b.dataset_size = 9999;
         cfg_b.epochs = 3;
         // Batch/dataset/epochs are not part of the core's validity key.
-        assert_eq!(engine_fingerprint(&m, &c, &cfg_a), engine_fingerprint(&m, &c, &cfg_b));
+        let key = ProblemKey::of(&m, &c, &cfg_a);
+        assert_eq!(key, ProblemKey::of(&m, &c, &cfg_b));
         // δ and γ are.
         let mut cfg_c = cfg_a;
         cfg_c.memory_reuse = 0.5;
-        assert_ne!(engine_fingerprint(&m, &c, &cfg_a), engine_fingerprint(&m, &c, &cfg_c));
+        assert_ne!(key, ProblemKey::of(&m, &c, &cfg_c));
         // So are the model and the cluster.
         let c2 = ClusterSpec::workstation(8);
-        assert_ne!(engine_fingerprint(&m, &c, &cfg_a), engine_fingerprint(&m, &c2, &cfg_a));
-        assert_ne!(cluster_fingerprint(&c), cluster_fingerprint(&c2));
-        assert_eq!(cluster_fingerprint(&c), cluster_fingerprint(&ClusterSpec::paper_system()));
+        assert_ne!(key, ProblemKey::of(&m, &c2, &cfg_a));
+        assert_ne!(key.cluster, ProblemKey::of(&m, &c2, &cfg_a).cluster);
+        let copy = KeyedModel::new(model());
+        assert_eq!(key, ProblemKey::of(&copy, &ClusterSpec::paper_system(), &cfg_a));
+        // And the cache agrees: a batch-only change hits, a γ change misses.
+        let cache = EngineCache::new(4);
+        assert!(!lookup(&cache, &m, &c, cfg_a).1);
+        assert!(lookup(&cache, &m, &c, cfg_b).1);
+        assert!(!lookup(&cache, &m, &c, cfg_c).1);
     }
 
     #[test]
     fn engine_cache_hits_reuse_and_evict_lru() {
-        let m = model();
-        let d = DeviceProfile::v100();
+        let m = Arc::new(KeyedModel::new(model()));
         let c = ClusterSpec::paper_system();
         let cfg = TrainingConfig::small(4096, 64);
-        let key = engine_fingerprint(&m, &c, &cfg);
+        let at = |memory_reuse: f64| TrainingConfig { memory_reuse, ..cfg };
         let cache = EngineCache::new(2);
-        let build = || Ok::<_, EngineError>(CostEngine::new(&m, &d, &c, cfg)?.core_handle());
-        let (first, hit) = cache.try_core(key, build).unwrap();
+        let (first, hit) = lookup(&cache, &m, &c, cfg);
         assert!(!hit);
-        assert!(cache.contains_core(key));
-        let (second, hit) = cache.try_core(key, || panic!("must not rebuild on a hit")).unwrap();
+        let (second, hit) = lookup(&cache, &m, &c, cfg);
         assert!(hit);
-        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first.core, &second.core));
         assert_eq!(cache.stats(), EngineCacheStats { hits: 1, misses: 1 });
-        // Fill past capacity: the least-recently-used key falls out.
-        cache.try_core(key ^ 1, build).unwrap();
-        cache.try_core(key ^ 2, build).unwrap();
-        assert!(!cache.contains_core(key), "LRU entry should have been evicted");
-        assert!(cache.contains_core(key ^ 2));
+        // Fill past capacity: the least-recently-used problem falls out.
+        lookup(&cache, &m, &c, at(0.5));
+        lookup(&cache, &m, &c, at(0.6));
+        assert!(lookup(&cache, &m, &c, at(0.6)).1, "the newest entry stays");
+        assert!(!lookup(&cache, &m, &c, cfg).1, "LRU entry should have been evicted");
         // Capacity 0 disables caching entirely.
         let off = EngineCache::new(0);
-        off.try_core(key, build).unwrap();
-        assert!(!off.contains_core(key));
-        assert_eq!(off.stats(), EngineCacheStats { hits: 0, misses: 1 });
+        assert!(!lookup(&off, &m, &c, cfg).1);
+        assert!(!lookup(&off, &m, &c, cfg).1);
+        assert_eq!(off.stats(), EngineCacheStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn colliding_keys_get_their_own_cores() {
+        let a = Arc::new(KeyedModel::new(model()));
+        let mut short = model();
+        short.layers.truncate(3);
+        let b = Arc::new(KeyedModel::new(short));
+        let c = ClusterSpec::paper_system();
+        let cfg = TrainingConfig::small(4096, 64);
+        // Every problem below is filed under the same key.
+        let key = ProblemKey::forced(7);
+        let cache = EngineCache::new(8);
+        let mut calls = 0;
+        let mut lookup = |model: &Arc<KeyedModel>, cluster: &ClusterSpec, cfg| {
+            let (engine, hit) = cache.engine(&key, model, cluster, cfg).unwrap();
+            calls += 1;
+            let stats = cache.stats();
+            assert_eq!(stats.hits + stats.misses, calls, "one count per call");
+            (engine.core_handle(), hit)
+        };
+        let (core_a, hit) = lookup(&a, &c, cfg);
+        assert!(!hit);
+        let (core_b, hit) = lookup(&b, &c, cfg);
+        assert!(!hit, "a colliding model must not hit");
+        assert!(!Arc::ptr_eq(&core_a, &core_b));
+        assert_eq!(core_a.limits, ModelLimits::of(a.model()));
+        assert_eq!(core_b.limits, ModelLimits::of(b.model()));
+        // Each problem still finds its own core: by pointer, and by value
+        // for an equal model in another allocation.
+        let (again, hit) = lookup(&a, &c, cfg);
+        assert!(hit && Arc::ptr_eq(&again, &core_a));
+        let (again, hit) = lookup(&b, &c, cfg);
+        assert!(hit && Arc::ptr_eq(&again, &core_b));
+        let (again, hit) = lookup(&Arc::new(KeyedModel::new(model())), &c, cfg);
+        assert!(hit && Arc::ptr_eq(&again, &core_a));
+        // A collision on the cluster or on δ and γ gets its own core too.
+        let (core_w, hit) = lookup(&a, &ClusterSpec::workstation(8), cfg);
+        assert!(!hit && !Arc::ptr_eq(&core_w, &core_a));
+        let half = TrainingConfig { memory_reuse: 0.5, ..cfg };
+        let (core_h, hit) = lookup(&a, &c, half);
+        assert!(!hit && !Arc::ptr_eq(&core_h, &core_a));
+        assert_eq!(core_h.gamma_delta, 0.5 * cfg.bytes_per_item);
+        assert_eq!(cache.stats(), EngineCacheStats { hits: 3, misses: 4 });
     }
 
     #[test]
     fn engine_calls_count_one_core_lookup_each() {
-        let m = model();
+        let m = Arc::new(KeyedModel::new(model()));
         let c = ClusterSpec::paper_system();
         let cache = EngineCache::new(4);
-        let (cold, hit) = cache.engine(&m, &c, TrainingConfig::small(4096, 64)).unwrap();
+        let (cold, hit) = lookup(&cache, &m, &c, TrainingConfig::small(4096, 64));
         assert!(!hit);
-        let (warm, hit) = cache.engine(&m, &c, TrainingConfig::small(4096, 128)).unwrap();
+        let (warm, hit) = lookup(&cache, &m, &c, TrainingConfig::small(4096, 128));
         assert!(hit);
         assert!(Arc::ptr_eq(&cold.core, &warm.core), "the warm call must reuse the core");
         assert_eq!(cache.stats(), EngineCacheStats { hits: 1, misses: 1 });
+        // An equal model in another allocation is one more lookup, and hits.
+        let copy = Arc::new(KeyedModel::new(model()));
+        let (by_value, hit) = lookup(&cache, &copy, &c, TrainingConfig::small(4096, 32));
+        assert!(hit);
+        assert!(Arc::ptr_eq(&cold.core, &by_value.core));
+        assert_eq!(cache.stats(), EngineCacheStats { hits: 2, misses: 1 });
     }
 
     #[test]
@@ -1726,24 +1809,22 @@ mod tests {
 
     #[test]
     fn try_core_propagates_errors_without_caching() {
-        let m = model();
-        let d = DeviceProfile::v100();
+        let m = Arc::new(KeyedModel::new(model()));
         let c = ClusterSpec::paper_system();
         let cfg = TrainingConfig::small(4096, 64);
-        let key = engine_fingerprint(&m, &c, &cfg);
+        let key = ProblemKey::of(&m, &c, &cfg);
         let cache = EngineCache::new(4);
         let err = cache
-            .try_core(key, || Err(EngineError::Config("nope".into())))
+            .try_core(&key, &m, &c, &cfg, || Err(EngineError::Config("nope".into())))
             .expect_err("builder error propagates");
         assert_eq!(err, EngineError::Config("nope".into()));
-        assert!(!cache.contains_core(key), "a failed build must not be cached");
-        let (core, hit) = cache
-            .try_core(key, || Ok(CostEngine::new(&m, &d, &c, cfg).unwrap().core_handle()))
-            .expect("build succeeds");
-        assert!(!hit);
-        assert!(cache.contains_core(key));
-        let (again, hit) = cache.try_core(key, || panic!("must not rebuild on a hit")).unwrap();
+        let build = || Ok(CostEngine::new(m.model(), &c.device, &c, cfg)?.core_handle());
+        let (core, hit) = cache.try_core(&key, &m, &c, &cfg, build).expect("build succeeds");
+        assert!(!hit, "a failed build must not be cached");
+        let (again, hit) =
+            cache.try_core(&key, &m, &c, &cfg, || panic!("must not rebuild on a hit")).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&core, &again));
+        assert_eq!(cache.stats(), EngineCacheStats { hits: 1, misses: 2 });
     }
 }

@@ -9,10 +9,10 @@
 //! per-layer path the tests compare against. A sweep has two parts:
 //!
 //! 1. **engine acquisition** — one [`CostEngine`] per (model, cluster)
-//!    pair, either built fresh with [`CostEngine::new`] or taken from
-//!    [`EngineCache::engine`] ([`GridSweep::run_cached`], which fails with
-//!    the [`EngineError`] of an unbuildable engine instead of sweeping); a
-//!    one-cell answer skips this part and brings its own engine;
+//!    pair, built with [`CostEngine::new`]; a one-cell answer skips this
+//!    part and brings its own engine, and so does
+//!    [`GridSweep::run_engine`], one problem at several batches on an
+//!    engine the caller took from an [`EngineCache`];
 //! 2. **the sweep over prepared engines**, which amortizes everything
 //!    shareable across cells:
 //!
@@ -93,11 +93,12 @@
 //! [`Oracle::answer`]: crate::oracle::Oracle::answer
 //! [`Oracle::search_reference`]: crate::oracle::Oracle::search_reference
 //! [`ModelLimits::is_valid`]: crate::engine::ModelLimits::is_valid
+//! [`EngineCache`]: crate::engine::EngineCache
 
 use crate::cluster::ClusterSpec;
 use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
-use crate::engine::{CommCoef, CostEngine, EngineCache, EngineError};
+use crate::engine::{CommCoef, CostEngine};
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::model::Model;
 use crate::oracle::Constraints;
@@ -345,6 +346,12 @@ impl PreppedSpace {
         // every larger one.
         let mut order: Vec<usize> = (0..batches.len()).collect();
         order.sort_by_key(|&i| batches[i]);
+        // A pipeline's memory depends on its depth and the batch, not on its
+        // segment count, and the superset lists each depth's rows together
+        // (segments inner), so the last depth's memory per batch is enough
+        // to price each (depth, batch) once.
+        let mut pipe_depth = 0;
+        let mut pipe_mem: Vec<Option<f64>> = vec![None; batches.len()];
         for (si, &strategy) in superset.iter().enumerate() {
             let mut j = 0;
             while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
@@ -352,6 +359,12 @@ impl PreppedSpace {
             }
             let slot = budget_index(strategy.total_pes()) as u8;
             let fam = strategy.kind() as u8;
+            if let Strategy::Pipeline { p, .. } = strategy {
+                if p != pipe_depth {
+                    pipe_depth = p;
+                    pipe_mem.fill(None);
+                }
+            }
             let mut infeasible = false;
             for &bi in &order[j..] {
                 let prep = &mut preps[bi];
@@ -359,7 +372,13 @@ impl PreppedSpace {
                 if infeasible {
                     continue;
                 }
-                if engines[bi].memory_per_pe(strategy) > constraints.memory_capacity_bytes {
+                let memory = match strategy {
+                    Strategy::Pipeline { .. } => {
+                        *pipe_mem[bi].get_or_insert_with(|| engines[bi].memory_per_pe(strategy))
+                    }
+                    _ => engines[bi].memory_per_pe(strategy),
+                };
+                if memory > constraints.memory_capacity_bytes {
                     infeasible = true;
                     continue;
                 }
@@ -506,7 +525,7 @@ impl Laps {
 /// A sweep keeps the column buffers of its last run — the candidate
 /// supersets, the prep columns and the communication-coefficient columns —
 /// and the next [`run`](GridSweep::run), [`run_timed`](GridSweep::run_timed)
-/// or [`run_cached`](GridSweep::run_cached) refills them in place instead of
+/// or [`run_engine`](GridSweep::run_engine) refills them in place instead of
 /// allocating (and page-faulting) them again. Every value is still
 /// recomputed on every run; only capacity is reused. The kept columns are
 /// trimmed to the exact length of the last run, so they never hold more
@@ -564,31 +583,6 @@ impl GridSweep {
         self.run_timed(grid).0
     }
 
-    /// Like [`GridSweep::run`], but also returns per-stage wall-clock
-    /// timings (used by `bench_kernel_summary` to report the prep/eval
-    /// split of the kernel trajectory).
-    pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
-        self.run_with(grid, None).expect("grid engine build failed")
-    }
-
-    /// Like [`GridSweep::run`], but acquiring every engine through
-    /// [`EngineCache::engine`], so *repeated* sweeps over the same (model,
-    /// device, cluster, γ·δ) problems skip the engine builds entirely — the
-    /// cross-request amortization behind the `paradl-serve` daemon. Exactly
-    /// the same results as [`GridSweep::run`]: a hydrated engine is
-    /// byte-for-byte identical to a fresh build ([`CostEngine::from_core`]).
-    ///
-    /// Errors with the first [`EngineError`] when an engine cannot be built
-    /// (a spec that passed vet can still yield non-finite tables); nothing
-    /// unbuildable is cached.
-    pub fn run_cached(
-        &self,
-        grid: &QueryGrid,
-        cache: &EngineCache,
-    ) -> Result<GridReport, EngineError> {
-        self.run_with(grid, Some(cache)).map(|(report, _)| report)
-    }
-
     /// One ranked query as a one-cell sweep on the caller's engine — the
     /// ranked arm of
     /// [`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine).
@@ -612,20 +606,18 @@ impl GridSweep {
         cells.pop().expect("a one-cell sweep yields one cell").report
     }
 
-    /// Engine acquisition — one engine per (model, cluster) pair at the
-    /// grid's largest batch, from `ecache` when one is supplied, else built
-    /// fresh — followed by the sweep over those engines.
-    fn run_with(
-        &self,
-        grid: &QueryGrid,
-        ecache: Option<&EngineCache>,
-    ) -> Result<(GridReport, GridStageTimings), EngineError> {
+    /// Like [`GridSweep::run`], but also returns per-stage wall-clock
+    /// timings (used by `bench_kernel_summary` to report the prep/eval
+    /// split of the kernel trajectory). Engine acquisition — one engine per
+    /// (model, cluster) pair at the grid's largest batch — followed by the
+    /// sweep over those engines.
+    pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
         let mut timings = GridStageTimings::default();
         if grid.num_queries() == 0 {
             if let Some(mut kept) = self.kept_buffers() {
                 *kept = SweepBuffers::default();
             }
-            return Ok((GridReport { cells: Vec::new() }, timings));
+            return (GridReport { cells: Vec::new() }, timings);
         }
         let mut laps = Laps(Instant::now());
         let n_clusters = grid.clusters.len();
@@ -641,13 +633,10 @@ impl GridSweep {
             let (m, c) = (i / n_clusters, i % n_clusters);
             let gm = &grid.models[m];
             let cluster = &grid.clusters[c];
-            let config = gm.config_at(max_batch);
-            match ecache {
-                Some(ec) => ec.engine(&gm.model, cluster, config).map(|(engine, _)| engine),
-                None => CostEngine::new(&gm.model, &cluster.device, cluster, config),
-            }
+            CostEngine::new(&gm.model, &cluster.device, cluster, gm.config_at(max_batch))
         });
-        let engines = engines.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let engines: Vec<_> =
+            engines.into_iter().collect::<Result<_, _>>().expect("grid engine build failed");
         timings.engines = laps.lap();
 
         // Group clusters by device profile: per-PE memory and the compute
@@ -665,16 +654,58 @@ impl GridSweep {
             })
             .collect();
 
-        let mut kept = self.kept_buffers();
-        let cells = self.sweep(
-            &engines,
-            &group_of,
-            &grid.batches,
-            &grid.constraints,
-            kept.as_deref_mut().unwrap_or(&mut SweepBuffers::default()),
-            &mut timings,
+        let cells =
+            self.sweep_kept(&engines, &group_of, &grid.batches, &grid.constraints, &mut timings);
+        (GridReport { cells }, timings)
+    }
+
+    /// The cells of one problem at several batches, swept on the caller's
+    /// `engine`: a one-model, one-cluster grid whose engine the caller
+    /// acquired (the `paradl-serve` daemon takes it from
+    /// [`EngineCache::engine`](crate::engine::EngineCache::engine) under a
+    /// key it computed once per group). The engine may sit at any batch;
+    /// each cell is answered on a rebatched sibling, so the report equals
+    /// [`GridSweep::run`] on that grid. Cells come back in `batches` order
+    /// with model and cluster index 0, and the kept buffers are refilled as
+    /// in every run.
+    pub fn run_engine(
+        &self,
+        engine: &CostEngine<'_>,
+        batches: &[usize],
+        constraints: &Constraints,
+    ) -> GridReport {
+        if batches.is_empty() {
+            return GridReport { cells: Vec::new() };
+        }
+        let cells = self.sweep_kept(
+            std::slice::from_ref(engine),
+            &[0],
+            batches,
+            constraints,
+            &mut GridStageTimings::default(),
         );
-        Ok((GridReport { cells }, timings))
+        GridReport { cells }
+    }
+
+    /// [`GridSweep::sweep`] on the kept buffers, or on fresh ones while
+    /// another thread sweeps with them.
+    fn sweep_kept(
+        &self,
+        engines: &[CostEngine<'_>],
+        group_of: &[usize],
+        batches: &[usize],
+        constraints: &Constraints,
+        timings: &mut GridStageTimings,
+    ) -> Vec<GridCell> {
+        let mut kept = self.kept_buffers();
+        self.sweep(
+            engines,
+            group_of,
+            batches,
+            constraints,
+            kept.as_deref_mut().unwrap_or(&mut SweepBuffers::default()),
+            timings,
+        )
     }
 
     /// The kept buffers, or `None` while another thread sweeps with them.
@@ -885,10 +916,12 @@ impl GridSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ModelLimits;
+    use crate::engine::{EngineCache, ModelLimits};
+    use crate::key::{KeyedModel, ProblemKey};
     use crate::layer::Layer;
     use crate::oracle::{Oracle, PeSweep};
     use crate::search::strategy_sort_key;
+    use std::sync::Arc;
 
     fn model(seed: usize) -> Model {
         Model::new(
@@ -1127,25 +1160,43 @@ mod tests {
 
     #[test]
     fn cached_sweep_matches_uncached_and_hits_on_repeat() {
-        let grid = small_grid(Constraints { max_pes: 256, top_k: Some(5), ..Default::default() });
-        let sweep = GridSweep::new();
+        // Each (model, cluster) pair of the grid swept on an engine from a
+        // cache — the daemon's path — at a batch the grid does not ask for.
         let cache = EngineCache::new(16);
-        let plain = sweep.run(&grid);
-        let cached = sweep.run_cached(&grid, &cache).expect("engines build");
-        for (a, b) in plain.cells.iter().zip(&cached.cells) {
-            assert_eq!(a.query, b.query);
-            assert_reports_equal(&a.report, &b.report, &format!("cold {:?}", a.query));
-        }
-        let first = cache.stats();
-        assert!(first.misses > 0, "cold sweep must populate the cache");
-        // A second sweep over the same grid hits for every engine, and
-        // still produces identical reports.
-        let warm = sweep.run_cached(&grid, &cache).expect("engines build");
-        let second = cache.stats();
-        assert_eq!(second.misses, first.misses, "warm sweep must not rebuild");
-        assert!(second.hits > first.hits, "warm sweep must hit");
-        for (a, b) in plain.cells.iter().zip(&warm.cells) {
-            assert_reports_equal(&a.report, &b.report, &format!("warm {:?}", a.query));
+        for top_k in [Some(5), None] {
+            let grid = small_grid(Constraints { max_pes: 256, top_k, ..Default::default() });
+            let plain = GridSweep::new().run(&grid);
+            let sweep = GridSweep::new();
+            let models: Vec<_> = grid
+                .models()
+                .iter()
+                .map(|gm| Arc::new(KeyedModel::new(gm.model.clone())))
+                .collect();
+            for pass in ["cold", "warm"] {
+                let before = cache.stats();
+                for (m, gm) in grid.models().iter().enumerate() {
+                    for (c, cluster) in grid.clusters().iter().enumerate() {
+                        let config = gm.config_at(48);
+                        let key = ProblemKey::of(&models[m], cluster, &config);
+                        let (engine, _) =
+                            cache.engine(&key, &models[m], cluster, config).expect("engine builds");
+                        let swept = sweep.run_engine(&engine, grid.batches(), grid.constraints());
+                        assert_eq!(swept.len(), grid.batches().len());
+                        for cell in &swept.cells {
+                            let want = plain.get(m, cell.query.batch, c).expect("plain cell");
+                            let what = format!("{pass} {top_k:?} {:?}", want.query);
+                            assert_reports_equal(&want.report, &cell.report, &what);
+                        }
+                        assert!(sweep.run_engine(&engine, &[], grid.constraints()).is_empty());
+                    }
+                }
+                let after = cache.stats();
+                let pairs = (grid.models().len() * grid.clusters().len()) as u64;
+                let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+                // Every core is built once, on the first cold pass.
+                let cold_misses = if pass == "cold" && top_k.is_some() { pairs } else { 0 };
+                assert_eq!((hits, misses), (pairs - cold_misses, cold_misses), "{pass} {top_k:?}");
+            }
         }
     }
 
@@ -1192,13 +1243,15 @@ mod tests {
             .with_cluster(ClusterSpec::workstation(8))
             .with_cluster(ClusterSpec::paper_system());
         let sweep = GridSweep::new().with_chunk_size(256);
-        let cache = EngineCache::new(16);
+        let (bm, bc) = (&b.models()[0], &b.clusters()[0]);
+        let engine_b =
+            CostEngine::new(&bm.model, &bc.device, bc, bm.config_at(48)).expect("engine builds");
         let runs: [(&str, &QueryGrid, GridReport); 5] = [
             ("A", &a, sweep.run(&a)),
             ("B", &b, sweep.run(&b)),
             ("A again", &a, sweep.run(&a)),
             ("A swapped", &swapped, sweep.run(&swapped)),
-            ("cached B", &b, sweep.run_cached(&b, &cache).expect("engines build")),
+            ("engine B", &b, sweep.run_engine(&engine_b, b.batches(), b.constraints())),
         ];
         for (name, grid, report) in &runs {
             let fresh = GridSweep::new().with_chunk_size(256).run(grid);

@@ -54,6 +54,7 @@ pub mod engine;
 pub mod grid;
 pub mod jsonio;
 pub mod kernel;
+pub mod key;
 pub mod layer;
 pub mod limits;
 pub mod memory;
@@ -74,14 +75,12 @@ pub mod prelude {
     pub use crate::compute::{ComputeModel, DeviceProfile, LayerTimes, TabulatedProfile};
     pub use crate::config::TrainingConfig;
     pub use crate::cost::{CostEstimate, PhaseBreakdown};
-    pub use crate::engine::{
-        cluster_fingerprint, engine_fingerprint, CostEngine, EngineCache, EngineCacheStats,
-        EngineError, ModelLimits,
-    };
+    pub use crate::engine::{CostEngine, EngineCache, EngineCacheStats, EngineError, ModelLimits};
     pub use crate::grid::{
         GridCell, GridModel, GridQuery, GridReport, GridStageTimings, GridSweep, QueryGrid,
     };
     pub use crate::jsonio::{Json, JsonError};
+    pub use crate::key::{KeyedModel, ProblemKey};
     pub use crate::layer::{Layer, LayerKind};
     pub use crate::limits::{diagnose_default, table6, Issue, IssueClass};
     pub use crate::memory::{memory_per_pe, V100_MEMORY_BYTES};

@@ -111,13 +111,13 @@ fn vet_cluster(cluster: &ClusterSpec) -> Result<(), VetError> {
     finite_non_negative("cluster.device.kernel_overhead", d.kernel_overhead)?;
     finite_positive("cluster.device.update_elements_per_sec", d.update_elements_per_sec)?;
 
-    for (name, link) in [
-        ("cluster.intra_node", &cluster.intra_node),
-        ("cluster.intra_rack", &cluster.intra_rack),
-        ("cluster.inter_rack", &cluster.inter_rack),
+    for (alpha, beta, link) in [
+        ("cluster.intra_node.alpha", "cluster.intra_node.beta", &cluster.intra_node),
+        ("cluster.intra_rack.alpha", "cluster.intra_rack.beta", &cluster.intra_rack),
+        ("cluster.inter_rack.alpha", "cluster.inter_rack.beta", &cluster.inter_rack),
     ] {
-        finite_non_negative(&format!("{name}.alpha"), link.alpha)?;
-        finite_non_negative(&format!("{name}.beta"), link.beta)?;
+        finite_non_negative(alpha, link.alpha)?;
+        finite_non_negative(beta, link.beta)?;
     }
     Ok(())
 }

@@ -38,18 +38,36 @@ pub fn imagenet_models() -> Vec<Model> {
     vec![resnet50(), resnet152(), vgg16()]
 }
 
+/// One model of [`ZOO`]: its case-insensitive names (short aliases and the
+/// display name [`Model::name`]) and its builder.
+#[derive(Debug, Clone, Copy)]
+pub struct ZooModel {
+    /// Every name the model answers to, in lower case.
+    pub names: &'static [&'static str],
+    /// Builds the model.
+    pub build: fn() -> Model,
+}
+
+/// Every model [`by_name`] knows: the four [`paper_models`] and
+/// [`alexnet()`].
+pub const ZOO: [ZooModel; 5] = [
+    ZooModel { names: &["resnet-50", "resnet50"], build: resnet50 },
+    ZooModel { names: &["resnet-152", "resnet152"], build: resnet152 },
+    ZooModel { names: &["vgg16", "vgg-16"], build: vgg16 },
+    ZooModel { names: &["cosmoflow", "cosmoflow-256"], build: cosmoflow },
+    ZooModel { names: &["alexnet"], build: alexnet },
+];
+
+/// The index in [`ZOO`] of the model called `name` (case-insensitive).
+pub fn zoo_index(name: &str) -> Option<usize> {
+    ZOO.iter().position(|z| z.names.iter().any(|n| n.eq_ignore_ascii_case(name)))
+}
+
 /// Looks a model up by its (case-insensitive) name: a short alias or the
 /// display name ([`Model::name`]) of any model in [`paper_models`] or
 /// [`alexnet()`].
 pub fn by_name(name: &str) -> Option<Model> {
-    match name.to_ascii_lowercase().as_str() {
-        "resnet-50" | "resnet50" => Some(resnet50()),
-        "resnet-152" | "resnet152" => Some(resnet152()),
-        "vgg16" | "vgg-16" => Some(vgg16()),
-        "cosmoflow" | "cosmoflow-256" => Some(cosmoflow()),
-        "alexnet" => Some(alexnet()),
-        _ => None,
-    }
+    zoo_index(name).map(|i| (ZOO[i].build)())
 }
 
 #[cfg(test)]
@@ -79,6 +97,10 @@ mod tests {
         assert!(by_name("cosmoflow").is_some());
         assert!(by_name("alexnet").is_some());
         assert!(by_name("transformer").is_none());
+        // Every zoo entry answers to its display name.
+        for (i, z) in ZOO.iter().enumerate() {
+            assert_eq!(zoo_index(&(z.build)().name), Some(i));
+        }
     }
 
     #[test]

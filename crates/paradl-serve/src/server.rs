@@ -18,16 +18,23 @@
 //! The batcher lingers briefly after the first dequeue, drains everything
 //! else that arrived, and splits the batch into *groups*, each answered by
 //! one evaluation. Ranked queries (top-k / full-rank) group by their
-//! *problem class*: same model name, same cluster fingerprint, same
-//! non-batch config fields (dataset, epochs, δ, γ) and same effective
-//! constraints. Each such group becomes one [`QueryGrid`] whose batch axis
-//! is the group's distinct batch sizes, answered by a single
-//! [`GridSweep::run_cached`] pass — so `n` concurrent requests over `k ≤ n`
-//! distinct batches cost `k` cell evaluations plus one (usually cached)
-//! engine-core build, instead of `n` full evaluations. A suggest or survey
-//! query is a group of one, answered on an engine from
-//! [`EngineCache::engine`]. Every engine the daemon uses comes from that
-//! one cache.
+//! *problem class*: same model, same cluster, same non-batch config fields
+//! (dataset, epochs, δ, γ) and same effective constraints. Each such group
+//! is swept at the group's distinct batch sizes by a single
+//! [`GridSweep::run_engine`] pass — so `n` concurrent requests over
+//! `k ≤ n` distinct batches cost `k` cell evaluations plus one (usually
+//! cached) engine-core build, instead of `n` full evaluations. A suggest or
+//! survey query is a group of one. Groups are answered in the arrival
+//! order of their oldest member, so no problem class always waits longest.
+//!
+//! Every engine the daemon uses comes from one [`EngineCache`], through
+//! [`EngineCache::engine`]. A request's model name is resolved once,
+//! at decode, to a shared zoo entry that carries the model's key
+//! ([`crate::resolve::resolve_entry`]); the batcher keys each query's
+//! cluster, memory config and constraints once, files the query under that
+//! key tuple, and the group's one cache lookup reuses the key and reports
+//! whether it hit. Nothing on the request path formats a `Debug` string or
+//! rebuilds a model.
 //!
 //! This is sound because a grid sweep is defined to produce, cell for cell,
 //! the same `SearchReport` a standalone search would (the conformance tests
@@ -81,13 +88,15 @@
 use crate::client::Stream;
 use crate::fault::FaultSchedule;
 use crate::proto::{self, AnswerStats, ErrorKind, FrameRead, Request, Response, MAX_FRAME};
-use crate::resolve::resolve_model;
-use paradl_core::engine::{cluster_fingerprint, engine_fingerprint, EngineCache, EngineError};
-use paradl_core::grid::{GridSweep, QueryGrid};
+use crate::resolve::resolve_entry;
+use paradl_core::engine::{EngineCache, EngineError};
+use paradl_core::grid::GridSweep;
 use paradl_core::jsonio::Json;
+use paradl_core::key::{ConstraintsKey, KeyedModel, ProblemKey};
 use paradl_core::oracle::Oracle;
 use paradl_core::query::{Query, QueryAnswer, QueryMode};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -260,6 +269,8 @@ impl Shared {
 /// One queued query awaiting the batcher.
 struct Pending {
     query: Query,
+    /// The zoo entry `query.model` was copied from.
+    model: Arc<KeyedModel>,
     deadline: Option<Instant>,
     enqueued: Instant,
     reply: mpsc::Sender<Response>,
@@ -546,7 +557,16 @@ fn handle_frame(payload: &[u8], tx: &SyncSender<Pending>, shared: &Arc<Shared>) 
     };
     // Past this point the bytes decoded fine (the checksum already vouched
     // for them in transit), so remaining failures are the *request's* fault.
-    let request = match Request::from_json(&json, &resolve_model) {
+    // The query owns a copy of its model (vet and the eval hooks read it);
+    // the batcher works from the shared zoo entry it was copied from.
+    let resolved = RefCell::new(None);
+    let resolve = |name: &str| {
+        let entry = resolve_entry(name)?;
+        let model = entry.model().clone();
+        *resolved.borrow_mut() = Some(entry);
+        Some(model)
+    };
+    let request = match Request::from_json(&json, &resolve) {
         Ok(r) => r,
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -560,12 +580,16 @@ fn handle_frame(payload: &[u8], tx: &SyncSender<Pending>, shared: &Arc<Shared>) 
             shared.shutdown.store(true, Ordering::SeqCst);
             Response::ShuttingDown
         }
-        Request::Query { query, deadline_ms } => enqueue_query(query, deadline_ms, tx, shared),
+        Request::Query { query, deadline_ms } => {
+            let model = resolved.into_inner().expect("a decoded query resolved its model");
+            enqueue_query(query, model, deadline_ms, tx, shared)
+        }
     }
 }
 
 fn enqueue_query(
     query: Query,
+    model: Arc<KeyedModel>,
     deadline_ms: Option<u64>,
     tx: &SyncSender<Pending>,
     shared: &Arc<Shared>,
@@ -585,6 +609,7 @@ fn enqueue_query(
     let (reply_tx, reply_rx) = mpsc::channel();
     let pending = Pending {
         query,
+        model,
         deadline: deadline_ms.map(|ms| now + Duration::from_millis(ms)),
         enqueued: now,
         reply: reply_tx,
@@ -710,9 +735,12 @@ fn apply_degradation(query: &mut Query, rung: usize) -> usize {
 }
 
 fn process_batch(batch: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
-    // BTreeMap for deterministic group order (stable stats/telemetry).
-    let mut groups: BTreeMap<String, Vec<Pending>> = BTreeMap::new();
-    let mut singles = Vec::new();
+    // Groups in the arrival order of their oldest member (the batch was
+    // drained in arrival order). `ranked` finds a problem class's group by
+    // its key; a query whose key another class already holds gets a group
+    // of its own, which costs coalescing, never an answer.
+    let mut groups: Vec<(GroupKey, Vec<Pending>)> = Vec::new();
+    let mut ranked: HashMap<GroupKey, usize> = HashMap::new();
     let pressure = queue_rung(batch.len(), shared.config.queue_cap.max(1));
     let ewma_us = shared.eval_ewma_us.load(Ordering::Relaxed);
     for mut p in batch {
@@ -741,15 +769,23 @@ fn process_batch(batch: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
         if let Some(hook) = &shared.config.eval_hook {
             hook(&p.query, EvalStage::Batch);
         }
-        match p.query.mode {
-            QueryMode::TopK(_) | QueryMode::FullRank => {
-                groups.entry(group_key(&p.query)).or_default().push(p);
+        let key = group_key(&p);
+        if matches!(p.query.mode, QueryMode::TopK(_) | QueryMode::FullRank) {
+            match ranked.get(&key) {
+                Some(&g) if same_class(&groups[g].1[0], &p) => {
+                    groups[g].1.push(p);
+                    continue;
+                }
+                Some(_) => {}
+                None => {
+                    ranked.insert(key, groups.len());
+                }
             }
-            QueryMode::Suggest | QueryMode::Survey { .. } => singles.push(vec![p]),
         }
+        groups.push((key, vec![p]));
     }
-    for group in singles.into_iter().chain(groups.into_values()) {
-        answer_group(group, sweep, shared);
+    for (key, group) in groups {
+        answer_group(&key.0, group, sweep, shared);
     }
 }
 
@@ -760,23 +796,33 @@ fn record_eval_time(shared: &Arc<Shared>, eval_us: u64) {
     shared.eval_ewma_us.store(next, Ordering::Relaxed);
 }
 
-/// The problem class a ranked query belongs to. Queries in the same class
-/// differ at most in batch size and can share one grid sweep. Models travel
-/// by name on the wire, so equal names imply equal models here.
-fn group_key(query: &Query) -> String {
-    let model = query.model.as_ref().expect("validated at enqueue");
-    let cluster = query.cluster.as_ref().expect("validated at enqueue");
-    let config = query.config.expect("validated at enqueue");
-    format!(
-        "{}|{:016x}|{}|{}|{:016x}|{:016x}|{:?}",
-        model.name,
-        cluster_fingerprint(cluster),
-        config.dataset_size,
-        config.epochs,
-        config.bytes_per_item.to_bits(),
-        config.memory_reuse.to_bits(),
-        query.effective_constraints(),
-    )
+/// The key of a query's problem class: its problem (model, cluster, δ and
+/// γ), dataset size, epochs and effective constraints. Ranked queries of
+/// one class differ at most in batch size and share one sweep. The model
+/// key comes with the zoo entry; the other parts are hashed here, once per
+/// query.
+type GroupKey = (ProblemKey, usize, usize, ConstraintsKey);
+
+fn group_key(p: &Pending) -> GroupKey {
+    let cluster = p.query.cluster.as_ref().expect("validated at enqueue");
+    let config = p.query.config.expect("validated at enqueue");
+    let problem = ProblemKey::of(&p.model, cluster, &config);
+    let constraints = ConstraintsKey::of(&p.query.effective_constraints());
+    (problem, config.dataset_size, config.epochs, constraints)
+}
+
+/// Whether two queries with equal [`GroupKey`]s are of one problem class:
+/// the same zoo entry, and equal clusters, non-batch config fields and
+/// effective constraints (a key is only a hash).
+fn same_class(a: &Pending, b: &Pending) -> bool {
+    let config = |p: &Pending| {
+        let c = p.query.config.expect("validated at enqueue");
+        (c.dataset_size, c.epochs, c.bytes_per_item.to_bits(), c.memory_reuse.to_bits())
+    };
+    Arc::ptr_eq(&a.model, &b.model)
+        && a.query.cluster == b.query.cluster
+        && config(a) == config(b)
+        && a.query.effective_constraints() == b.query.effective_constraints()
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -816,65 +862,65 @@ fn run_contained<T>(
     })
 }
 
-/// Answers one group with one evaluation: the ranked members of a problem
-/// class share one [`GridSweep::run_cached`] pass over their distinct
-/// batches, and a suggestion or survey (a group of one) is answered on an
-/// engine from [`EngineCache::engine`]. An engine that cannot be built
-/// refuses every member with the typed [`EngineError`]; a panic quarantines
-/// every member (they share the poisoned evaluation).
-fn answer_group(group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
+/// Answers one group with one evaluation on an engine from
+/// [`EngineCache::engine`], looked up once under `key`: the ranked
+/// members of a problem class share one [`GridSweep::run_engine`] pass over
+/// their distinct batches, and a suggestion or survey (a group of one) is
+/// answered on the engine directly. An engine that cannot be built refuses
+/// every member with the typed [`EngineError`]; a panic quarantines every
+/// member (they share the poisoned evaluation).
+fn answer_group(key: &ProblemKey, group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
     let coalesced = group.len();
     if coalesced > 1 {
         shared.counters.coalesced_groups.fetch_add(1, Ordering::Relaxed);
     }
     let lead = &group[0].query;
-    let model = lead.model.as_ref().expect("validated at enqueue");
+    let entry = &group[0].model;
     let cluster = lead.cluster.as_ref().expect("validated at enqueue");
     let config = lead.config.expect("validated at enqueue");
     let batch_of = |p: &Pending| p.query.config.expect("validated at enqueue").batch_size;
     let mut batches: Vec<usize> = group.iter().map(batch_of).collect();
     batches.sort_unstable();
     batches.dedup();
-    let cache_hit = shared.cache.contains_core(engine_fingerprint(model, cluster, &config));
 
     // Each member's answer with its kernel work counters: (candidates
     // costed, candidates pruned before costing), zero for suggestions and
-    // surveys.
+    // surveys; and whether the engine's core was cached.
     let start = Instant::now();
-    let outcome = run_contained(lead, shared, || match lead.mode {
-        QueryMode::TopK(_) | QueryMode::FullRank => {
-            let grid = QueryGrid::new(lead.effective_constraints())
-                .with_model(model.clone(), config)
-                .with_batches(batches.iter().copied())
-                .with_cluster(cluster.clone());
-            let report = sweep.run_cached(&grid, &shared.cache)?;
-            Ok(group
-                .iter()
-                .map(|p| {
-                    let cell =
-                        report.get(0, batch_of(p), 0).expect("sweep covers every requested cell");
-                    // Calibration is per query, applied after the shared
-                    // sweep: queries differing only in calibration still
-                    // coalesce onto one sweep.
-                    let report = cell.report.clone();
-                    let report = match &p.query.calibration {
-                        Some(calibration) => report.recalibrated(calibration),
-                        None => report,
-                    };
-                    (QueryAnswer::Ranked(report), cell.report.evaluated(), cell.report.pruned())
-                })
-                .collect())
-        }
-        QueryMode::Suggest | QueryMode::Survey { .. } => {
-            let (engine, _) = shared.cache.engine(model, cluster, config)?;
-            let oracle = Oracle::new(model, &cluster.device, cluster, config);
-            Ok::<_, EngineError>(vec![(oracle.answer_with_engine(&engine, lead), 0, 0)])
-        }
+    let outcome = run_contained(lead, shared, || {
+        let (engine, cache_hit) = shared.cache.engine(key, entry, cluster, config)?;
+        let answers = match lead.mode {
+            QueryMode::TopK(_) | QueryMode::FullRank => {
+                let report = sweep.run_engine(&engine, &batches, &lead.effective_constraints());
+                group
+                    .iter()
+                    .map(|p| {
+                        let cell = report
+                            .get(0, batch_of(p), 0)
+                            .expect("sweep covers every requested cell");
+                        // Calibration is per query, applied after the
+                        // shared sweep: queries differing only in
+                        // calibration still coalesce onto one sweep.
+                        let report = cell.report.clone();
+                        let report = match &p.query.calibration {
+                            Some(calibration) => report.recalibrated(calibration),
+                            None => report,
+                        };
+                        (QueryAnswer::Ranked(report), cell.report.evaluated(), cell.report.pruned())
+                    })
+                    .collect()
+            }
+            QueryMode::Suggest | QueryMode::Survey { .. } => {
+                let oracle = Oracle::new(entry.model(), &cluster.device, cluster, config);
+                vec![(oracle.answer_with_engine(&engine, lead), 0, 0)]
+            }
+        };
+        Ok::<_, EngineError>((answers, cache_hit))
     });
     let eval_us = start.elapsed().as_micros() as u64;
 
-    let answers = match outcome {
-        Ok(Ok(answers)) => answers,
+    let (answers, cache_hit) = match outcome {
+        Ok(Ok(answered)) => answered,
         Ok(Err(e)) => {
             for p in group {
                 shared.counters.errors.fetch_add(1, Ordering::Relaxed);

@@ -16,11 +16,12 @@ use paradl_core::oracle::Constraints;
 use paradl_core::query::{Query, QueryMode};
 use paradl_serve::client::Connection;
 use paradl_serve::proto::{self, ErrorKind, FrameRead, Request, Response, MAX_FRAME};
-use paradl_serve::server::{Bind, Server, ServerConfig};
+use paradl_serve::server::{Bind, EvalHook, EvalStage, Server, ServerConfig};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 static SOCKET_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -276,6 +277,55 @@ fn unbuildable_specs_that_pass_vet_are_refused_like_local_runs() {
     let q = query(QueryMode::TopK(3), 256);
     let (served, _) = answer_bytes(connection.query(&q, None).unwrap());
     assert_eq!(served, q.run().unwrap().to_json().render());
+
+    server.shutdown_and_join();
+}
+
+#[test]
+fn groups_are_answered_oldest_member_first() {
+    let (bind, _path) = temp_socket();
+    // The eval hook sees each group's lead once, as its evaluation starts.
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&order);
+    let hook: EvalHook = Arc::new(move |q: &Query, stage: EvalStage| {
+        if stage == EvalStage::Eval {
+            let name = q.model.as_ref().map_or("?", |m| m.name.as_str());
+            seen.lock().unwrap().push(format!("{name} {:?}", q.mode));
+        }
+    });
+    // A long linger, so every query below lands in one drained batch.
+    let config = ServerConfig {
+        linger: Duration::from_millis(500),
+        eval_hook: Some(hook),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(bind.clone(), config).unwrap();
+
+    let vgg = |batch: usize| query(QueryMode::TopK(3), batch).with_model(paradl_models::vgg16());
+    // Arrival order: a VGG16 ranking, an AlexNet ranking, a second VGG16
+    // ranking (same class as the first), an AlexNet suggestion. Name order
+    // would put AlexNet first; the oldest member puts the VGG16 group first.
+    let arrivals =
+        [vgg(256), query(QueryMode::TopK(3), 256), vgg(512), query(QueryMode::Suggest, 256)];
+    let mut workers = Vec::new();
+    for q in arrivals {
+        let bind = bind.clone();
+        workers.push(std::thread::spawn(move || {
+            let mut connection = Connection::connect(&bind).unwrap();
+            let (served, stats) = answer_bytes(connection.query(&q, None).unwrap());
+            assert_eq!(served, q.run().unwrap().to_json().render());
+            stats
+        }));
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let stats: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let coalesced: Vec<usize> = stats.iter().map(|s| s.coalesced).collect();
+    assert_eq!(coalesced, [2, 1, 2, 1], "the two VGG16 rankings share one group");
+    assert_eq!(
+        *order.lock().unwrap(),
+        ["VGG16 TopK(3)", "AlexNet TopK(3)", "AlexNet Suggest"],
+        "groups must be answered in the arrival order of their oldest member"
+    );
 
     server.shutdown_and_join();
 }
