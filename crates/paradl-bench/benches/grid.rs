@@ -5,9 +5,12 @@
 //! (and the ≥ 5× acceptance floor) live in the `bench_grid_summary` binary,
 //! which writes `BENCH_grid.json`.
 //!
-//! The `b.iter` loop of the sweep benchmark reuses one `GridSweep`, so
-//! every iteration after the first refills the column buffers the previous
-//! one kept; the per-query baseline builds fresh oracles each time.
+//! `grid/sweep_12cells_amortized` reuses one `GridSweep`, so every
+//! iteration after the first is a warm repeat: it reuses the supersets,
+//! prep columns and coefficient columns the previous one kept and pays for
+//! engines, cells and evaluation. `grid/sweep_12cells_cold` builds a fresh
+//! `GridSweep` per iteration, so it times the cold path that computes
+//! every column; the per-query baseline builds fresh oracles each time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
@@ -63,8 +66,13 @@ fn bench_sweep_vs_per_query(c: &mut Criterion) {
     c.bench_function("grid/sweep_12cells_per_query", |b| {
         b.iter(|| std::hint::black_box(paradl_bench::per_query_sweep(&grid)))
     });
+    // Warm: the kept columns of the previous iteration serve this one.
     c.bench_function("grid/sweep_12cells_amortized", |b| {
         b.iter(|| std::hint::black_box(sweep.run(&grid)))
+    });
+    // Cold: a fresh sweep computes every column.
+    c.bench_function("grid/sweep_12cells_cold", |b| {
+        b.iter(|| std::hint::black_box(GridSweep::new().run(&grid)))
     });
 }
 

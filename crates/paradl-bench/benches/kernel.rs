@@ -7,8 +7,11 @@
 //! the `bench_kernel_summary` binary, which writes `BENCH_kernel.json`.
 //!
 //! Each `b.iter` loop reuses one `GridSweep`, so every iteration after the
-//! first refills the column buffers the previous one kept: these numbers
-//! are repeated-sweep times, not cold ones.
+//! first is a warm repeat that reuses the supersets, prep columns and
+//! coefficient columns the previous one kept: these numbers time the
+//! engines, cells and evaluation of a repeated sweep, not a cold one
+//! (`grid/sweep_12cells_cold` in `benches/grid.rs` times the same grid
+//! cold).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paradl_core::prelude::*;
@@ -32,6 +35,7 @@ fn bench_kernel(c: &mut Criterion) {
     let grid = small_grid();
     let sweep = GridSweep::new();
     assert_eq!(grid.num_queries(), 12);
+    // Warm: every column comes from the previous iteration.
     c.bench_function("kernel/analytic_12cells", |b| {
         b.iter(|| std::hint::black_box(sweep.run(&grid)))
     });
@@ -40,6 +44,8 @@ fn bench_kernel(c: &mut Criterion) {
 fn bench_chunk_granularity(c: &mut Criterion) {
     let grid = small_grid();
     for chunk in [2048usize, 8192, 32768] {
+        // Warm, like `kernel/analytic_12cells`: the chunk size moves only
+        // the evaluation, so the kept columns serve every size's repeats.
         let sweep = GridSweep::new().with_chunk_size(chunk);
         c.bench_function(&format!("kernel/analytic_chunk_{chunk}"), |b| {
             b.iter(|| std::hint::black_box(sweep.run(&grid)))

@@ -68,7 +68,8 @@ fn main() {
     let iters = 3;
     let t_per_query = best_of(iters, || per_query_sweep(&grid));
     // A fresh sweep per run, like the per-query baseline: a reused
-    // `GridSweep` would also skip re-allocating its column buffers.
+    // `GridSweep` would reuse its resident columns and skip all but
+    // engines, cells and evaluation.
     let t_grid = best_of(iters, || GridSweep::new().run(&grid));
     let speedup = t_per_query / t_grid;
     let rate = |t: f64| total_candidates as f64 / t;

@@ -9,14 +9,17 @@
 //! chunk granularity, and writes `BENCH_kernel.json` so CI tracks the
 //! candidates/sec trajectory next to `BENCH_search.json`/`BENCH_grid.json`.
 //! `analytic_seconds` times cold sweeps, each on a fresh `GridSweep`;
-//! `analytic_reused_seconds` times repeated runs of one sweep, which refill
-//! the column buffers it kept from its previous run.
+//! `analytic_reused_seconds` times warm repeats of one sweep, which reuse
+//! the supersets, prep columns and coefficient columns its previous run
+//! kept, and `speedup_reused_vs_mechanical` sets them against the
+//! mechanical path.
 //!
 //! Run with: `cargo run --release -p paradl-bench --bin bench_kernel_summary`
 //!
-//! With `PARADL_ASSERT_SPEEDUP=1` the kernel-stage throughput floor —
-//! ≥ 5× the committed 27.9 M candidates/s end-to-end grid number — is
-//! enforced (opt-in, as wall-clock numbers are noisy on shared runners).
+//! With `PARADL_ASSERT_SPEEDUP=1` two floors are enforced (opt-in, as
+//! wall-clock numbers are noisy on shared runners): the kernel-stage
+//! throughput ≥ 5× the committed 27.9 M candidates/s end-to-end grid
+//! number, and a warm repeat ≤ ½ the cold analytic sweep of the same run.
 
 use paradl_bench::cluster_axis;
 use paradl_core::prelude::*;
@@ -151,8 +154,8 @@ fn main() {
     }
 
     // `analytic` times cold sweeps (a fresh `GridSweep` per run, as every
-    // committed number before it); `reused` times `sweep`, which refills
-    // the column buffers its earlier runs kept.
+    // committed number before it); `reused` times warm repeats of `sweep`,
+    // whose every column comes from its previous run.
     let iters = 3;
     let analytic = best_stages(iters, || GridSweep::new().run_timed(&grid).1);
     let reused = best_stages(iters, || sweep.run_timed(&grid).1);
@@ -186,8 +189,9 @@ fn main() {
         t_analytic * 1e3,
         rate(t_analytic)
     );
+    let reused_speedup = t_mech / t_reused;
     println!(
-        "reused sweep     : {:>8.1} ms  ({:>10.0} candidates/s end-to-end, kept buffers)",
+        "reused sweep     : {:>8.1} ms  ({:>10.0} candidates/s end-to-end, kept columns)  {reused_speedup:.1}x",
         t_reused * 1e3,
         rate(t_reused)
     );
@@ -243,6 +247,7 @@ fn main() {
             "  \"speedup_vs_grid_baseline\": {:.2},\n",
             "  \"speedup_eval_vs_mechanical\": {:.2},\n",
             "  \"speedup_end_to_end\": {:.2},\n",
+            "  \"speedup_reused_vs_mechanical\": {:.2},\n",
             "  \"stages_analytic\": {{\"supersets\": {:.6}, \"engines\": {:.6}, \"preps\": {:.6}, \"comms\": {:.6}, \"cells\": {:.6}, \"eval\": {:.6}, \"finish\": {:.6}}},\n",
             "  \"stages_mechanical\": {{\"supersets\": {:.6}, \"engines\": {:.6}, \"preps\": {:.6}, \"comms\": {:.6}, \"cells\": {:.6}, \"eval\": {:.6}, \"finish\": {:.6}}},\n",
             "  \"chunk_sweep\": [\n{}  ]\n",
@@ -263,6 +268,7 @@ fn main() {
         kernel_rate / GRID_BASELINE_CANDIDATES_PER_SEC,
         eval_speedup,
         end_speedup,
+        reused_speedup,
         analytic.supersets,
         analytic.engines,
         analytic.preps,
@@ -293,6 +299,18 @@ fn main() {
         println!(
             "kernel floor asserted: {:.1}x >= 5x grid baseline",
             kernel_rate / GRID_BASELINE_CANDIDATES_PER_SEC
+        );
+        // A warm repeat pays for engines, cells and evaluation only.
+        assert!(
+            t_reused <= 0.5 * t_analytic,
+            "acceptance regression: warm repeat {:.1} ms > half the cold sweep ({:.1} ms)",
+            t_reused * 1e3,
+            t_analytic * 1e3
+        );
+        println!(
+            "warm repeat asserted: {:.1} ms <= half the cold sweep ({:.1} ms)",
+            t_reused * 1e3,
+            t_analytic * 1e3
         );
     }
 }

@@ -66,19 +66,37 @@
 //! [`GridSweep::run_timed`] returns the per-stage wall-clock timings of a
 //! sweep.
 //!
-//! A [`GridSweep`] keeps the column buffers of its last run — the per-model
-//! supersets, the per-(model, device) prep columns and the per-(model,
-//! cluster) communication columns — and its next run refills them in
-//! place, so a repeated sweep does not allocate and page-fault its working
-//! set again (≈ 160 MiB for the 72-cell paper grid). Nothing is cached:
-//! every run recomputes every value, only the capacity is reused. Each
-//! stage trims the columns it fills to their exact length, so the kept
-//! bytes never exceed what the last run held live. A run that finds the
-//! buffers busy (another thread sweeping on the same value) uses fresh ones;
-//! a clone starts with none, and dropping the sweep frees them. One-cell
-//! answers ([`Oracle::search`], [`crate::query::Query::run`]) sweep on fresh
-//! buffers, and the `paradl-serve` daemon builds a sweep per drained batch,
-//! so neither holds buffers between requests.
+//! A [`GridSweep`] keeps the columns of its last run *resident*: the
+//! per-model supersets, the per-(model, device) prep columns and the
+//! per-(model, cluster) communication columns, each with the exact inputs
+//! it was computed from. Each column is keyed by the parts of
+//! [`crate::key`] it depends on:
+//!
+//! * a superset by (scaling limits, largest batch, [`ConstraintsKey`]),
+//! * a prep set by (its superset's key, [`ModelKey`], the device profile,
+//!   [`MemoryKey`], the dataset size, the batch axis) — the dataset size is
+//!   in no [`ProblemKey`], but every lower bound reads it,
+//! * a communication column by (its prep set's key, [`ClusterKey`]).
+//!
+//! A later run reuses every kept column whose inputs it asks for again,
+//! matched by key wherever the column sat (a reordered axis still hits) and
+//! confirmed by value — the model's fields, the engine's per-layer times
+//! and every float by its bits, so −0.0 and 0.0 differ and a NaN matches
+//! only its own bits. It computes only the other columns, each into the
+//! buffer of a kept column it no longer needs. A repeated paper-grid sweep
+//! thus pays for engines, cells and evaluation only: ≈ 62–76 ms against
+//! ≈ 197–215 ms cold (`bench_kernel_summary`, shared 2-vCPU Xeon, two
+//! runs). A column's inputs are
+//! cleared before it is refilled and recorded only once the sweep's fills
+//! are complete, so a sweep that panics leaves no inputs on a half-filled
+//! column. The kept set is exactly the last run's columns, each trimmed to
+//! its length, so the kept bytes never exceed what that run held live. A
+//! run that finds the columns busy (another thread sweeping on the same
+//! value) sweeps on fresh buffers and keys nothing; a clone starts with
+//! none, and dropping the sweep frees them. One-cell answers
+//! ([`Oracle::search`], [`crate::query::Query::run`]) sweep on fresh
+//! buffers and key nothing, and the `paradl-serve` daemon builds a sweep
+//! per drained batch, so neither holds columns between requests.
 //!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
@@ -94,12 +112,15 @@
 //! [`Oracle::search_reference`]: crate::oracle::Oracle::search_reference
 //! [`ModelLimits::is_valid`]: crate::engine::ModelLimits::is_valid
 //! [`EngineCache`]: crate::engine::EngineCache
+//! [`ProblemKey`]: crate::key::ProblemKey
 
 use crate::cluster::ClusterSpec;
-use crate::compute::DeviceProfile;
+use crate::compute::{DeviceProfile, LayerTimes};
 use crate::config::TrainingConfig;
-use crate::engine::{CommCoef, CostEngine};
+use crate::engine::{CommCoef, CostEngine, ModelLimits};
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
+use crate::key::{ClusterKey, ConstraintsKey, MemoryKey, ModelKey};
+use crate::layer::Layer;
 use crate::model::Model;
 use crate::oracle::Constraints;
 use crate::search::{budget_index, finish_report, RankedCandidate, SearchReport, StrategySpace};
@@ -107,7 +128,7 @@ use crate::strategy::Strategy;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
@@ -400,24 +421,393 @@ impl PreppedSpace {
     }
 }
 
-/// The column buffers of one sweep: one candidate superset per model, one
-/// prep per batch for every (model, device group), and one
+/// The columns of one sweep: one candidate superset per model, one prep
+/// per batch for every (model, device group), and one
 /// communication-coefficient column per (model, cluster) pair (none in a
-/// full-ranking sweep), each list model-major. A [`GridSweep`] keeps them
-/// between runs and the next sweep refills them in place, so slot `i`
-/// always serves the `i`-th (model, device) or (model, cluster) index of
-/// the sweep at hand. Each stage trims every column it fills to its
-/// length, so no push-growth slack stays live through the later stages or
-/// between runs.
+/// full-ranking sweep), each list model-major, so slot `i` serves the
+/// `i`-th (model, device) or (model, cluster) index of the sweep at hand.
+/// A [`GridSweep`] keeps them between runs, each with the inputs it was
+/// computed from ([`Resident`]); the next run reuses every column whose
+/// inputs it asks for again, wherever the column sat, and refills the
+/// others in the buffers of the columns it no longer needs. Each stage
+/// trims every column it fills to its length, so no push-growth slack
+/// stays live through the later stages or between runs. The memory bound:
+/// the kept set is exactly the last run's columns plus their recorded
+/// inputs, of which only a prep set's are not a few words — its model's
+/// fields as 32-bit words and the engine's per-layer times, ≈ 65 KB for
+/// the four paper models.
 #[derive(Default)]
 struct SweepBuffers {
-    supersets: Vec<Vec<Strategy>>,
-    preps: Vec<Vec<PreppedSpace>>,
-    coefs: Vec<Vec<CommCoef>>,
+    supersets: Columns<SupersetKey, Vec<Strategy>>,
+    preps: Columns<Arc<PrepInputs>, Vec<PreppedSpace>>,
+    coefs: Columns<CoefInputs, Vec<CommCoef>>,
 }
 
-/// Calls `f(i, &mut items[i])` for every index of `order` (a permutation
-/// of `0..items.len()`) on the worker pool. Workers take the next index of
+/// A column a [`GridSweep`] keeps between runs, with the inputs it was
+/// computed from. `inputs` is cleared before the column is refilled and
+/// recorded only at the end of the sweep, after every fill completed, so a
+/// sweep that panics (its lock is recovered by the next run) never leaves
+/// inputs on a half-filled column.
+struct Resident<K, V> {
+    inputs: Option<K>,
+    column: V,
+}
+
+/// The inputs a resident column records (`Self`), set against what a run
+/// asks for (`W`, which borrows the run's engines, so a hit copies
+/// nothing).
+trait Inputs<W> {
+    /// Whether these are `want`'s inputs: the key parts first, then the
+    /// values behind them, floats by their bits.
+    fn is(&self, want: &W) -> bool;
+}
+
+impl<W, T: Inputs<W>> Inputs<W> for Arc<T> {
+    fn is(&self, want: &W) -> bool {
+        (**self).is(want)
+    }
+}
+
+/// One stage's resident columns, one per slot of the last run.
+struct Columns<K, V> {
+    slots: Vec<Resident<K, V>>,
+    /// Columns the stage computed over the sweep's lifetime (the rest were
+    /// reused).
+    #[cfg(test)]
+    filled: usize,
+}
+
+impl<K, V> Default for Columns<K, V> {
+    fn default() -> Self {
+        Columns {
+            slots: Vec::new(),
+            #[cfg(test)]
+            filled: 0,
+        }
+    }
+}
+
+impl<K, V> std::ops::Index<usize> for Columns<K, V> {
+    type Output = V;
+
+    fn index(&self, i: usize) -> &V {
+        &self.slots[i].column
+    }
+}
+
+impl<K: Send, V: Default + Send> Columns<K, V> {
+    /// Lays out the stage's columns for a run of `n` slots, slot `i`
+    /// asking for `wants[i]`, and returns the slots left to fill. A kept
+    /// column whose inputs are a slot's serves it as is: columns are
+    /// matched by their inputs, not by their position, so a reordered axis
+    /// still hits. Every other slot takes, with its inputs cleared, the
+    /// buffer of a kept column no slot matched: the one that sat in the
+    /// same slot if it is free (an input changed in place, so the column
+    /// refills to about its old size), else any other, else a new one. The
+    /// kept columns left over are freed: the stage keeps exactly this run's
+    /// columns. Without `wants` (a one-shot sweep) nothing is matched.
+    fn claim<W>(&mut self, n: usize, wants: Option<&[W]>) -> Vec<usize>
+    where
+        K: Inputs<W>,
+    {
+        let mut spare: Vec<Option<Resident<K, V>>> =
+            std::mem::take(&mut self.slots).into_iter().map(Some).collect();
+        let mut misses = Vec::new();
+        for i in 0..n {
+            let hit = wants.and_then(|wants| {
+                spare.iter().position(|s| {
+                    s.as_ref().and_then(|s| s.inputs.as_ref()).is_some_and(|k| k.is(&wants[i]))
+                })
+            });
+            self.slots.push(match hit.and_then(|j| spare[j].take()) {
+                Some(kept) => kept,
+                None => {
+                    misses.push(i);
+                    Resident { inputs: None, column: V::default() }
+                }
+            });
+        }
+        let mut unplaced = Vec::new();
+        for &i in &misses {
+            match spare.get_mut(i).and_then(Option::take) {
+                Some(old) => self.slots[i].column = old.column,
+                None => unplaced.push(i),
+            }
+        }
+        for (i, old) in unplaced.into_iter().zip(spare.into_iter().flatten()) {
+            self.slots[i].column = old.column;
+        }
+        misses
+    }
+
+    /// Fills the slots `claim` left, in `order` (the costliest first, as
+    /// [`par_fill_scheduled`] takes them), with `fill(slot, column)`.
+    fn fill(&mut self, order: &[usize], fill: impl Fn(usize, &mut V) + Sync) {
+        #[cfg(test)]
+        {
+            self.filled += order.len();
+        }
+        par_fill_scheduled(order, &mut self.slots, |i, slot| fill(i, &mut slot.column));
+    }
+
+    /// Records `inputs(slot)` on every column without inputs: the columns
+    /// this run filled, once every fill has completed.
+    fn record(&mut self, mut inputs: impl FnMut(usize) -> Option<K>) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.inputs.is_none() {
+                slot.inputs = inputs(i);
+            }
+        }
+    }
+}
+
+/// A float's bits: the inputs of a resident column compare floats
+/// exactly, so −0.0 and 0.0 differ and a NaN matches only its own bits.
+fn bits(x: f64) -> u64 {
+    x.to_bits()
+}
+
+/// Every field of a device profile, by its bits.
+fn device_bits(device: &DeviceProfile) -> [u64; 5] {
+    let DeviceProfile {
+        peak_flops,
+        conv_efficiency,
+        memory_bound_efficiency,
+        kernel_overhead,
+        update_elements_per_sec,
+    } = *device;
+    [
+        bits(peak_flops),
+        bits(conv_efficiency),
+        bits(memory_bound_efficiency),
+        bits(kernel_overhead),
+        bits(update_elements_per_sec),
+    ]
+}
+
+/// Every field of a cluster, floats by their bits: the device profile,
+/// then the machine shape and the links.
+fn cluster_bits(cluster: &ClusterSpec) -> ([u64; 5], [u64; 9]) {
+    let ClusterSpec {
+        ref device,
+        gpus_per_node,
+        nodes_per_rack,
+        racks,
+        intra_node,
+        intra_rack,
+        inter_rack,
+    } = *cluster;
+    let shape_and_links = [
+        gpus_per_node as u64,
+        nodes_per_rack as u64,
+        racks as u64,
+        bits(intra_node.alpha),
+        bits(intra_node.beta),
+        bits(intra_rack.alpha),
+        bits(intra_rack.beta),
+        bits(inter_rack.alpha),
+        bits(inter_rack.beta),
+    ];
+    (device_bits(device), shape_and_links)
+}
+
+/// The inputs of a model's candidate superset: its scaling limits, the
+/// largest batch of the axis and the constraints (keyed, and confirmed by
+/// the fields' bits).
+#[derive(Clone, PartialEq)]
+struct SupersetKey {
+    constraints: ConstraintsKey,
+    max_batch: usize,
+    limits: ModelLimits,
+    constraint_bits: [u64; 6],
+}
+
+impl SupersetKey {
+    fn of(limits: &ModelLimits, max_batch: usize, constraints: &Constraints) -> Self {
+        let Constraints { max_pes, memory_capacity_bytes, pipeline_segments, top_k, sweep } =
+            *constraints;
+        SupersetKey {
+            constraints: ConstraintsKey::of(constraints),
+            max_batch,
+            limits: limits.clone(),
+            constraint_bits: [
+                max_pes as u64,
+                bits(memory_capacity_bytes),
+                pipeline_segments as u64,
+                top_k.is_some() as u64,
+                top_k.unwrap_or(0) as u64,
+                sweep as u64,
+            ],
+        }
+    }
+}
+
+impl Inputs<SupersetKey> for SupersetKey {
+    fn is(&self, want: &SupersetKey) -> bool {
+        self == want
+    }
+}
+
+/// What a run asks of one (model, device) prep set: the model's superset
+/// inputs, the model, the device, `δ`/`γ`, the dataset size (every lower
+/// bound reads it, though [`crate::key::ProblemKey`] leaves it out) and
+/// the batch axis in order.
+struct PrepWant<'w> {
+    superset: &'w SupersetKey,
+    model: ModelKey,
+    memory: MemoryKey,
+    device: [u64; 5],
+    dataset_size: usize,
+    batches: &'w [usize],
+    delta_gamma: [u64; 2],
+    /// The model's fields ([`model_words`]), moved into the record.
+    model_words: Option<Vec<u32>>,
+    /// The per-layer times the engine was built with: an engine may come
+    /// from any compute model, so its cluster's device profile alone does
+    /// not determine the bounds.
+    times: &'w LayerTimes,
+}
+
+/// Every field of `model` but its layers' names (no cost reads them), as
+/// 32-bit words, or `None` when a value does not fit in 32 bits (such a
+/// model's columns are never reused). A prep set records these words to
+/// confirm its model by value: they take a quarter of a cloned model's
+/// heap, which matters to a one-shot sweep of small columns.
+fn model_words(model: &Model) -> Option<Vec<u32>> {
+    let Model { name, input_channels, input_spatial, layers } = model;
+    let slices = |l: &Layer| l.in_spatial.len() + l.kernel.len() + l.stride.len() + l.padding.len();
+    let len =
+        4 + name.len() + input_spatial.len() + layers.iter().map(|l| 7 + slices(l)).sum::<usize>();
+    let mut words = Vec::with_capacity(len);
+    let mut put = |v: usize| u32::try_from(v).ok().map(|w| words.push(w));
+    put(name.len())?;
+    for b in name.bytes() {
+        put(b.into())?;
+    }
+    put(*input_channels)?;
+    put(input_spatial.len())?;
+    for &v in input_spatial {
+        put(v)?;
+    }
+    put(layers.len())?;
+    for layer in layers {
+        let Layer { name: _, kind, in_channels, out_channels, in_spatial, kernel, stride, padding } =
+            layer;
+        for v in [*kind as usize, *in_channels, *out_channels] {
+            put(v)?;
+        }
+        for values in [in_spatial, kernel, stride, padding] {
+            put(values.len())?;
+            for &v in values {
+                put(v)?;
+            }
+        }
+    }
+    debug_assert_eq!(words.len(), len);
+    Some(words)
+}
+
+impl<'w> PrepWant<'w> {
+    fn of(engine: &'w CostEngine<'_>, superset: &'w SupersetKey, batches: &'w [usize]) -> Self {
+        let config = engine.config();
+        PrepWant {
+            superset,
+            model: ModelKey::of(engine.model()),
+            memory: MemoryKey::of(config),
+            device: device_bits(&engine.cluster().device),
+            dataset_size: config.dataset_size,
+            batches,
+            delta_gamma: [bits(config.bytes_per_item), bits(config.memory_reuse)],
+            model_words: model_words(engine.model()),
+            times: engine.layer_times(),
+        }
+    }
+
+    fn time_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let t = self.times;
+        t.forward.iter().chain(&t.backward).chain(&t.weight_update).map(|&x| bits(x))
+    }
+}
+
+/// The recorded inputs of a prep set (see [`PrepWant`]); shared with the
+/// communication columns computed from it.
+struct PrepInputs {
+    superset: SupersetKey,
+    model: ModelKey,
+    memory: MemoryKey,
+    device: [u64; 5],
+    dataset_size: usize,
+    batches: Vec<usize>,
+    delta_gamma: [u64; 2],
+    model_words: Vec<u32>,
+    time_bits: Vec<u64>,
+}
+
+impl Inputs<PrepWant<'_>> for PrepInputs {
+    fn is(&self, want: &PrepWant<'_>) -> bool {
+        self.model == want.model
+            && self.memory == want.memory
+            && self.device == want.device
+            && self.dataset_size == want.dataset_size
+            && self.batches == want.batches
+            && self.superset == *want.superset
+            && self.delta_gamma == want.delta_gamma
+            && self.time_bits.iter().copied().eq(want.time_bits())
+            && want.model_words.as_ref() == Some(&self.model_words)
+    }
+}
+
+impl PrepInputs {
+    /// Records `want`, moving its model words out; `None` when the model
+    /// cannot be confirmed by value (see [`model_words`]), so its column
+    /// is kept without inputs and never reused.
+    fn of(want: &mut PrepWant<'_>) -> Option<Arc<Self>> {
+        Some(Arc::new(PrepInputs {
+            superset: want.superset.clone(),
+            model: want.model,
+            memory: want.memory,
+            device: want.device,
+            dataset_size: want.dataset_size,
+            batches: want.batches.to_vec(),
+            delta_gamma: want.delta_gamma,
+            time_bits: want.time_bits().collect(),
+            model_words: want.model_words.take()?,
+        }))
+    }
+}
+
+/// What a run asks of one (model, cluster) communication column: the
+/// inputs of the prep set whose rows it covers, and the cluster.
+struct CoefWant<'w> {
+    prep: &'w PrepWant<'w>,
+    cluster: ClusterKey,
+    cluster_bits: ([u64; 5], [u64; 9]),
+}
+
+impl<'w> CoefWant<'w> {
+    fn of(prep: &'w PrepWant<'w>, cluster: &ClusterSpec) -> Self {
+        CoefWant { prep, cluster: ClusterKey::of(cluster), cluster_bits: cluster_bits(cluster) }
+    }
+}
+
+/// The recorded inputs of a communication column (see [`CoefWant`]),
+/// sharing the prep set's.
+struct CoefInputs {
+    prep: Arc<PrepInputs>,
+    cluster: ClusterKey,
+    cluster_bits: ([u64; 5], [u64; 9]),
+}
+
+impl Inputs<CoefWant<'_>> for CoefInputs {
+    fn is(&self, want: &CoefWant<'_>) -> bool {
+        self.cluster == want.cluster
+            && self.cluster_bits == want.cluster_bits
+            && self.prep.is(want.prep)
+    }
+}
+
+/// Calls `f(i, &mut items[i])` for every index of `order` (distinct
+/// indices of `items`) on the worker pool. Workers take the next index of
 /// `order` whenever they free up, instead of each owning a fixed
 /// contiguous share: the sweep's stages have a few items of very unequal
 /// cost (one per model, or per model and cluster), and a static split
@@ -522,21 +912,24 @@ impl Laps {
 /// Evaluates a [`QueryGrid`], amortizing engines and candidate
 /// enumeration across cells (see the [module docs](crate::grid)).
 ///
-/// A sweep keeps the column buffers of its last run — the candidate
-/// supersets, the prep columns and the communication-coefficient columns —
-/// and the next [`run`](GridSweep::run), [`run_timed`](GridSweep::run_timed)
-/// or [`run_engine`](GridSweep::run_engine) refills them in place instead of
-/// allocating (and page-faulting) them again. Every value is still
-/// recomputed on every run; only capacity is reused. The kept columns are
-/// trimmed to the exact length of the last run, so they never hold more
-/// than that run held live. A run that finds the buffers in use by another
-/// thread sweeping on the same value allocates fresh ones for itself.
-/// [`Clone`] gives a sweep with empty buffers, and dropping a sweep frees
-/// them.
+/// A sweep keeps the columns of its last run resident — the candidate
+/// supersets, the prep columns and the communication-coefficient columns,
+/// each with the inputs it was computed from (see the
+/// [module docs](crate::grid) for the keys). The next
+/// [`run`](GridSweep::run), [`run_timed`](GridSweep::run_timed) or
+/// [`run_engine`](GridSweep::run_engine) reuses every column whose inputs
+/// it asks for again and computes the rest into the buffers of the columns
+/// it no longer needs, so a repeated grid pays only for engines, cells and
+/// evaluation, and a grid with one axis changed also for the columns that
+/// axis reaches. The kept set is exactly the last run's columns, trimmed
+/// to their lengths, so it never holds more than that run held live. A run
+/// that finds the columns in use by another thread sweeping on the same
+/// value sweeps on fresh buffers of its own. [`Clone`] gives a sweep with
+/// no columns, and dropping a sweep frees them.
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
-    /// The column buffers of the last run.
+    /// The resident columns of the last run.
     kept: Mutex<SweepBuffers>,
 }
 
@@ -587,8 +980,9 @@ impl GridSweep {
     /// ranked arm of
     /// [`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine).
     /// Nothing is built and nothing rebatched: the cell's candidates are
-    /// enumerated at the engine's own batch. The sweep's kept buffers are
-    /// neither used nor touched: a one-cell answer is a one-shot sweep.
+    /// enumerated at the engine's own batch. The sweep's kept columns are
+    /// neither read nor touched and nothing is keyed: a one-cell answer is
+    /// a one-shot sweep.
     pub(crate) fn run_one(
         &self,
         engine: &CostEngine<'_>,
@@ -600,7 +994,7 @@ impl GridSweep {
             &[0],
             &[engine.config().batch_size],
             constraints,
-            &mut SweepBuffers::default(),
+            None,
             &mut timings,
         );
         cells.pop().expect("a one-cell sweep yields one cell").report
@@ -666,8 +1060,10 @@ impl GridSweep {
     /// key it computed once per group). The engine may sit at any batch;
     /// each cell is answered on a rebatched sibling, so the report equals
     /// [`GridSweep::run`] on that grid. Cells come back in `batches` order
-    /// with model and cluster index 0, and the kept buffers are refilled as
-    /// in every run.
+    /// with model and cluster index 0, and the kept columns serve and are
+    /// refilled as in every run: each is keyed by the engine's model,
+    /// cluster, per-layer times and config, so an engine of another compute
+    /// model never hits a column of this one.
     pub fn run_engine(
         &self,
         engine: &CostEngine<'_>,
@@ -687,8 +1083,8 @@ impl GridSweep {
         GridReport { cells }
     }
 
-    /// [`GridSweep::sweep`] on the kept buffers, or on fresh ones while
-    /// another thread sweeps with them.
+    /// [`GridSweep::sweep`] on the kept columns, or one-shot on fresh
+    /// buffers while another thread sweeps with them.
     fn sweep_kept(
         &self,
         engines: &[CostEngine<'_>],
@@ -698,20 +1094,13 @@ impl GridSweep {
         timings: &mut GridStageTimings,
     ) -> Vec<GridCell> {
         let mut kept = self.kept_buffers();
-        self.sweep(
-            engines,
-            group_of,
-            batches,
-            constraints,
-            kept.as_deref_mut().unwrap_or(&mut SweepBuffers::default()),
-            timings,
-        )
+        self.sweep(engines, group_of, batches, constraints, kept.as_deref_mut(), timings)
     }
 
-    /// The kept buffers, or `None` while another thread sweeps with them.
-    /// A poisoned lock is recovered: every sweep clears each buffer before
-    /// refilling it, so a sweep that panicked leaves nothing the next one
-    /// reads.
+    /// The kept columns, or `None` while another thread sweeps with them.
+    /// A poisoned lock is recovered: a column's inputs are cleared before
+    /// it is refilled and recorded only once the sweep's fills complete, so
+    /// a sweep that panicked leaves no inputs on a half-filled column.
     fn kept_buffers(&self) -> Option<MutexGuard<'_, SweepBuffers>> {
         match self.kept.try_lock() {
             Ok(kept) => Some(kept),
@@ -724,7 +1113,10 @@ impl GridSweep {
     /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
     /// the device group of cluster `c` (clusters of one group share the
     /// prep tables). The supersets, preps and communication columns are
-    /// written into `bufs`. Returns the cells model-major, then batch, then
+    /// taken from `kept` where its columns were computed from the inputs
+    /// this sweep asks for, and computed into it otherwise; without `kept`
+    /// (a one-shot sweep) every column is computed into fresh buffers and
+    /// no inputs are keyed. Returns the cells model-major, then batch, then
     /// cluster — [`QueryGrid::queries`] order — and records the stages from
     /// `supersets` on, timed from the call.
     fn sweep(
@@ -733,7 +1125,7 @@ impl GridSweep {
         group_of: &[usize],
         batches: &[usize],
         constraints: &Constraints,
-        bufs: &mut SweepBuffers,
+        kept: Option<&mut SweepBuffers>,
         timings: &mut GridStageTimings,
     ) -> Vec<GridCell> {
         let mut laps = Laps(Instant::now());
@@ -744,14 +1136,20 @@ impl GridSweep {
             .map(|g| group_of.iter().position(|&x| x == g).expect("groups are dense"))
             .collect();
         let max_batch = *batches.iter().max().expect("non-empty batch axis");
+        let keyed = kept.is_some();
+        let mut fresh = SweepBuffers::default();
+        let SweepBuffers { supersets, preps, coefs } = kept.unwrap_or(&mut fresh);
 
         // One candidate superset per model, enumerated at the largest
         // batch; models enumerate in parallel. Nothing cheaper than the
         // enumeration predicts its cost, so models go in grid order.
-        let SweepBuffers { supersets, preps, coefs } = bufs;
-        let order: Vec<usize> = (0..n_models).collect();
-        supersets.resize_with(n_models, Vec::new);
-        par_fill_scheduled(&order, supersets, |m, superset| {
+        let superset_wants: Option<Vec<SupersetKey>> = keyed.then(|| {
+            (0..n_models)
+                .map(|m| SupersetKey::of(engines[m * n_clusters].limits(), max_batch, constraints))
+                .collect()
+        });
+        let order = supersets.claim(n_models, superset_wants.as_deref());
+        supersets.fill(&order, |m, superset| {
             let limits = engines[m * n_clusters].limits();
             StrategySpace::fill(max_batch, constraints, limits, superset);
             // Trim by copying, not in place: freeing the push-grown buffer
@@ -763,20 +1161,26 @@ impl GridSweep {
                 *superset = superset.to_vec();
             }
         });
-        let supersets: &[Vec<Strategy>] = supersets;
+        let superset_cols = &*supersets;
         timings.supersets = laps.lap();
 
         // Per-(model, device) prepped spaces covering the whole batch axis:
         // one superset pass enumerates, memory-prunes and bound-tabulates
         // every batch's candidates, so the largest supersets go first.
-        let order = costliest_first(n_models * n_groups, |i| supersets[i / n_groups].len());
-        preps.resize_with(n_models * n_groups, Vec::new);
-        par_fill_scheduled(&order, preps, |i, preps| {
-            let (m, g) = (i / n_groups, i % n_groups);
-            let engine = &engines[m * n_clusters + group_reps[g]];
-            PreppedSpace::build_all(&supersets[m], engine, batches, constraints, preps);
+        let prep_engine =
+            |i: usize| &engines[(i / n_groups) * n_clusters + group_reps[i % n_groups]];
+        let prep_wants: Option<Vec<PrepWant<'_>>> = superset_wants.as_ref().map(|keys| {
+            (0..n_models * n_groups)
+                .map(|i| PrepWant::of(prep_engine(i), &keys[i / n_groups], batches))
+                .collect()
         });
-        let preps: &[Vec<PreppedSpace>] = preps;
+        let mut order = preps.claim(n_models * n_groups, prep_wants.as_deref());
+        order.sort_by_key(|&i| std::cmp::Reverse(superset_cols[i / n_groups].len()));
+        preps.fill(&order, |i, preps| {
+            let superset = &superset_cols[i / n_groups];
+            PreppedSpace::build_all(superset, prep_engine(i), batches, constraints, preps);
+        });
+        let prep_cols = &*preps;
         timings.preps = laps.lap();
 
         // Per-(model, cluster) communication columns, aligned with the
@@ -787,37 +1191,41 @@ impl GridSweep {
         // no batch's prep references (invalid or memory-infeasible at every
         // batch) are skipped. Full ranking builds a fresh estimate per
         // candidate and never reads the columns.
-        if constraints.top_k.is_some() {
-            let used: Vec<Vec<bool>> = (0..n_models * n_groups)
-                .map(|i| {
-                    let mut used = vec![false; supersets[i / n_groups].len()];
-                    for prep in &preps[i] {
-                        for &si in &prep.sup {
-                            used[si as usize] = true;
-                        }
+        let n_coefs = if constraints.top_k.is_some() { n_models * n_clusters } else { 0 };
+        let prep_of = |i: usize| (i / n_clusters) * n_groups + group_of[i % n_clusters];
+        let coef_wants: Option<Vec<CoefWant<'_>>> = prep_wants.as_ref().map(|preps| {
+            (0..n_coefs).map(|i| CoefWant::of(&preps[prep_of(i)], engines[i].cluster())).collect()
+        });
+        let mut order = coefs.claim(n_coefs, coef_wants.as_deref());
+        // Which superset rows each prep set behind a column to fill uses at
+        // any batch: only those rows are priced.
+        let mut used: Vec<Vec<bool>> = vec![Vec::new(); n_models * n_groups];
+        for &i in &order {
+            let p = prep_of(i);
+            if used[p].is_empty() {
+                used[p] = vec![false; superset_cols[i / n_clusters].len()];
+                for prep in &prep_cols[p] {
+                    for &si in &prep.sup {
+                        used[p][si as usize] = true;
                     }
-                    used
-                })
-                .collect();
-            let order = costliest_first(n_models * n_clusters, |i| supersets[i / n_clusters].len());
-            coefs.resize_with(n_models * n_clusters, Vec::new);
-            par_fill_scheduled(&order, coefs, |i, column| {
-                let (m, c) = (i / n_clusters, i % n_clusters);
-                let (engine, used) = (&engines[i], &used[m * n_groups + group_of[c]]);
-                column.clear();
-                column.extend(supersets[m].iter().zip(used).map(|(&s, &u)| {
-                    if u {
-                        engine.comm_prep(s)
-                    } else {
-                        CommCoef::default()
-                    }
-                }));
-                column.shrink_to_fit();
-            });
-        } else {
-            coefs.clear();
+                }
+            }
         }
-        let coefs: &[Vec<CommCoef>] = coefs;
+        order.sort_by_key(|&i| std::cmp::Reverse(superset_cols[i / n_clusters].len()));
+        coefs.fill(&order, |i, column| {
+            let (engine, used) = (&engines[i], &used[prep_of(i)]);
+            column.clear();
+            column.extend(superset_cols[i / n_clusters].iter().zip(used).map(|(&s, &u)| {
+                if u {
+                    engine.comm_prep(s)
+                } else {
+                    CommCoef::default()
+                }
+            }));
+            column.shrink_to_fit();
+        });
+        drop(used);
+        let coef_cols = &*coefs;
         timings.comms = laps.lap();
 
         // Cell contexts: the engine at the cell's batch, its kernel columns
@@ -831,15 +1239,15 @@ impl GridSweep {
         for m in 0..n_models {
             for (b, &batch) in batches.iter().enumerate() {
                 for c in 0..n_clusters {
-                    let prep = &preps[m * n_groups + group_of[c]][b];
+                    let prep = &prep_cols[m * n_groups + group_of[c]][b];
                     let engine = at_batch(&engines[m * n_clusters + c], batch);
                     let cols = KernelColumns {
-                        superset: &supersets[m],
+                        superset: &superset_cols[m],
                         sup: &prep.sup,
                         lbs: &prep.lbs,
                         slots: &prep.slots,
                         fams: &prep.fams,
-                        coef: coefs.get(m * n_clusters + c).map_or(&[][..], Vec::as_slice),
+                        coef: if n_coefs > 0 { &coef_cols[m * n_clusters + c] } else { &[] },
                     };
                     let bounds = StaticBounds::from_seeds(
                         &engine,
@@ -908,6 +1316,21 @@ impl GridSweep {
                 GridCell { query, report }
             })
             .collect();
+
+        // The columns this sweep filled are complete: record their inputs.
+        let clusters: Option<Vec<_>> =
+            coef_wants.map(|wants| wants.iter().map(|w| (w.cluster, w.cluster_bits)).collect());
+        if let (Some(superset_wants), Some(mut prep_wants), Some(clusters)) =
+            (&superset_wants, prep_wants, clusters)
+        {
+            supersets.record(|m| Some(superset_wants[m].clone()));
+            preps.record(|i| PrepInputs::of(&mut prep_wants[i]));
+            coefs.record(|i| {
+                let prep = Arc::clone(preps.slots[prep_of(i)].inputs.as_ref()?);
+                let (cluster, cluster_bits) = clusters[i];
+                Some(CoefInputs { prep, cluster, cluster_bits })
+            });
+        }
         timings.finish = laps.lap();
         cells
     }
@@ -918,10 +1341,9 @@ mod tests {
     use super::*;
     use crate::engine::{EngineCache, ModelLimits};
     use crate::key::{KeyedModel, ProblemKey};
-    use crate::layer::Layer;
+    use crate::layer::LayerKind;
     use crate::oracle::{Oracle, PeSweep};
     use crate::search::strategy_sort_key;
-    use std::sync::Arc;
 
     fn model(seed: usize) -> Model {
         Model::new(
@@ -1200,25 +1622,174 @@ mod tests {
         }
     }
 
-    /// Every kept column is trimmed to its length, and the slot counts are
-    /// the last sweep's: `models` supersets, `models × groups` prep lists
-    /// and, for a top-k sweep, `models × clusters` coefficient columns.
+    /// Every kept column is trimmed to its length and keyed by its inputs,
+    /// and the slot counts are the last sweep's: `models` supersets,
+    /// `models × groups` prep lists and, for a top-k sweep,
+    /// `models × clusters` coefficient columns.
     fn assert_kept_exact(sweep: &GridSweep, grid: &QueryGrid, groups: usize) {
         let kept = sweep.kept.lock().expect("no sweep running");
         let n_models = grid.models.len();
         let n_coefs =
             if grid.constraints.top_k.is_some() { n_models * grid.clusters.len() } else { 0 };
-        assert_eq!(kept.supersets.len(), n_models, "superset slots");
-        assert_eq!(kept.preps.len(), n_models * groups, "prep slots");
-        assert_eq!(kept.coefs.len(), n_coefs, "coefficient slots");
-        assert!(kept.supersets.iter().all(|s| s.capacity() == s.len()), "supersets trimmed");
-        assert!(kept.coefs.iter().all(|c| c.capacity() == c.len()), "coefficients trimmed");
-        for prep in kept.preps.iter().flatten() {
+        assert_eq!(kept.supersets.slots.len(), n_models, "superset slots");
+        assert_eq!(kept.preps.slots.len(), n_models * groups, "prep slots");
+        assert_eq!(kept.coefs.slots.len(), n_coefs, "coefficient slots");
+        assert!(kept.supersets.slots.iter().all(|s| s.inputs.is_some()), "supersets keyed");
+        assert!(kept.preps.slots.iter().all(|s| s.inputs.is_some()), "preps keyed");
+        assert!(kept.coefs.slots.iter().all(|s| s.inputs.is_some()), "coefficients keyed");
+        let supersets = kept.supersets.slots.iter().map(|s| &s.column);
+        assert!(supersets.into_iter().all(|s| s.capacity() == s.len()), "supersets trimmed");
+        let coefs = kept.coefs.slots.iter().map(|s| &s.column);
+        assert!(coefs.into_iter().all(|c| c.capacity() == c.len()), "coefficients trimmed");
+        for prep in kept.preps.slots.iter().flat_map(|s| &s.column) {
             assert_eq!(prep.sup.capacity(), prep.sup.len(), "prep rows trimmed");
             assert_eq!(prep.lbs.capacity(), prep.lbs.len(), "prep bounds trimmed");
             assert_eq!(prep.slots.capacity(), prep.slots.len(), "prep slots trimmed");
             assert_eq!(prep.fams.capacity(), prep.fams.len(), "prep families trimmed");
         }
+    }
+
+    /// Columns each stage (supersets, preps, coefficients) has computed
+    /// over `sweep`'s lifetime.
+    fn filled(sweep: &GridSweep) -> [usize; 3] {
+        let kept = sweep.kept.lock().expect("no sweep running");
+        [kept.supersets.filled, kept.preps.filled, kept.coefs.filled]
+    }
+
+    #[test]
+    fn resident_columns_are_reused_only_for_their_inputs() {
+        let constraints = Constraints { max_pes: 128, top_k: Some(5), ..Default::default() };
+        let grid = small_grid(constraints);
+        let sweep = GridSweep::new().with_chunk_size(256);
+        let check = |grid: &QueryGrid, report: &GridReport, what: &str| {
+            let fresh = GridSweep::new().with_chunk_size(256).run(grid);
+            for (x, y) in report.cells.iter().zip(&fresh.cells) {
+                assert_reports_equal(&x.report, &y.report, &format!("{what} {:?}", x.query));
+            }
+        };
+        // Two models, one device group, two clusters.
+        check(&grid, &sweep.run(&grid), "cold");
+        assert_eq!(filled(&sweep), [2, 2, 4], "cold");
+        check(&grid, &sweep.run(&grid), "warm");
+        assert_eq!(filled(&sweep), [2, 2, 4], "a repeat computes nothing");
+        // The model axis reversed: every column hits where it now sits.
+        let reversed = QueryGrid::new(constraints)
+            .with_model(model(1), TrainingConfig::small(4096, 64))
+            .with_model(model(0), TrainingConfig::small(8192, 64))
+            .with_batches([32usize, 64, 96])
+            .with_cluster(ClusterSpec::paper_system())
+            .with_cluster(ClusterSpec::workstation(8));
+        check(&reversed, &sweep.run(&reversed), "reversed");
+        assert_eq!(filled(&sweep), [2, 2, 4], "a reordered axis hits");
+        // A third cluster on the V100 profile: only its coefficients.
+        let wider = small_grid(constraints).with_cluster(ClusterSpec::workstation(4));
+        check(&wider, &sweep.run(&wider), "wider");
+        assert_eq!(filled(&sweep), [2, 2, 6], "a new cluster computes its columns only");
+        // One model's dataset size: its prep set and coefficients, not its
+        // superset (the dataset is in no `ProblemKey`).
+        let dataset = QueryGrid::new(constraints)
+            .with_model(model(0), TrainingConfig::small(8192, 64))
+            .with_model(model(1), TrainingConfig::small(4097, 64))
+            .with_batches([32usize, 64, 96])
+            .with_cluster(ClusterSpec::paper_system())
+            .with_cluster(ClusterSpec::workstation(8));
+        check(&dataset, &sweep.run(&dataset), "dataset");
+        assert_eq!(filled(&sweep), [2, 3, 8], "a dataset size moves its prep and coefficients");
+        // Another capacity, −0.0 against 0.0 included: everything.
+        for capacity in [0.0, -0.0] {
+            let grid = small_grid(Constraints { memory_capacity_bytes: capacity, ..constraints });
+            let before = filled(&sweep);
+            check(&grid, &sweep.run(&grid), "capacity");
+            assert_eq!(filled(&sweep), [before[0] + 2, before[1] + 2, before[2] + 4], "{capacity}");
+        }
+        // One problem priced by two compute models: the same superset, but
+        // the bounds move, so the prep set and coefficients do too.
+        let (gm, cluster) = (&grid.models[0], &grid.clusters[0]);
+        let cpu = DeviceProfile::reference_cpu();
+        let before = filled(&sweep);
+        for device in [&cluster.device, &cpu] {
+            let engine = CostEngine::new(&gm.model, device, cluster, gm.config_at(64))
+                .expect("engine builds");
+            let swept = sweep.run_engine(&engine, &[32, 64], &constraints);
+            let fresh = GridSweep::new().run_engine(&engine, &[32, 64], &constraints);
+            for (x, y) in swept.cells.iter().zip(&fresh.cells) {
+                assert_reports_equal(&x.report, &y.report, &format!("engine {:?}", x.query));
+            }
+        }
+        assert_eq!(filled(&sweep), [before[0] + 1, before[1] + 2, before[2] + 2], "devices");
+    }
+
+    #[test]
+    fn model_words_cover_every_field_but_layer_names() {
+        let base = model(0);
+        let words = model_words(&base).expect("small values fit");
+        type Edit = (&'static str, fn(&mut Model));
+        let edits: [Edit; 11] = [
+            ("name", |m| m.name.push('x')),
+            ("input channels", |m| m.input_channels += 1),
+            ("input spatial", |m| m.input_spatial[1] += 1),
+            ("kind", |m| m.layers[1].kind = LayerKind::BatchNorm),
+            ("in channels", |m| m.layers[2].in_channels += 1),
+            ("out channels", |m| m.layers[4].out_channels += 1),
+            ("spatial", |m| m.layers[0].in_spatial.push(1)),
+            ("kernel", |m| m.layers[0].kernel[0] += 1),
+            ("stride", |m| m.layers[1].stride[1] += 1),
+            ("padding", |m| m.layers[2].padding[0] += 1),
+            ("layers", |m| m.layers.pop().map(drop).unwrap_or_default()),
+        ];
+        for (what, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(model_words(&edited).as_ref(), Some(&words), "{what}");
+        }
+        let mut renamed = base.clone();
+        renamed.layers[0].name.push('x');
+        assert_eq!(model_words(&renamed), Some(words));
+        let mut huge = base;
+        huge.layers[4].out_channels = u32::MAX as usize + 1;
+        assert_eq!(model_words(&huge), None, "a value past 32 bits is never confirmed");
+    }
+
+    #[test]
+    fn a_panicking_fill_leaves_no_inputs_on_its_columns() {
+        let limits = ModelLimits::of(&model(0));
+        let keys: Vec<SupersetKey> =
+            (1..=4).map(|b| SupersetKey::of(&limits, b, &Constraints::default())).collect();
+        let mut columns: Columns<SupersetKey, Vec<u32>> = Columns::default();
+        let fill = |panic_at: Option<usize>| {
+            move |i: usize, column: &mut Vec<u32>| {
+                column.clear();
+                column.push(1);
+                assert_ne!(Some(i), panic_at, "fill {i} fails half-way");
+                column.push(2);
+            }
+        };
+        let order = columns.claim(keys.len(), Some(&keys));
+        assert_eq!(order, [0, 1, 2, 3]);
+        columns.fill(&order, fill(None));
+        columns.record(|i| Some(keys[i].clone()));
+        // Two columns asked for again, two new ones: the failed run clears
+        // the inputs of the columns it refills before filling them.
+        let wants =
+            [keys[1].clone(), SupersetKey::of(&limits, 9, &Default::default()), keys[3].clone()];
+        let order = columns.claim(wants.len(), Some(&wants));
+        assert_eq!(order, [1]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            columns.fill(&order, fill(Some(1)))
+        }));
+        assert!(caught.is_err());
+        assert!(columns.slots[1].inputs.is_none(), "the half-filled column has no inputs");
+        for slot in columns.slots.iter().filter(|s| s.inputs.is_some()) {
+            assert_eq!(slot.column, [1, 2], "a keyed column is complete");
+        }
+        // The next run refills the failed column and reuses the rest.
+        let order = columns.claim(wants.len(), Some(&wants));
+        assert_eq!(order, [1]);
+        columns.fill(&order, fill(None));
+        columns.record(|i| Some(wants[i].clone()));
+        assert!(columns.slots.iter().all(|s| s.inputs.is_some() && s.column == [1, 2]));
+        assert!(columns.claim(wants.len(), Some(&wants)).is_empty(), "a repeat hits every column");
+        assert_eq!(columns.slots.len(), wants.len(), "the kept set is the last run's columns");
     }
 
     #[test]
@@ -1268,9 +1839,9 @@ mod tests {
         assert_kept_exact(&sweep, &a, 1);
         // A clone starts empty; an empty grid leaves nothing kept.
         let clone = sweep.clone();
-        assert!(clone.kept.lock().expect("unlocked").supersets.is_empty());
+        assert!(clone.kept.lock().expect("unlocked").supersets.slots.is_empty());
         sweep.run(&QueryGrid::new(Constraints::default()));
-        assert!(sweep.kept.lock().expect("unlocked").supersets.is_empty());
+        assert!(sweep.kept.lock().expect("unlocked").supersets.slots.is_empty());
     }
 
     #[test]
@@ -1288,7 +1859,7 @@ mod tests {
         {
             let held = sweep.kept.lock().expect("unlocked");
             check(&sweep.run(&grid), "busy");
-            assert!(held.supersets.is_empty(), "a busy run must not touch the held buffers");
+            assert!(held.supersets.slots.is_empty(), "a busy run must not touch the held buffers");
         }
         // Two threads sweeping on one value at once.
         let start = std::sync::Barrier::new(2);
@@ -1316,7 +1887,7 @@ mod tests {
         });
         assert!(poisoner.is_err() && sweep.kept.is_poisoned());
         check(&sweep.run(&grid), "poisoned");
-        assert!(!sweep.kept.lock().unwrap_or_else(|p| p.into_inner()).supersets.is_empty());
+        assert!(!sweep.kept.lock().unwrap_or_else(|p| p.into_inner()).supersets.slots.is_empty());
     }
 
     #[test]

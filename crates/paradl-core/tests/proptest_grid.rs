@@ -8,8 +8,10 @@
 //! per-layer [`Oracle::search_reference`], up to floating-point
 //! reassociation, and top-k cells against a full-ranking sweep at the same
 //! chunk size. One chunked [`GridSweep`] runs the grid, its full-ranking
-//! twin and the grid again: the refilled buffers must give the same
-//! reports.
+//! twin and the grid again: the resident columns must give the same
+//! reports. A second property edits one input of a grid at a time on one
+//! sweep and checks every report against a fresh sweep's, so no kept
+//! column is ever served for inputs it was not computed from.
 
 use paradl_core::prelude::*;
 use proptest::prelude::{prop_assert, prop_oneof, proptest, Just, ProptestConfig};
@@ -141,6 +143,253 @@ proptest! {
                     "{q:?}: full ranking diverged from the reference search"
                 );
             }
+        }
+    }
+}
+
+/// One input of a grid, changed in place: the edits a what-if session makes
+/// between two sweeps. Each changes exactly one input a kept column may
+/// have been computed from, or only the order of an axis.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Batch,
+    ClusterLink,
+    ClusterDevice,
+    Layer,
+    DatasetSize,
+    DeltaBits,
+    GammaBits,
+    ZeroCapacity,
+    NegativeZeroCapacity,
+    CapacityBits,
+    MaxPes,
+    PipelineSegments,
+    TopK,
+    Sweep,
+    ReorderModels,
+    ReorderBatches,
+    ReorderClusters,
+}
+
+/// Every edit kind, a block of steps each: a zero capacity is followed by
+/// its negative and then a nonzero one, and the top-k edit is made twice,
+/// so every other edit meets a top-k sweep under a capacity that admits
+/// candidates.
+const EDITS: [&[Edit]; 15] = [
+    &[Edit::Batch],
+    &[Edit::ClusterLink],
+    &[Edit::ClusterDevice],
+    &[Edit::Layer],
+    &[Edit::DatasetSize],
+    &[Edit::DeltaBits],
+    &[Edit::GammaBits],
+    &[Edit::ZeroCapacity, Edit::NegativeZeroCapacity, Edit::CapacityBits],
+    &[Edit::MaxPes],
+    &[Edit::PipelineSegments],
+    &[Edit::TopK, Edit::TopK],
+    &[Edit::Sweep],
+    &[Edit::ReorderModels],
+    &[Edit::ReorderBatches],
+    &[Edit::ReorderClusters],
+];
+
+/// The next float up from `x`, by one unit in the last place.
+fn ulp_up(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1)
+}
+
+/// The axes of a grid, edited between sweeps.
+#[derive(Clone)]
+struct Axes {
+    models: Vec<(Model, TrainingConfig)>,
+    batches: Vec<usize>,
+    clusters: Vec<ClusterSpec>,
+    constraints: Constraints,
+}
+
+impl Axes {
+    fn grid(&self) -> QueryGrid {
+        let mut grid = QueryGrid::new(self.constraints).with_batches(self.batches.clone());
+        for (model, base) in &self.models {
+            grid = grid.with_model(model.clone(), *base);
+        }
+        for cluster in &self.clusters {
+            grid = grid.with_cluster(cluster.clone());
+        }
+        grid
+    }
+
+    /// Applies `edit`; `pick` chooses which model, batch or cluster.
+    fn apply(&mut self, edit: Edit, pick: usize) {
+        let m = pick % self.models.len();
+        let c = pick % self.clusters.len();
+        let limits = &mut self.constraints;
+        match edit {
+            Edit::Batch => {
+                let b = pick % self.batches.len();
+                self.batches[b] += 1 + pick % 5;
+            }
+            Edit::ClusterLink => {
+                let link = &mut self.clusters[c].inter_rack;
+                link.alpha = ulp_up(link.alpha);
+            }
+            Edit::ClusterDevice => {
+                let device = &mut self.clusters[c].device;
+                device.peak_flops = ulp_up(device.peak_flops);
+            }
+            Edit::Layer => {
+                let fc = self.models[m].0.layers.last_mut().expect("a model has layers");
+                fc.out_channels += 1;
+            }
+            // A third or three times the samples: every lower bound moves
+            // far enough to change what the dominance bounds prune.
+            Edit::DatasetSize => {
+                let base = &mut self.models[m].1;
+                base.dataset_size = if pick.is_multiple_of(2) {
+                    base.dataset_size / 3
+                } else {
+                    base.dataset_size * 3
+                };
+            }
+            Edit::DeltaBits => {
+                let base = &mut self.models[m].1;
+                base.bytes_per_item = ulp_up(base.bytes_per_item);
+            }
+            Edit::GammaBits => {
+                let base = &mut self.models[m].1;
+                base.memory_reuse = f64::from_bits(base.memory_reuse.to_bits() - 1);
+            }
+            Edit::NegativeZeroCapacity => limits.memory_capacity_bytes = -0.0,
+            Edit::ZeroCapacity => limits.memory_capacity_bytes = 0.0,
+            Edit::CapacityBits => {
+                limits.memory_capacity_bytes = ulp_up(Constraints::default().memory_capacity_bytes)
+            }
+            Edit::MaxPes => {
+                limits.max_pes = if limits.max_pes > 32 { limits.max_pes / 2 } else { 128 }
+            }
+            Edit::PipelineSegments => limits.pipeline_segments += 1,
+            Edit::TopK => limits.top_k = limits.top_k.xor(Some(1 + pick % 8)),
+            Edit::Sweep => {
+                limits.sweep = match limits.sweep {
+                    PeSweep::PowersOfTwo => PeSweep::Exhaustive,
+                    PeSweep::Exhaustive => PeSweep::PowersOfTwo,
+                }
+            }
+            Edit::ReorderModels => self.models.reverse(),
+            Edit::ReorderBatches => self.batches.rotate_left(1),
+            Edit::ReorderClusters => self.clusters.reverse(),
+        }
+    }
+}
+
+/// `a` equals `b` cell for cell: the same coordinates and every report
+/// field.
+fn same_cells(a: &GridReport, b: &GridReport) -> Result<(), String> {
+    if a.len() != b.len() {
+        return Err(format!("{} cells against {}", a.len(), b.len()));
+    }
+    for (x, y) in a.cells.iter().zip(&b.cells) {
+        if x.query != y.query || x.report != y.report {
+            return Err(format!("{:?} differs", x.query));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // One sweep value runs a sequence of grids, each one edit away from
+    // the last, every edit kind in a seeded order: whatever its kept
+    // columns were computed from, every report must equal a fresh sweep's.
+    // `run_timed` alternates with `run` and `run_engine` on the same value,
+    // and the last grid is swept by two threads at once.
+    #[test]
+    fn resident_columns_never_serve_a_stale_answer(
+        model_a in arb_model(),
+        model_b in arb_model(),
+        batches in arb_batches(),
+        constraints in arb_constraints(),
+        chunk in 64usize..400,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut axes = Axes {
+            models: vec![
+                (model_a, TrainingConfig::small(8192, 64)),
+                (model_b, TrainingConfig::small(2048, 64)),
+            ],
+            batches,
+            clusters: vec![ClusterSpec::paper_system(), ClusterSpec::workstation(8)],
+            constraints: Constraints {
+                max_pes: constraints.max_pes.min(128),
+                top_k: constraints.top_k.or(Some(5)),
+                ..constraints
+            },
+        };
+        // The edit kinds in a seeded order, each with a seeded pick.
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 29)) as usize
+        };
+        let mut kinds = EDITS;
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, next() % (i + 1));
+        }
+        let edits = kinds.iter().flat_map(|block| block.iter().copied());
+        let sweep = GridSweep::new().with_chunk_size(chunk);
+        let first = axes.grid();
+        let cold = sweep.run(&first);
+        let check = same_cells(&cold, &GridSweep::new().with_chunk_size(chunk).run(&first));
+        prop_assert!(check.is_ok(), "cold sweep: {check:?}");
+        for (step, edit) in edits.enumerate() {
+            axes.apply(edit, next());
+            let grid = axes.grid();
+            let fresh = GridSweep::new().with_chunk_size(chunk).run(&grid);
+            let resident =
+                if step.is_multiple_of(2) { sweep.run_timed(&grid).0 } else { sweep.run(&grid) };
+            let check = same_cells(&resident, &fresh);
+            prop_assert!(check.is_ok(), "step {step}, after {edit:?}: {check:?}");
+            // Every third step also sweeps one (model, cluster) problem of
+            // the grid on its own engine, at a batch the grid may not ask
+            // for, on the same value.
+            if step % 3 == 1 {
+                let (m, c) = (next() % grid.models().len(), next() % grid.clusters().len());
+                let (gm, cluster) = (&grid.models()[m], &grid.clusters()[c]);
+                let engine = CostEngine::new(&gm.model, &cluster.device, cluster, gm.config_at(40))
+                    .expect("engine builds");
+                let swept = sweep.run_engine(&engine, grid.batches(), grid.constraints());
+                prop_assert!(swept.len() == grid.batches().len());
+                for cell in &swept.cells {
+                    let want = fresh.get(m, cell.query.batch, c).expect("fresh cell");
+                    prop_assert!(
+                        cell.report == want.report,
+                        "step {step}, after {edit:?}: run_engine at {:?}",
+                        want.query
+                    );
+                }
+            }
+        }
+        // Two threads on one value: one sweeps on the kept columns, the
+        // other on fresh buffers.
+        let grid = axes.grid();
+        let fresh = GridSweep::new().with_chunk_size(chunk).run(&grid);
+        let start = std::sync::Barrier::new(2);
+        let reports: Vec<GridReport> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        sweep.run(&grid)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("sweep thread")).collect()
+        });
+        for report in &reports {
+            let check = same_cells(report, &fresh);
+            prop_assert!(check.is_ok(), "concurrent sweep: {check:?}");
         }
     }
 }

@@ -1,14 +1,21 @@
-//! A [`GridSweep`] keeps its column buffers between runs: repeating a sweep
-//! of the same grid must allocate a small fraction of the bytes the first
-//! (cold) run allocated, and must peak no higher than the cold run, kept
-//! buffers included, give or take the scratch of the early stages (the
-//! enumeration sieve, rebatched engines), which a repeat holds on top of
-//! the kept columns of the later ones.
+//! A [`GridSweep`] keeps the columns of its last run with the inputs they
+//! were computed from. Repeating a sweep of the same grid reuses every
+//! column, so it must allocate a small fraction of the bytes the first
+//! (cold) run allocated; swapping one cluster for another on the same
+//! device profile reuses the supersets and prep columns and computes only
+//! the new cluster's coefficient columns. Neither run may peak higher than
+//! the cold run, kept columns included.
 //!
-//! Measured on this grid: the repeat allocates 0.110 of the cold run's
-//! bytes and peaks at up to 1.011 times its live bytes (1.000 in a release
-//! build). The bounds below, 0.2 and 1.05, leave room for allocations that
-//! depend on thread timing.
+//! Measured on this grid: the repeat allocates 0.035 of the cold run's
+//! bytes (0.110 when every column was recomputed into kept buffers) and
+//! the cluster swap 0.040; both peak at up to 1.000 times the cold run's
+//! live bytes. The bounds below, 0.05, 0.07 and 1.05, leave room for
+//! allocations that depend on thread timing. Bytes show the superset
+//! reuse: enumerating the supersets again allocates its scratch (with
+//! superset matching disabled, the two runs read 0.095 and 0.101).
+//! A prep set refilled into the buffer it kept allocates little, so its
+//! reuse shows in `grid::tests`, which counts the columns each run
+//! computes, not here.
 //!
 //! The test counts bytes with a std-only global allocator, so it is the
 //! only test of its binary: another test running alongside would allocate
@@ -106,10 +113,10 @@ fn model(width: usize) -> Model {
     )
 }
 
-#[test]
-fn repeated_sweep_reuses_the_kept_buffers() {
-    // An exhaustive top-k grid large enough that the supersets, prep
-    // columns and coefficient columns dominate what a sweep allocates.
+/// The test grid on `clusters`: two models, two batches, exhaustive
+/// top-k, large enough that the supersets, prep columns and coefficient
+/// columns dominate what a sweep allocates.
+fn grid(clusters: [ClusterSpec; 2]) -> QueryGrid {
     let constraints = Constraints {
         max_pes: 2048,
         pipeline_segments: 8,
@@ -117,29 +124,67 @@ fn repeated_sweep_reuses_the_kept_buffers() {
         top_k: Some(10),
         ..Constraints::default()
     };
-    let grid = QueryGrid::new(constraints)
+    let [a, b] = clusters;
+    QueryGrid::new(constraints)
         .with_model(model(64), TrainingConfig::small(65536, 256))
         .with_model(model(96), TrainingConfig::small(65536, 256))
         .with_batches([64usize, 256])
-        .with_cluster(ClusterSpec::paper_system())
-        .with_cluster(ClusterSpec::workstation(8));
+        .with_cluster(a)
+        .with_cluster(b)
+}
+
+fn assert_fresh(report: &GridReport, grid: &QueryGrid, what: &str) {
+    let fresh = GridSweep::new().run(grid);
+    assert!(
+        report.cells.iter().zip(&fresh.cells).all(|(a, f)| a.report == f.report),
+        "{what}: a resident sweep diverged from a fresh one"
+    );
+}
+
+#[test]
+fn repeated_sweep_reuses_the_kept_buffers() {
+    let grid_a = grid([ClusterSpec::paper_system(), ClusterSpec::workstation(8)]);
+    // The second cluster swapped for another on the same V100 profile:
+    // only its coefficient columns are new.
+    let grid_b = grid([ClusterSpec::paper_system(), ClusterSpec::workstation(4)]);
     let sweep = GridSweep::new();
     let floor = LIVE.load(Ordering::Relaxed);
-    let (cold, first) = measure(floor, || sweep.run(&grid));
+    let (cold, first) = measure(floor, || sweep.run(&grid_a));
     drop(first);
-    let (warm, again) = measure(floor, || sweep.run(&grid));
-    let fresh = GridSweep::new().run(&grid);
-    assert!(again.cells.iter().zip(&fresh.cells).all(|(a, f)| a.report == f.report));
-    let ratio = warm.allocated as f64 / cold.allocated as f64;
+    let (warm, again) = measure(floor, || sweep.run(&grid_a));
+    assert_fresh(&again, &grid_a, "repeat");
+    drop(again);
+    let (moved, other) = measure(floor, || sweep.run(&grid_b));
+    assert_fresh(&other, &grid_b, "cluster swap");
+    let share = |u: &Usage| u.allocated as f64 / cold.allocated as f64;
     eprintln!(
-        "cold run: {} B allocated, {} B peak; repeat: {} B allocated ({ratio:.3} of cold), {} B peak",
-        cold.allocated, cold.peak, warm.allocated, warm.peak
-    );
-    assert!(ratio < 0.2, "a repeated sweep allocated {ratio:.3} of the cold run's bytes");
-    assert!(
-        warm.peak as f64 <= 1.05 * cold.peak as f64,
-        "a repeated sweep peaked at {} B, the cold run at {} B",
+        "cold run: {} B allocated, {} B peak; repeat: {} B allocated ({:.3} of cold), {} B peak; \
+         cluster swap: {} B allocated ({:.3} of cold), {} B peak",
+        cold.allocated,
+        cold.peak,
+        warm.allocated,
+        share(&warm),
         warm.peak,
-        cold.peak
+        moved.allocated,
+        share(&moved),
+        moved.peak
     );
+    assert!(
+        share(&warm) < 0.05,
+        "a repeated sweep allocated {:.3} of the cold run's bytes",
+        share(&warm)
+    );
+    assert!(
+        share(&moved) < 0.07,
+        "a cluster swap allocated {:.3} of the cold run's bytes",
+        share(&moved)
+    );
+    for (what, run) in [("repeated sweep", &warm), ("cluster swap", &moved)] {
+        assert!(
+            run.peak as f64 <= 1.05 * cold.peak as f64,
+            "a {what} peaked at {} B, the cold run at {} B",
+            run.peak,
+            cold.peak
+        );
+    }
 }
