@@ -755,7 +755,7 @@ impl<'a> CostEngine<'a> {
     }
 
     /// The model this engine was built for.
-    pub fn model(&self) -> &Model {
+    pub fn model(&self) -> &'a Model {
         self.model
     }
 

@@ -70,33 +70,43 @@
 //! per-model supersets, the per-(model, device) prep columns and the
 //! per-(model, cluster) communication columns, each with the exact inputs
 //! it was computed from. Each column is keyed by the parts of
-//! [`crate::key`] it depends on:
+//! [`crate::key`] it depends on, recorded as the words those keys hash:
 //!
 //! * a superset by (scaling limits, largest batch, [`ConstraintsKey`]),
-//! * a prep set by (its superset's key, [`ModelKey`], the device profile,
-//!   [`MemoryKey`], the dataset size, the batch axis) — the dataset size is
-//!   in no [`ProblemKey`], but every lower bound reads it,
-//! * a communication column by (its prep set's key, [`ClusterKey`]).
+//! * a prep set by ([`ModelKey`], the device profile, [`MemoryKey`], the
+//!   dataset size, the batch axis, [`ConstraintsKey`]), which determine
+//!   its superset too — the dataset size is in no [`ProblemKey`], but
+//!   every lower bound reads it,
+//! * a communication column by (its prep set's inputs, [`ClusterKey`]).
 //!
 //! A later run reuses every kept column whose inputs it asks for again,
-//! matched by key wherever the column sat (a reordered axis still hits) and
-//! confirmed by value — the model's fields, the engine's per-layer times
-//! and every float by its bits, so −0.0 and 0.0 differ and a NaN matches
-//! only its own bits. It computes only the other columns, each into the
-//! buffer of a kept column it no longer needs. A repeated paper-grid sweep
-//! thus pays for engines, cells and evaluation only: ≈ 62–76 ms against
-//! ≈ 197–215 ms cold (`bench_kernel_summary`, shared 2-vCPU Xeon, two
-//! runs). A column's inputs are
-//! cleared before it is refilled and recorded only once the sweep's fills
-//! are complete, so a sweep that panics leaves no inputs on a half-filled
-//! column. The kept set is exactly the last run's columns, each trimmed to
-//! its length, so the kept bytes never exceed what that run held live. A
-//! run that finds the columns busy (another thread sweeping on the same
-//! value) sweeps on fresh buffers and keys nothing; a clone starts with
-//! none, and dropping the sweep frees them. One-cell answers
+//! matched wherever the column sat (a reordered axis still hits) and
+//! confirmed by value: the model's words are walked only when its key
+//! matches, and every float is compared by its bits, so −0.0 and 0.0
+//! differ and a NaN matches only its own bits. It computes only the other
+//! columns, each into the buffer of a kept column it no longer needs. A
+//! repeated paper-grid sweep thus pays for engines, cells and evaluation
+//! only: ≈ 62–76 ms against ≈ 197–215 ms cold (`bench_kernel_summary`,
+//! shared 2-vCPU Xeon, two runs). A column's inputs are cleared before it
+//! is refilled and recorded only once the sweep is complete and its
+//! engines are freed, so a sweep that panics leaves no inputs on a
+//! half-filled column, and a record never raises a sweep's peak: a run
+//! asks for its columns by key words and borrowed values, and copies a
+//! model's words only into a record, fewer bytes than the freed engines
+//! held. The kept set is exactly the last run's columns, each trimmed to
+//! its length, plus their records. A run that finds the columns busy (another thread
+//! sweeping on the same value) sweeps on fresh buffers and keys nothing; a
+//! clone starts with none, and dropping the sweep frees them.
+//!
+//! Only [`GridSweep::run`] and [`GridSweep::run_timed`] key columns: they
+//! build every engine on its cluster's device profile, so the profile
+//! stands for the engine's per-layer times. [`GridSweep::run_engine`],
+//! whose engine may come from any compute model, computes every column
+//! into the kept buffers and keys none, and one-cell answers
 //! ([`Oracle::search`], [`crate::query::Query::run`]) sweep on fresh
-//! buffers and key nothing, and the `paradl-serve` daemon builds a sweep
-//! per drained batch, so neither holds columns between requests.
+//! buffers. The `paradl-serve` daemon answers each group with
+//! `run_engine` on a sweep per drained batch, so it holds no columns
+//! between requests and no group reuses another's.
 //!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
@@ -115,12 +125,11 @@
 //! [`ProblemKey`]: crate::key::ProblemKey
 
 use crate::cluster::ClusterSpec;
-use crate::compute::{DeviceProfile, LayerTimes};
+use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
 use crate::engine::{CommCoef, CostEngine, ModelLimits};
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
 use crate::key::{ClusterKey, ConstraintsKey, MemoryKey, ModelKey};
-use crate::layer::Layer;
 use crate::model::Model;
 use crate::oracle::Constraints;
 use crate::search::{budget_index, finish_report, RankedCandidate, SearchReport, StrategySpace};
@@ -427,18 +436,18 @@ impl PreppedSpace {
 /// full-ranking sweep), each list model-major, so slot `i` serves the
 /// `i`-th (model, device) or (model, cluster) index of the sweep at hand.
 /// A [`GridSweep`] keeps them between runs, each with the inputs it was
-/// computed from ([`Resident`]); the next run reuses every column whose
-/// inputs it asks for again, wherever the column sat, and refills the
-/// others in the buffers of the columns it no longer needs. Each stage
+/// computed from ([`Resident`]); the next keyed run reuses every column
+/// whose inputs it asks for again, wherever the column sat, and refills
+/// the others in the buffers of the columns it no longer needs. Each stage
 /// trims every column it fills to its length, so no push-growth slack
 /// stays live through the later stages or between runs. The memory bound:
-/// the kept set is exactly the last run's columns plus their recorded
-/// inputs, of which only a prep set's are not a few words — its model's
-/// fields as 32-bit words and the engine's per-layer times, ≈ 65 KB for
-/// the four paper models.
+/// the kept set is exactly the last run's columns plus their records, of
+/// which only a prep set's are not a few words — its model's words, one
+/// per field ([`ModelKey::words`]), at most ≈ 90 KB for the four paper
+/// models.
 #[derive(Default)]
 struct SweepBuffers {
-    supersets: Columns<SupersetKey, Vec<Strategy>>,
+    supersets: Columns<SupersetInputs, Vec<Strategy>>,
     preps: Columns<Arc<PrepInputs>, Vec<PreppedSpace>>,
     coefs: Columns<CoefInputs, Vec<CommCoef>>,
 }
@@ -561,248 +570,146 @@ impl<K: Send, V: Default + Send> Columns<K, V> {
     }
 }
 
-/// A float's bits: the inputs of a resident column compare floats
-/// exactly, so −0.0 and 0.0 differ and a NaN matches only its own bits.
-fn bits(x: f64) -> u64 {
-    x.to_bits()
-}
-
-/// Every field of a device profile, by its bits.
-fn device_bits(device: &DeviceProfile) -> [u64; 5] {
-    let DeviceProfile {
-        peak_flops,
-        conv_efficiency,
-        memory_bound_efficiency,
-        kernel_overhead,
-        update_elements_per_sec,
-    } = *device;
-    [
-        bits(peak_flops),
-        bits(conv_efficiency),
-        bits(memory_bound_efficiency),
-        bits(kernel_overhead),
-        bits(update_elements_per_sec),
-    ]
-}
-
-/// Every field of a cluster, floats by their bits: the device profile,
-/// then the machine shape and the links.
-fn cluster_bits(cluster: &ClusterSpec) -> ([u64; 5], [u64; 9]) {
-    let ClusterSpec {
-        ref device,
-        gpus_per_node,
-        nodes_per_rack,
-        racks,
-        intra_node,
-        intra_rack,
-        inter_rack,
-    } = *cluster;
-    let shape_and_links = [
-        gpus_per_node as u64,
-        nodes_per_rack as u64,
-        racks as u64,
-        bits(intra_node.alpha),
-        bits(intra_node.beta),
-        bits(intra_rack.alpha),
-        bits(intra_rack.beta),
-        bits(inter_rack.alpha),
-        bits(inter_rack.beta),
-    ];
-    (device_bits(device), shape_and_links)
-}
-
 /// The inputs of a model's candidate superset: its scaling limits, the
-/// largest batch of the axis and the constraints (keyed, and confirmed by
-/// the fields' bits).
+/// largest batch of the axis and the constraints' words
+/// ([`ConstraintsKey::words`]). A run asks for them as it records them.
 #[derive(Clone, PartialEq)]
-struct SupersetKey {
-    constraints: ConstraintsKey,
-    max_batch: usize,
+struct SupersetInputs {
     limits: ModelLimits,
-    constraint_bits: [u64; 6],
+    max_batch: usize,
+    constraints: [u64; 6],
 }
 
-impl SupersetKey {
-    fn of(limits: &ModelLimits, max_batch: usize, constraints: &Constraints) -> Self {
-        let Constraints { max_pes, memory_capacity_bytes, pipeline_segments, top_k, sweep } =
-            *constraints;
-        SupersetKey {
-            constraints: ConstraintsKey::of(constraints),
-            max_batch,
-            limits: limits.clone(),
-            constraint_bits: [
-                max_pes as u64,
-                bits(memory_capacity_bytes),
-                pipeline_segments as u64,
-                top_k.is_some() as u64,
-                top_k.unwrap_or(0) as u64,
-                sweep as u64,
-            ],
-        }
-    }
-}
-
-impl Inputs<SupersetKey> for SupersetKey {
-    fn is(&self, want: &SupersetKey) -> bool {
+impl Inputs<SupersetInputs> for SupersetInputs {
+    fn is(&self, want: &SupersetInputs) -> bool {
         self == want
     }
 }
 
-/// What a run asks of one (model, device) prep set: the model's superset
-/// inputs, the model, the device, `δ`/`γ`, the dataset size (every lower
-/// bound reads it, though [`crate::key::ProblemKey`] leaves it out) and
-/// the batch axis in order.
-struct PrepWant<'w> {
-    superset: &'w SupersetKey,
-    model: ModelKey,
-    memory: MemoryKey,
+/// What a run asks of one (model, device) prep set: the model, the device
+/// profile's words, `δ`/`γ`, the dataset size (every lower bound reads it,
+/// though [`crate::key::ProblemKey`] leaves it out), the batch axis in
+/// order and the constraints' words. The superset the set's rows index
+/// follows from the model, the axis and the constraints. The device
+/// profile stands for the per-layer times: a keyed sweep builds every
+/// engine with [`CostEngine::new`] on its cluster's device, so the times
+/// are the device's (a caller's engine, which may come from any compute
+/// model, sweeps unkeyed). The model is borrowed from the grid, not from
+/// an engine, so the run can free its engines before recording; only its
+/// key is computed here, and its words are walked to confirm a hit and
+/// copied into a record.
+struct PrepWant<'a, 'b> {
+    model_key: ModelKey,
+    model: &'a Model,
     device: [u64; 5],
+    memory: [u64; 2],
     dataset_size: usize,
-    batches: &'w [usize],
-    delta_gamma: [u64; 2],
-    /// The model's fields ([`model_words`]), moved into the record.
-    model_words: Option<Vec<u32>>,
-    /// The per-layer times the engine was built with: an engine may come
-    /// from any compute model, so its cluster's device profile alone does
-    /// not determine the bounds.
-    times: &'w LayerTimes,
+    batches: &'b [usize],
+    constraints: [u64; 6],
 }
 
-/// Every field of `model` but its layers' names (no cost reads them), as
-/// 32-bit words, or `None` when a value does not fit in 32 bits (such a
-/// model's columns are never reused). A prep set records these words to
-/// confirm its model by value: they take a quarter of a cloned model's
-/// heap, which matters to a one-shot sweep of small columns.
-fn model_words(model: &Model) -> Option<Vec<u32>> {
-    let Model { name, input_channels, input_spatial, layers } = model;
-    let slices = |l: &Layer| l.in_spatial.len() + l.kernel.len() + l.stride.len() + l.padding.len();
-    let len =
-        4 + name.len() + input_spatial.len() + layers.iter().map(|l| 7 + slices(l)).sum::<usize>();
-    let mut words = Vec::with_capacity(len);
-    let mut put = |v: usize| u32::try_from(v).ok().map(|w| words.push(w));
-    put(name.len())?;
-    for b in name.bytes() {
-        put(b.into())?;
-    }
-    put(*input_channels)?;
-    put(input_spatial.len())?;
-    for &v in input_spatial {
-        put(v)?;
-    }
-    put(layers.len())?;
-    for layer in layers {
-        let Layer { name: _, kind, in_channels, out_channels, in_spatial, kernel, stride, padding } =
-            layer;
-        for v in [*kind as usize, *in_channels, *out_channels] {
-            put(v)?;
-        }
-        for values in [in_spatial, kernel, stride, padding] {
-            put(values.len())?;
-            for &v in values {
-                put(v)?;
-            }
-        }
-    }
-    debug_assert_eq!(words.len(), len);
-    Some(words)
-}
-
-impl<'w> PrepWant<'w> {
-    fn of(engine: &'w CostEngine<'_>, superset: &'w SupersetKey, batches: &'w [usize]) -> Self {
+impl<'a> PrepWant<'a, '_> {
+    fn of<'b>(
+        engine: &CostEngine<'a>,
+        model_key: ModelKey,
+        batches: &'b [usize],
+        constraints: [u64; 6],
+    ) -> PrepWant<'a, 'b> {
         let config = engine.config();
         PrepWant {
-            superset,
-            model: ModelKey::of(engine.model()),
-            memory: MemoryKey::of(config),
-            device: device_bits(&engine.cluster().device),
+            model_key,
+            model: engine.model(),
+            device: ClusterKey::device_words(&engine.cluster().device),
+            memory: MemoryKey::words(config),
             dataset_size: config.dataset_size,
             batches,
-            delta_gamma: [bits(config.bytes_per_item), bits(config.memory_reuse)],
-            model_words: model_words(engine.model()),
-            times: engine.layer_times(),
+            constraints,
         }
     }
-
-    fn time_bits(&self) -> impl Iterator<Item = u64> + '_ {
-        let t = self.times;
-        t.forward.iter().chain(&t.backward).chain(&t.weight_update).map(|&x| bits(x))
-    }
 }
 
-/// The recorded inputs of a prep set (see [`PrepWant`]); shared with the
-/// communication columns computed from it.
+/// The recorded inputs of a prep set (see [`PrepWant`]), the model as its
+/// key and its words ([`ModelKey::words`]); shared with the communication
+/// columns computed from it.
 struct PrepInputs {
-    superset: SupersetKey,
-    model: ModelKey,
-    memory: MemoryKey,
+    model_key: ModelKey,
+    model_words: Vec<u64>,
     device: [u64; 5],
+    memory: [u64; 2],
     dataset_size: usize,
     batches: Vec<usize>,
-    delta_gamma: [u64; 2],
-    model_words: Vec<u32>,
-    time_bits: Vec<u64>,
+    constraints: [u64; 6],
 }
 
-impl Inputs<PrepWant<'_>> for PrepInputs {
-    fn is(&self, want: &PrepWant<'_>) -> bool {
-        self.model == want.model
+impl Inputs<PrepWant<'_, '_>> for PrepInputs {
+    fn is(&self, want: &PrepWant<'_, '_>) -> bool {
+        self.model_key == want.model_key
+            && self.dataset_size == want.dataset_size
             && self.memory == want.memory
             && self.device == want.device
-            && self.dataset_size == want.dataset_size
+            && self.constraints == want.constraints
             && self.batches == want.batches
-            && self.superset == *want.superset
-            && self.delta_gamma == want.delta_gamma
-            && self.time_bits.iter().copied().eq(want.time_bits())
-            && want.model_words.as_ref() == Some(&self.model_words)
+            && ModelKey::words_match(&self.model_words, want.model)
     }
 }
 
 impl PrepInputs {
-    /// Records `want`, moving its model words out; `None` when the model
-    /// cannot be confirmed by value (see [`model_words`]), so its column
-    /// is kept without inputs and never reused.
-    fn of(want: &mut PrepWant<'_>) -> Option<Arc<Self>> {
-        Some(Arc::new(PrepInputs {
-            superset: want.superset.clone(),
-            model: want.model,
-            memory: want.memory,
+    fn of(want: &PrepWant<'_, '_>) -> Self {
+        PrepInputs {
+            model_key: want.model_key,
+            model_words: ModelKey::words(want.model),
             device: want.device,
+            memory: want.memory,
             dataset_size: want.dataset_size,
             batches: want.batches.to_vec(),
-            delta_gamma: want.delta_gamma,
-            time_bits: want.time_bits().collect(),
-            model_words: want.model_words.take()?,
-        }))
+            constraints: want.constraints,
+        }
     }
 }
 
 /// What a run asks of one (model, cluster) communication column: the
-/// inputs of the prep set whose rows it covers, and the cluster.
-struct CoefWant<'w> {
-    prep: &'w PrepWant<'w>,
-    cluster: ClusterKey,
-    cluster_bits: ([u64; 5], [u64; 9]),
-}
-
-impl<'w> CoefWant<'w> {
-    fn of(prep: &'w PrepWant<'w>, cluster: &ClusterSpec) -> Self {
-        CoefWant { prep, cluster: ClusterKey::of(cluster), cluster_bits: cluster_bits(cluster) }
-    }
+/// inputs of the prep set whose rows it covers, and the cluster's words
+/// ([`ClusterKey::words`]).
+struct CoefWant<'w, 'a, 'b> {
+    prep: &'w PrepWant<'a, 'b>,
+    cluster: [u64; 14],
 }
 
 /// The recorded inputs of a communication column (see [`CoefWant`]),
 /// sharing the prep set's.
 struct CoefInputs {
     prep: Arc<PrepInputs>,
-    cluster: ClusterKey,
-    cluster_bits: ([u64; 5], [u64; 9]),
+    cluster: [u64; 14],
 }
 
-impl Inputs<CoefWant<'_>> for CoefInputs {
-    fn is(&self, want: &CoefWant<'_>) -> bool {
-        self.cluster == want.cluster
-            && self.cluster_bits == want.cluster_bits
-            && self.prep.is(want.prep)
+impl Inputs<CoefWant<'_, '_, '_>> for CoefInputs {
+    fn is(&self, want: &CoefWant<'_, '_, '_>) -> bool {
+        self.cluster == want.cluster && self.prep.is(want.prep)
+    }
+}
+
+/// What a keyed sweep asks of its columns, kept until they are complete
+/// and then recorded on the columns it computed ([`Wants::record`]). It
+/// borrows the grid, not the engines, so a run records after freeing
+/// them: a record then never adds to a sweep's peak.
+struct Wants<'a, 'b> {
+    supersets: Vec<SupersetInputs>,
+    preps: Vec<PrepWant<'a, 'b>>,
+    /// Per communication column: its prep slot and the cluster's words.
+    coefs: Vec<(usize, [u64; 14])>,
+}
+
+impl Wants<'_, '_> {
+    /// Records the inputs of every column of `buffers` that has none: the
+    /// columns the sweep computed.
+    fn record(self, buffers: &mut SweepBuffers) {
+        let SweepBuffers { supersets, preps, coefs } = buffers;
+        supersets.record(|m| Some(self.supersets[m].clone()));
+        preps.record(|i| Some(Arc::new(PrepInputs::of(&self.preps[i]))));
+        coefs.record(|i| {
+            let (p, cluster) = self.coefs[i];
+            Some(CoefInputs { prep: Arc::clone(preps.slots[p].inputs.as_ref()?), cluster })
+        });
     }
 }
 
@@ -916,16 +823,18 @@ impl Laps {
 /// supersets, the prep columns and the communication-coefficient columns,
 /// each with the inputs it was computed from (see the
 /// [module docs](crate::grid) for the keys). The next
-/// [`run`](GridSweep::run), [`run_timed`](GridSweep::run_timed) or
-/// [`run_engine`](GridSweep::run_engine) reuses every column whose inputs
-/// it asks for again and computes the rest into the buffers of the columns
-/// it no longer needs, so a repeated grid pays only for engines, cells and
-/// evaluation, and a grid with one axis changed also for the columns that
-/// axis reaches. The kept set is exactly the last run's columns, trimmed
-/// to their lengths, so it never holds more than that run held live. A run
-/// that finds the columns in use by another thread sweeping on the same
-/// value sweeps on fresh buffers of its own. [`Clone`] gives a sweep with
-/// no columns, and dropping a sweep frees them.
+/// [`run`](GridSweep::run) or [`run_timed`](GridSweep::run_timed) reuses
+/// every column whose inputs it asks for again and computes the rest into
+/// the buffers of the columns it no longer needs, so a repeated grid pays
+/// only for engines, cells and evaluation, and a grid with one axis
+/// changed also for the columns that axis reaches.
+/// [`run_engine`](GridSweep::run_engine) refills the kept buffers but keys
+/// no column. The kept set is exactly the last run's columns, trimmed to
+/// their lengths, plus their records, so it never holds more than that run
+/// held live and a model's words per prep set. A run that finds the
+/// columns in use by another thread sweeping on the same value sweeps on
+/// fresh buffers of its own. [`Clone`] gives a sweep with no columns, and
+/// dropping a sweep frees them.
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
@@ -989,12 +898,12 @@ impl GridSweep {
         constraints: &Constraints,
     ) -> SearchReport {
         let mut timings = GridStageTimings::default();
-        let mut cells = self.sweep(
+        let (mut cells, _) = self.sweep(
             std::slice::from_ref(engine),
             &[0],
             &[engine.config().batch_size],
             constraints,
-            None,
+            (&mut SweepBuffers::default(), false),
             &mut timings,
         );
         cells.pop().expect("a one-cell sweep yields one cell").report
@@ -1048,8 +957,27 @@ impl GridSweep {
             })
             .collect();
 
-        let cells =
-            self.sweep_kept(&engines, &group_of, &grid.batches, &grid.constraints, &mut timings);
+        let mut fresh = SweepBuffers::default();
+        let mut kept = self.kept_buffers();
+        let keyed = kept.is_some();
+        let buffers = kept.as_deref_mut().unwrap_or(&mut fresh);
+        let (cells, wants) = self.sweep(
+            &engines,
+            &group_of,
+            &grid.batches,
+            &grid.constraints,
+            (&mut *buffers, keyed),
+            &mut timings,
+        );
+        // The engines go before the computed columns' inputs are recorded:
+        // a record copies its model's words, fewer bytes than the model's
+        // engine held, so recording never raises the sweep's peak.
+        drop(engines);
+        if let Some(wants) = wants {
+            let mut laps = Laps(Instant::now());
+            wants.record(buffers);
+            timings.finish += laps.lap();
+        }
         (GridReport { cells }, timings)
     }
 
@@ -1060,10 +988,14 @@ impl GridSweep {
     /// key it computed once per group). The engine may sit at any batch;
     /// each cell is answered on a rebatched sibling, so the report equals
     /// [`GridSweep::run`] on that grid. Cells come back in `batches` order
-    /// with model and cluster index 0, and the kept columns serve and are
-    /// refilled as in every run: each is keyed by the engine's model,
-    /// cluster, per-layer times and config, so an engine of another compute
-    /// model never hits a column of this one.
+    /// with model and cluster index 0.
+    ///
+    /// The sweep computes every column into the kept buffers and keys
+    /// none: the engine may come from any compute model, and its problem's
+    /// lasting home is the cache it came from, not this sweep. So a daemon
+    /// that answers the groups of one batch on one sweep reuses the
+    /// groups' buffers but never one group's columns for another, and the
+    /// next keyed run recomputes every column.
     pub fn run_engine(
         &self,
         engine: &CostEngine<'_>,
@@ -1073,33 +1005,23 @@ impl GridSweep {
         if batches.is_empty() {
             return GridReport { cells: Vec::new() };
         }
-        let cells = self.sweep_kept(
+        let mut fresh = SweepBuffers::default();
+        let mut kept = self.kept_buffers();
+        let buffers = kept.as_deref_mut().unwrap_or(&mut fresh);
+        let (cells, _) = self.sweep(
             std::slice::from_ref(engine),
             &[0],
             batches,
             constraints,
+            (buffers, false),
             &mut GridStageTimings::default(),
         );
         GridReport { cells }
     }
 
-    /// [`GridSweep::sweep`] on the kept columns, or one-shot on fresh
-    /// buffers while another thread sweeps with them.
-    fn sweep_kept(
-        &self,
-        engines: &[CostEngine<'_>],
-        group_of: &[usize],
-        batches: &[usize],
-        constraints: &Constraints,
-        timings: &mut GridStageTimings,
-    ) -> Vec<GridCell> {
-        let mut kept = self.kept_buffers();
-        self.sweep(engines, group_of, batches, constraints, kept.as_deref_mut(), timings)
-    }
-
     /// The kept columns, or `None` while another thread sweeps with them.
     /// A poisoned lock is recovered: a column's inputs are cleared before
-    /// it is refilled and recorded only once the sweep's fills complete, so
+    /// it is refilled and recorded only once the sweep completes, so
     /// a sweep that panicked leaves no inputs on a half-filled column.
     fn kept_buffers(&self) -> Option<MutexGuard<'_, SweepBuffers>> {
         match self.kept.try_lock() {
@@ -1112,22 +1034,24 @@ impl GridSweep {
     /// The sweep over prepared engines. `engines` holds one engine per
     /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
     /// the device group of cluster `c` (clusters of one group share the
-    /// prep tables). The supersets, preps and communication columns are
-    /// taken from `kept` where its columns were computed from the inputs
-    /// this sweep asks for, and computed into it otherwise; without `kept`
-    /// (a one-shot sweep) every column is computed into fresh buffers and
-    /// no inputs are keyed. Returns the cells model-major, then batch, then
-    /// cluster — [`QueryGrid::queries`] order — and records the stages from
-    /// `supersets` on, timed from the call.
-    fn sweep(
+    /// prep tables). The columns are computed into `buffers.0`; when
+    /// `buffers.1` (a keyed sweep), the supersets, preps and communication
+    /// columns are first taken from it where its columns were computed
+    /// from the inputs this sweep asks for. An unkeyed sweep matches
+    /// nothing and leaves every column without inputs. Returns the cells
+    /// model-major, then batch, then cluster — [`QueryGrid::queries`]
+    /// order — and, for a keyed sweep, the [`Wants`] the caller records
+    /// once it has freed the engines; records the stages from `supersets`
+    /// on, timed from the call.
+    fn sweep<'a, 'b>(
         &self,
-        engines: &[CostEngine<'_>],
+        engines: &[CostEngine<'a>],
         group_of: &[usize],
-        batches: &[usize],
+        batches: &'b [usize],
         constraints: &Constraints,
-        kept: Option<&mut SweepBuffers>,
+        (buffers, keyed): (&mut SweepBuffers, bool),
         timings: &mut GridStageTimings,
-    ) -> Vec<GridCell> {
+    ) -> (Vec<GridCell>, Option<Wants<'a, 'b>>) {
         let mut laps = Laps(Instant::now());
         let n_clusters = group_of.len();
         let n_models = engines.len() / n_clusters;
@@ -1136,19 +1060,38 @@ impl GridSweep {
             .map(|g| group_of.iter().position(|&x| x == g).expect("groups are dense"))
             .collect();
         let max_batch = *batches.iter().max().expect("non-empty batch axis");
-        let keyed = kept.is_some();
-        let mut fresh = SweepBuffers::default();
-        let SweepBuffers { supersets, preps, coefs } = kept.unwrap_or(&mut fresh);
+        let SweepBuffers { supersets, preps, coefs } = buffers;
+        let prep_engine =
+            |i: usize| &engines[(i / n_groups) * n_clusters + group_reps[i % n_groups]];
+        let n_coefs = if constraints.top_k.is_some() { n_models * n_clusters } else { 0 };
+        let prep_of = |i: usize| (i / n_clusters) * n_groups + group_of[i % n_clusters];
+        let wants = keyed.then(|| {
+            let constraints = ConstraintsKey::words(constraints);
+            let model_keys: Vec<ModelKey> =
+                (0..n_models).map(|m| ModelKey::of(engines[m * n_clusters].model())).collect();
+            Wants {
+                supersets: (0..n_models)
+                    .map(|m| SupersetInputs {
+                        limits: engines[m * n_clusters].limits().clone(),
+                        max_batch,
+                        constraints,
+                    })
+                    .collect(),
+                preps: (0..n_models * n_groups)
+                    .map(|i| {
+                        PrepWant::of(prep_engine(i), model_keys[i / n_groups], batches, constraints)
+                    })
+                    .collect(),
+                coefs: (0..n_coefs)
+                    .map(|i| (prep_of(i), ClusterKey::words(engines[i].cluster())))
+                    .collect(),
+            }
+        });
 
         // One candidate superset per model, enumerated at the largest
         // batch; models enumerate in parallel. Nothing cheaper than the
         // enumeration predicts its cost, so models go in grid order.
-        let superset_wants: Option<Vec<SupersetKey>> = keyed.then(|| {
-            (0..n_models)
-                .map(|m| SupersetKey::of(engines[m * n_clusters].limits(), max_batch, constraints))
-                .collect()
-        });
-        let order = supersets.claim(n_models, superset_wants.as_deref());
+        let order = supersets.claim(n_models, wants.as_ref().map(|w| &w.supersets[..]));
         supersets.fill(&order, |m, superset| {
             let limits = engines[m * n_clusters].limits();
             StrategySpace::fill(max_batch, constraints, limits, superset);
@@ -1167,14 +1110,7 @@ impl GridSweep {
         // Per-(model, device) prepped spaces covering the whole batch axis:
         // one superset pass enumerates, memory-prunes and bound-tabulates
         // every batch's candidates, so the largest supersets go first.
-        let prep_engine =
-            |i: usize| &engines[(i / n_groups) * n_clusters + group_reps[i % n_groups]];
-        let prep_wants: Option<Vec<PrepWant<'_>>> = superset_wants.as_ref().map(|keys| {
-            (0..n_models * n_groups)
-                .map(|i| PrepWant::of(prep_engine(i), &keys[i / n_groups], batches))
-                .collect()
-        });
-        let mut order = preps.claim(n_models * n_groups, prep_wants.as_deref());
+        let mut order = preps.claim(n_models * n_groups, wants.as_ref().map(|w| &w.preps[..]));
         order.sort_by_key(|&i| std::cmp::Reverse(superset_cols[i / n_groups].len()));
         preps.fill(&order, |i, preps| {
             let superset = &superset_cols[i / n_groups];
@@ -1191,10 +1127,8 @@ impl GridSweep {
         // no batch's prep references (invalid or memory-infeasible at every
         // batch) are skipped. Full ranking builds a fresh estimate per
         // candidate and never reads the columns.
-        let n_coefs = if constraints.top_k.is_some() { n_models * n_clusters } else { 0 };
-        let prep_of = |i: usize| (i / n_clusters) * n_groups + group_of[i % n_clusters];
-        let coef_wants: Option<Vec<CoefWant<'_>>> = prep_wants.as_ref().map(|preps| {
-            (0..n_coefs).map(|i| CoefWant::of(&preps[prep_of(i)], engines[i].cluster())).collect()
+        let coef_wants: Option<Vec<CoefWant<'_, '_, '_>>> = wants.as_ref().map(|w| {
+            w.coefs.iter().map(|&(p, cluster)| CoefWant { prep: &w.preps[p], cluster }).collect()
         });
         let mut order = coefs.claim(n_coefs, coef_wants.as_deref());
         // Which superset rows each prep set behind a column to fill uses at
@@ -1234,7 +1168,7 @@ impl GridSweep {
         // cluster-dependent, so seed *times* are per cell even though seed
         // *selection* is per prep).
         let n_slots = budget_index(constraints.max_pes.max(1)) + 1;
-        let mut cells: Vec<CellCtx<'_, '_>> =
+        let mut ctxs: Vec<CellCtx<'_, '_>> =
             Vec::with_capacity(n_models * batches.len() * n_clusters);
         for m in 0..n_models {
             for (b, &batch) in batches.iter().enumerate() {
@@ -1256,7 +1190,7 @@ impl GridSweep {
                         constraints.top_k,
                         n_slots,
                     );
-                    cells.push(CellCtx {
+                    ctxs.push(CellCtx {
                         query: GridQuery { model: m, cluster: c, batch },
                         engine,
                         prep,
@@ -1279,7 +1213,7 @@ impl GridSweep {
         let mut round = 0usize;
         loop {
             let mut any = false;
-            for (ci, cell) in cells.iter().enumerate() {
+            for (ci, cell) in ctxs.iter().enumerate() {
                 if round * chunk < cell.prep.sup.len() {
                     items.push((ci, round));
                     any = true;
@@ -1293,7 +1227,7 @@ impl GridSweep {
         let order: Vec<usize> = (0..items.len()).collect();
         let results = par_map_scheduled(&order, |k| {
             let (ci, round) = items[k];
-            let cell = &cells[ci];
+            let cell = &ctxs[ci];
             let lo = round * chunk;
             let hi = (lo + chunk).min(cell.prep.sup.len());
             eval_chunk_kernel(&cell.engine, &cell.cols, &cell.bounds, lo, hi, constraints)
@@ -1303,7 +1237,7 @@ impl GridSweep {
         // Per-cell merge of the chunk results, then the final ranking in
         // parallel across cells.
         let mut merged: Vec<(GridQuery, &PreppedSpace, usize, Vec<RankedCandidate>)> =
-            cells.iter().map(|cell| (cell.query, cell.prep, 0, Vec::new())).collect();
+            ctxs.iter().map(|cell| (cell.query, cell.prep, 0, Vec::new())).collect();
         for (&(ci, _), (pruned, found)) in items.iter().zip(results) {
             merged[ci].2 += pruned;
             merged[ci].3.extend(found);
@@ -1317,22 +1251,8 @@ impl GridSweep {
             })
             .collect();
 
-        // The columns this sweep filled are complete: record their inputs.
-        let clusters: Option<Vec<_>> =
-            coef_wants.map(|wants| wants.iter().map(|w| (w.cluster, w.cluster_bits)).collect());
-        if let (Some(superset_wants), Some(mut prep_wants), Some(clusters)) =
-            (&superset_wants, prep_wants, clusters)
-        {
-            supersets.record(|m| Some(superset_wants[m].clone()));
-            preps.record(|i| PrepInputs::of(&mut prep_wants[i]));
-            coefs.record(|i| {
-                let prep = Arc::clone(preps.slots[prep_of(i)].inputs.as_ref()?);
-                let (cluster, cluster_bits) = clusters[i];
-                Some(CoefInputs { prep, cluster, cluster_bits })
-            });
-        }
         timings.finish = laps.lap();
-        cells
+        (cells, wants)
     }
 }
 
@@ -1341,7 +1261,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineCache, ModelLimits};
     use crate::key::{KeyedModel, ProblemKey};
-    use crate::layer::LayerKind;
+    use crate::layer::Layer;
     use crate::oracle::{Oracle, PeSweep};
     use crate::search::strategy_sort_key;
 
@@ -1685,6 +1605,13 @@ mod tests {
         let wider = small_grid(constraints).with_cluster(ClusterSpec::workstation(4));
         check(&wider, &sweep.run(&wider), "wider");
         assert_eq!(filled(&sweep), [2, 2, 6], "a new cluster computes its columns only");
+        // A cluster on another device profile: a prep set per model for its
+        // device group, and its coefficients.
+        let cpu = DeviceProfile::reference_cpu();
+        let devices = small_grid(constraints)
+            .with_cluster(ClusterSpec { device: cpu.clone(), ..ClusterSpec::paper_system() });
+        check(&devices, &sweep.run(&devices), "devices");
+        assert_eq!(filled(&sweep), [2, 4, 8], "a new device computes its prep sets");
         // One model's dataset size: its prep set and coefficients, not its
         // superset (the dataset is in no `ProblemKey`).
         let dataset = QueryGrid::new(constraints)
@@ -1694,7 +1621,7 @@ mod tests {
             .with_cluster(ClusterSpec::paper_system())
             .with_cluster(ClusterSpec::workstation(8));
         check(&dataset, &sweep.run(&dataset), "dataset");
-        assert_eq!(filled(&sweep), [2, 3, 8], "a dataset size moves its prep and coefficients");
+        assert_eq!(filled(&sweep), [2, 5, 10], "a dataset size moves its prep and coefficients");
         // Another capacity, −0.0 against 0.0 included: everything.
         for capacity in [0.0, -0.0] {
             let grid = small_grid(Constraints { memory_capacity_bytes: capacity, ..constraints });
@@ -1702,12 +1629,12 @@ mod tests {
             check(&grid, &sweep.run(&grid), "capacity");
             assert_eq!(filled(&sweep), [before[0] + 2, before[1] + 2, before[2] + 4], "{capacity}");
         }
-        // One problem priced by two compute models: the same superset, but
-        // the bounds move, so the prep set and coefficients do too.
+        // A caller's engine, on either compute model: computed in full on
+        // the kept buffers and keyed nowhere, so the next run computes
+        // every column again.
         let (gm, cluster) = (&grid.models[0], &grid.clusters[0]);
-        let cpu = DeviceProfile::reference_cpu();
-        let before = filled(&sweep);
         for device in [&cluster.device, &cpu] {
+            let before = filled(&sweep);
             let engine = CostEngine::new(&gm.model, device, cluster, gm.config_at(64))
                 .expect("engine builds");
             let swept = sweep.run_engine(&engine, &[32, 64], &constraints);
@@ -1715,47 +1642,28 @@ mod tests {
             for (x, y) in swept.cells.iter().zip(&fresh.cells) {
                 assert_reports_equal(&x.report, &y.report, &format!("engine {:?}", x.query));
             }
+            assert_eq!(filled(&sweep), before.map(|n| n + 1), "run_engine computes its columns");
+            let kept = sweep.kept.lock().expect("no sweep running");
+            assert!(kept.supersets.slots.iter().all(|s| s.inputs.is_none()), "supersets unkeyed");
+            assert!(kept.preps.slots.iter().all(|s| s.inputs.is_none()), "preps unkeyed");
+            assert!(kept.coefs.slots.iter().all(|s| s.inputs.is_none()), "coefficients unkeyed");
         }
-        assert_eq!(filled(&sweep), [before[0] + 1, before[1] + 2, before[2] + 2], "devices");
+        let before = filled(&sweep);
+        check(&grid, &sweep.run(&grid), "after run_engine");
+        assert_eq!(filled(&sweep), [before[0] + 2, before[1] + 2, before[2] + 4], "recomputed");
     }
 
-    #[test]
-    fn model_words_cover_every_field_but_layer_names() {
-        let base = model(0);
-        let words = model_words(&base).expect("small values fit");
-        type Edit = (&'static str, fn(&mut Model));
-        let edits: [Edit; 11] = [
-            ("name", |m| m.name.push('x')),
-            ("input channels", |m| m.input_channels += 1),
-            ("input spatial", |m| m.input_spatial[1] += 1),
-            ("kind", |m| m.layers[1].kind = LayerKind::BatchNorm),
-            ("in channels", |m| m.layers[2].in_channels += 1),
-            ("out channels", |m| m.layers[4].out_channels += 1),
-            ("spatial", |m| m.layers[0].in_spatial.push(1)),
-            ("kernel", |m| m.layers[0].kernel[0] += 1),
-            ("stride", |m| m.layers[1].stride[1] += 1),
-            ("padding", |m| m.layers[2].padding[0] += 1),
-            ("layers", |m| m.layers.pop().map(drop).unwrap_or_default()),
-        ];
-        for (what, edit) in edits {
-            let mut edited = base.clone();
-            edit(&mut edited);
-            assert_ne!(model_words(&edited).as_ref(), Some(&words), "{what}");
+    /// A test column's inputs: one number, asked for as itself.
+    impl Inputs<usize> for usize {
+        fn is(&self, want: &usize) -> bool {
+            self == want
         }
-        let mut renamed = base.clone();
-        renamed.layers[0].name.push('x');
-        assert_eq!(model_words(&renamed), Some(words));
-        let mut huge = base;
-        huge.layers[4].out_channels = u32::MAX as usize + 1;
-        assert_eq!(model_words(&huge), None, "a value past 32 bits is never confirmed");
     }
 
     #[test]
     fn a_panicking_fill_leaves_no_inputs_on_its_columns() {
-        let limits = ModelLimits::of(&model(0));
-        let keys: Vec<SupersetKey> =
-            (1..=4).map(|b| SupersetKey::of(&limits, b, &Constraints::default())).collect();
-        let mut columns: Columns<SupersetKey, Vec<u32>> = Columns::default();
+        let keys = [1usize, 2, 3, 4];
+        let mut columns: Columns<usize, Vec<u32>> = Columns::default();
         let fill = |panic_at: Option<usize>| {
             move |i: usize, column: &mut Vec<u32>| {
                 column.clear();
@@ -1767,11 +1675,10 @@ mod tests {
         let order = columns.claim(keys.len(), Some(&keys));
         assert_eq!(order, [0, 1, 2, 3]);
         columns.fill(&order, fill(None));
-        columns.record(|i| Some(keys[i].clone()));
+        columns.record(|i| Some(keys[i]));
         // Two columns asked for again, two new ones: the failed run clears
         // the inputs of the columns it refills before filling them.
-        let wants =
-            [keys[1].clone(), SupersetKey::of(&limits, 9, &Default::default()), keys[3].clone()];
+        let wants = [keys[1], 9, keys[3]];
         let order = columns.claim(wants.len(), Some(&wants));
         assert_eq!(order, [1]);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1786,10 +1693,13 @@ mod tests {
         let order = columns.claim(wants.len(), Some(&wants));
         assert_eq!(order, [1]);
         columns.fill(&order, fill(None));
-        columns.record(|i| Some(wants[i].clone()));
+        columns.record(|i| Some(wants[i]));
         assert!(columns.slots.iter().all(|s| s.inputs.is_some() && s.column == [1, 2]));
         assert!(columns.claim(wants.len(), Some(&wants)).is_empty(), "a repeat hits every column");
         assert_eq!(columns.slots.len(), wants.len(), "the kept set is the last run's columns");
+        // An unkeyed run keeps the buffers and clears every input.
+        assert_eq!(columns.claim::<usize>(wants.len(), None), [0, 1, 2]);
+        assert!(columns.slots.iter().all(|s| s.inputs.is_none() && s.column == [1, 2]));
     }
 
     #[test]
@@ -1834,6 +1744,7 @@ mod tests {
             assert_memory_recomputed(grid, report);
         }
         // Every cluster of either grid carries the V100 profile.
+        sweep.run(&b);
         assert_kept_exact(&sweep, &b, 1);
         sweep.run(&a);
         assert_kept_exact(&sweep, &a, 1);

@@ -19,43 +19,59 @@
 //! [`crate::engine::EngineCache`]. `batch_size`, `dataset_size` and
 //! `epochs` key nothing: engine cores are batch-invariant.
 //!
-//! Fields enter 64-bit words (a model packs two small fields to a word)
-//! and every word enters one of six lanes through the same step, an xor
-//! into the lane followed by a multiply by an odd constant and a rotation.
-//! Packing is bijective in each field and each step is a bijection of the
-//! lane, so two inputs of the same layout (as many layers and spatial
-//! dimensions) that differ in a single field always get different keys.
-//! A ResNet-152 model key takes ≈ 3–5 µs from scratch
-//! (`engine/resnet152_model_key`, shared 2-vCPU Xeon), about the time of
-//! reading its fields. Keys are still only hashes: equal keys do not prove
-//! equal problems, so the engine cache confirms a hit on the values
-//! themselves. A [`KeyedModel`] carries its model key, so a model that is
-//! resolved once (the daemon's zoo) is never hashed again.
+//! Each part is first a stream of 64-bit words, one per field (floats by
+//! their bits, every string and slice after its length), so two values of
+//! a part have the same fields (floats by their bits, a model's layer
+//! names aside) exactly when their word streams are equal; the key hashes
+//! that stream. Words enter six lanes in turn, each through the same step,
+//! an xor into the lane followed by a multiply by an odd constant and a
+//! rotation. Each step is a bijection of the lane, so two inputs whose
+//! streams have the same length and differ in a single word always get
+//! different keys. A ResNet-152 model key takes ≈ 8–9 µs
+//! (`engine/resnet152_model_key`, shared 2-vCPU Xeon). Keys are still only
+//! hashes: equal keys do not prove equal problems, so the engine cache
+//! confirms a hit on the values themselves, and a
+//! [`crate::grid::GridSweep`] confirms a resident column on the recorded
+//! word streams. A [`KeyedModel`] carries its model key, so a model that
+//! is resolved once (the daemon's zoo) is never hashed again.
 
 use crate::cluster::ClusterSpec;
 use crate::comm::LinkParams;
+use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
-use crate::layer::LayerKind;
+use crate::layer::{Layer, LayerKind};
 use crate::model::Model;
 use crate::oracle::{Constraints, PeSweep};
 
 /// Multiplier of the word step: the 64-bit golden ratio, which is odd.
 const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Lanes of a [`KeyHasher`]: a model layer is six words.
+/// Lanes of a [`KeyHasher`].
 const LANES: usize = 6;
 
-/// Words hashed in independent lanes, so the steps of one call do not wait
-/// on each other's multiply.
-struct KeyHasher {
-    lanes: [u64; LANES],
+/// Where a value's words go: a [`KeyHasher`], a recorded `Vec<u64>`, a
+/// [`Matcher`] checking them against a record, or a count.
+trait WordSink {
+    fn put(&mut self, word: u64);
 }
 
-/// Two fields in one word: bijective in each given the other, and
-/// injective while both fit in 32 bits.
-#[inline(always)]
-fn pack(a: u64, b: u64) -> u64 {
-    a ^ b.rotate_left(32)
+impl WordSink for Vec<u64> {
+    fn put(&mut self, word: u64) {
+        self.push(word);
+    }
+}
+
+/// Counts the words of a stream.
+impl WordSink for usize {
+    fn put(&mut self, _: u64) {
+        *self += 1;
+    }
+}
+
+/// Words hashed round robin into independent lanes, so consecutive steps
+/// do not wait on each other's multiply.
+struct KeyHasher {
+    lanes: [u64; LANES],
 }
 
 /// One word into one lane: a bijection of the lane for a fixed word, and
@@ -65,18 +81,6 @@ fn step(lane: u64, word: u64) -> u64 {
     (lane ^ word).wrapping_mul(MIX).rotate_left(29)
 }
 
-/// The values of a slice in one word: the first two packed, any further
-/// ones stepped in two at a time.
-#[inline(always)]
-fn slice_word(values: &[usize]) -> u64 {
-    let at = |i: usize| values.get(i).map_or(0, |&v| v as u64);
-    let mut word = pack(at(0), at(1));
-    for rest in values.get(2..).unwrap_or_default().chunks(2) {
-        word = step(word, pack(rest[0] as u64, rest.get(1).map_or(0, |&v| v as u64)));
-    }
-    word
-}
-
 impl KeyHasher {
     /// A hasher whose lanes start from `domain`, so the parts of a problem
     /// are hashed from different starting states.
@@ -84,38 +88,13 @@ impl KeyHasher {
         KeyHasher { lanes: std::array::from_fn(|i| step(domain, i as u64)) }
     }
 
-    /// One word into the first lane.
-    fn word(&mut self, w: u64) {
-        self.lanes[0] = step(self.lanes[0], w);
-    }
-
-    /// One word into each lane.
-    #[inline(always)]
-    fn step_lanes(&mut self, words: [u64; LANES]) {
-        for (lane, w) in self.lanes.iter_mut().zip(words) {
-            *lane = step(*lane, w);
+    /// The key of `words` under `domain`.
+    fn of(domain: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = KeyHasher::new(domain);
+        for w in words {
+            h.put(w);
         }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
-    /// A length-prefixed string, eight bytes per word.
-    fn str(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        let mut chunks = s.as_bytes().chunks_exact(8);
-        for chunk in &mut chunks {
-            self.word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = [0u8; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.word(u64::from_le_bytes(tail));
-    }
-
-    fn link(&mut self, link: &LinkParams) {
-        self.f64(link.alpha);
-        self.f64(link.beta);
+        h.finish()
     }
 
     /// Folds the lanes into one key: each lane through a rotation of its
@@ -133,6 +112,50 @@ impl KeyHasher {
     }
 }
 
+impl WordSink for KeyHasher {
+    #[inline(always)]
+    fn put(&mut self, word: u64) {
+        // The first lane takes the word and moves to the back, so the
+        // lanes take the words in turn.
+        let [a, b, c, d, e, f] = self.lanes;
+        self.lanes = [b, c, d, e, f, step(a, word)];
+    }
+}
+
+/// Checks a word stream against recorded words, without allocating.
+struct Matcher<'w> {
+    words: &'w [u64],
+    at: usize,
+    same: bool,
+}
+
+impl WordSink for Matcher<'_> {
+    fn put(&mut self, word: u64) {
+        self.same &= self.words.get(self.at) == Some(&word);
+        self.at += 1;
+    }
+}
+
+/// A length-prefixed slice, one word per value.
+fn slice_words(values: &[usize], sink: &mut impl WordSink) {
+    sink.put(values.len() as u64);
+    for &v in values {
+        sink.put(v as u64);
+    }
+}
+
+/// A length-prefixed string, eight bytes per word.
+fn str_words(s: &str, sink: &mut impl WordSink) {
+    sink.put(s.len() as u64);
+    let mut chunks = s.as_bytes().chunks_exact(8);
+    for chunk in &mut chunks {
+        sink.put(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    sink.put(u64::from_le_bytes(tail));
+}
+
 /// The key of a [`Model`]: its name, input shape and every layer's kind,
 /// channels, spatial extents, kernel, stride and padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -142,28 +165,53 @@ impl ModelKey {
     /// Hashes `model`'s fields.
     pub fn of(model: &Model) -> Self {
         let mut h = KeyHasher::new(1);
-        h.str(&model.name);
-        h.word(model.input_channels as u64);
-        h.word(model.input_spatial.len() as u64);
-        h.word(slice_word(&model.input_spatial));
-        h.word(model.layers.len() as u64);
-        // One step of every lane per layer: the fields packed two to a
-        // word, the four shape slices' lengths a byte apart in one.
-        for l in &model.layers {
-            let lens = l.in_spatial.len() as u64
-                ^ (l.kernel.len() as u64).rotate_left(8)
-                ^ (l.stride.len() as u64).rotate_left(16)
-                ^ (l.padding.len() as u64).rotate_left(24);
-            h.step_lanes([
-                pack(layer_kind_code(l.kind), l.in_channels as u64),
-                pack(l.out_channels as u64, lens),
-                slice_word(&l.in_spatial),
-                slice_word(&l.kernel),
-                slice_word(&l.stride),
-                slice_word(&l.padding),
-            ]);
-        }
+        Self::walk(model, &mut h);
         ModelKey(h.finish())
+    }
+
+    /// The words [`ModelKey::of`] hashes: every field but the layers'
+    /// names, one word each, every string and slice after its length. The
+    /// vector holds no spare capacity.
+    pub(crate) fn words(model: &Model) -> Vec<u64> {
+        let mut len = 0usize;
+        Self::walk(model, &mut len);
+        let mut words = Vec::with_capacity(len);
+        Self::walk(model, &mut words);
+        words
+    }
+
+    /// Whether `words` are [`ModelKey::words`] of `model`; allocates
+    /// nothing.
+    pub(crate) fn words_match(words: &[u64], model: &Model) -> bool {
+        let mut m = Matcher { words, at: 0, same: true };
+        Self::walk(model, &mut m);
+        m.same && m.at == words.len()
+    }
+
+    fn walk(model: &Model, sink: &mut impl WordSink) {
+        let Model { name, input_channels, input_spatial, layers } = model;
+        str_words(name, sink);
+        sink.put(*input_channels as u64);
+        slice_words(input_spatial, sink);
+        sink.put(layers.len() as u64);
+        for layer in layers {
+            let Layer {
+                name: _,
+                kind,
+                in_channels,
+                out_channels,
+                in_spatial,
+                kernel,
+                stride,
+                padding,
+            } = layer;
+            sink.put(layer_kind_code(*kind));
+            sink.put(*in_channels as u64);
+            sink.put(*out_channels as u64);
+            for values in [in_spatial, kernel, stride, padding] {
+                slice_words(values, sink);
+            }
+        }
     }
 }
 
@@ -187,20 +235,49 @@ pub struct ClusterKey(u64);
 impl ClusterKey {
     /// Hashes `cluster`'s fields.
     pub fn of(cluster: &ClusterSpec) -> Self {
-        let d = &cluster.device;
-        let mut h = KeyHasher::new(2);
-        h.f64(d.peak_flops);
-        h.f64(d.conv_efficiency);
-        h.f64(d.memory_bound_efficiency);
-        h.f64(d.kernel_overhead);
-        h.f64(d.update_elements_per_sec);
-        h.word(cluster.gpus_per_node as u64);
-        h.word(cluster.nodes_per_rack as u64);
-        h.word(cluster.racks as u64);
-        h.link(&cluster.intra_node);
-        h.link(&cluster.intra_rack);
-        h.link(&cluster.inter_rack);
-        ClusterKey(h.finish())
+        ClusterKey(KeyHasher::of(2, Self::words(cluster)))
+    }
+
+    /// The words [`ClusterKey::of`] hashes: the device profile's
+    /// ([`ClusterKey::device_words`]), then the machine shape and the
+    /// links.
+    pub(crate) fn words(cluster: &ClusterSpec) -> [u64; 14] {
+        let ClusterSpec {
+            ref device,
+            gpus_per_node,
+            nodes_per_rack,
+            racks,
+            intra_node,
+            intra_rack,
+            inter_rack,
+        } = *cluster;
+        let link = |l: LinkParams| {
+            let LinkParams { alpha, beta } = l;
+            [alpha.to_bits(), beta.to_bits()]
+        };
+        let [d0, d1, d2, d3, d4] = Self::device_words(device);
+        let ([n0, n1], [r0, r1], [x0, x1]) = (link(intra_node), link(intra_rack), link(inter_rack));
+        let (g, n, r) = (gpus_per_node as u64, nodes_per_rack as u64, racks as u64);
+        [d0, d1, d2, d3, d4, g, n, r, n0, n1, r0, r1, x0, x1]
+    }
+
+    /// Every field of a device profile, by its bits.
+    pub(crate) fn device_words(device: &DeviceProfile) -> [u64; 5] {
+        let DeviceProfile {
+            peak_flops,
+            conv_efficiency,
+            memory_bound_efficiency,
+            kernel_overhead,
+            update_elements_per_sec,
+        } = *device;
+        [
+            peak_flops,
+            conv_efficiency,
+            memory_bound_efficiency,
+            kernel_overhead,
+            update_elements_per_sec,
+        ]
+        .map(f64::to_bits)
     }
 }
 
@@ -214,10 +291,12 @@ impl MemoryKey {
     /// Hashes `config`'s `δ` and `γ`; the batch, dataset and epochs are
     /// left out.
     pub fn of(config: &TrainingConfig) -> Self {
-        let mut h = KeyHasher::new(3);
-        h.f64(config.bytes_per_item);
-        h.f64(config.memory_reuse);
-        MemoryKey(h.finish())
+        MemoryKey(KeyHasher::of(3, Self::words(config)))
+    }
+
+    /// The words [`MemoryKey::of`] hashes: `δ` and `γ` by their bits.
+    pub(crate) fn words(config: &TrainingConfig) -> [u64; 2] {
+        [config.bytes_per_item.to_bits(), config.memory_reuse.to_bits()]
     }
 }
 
@@ -229,22 +308,26 @@ pub struct ConstraintsKey(u64);
 impl ConstraintsKey {
     /// Hashes `constraints`' fields.
     pub fn of(constraints: &Constraints) -> Self {
-        let mut h = KeyHasher::new(4);
-        h.word(constraints.max_pes as u64);
-        h.f64(constraints.memory_capacity_bytes);
-        h.word(constraints.pipeline_segments as u64);
-        match constraints.top_k {
-            None => h.word(0),
-            Some(k) => {
-                h.word(1);
-                h.word(k as u64);
-            }
-        }
-        h.word(match constraints.sweep {
+        ConstraintsKey(KeyHasher::of(4, Self::words(constraints)))
+    }
+
+    /// The words [`ConstraintsKey::of`] hashes: every field, `top_k` as
+    /// whether it is set and its value.
+    pub(crate) fn words(constraints: &Constraints) -> [u64; 6] {
+        let Constraints { max_pes, memory_capacity_bytes, pipeline_segments, top_k, sweep } =
+            *constraints;
+        let sweep = match sweep {
             PeSweep::PowersOfTwo => 0,
             PeSweep::Exhaustive => 1,
-        });
-        ConstraintsKey(h.finish())
+        };
+        [
+            max_pes as u64,
+            memory_capacity_bytes.to_bits(),
+            pipeline_segments as u64,
+            top_k.is_some() as u64,
+            top_k.unwrap_or(0) as u64,
+            sweep,
+        ]
     }
 }
 
@@ -309,8 +392,6 @@ impl KeyedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::DeviceProfile;
-    use crate::layer::Layer;
 
     fn model() -> Model {
         Model::new(
@@ -360,31 +441,51 @@ mod tests {
     #[test]
     fn every_model_field_changes_the_key() {
         let base = model();
+        let edits: [Edit<'_, Model>; 14] = [
+            ("name", &|m| m.name.push('x')),
+            ("input_channels", &|m| m.input_channels += 1),
+            ("input_spatial", &|m| m.input_spatial[1] += 1),
+            ("input rank", &|m| m.input_spatial.push(1)),
+            ("layer count", &|m| {
+                m.layers.pop();
+            }),
+            ("kind", &|m| m.layers[1].kind = LayerKind::BatchNorm),
+            ("in_channels", &|m| m.layers[0].in_channels += 1),
+            ("out_channels", &|m| m.layers[0].out_channels += 1),
+            ("in_spatial", &|m| m.layers[2].in_spatial[0] += 1),
+            ("kernel", &|m| m.layers[0].kernel[1] += 1),
+            ("stride", &|m| m.layers[2].stride[0] += 1),
+            ("padding", &|m| m.layers[0].padding[0] += 1),
+            ("a spatial dimension", &|m| m.layers[0].padding.push(0)),
+            ("layer order", &|m| m.layers.swap(0, 1)),
+        ];
+        all_differ(&base, ModelKey::of, &edits);
+        all_differ(&base, ModelKey::words, &edits);
+        // Values past 32 bits are words of their own, not packed.
         all_differ(
             &base,
-            ModelKey::of,
-            &[
-                ("name", &|m| m.name.push('x')),
-                ("input_channels", &|m| m.input_channels += 1),
-                ("input_spatial", &|m| m.input_spatial[1] += 1),
-                ("input rank", &|m| m.input_spatial.push(1)),
-                ("layer count", &|m| {
-                    m.layers.pop();
-                }),
-                ("kind", &|m| m.layers[1].kind = LayerKind::BatchNorm),
-                ("in_channels", &|m| m.layers[0].in_channels += 1),
-                ("out_channels", &|m| m.layers[0].out_channels += 1),
-                ("in_spatial", &|m| m.layers[2].in_spatial[0] += 1),
-                ("kernel", &|m| m.layers[0].kernel[1] += 1),
-                ("stride", &|m| m.layers[2].stride[0] += 1),
-                ("padding", &|m| m.layers[0].padding[0] += 1),
-                ("a spatial dimension", &|m| m.layers[0].padding.push(0)),
-                ("layer order", &|m| m.layers.swap(0, 1)),
-            ],
+            ModelKey::words,
+            &[("a wide value", &|m| m.layers[4].out_channels <<= 40)],
         );
         let mut renamed = base.clone();
         renamed.layers[0].name = "other".into();
         assert_eq!(ModelKey::of(&renamed), ModelKey::of(&base), "layer names key nothing");
+        assert_eq!(ModelKey::words(&renamed), ModelKey::words(&base));
+    }
+
+    #[test]
+    fn recorded_words_match_only_their_model() {
+        let base = model();
+        let words = ModelKey::words(&base);
+        assert!(ModelKey::words_match(&words, &base));
+        let mut longer = base.clone();
+        longer.layers.push(Layer::fully_connected("fc2", 10, 10));
+        assert!(!ModelKey::words_match(&words, &longer), "a longer stream");
+        assert!(!ModelKey::words_match(&ModelKey::words(&longer), &base), "a shorter stream");
+        let mut wider = base.clone();
+        wider.layers[0].in_channels = 4;
+        assert!(!ModelKey::words_match(&words, &wider), "one word differs");
+        assert!(!ModelKey::words_match(&[], &base));
     }
 
     #[test]
@@ -393,64 +494,67 @@ mod tests {
         // One flipped bit in each float: the smallest change a field can
         // make.
         let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
-        all_differ(
-            &base,
-            ClusterKey::of,
-            &[
-                ("peak_flops", &|c| flip(&mut c.device.peak_flops)),
-                ("conv_efficiency", &|c| flip(&mut c.device.conv_efficiency)),
-                ("memory_bound_efficiency", &|c| flip(&mut c.device.memory_bound_efficiency)),
-                ("kernel_overhead", &|c| flip(&mut c.device.kernel_overhead)),
-                ("update_elements_per_sec", &|c| flip(&mut c.device.update_elements_per_sec)),
-                ("gpus_per_node", &|c| c.gpus_per_node += 1),
-                ("nodes_per_rack", &|c| c.nodes_per_rack += 1),
-                ("racks", &|c| c.racks += 1),
-                ("intra_node.alpha", &|c| flip(&mut c.intra_node.alpha)),
-                ("intra_node.beta", &|c| flip(&mut c.intra_node.beta)),
-                ("intra_rack.alpha", &|c| flip(&mut c.intra_rack.alpha)),
-                ("intra_rack.beta", &|c| flip(&mut c.intra_rack.beta)),
-                ("inter_rack.alpha", &|c| flip(&mut c.inter_rack.alpha)),
-                ("inter_rack.beta", &|c| flip(&mut c.inter_rack.beta)),
-                ("links swapped", &|c| std::mem::swap(&mut c.intra_rack, &mut c.inter_rack)),
-                ("device", &|c| c.device = DeviceProfile::reference_cpu()),
-            ],
-        );
+        let edits: [Edit<'_, ClusterSpec>; 16] = [
+            ("peak_flops", &|c| flip(&mut c.device.peak_flops)),
+            ("conv_efficiency", &|c| flip(&mut c.device.conv_efficiency)),
+            ("memory_bound_efficiency", &|c| flip(&mut c.device.memory_bound_efficiency)),
+            ("kernel_overhead", &|c| flip(&mut c.device.kernel_overhead)),
+            ("update_elements_per_sec", &|c| flip(&mut c.device.update_elements_per_sec)),
+            ("gpus_per_node", &|c| c.gpus_per_node += 1),
+            ("nodes_per_rack", &|c| c.nodes_per_rack += 1),
+            ("racks", &|c| c.racks += 1),
+            ("intra_node.alpha", &|c| flip(&mut c.intra_node.alpha)),
+            ("intra_node.beta", &|c| flip(&mut c.intra_node.beta)),
+            ("intra_rack.alpha", &|c| flip(&mut c.intra_rack.alpha)),
+            ("intra_rack.beta", &|c| flip(&mut c.intra_rack.beta)),
+            ("inter_rack.alpha", &|c| flip(&mut c.inter_rack.alpha)),
+            ("inter_rack.beta", &|c| flip(&mut c.inter_rack.beta)),
+            ("links swapped", &|c| std::mem::swap(&mut c.intra_rack, &mut c.inter_rack)),
+            ("device", &|c| c.device = DeviceProfile::reference_cpu()),
+        ];
+        all_differ(&base, ClusterKey::of, &edits);
+        all_differ(&base, ClusterKey::words, &edits);
+        // The device words lead the cluster's.
+        let device = ClusterKey::device_words(&base.device);
+        assert_eq!(ClusterKey::words(&base)[..5], device);
+        all_differ(&base, |c| ClusterKey::device_words(&c.device), &edits[..5]);
+        let zero = ClusterSpec { device: DeviceProfile { peak_flops: 0.0, ..base.device }, ..base };
+        let negative_zero =
+            ClusterSpec { device: DeviceProfile { peak_flops: -0.0, ..base.device }, ..base };
+        assert_ne!(ClusterKey::words(&zero), ClusterKey::words(&negative_zero), "−0.0 against 0.0");
     }
 
     #[test]
     fn gamma_delta_and_every_constraint_change_their_keys() {
         let base = TrainingConfig::small(4096, 64);
-        all_differ(
-            &base,
-            MemoryKey::of,
-            &[
-                ("bytes_per_item", &|c| c.bytes_per_item = 2.0),
-                ("memory_reuse", &|c| {
-                    c.memory_reuse = f64::from_bits(c.memory_reuse.to_bits() ^ 1)
-                }),
-                ("swapped", &|c| std::mem::swap(&mut c.bytes_per_item, &mut c.memory_reuse)),
-            ],
-        );
+        let edits: [Edit<'_, TrainingConfig>; 3] = [
+            ("bytes_per_item", &|c| c.bytes_per_item = 2.0),
+            ("memory_reuse", &|c| c.memory_reuse = f64::from_bits(c.memory_reuse.to_bits() ^ 1)),
+            ("swapped", &|c| std::mem::swap(&mut c.bytes_per_item, &mut c.memory_reuse)),
+        ];
+        all_differ(&base, MemoryKey::of, &edits);
+        all_differ(&base, MemoryKey::words, &edits);
         let base = Constraints::default();
-        all_differ(
-            &base,
-            ConstraintsKey::of,
-            &[
-                ("max_pes", &|c| c.max_pes += 1),
-                ("memory_capacity_bytes", &|c| c.memory_capacity_bytes *= 2.0),
-                ("pipeline_segments", &|c| c.pipeline_segments += 1),
-                ("top_k", &|c| c.top_k = Some(10)),
-                ("sweep", &|c| c.sweep = PeSweep::Exhaustive),
-            ],
-        );
+        let edits: [Edit<'_, Constraints>; 7] = [
+            ("max_pes", &|c| c.max_pes += 1),
+            ("memory_capacity_bytes", &|c| c.memory_capacity_bytes *= 2.0),
+            ("memory_capacity_bytes −0.0", &|c| c.memory_capacity_bytes = -0.0),
+            ("pipeline_segments", &|c| c.pipeline_segments += 1),
+            ("top_k", &|c| c.top_k = Some(10)),
+            ("top_k zero", &|c| c.top_k = Some(0)),
+            ("sweep", &|c| c.sweep = PeSweep::Exhaustive),
+        ];
+        all_differ(&base, ConstraintsKey::of, &edits);
+        all_differ(&base, ConstraintsKey::words, &edits);
         let ten = Constraints { top_k: Some(10), ..base };
         assert_ne!(
             ConstraintsKey::of(&ten),
             ConstraintsKey::of(&Constraints { top_k: Some(11), ..ten })
         );
+        let zero = Constraints { memory_capacity_bytes: 0.0, ..base };
         assert_ne!(
-            ConstraintsKey::of(&Constraints { top_k: Some(0), ..base }),
-            ConstraintsKey::of(&base)
+            ConstraintsKey::words(&zero),
+            ConstraintsKey::words(&Constraints { memory_capacity_bytes: -0.0, ..base })
         );
     }
 

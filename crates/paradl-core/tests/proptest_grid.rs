@@ -302,8 +302,9 @@ proptest! {
     // One sweep value runs a sequence of grids, each one edit away from
     // the last, every edit kind in a seeded order: whatever its kept
     // columns were computed from, every report must equal a fresh sweep's.
-    // `run_timed` alternates with `run` and `run_engine` on the same value,
-    // and the last grid is swept by two threads at once.
+    // `run_timed` alternates with `run`, `run_engine` (which keys nothing)
+    // sweeps on the same value in between, and the last grid is swept by
+    // two threads at once.
     #[test]
     fn resident_columns_never_serve_a_stale_answer(
         model_a in arb_model(),
@@ -369,6 +370,10 @@ proptest! {
                         want.query
                     );
                 }
+                // `run_engine` keys no column: sweep the grid again on the
+                // buffers it left, so the next edit meets keyed columns.
+                let check = same_cells(&sweep.run(&grid), &fresh);
+                prop_assert!(check.is_ok(), "step {step}, after run_engine: {check:?}");
             }
         }
         // Two threads on one value: one sweeps on the kept columns, the

@@ -662,17 +662,15 @@ fn batcher_loop(rx: &Receiver<Pending>, shared: &Arc<Shared>) {
         while let Ok(p) = rx.try_recv() {
             batch.push(p);
         }
-        // A fresh sweep per batch, so the daemon keeps no resident columns
-        // between batches. A sweep keeps exactly the columns of its last
-        // run, here the batch's last group: one problem at one set of
-        // batches under one set of constraints. Kept for the daemon's
-        // lifetime, they would pin the largest group's columns with no
-        // bound on the heap they hold, to serve only a later group that
-        // asks for that same problem next; serving columns from the
-        // `EngineCache`, under its LRU cap, is the way to reuse them across
-        // requests. Within one batch each group refills the buffers the one
-        // before it kept, and reuses its columns outright when the two
-        // differ only in what no column depends on (the epochs).
+        // A fresh sweep per batch, whose groups refill one set of buffers.
+        // The daemon keeps no resident columns: `run_engine` keys none, so
+        // no group reuses another's columns, and the sweep is dropped with
+        // the batch. A sweep keeps exactly the columns of its last run, one
+        // problem at one set of batches; kept for the daemon's lifetime,
+        // they would pin the largest group's buffers with no bound on the
+        // heap they hold, to serve only a later group that asks for the same
+        // problem next. Serving columns from the `EngineCache`, under its
+        // LRU cap, is the way to reuse them across requests.
         process_batch(batch, &GridSweep::new(), shared);
     }
     // Stragglers that raced the shutdown check get a refusal, not silence.
