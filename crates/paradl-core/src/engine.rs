@@ -99,8 +99,8 @@ use crate::comm::CommModel;
 use crate::compute::{ComputeModel, LayerTimes};
 use crate::config::TrainingConfig;
 use crate::cost::{hierarchical_allreduce_time, CostEstimate, PhaseBreakdown};
-use crate::key::{KeyedModel, ProblemKey};
-use crate::model::Model;
+use crate::key::{ClusterKey, KeyedModel, MemoryKey, ProblemKey};
+use crate::model::{balanced_groups, Model};
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -274,36 +274,6 @@ struct Depth {
     front: Vec<(f64, f64)>,
 }
 
-/// Replica of [`Model::balanced_pipeline_groups`] operating on a flat
-/// per-layer FLOP array (same greedy algorithm, same accumulation order, so
-/// the groupings are identical) without re-querying layer shapes. FLOPs do
-/// not depend on the batch, so neither do the groupings — which is what
-/// makes the per-group memory parts batch-invariant. `flops` holds each
-/// layer's FLOP count already converted to `f64` (the value the model's
-/// loop adds) and `total` their exact integer sum, both computed once per
-/// core and read by every [`EngineCore::fill_depth`].
-fn balanced_groups(flops: &[f64], total: u64, p: usize) -> Vec<std::ops::Range<usize>> {
-    let p = p.clamp(1, flops.len().max(1));
-    let target = total as f64 / p as f64;
-    let mut groups = Vec::with_capacity(p);
-    let mut start = 0usize;
-    let mut acc = 0f64;
-    for (i, &f) in flops.iter().enumerate() {
-        acc += f;
-        let remaining_groups = p - groups.len();
-        let remaining_layers = flops.len() - i - 1;
-        // Close the group when we reach the target, but always leave at
-        // least one layer per remaining group.
-        if groups.len() < p - 1 && (acc >= target || remaining_layers < (remaining_groups - 1)) {
-            groups.push(start..i + 1);
-            start = i + 1;
-            acc = 0.0;
-        }
-    }
-    groups.push(start..flops.len());
-    groups
-}
-
 /// Whether stage memory parts `a` are at least as large as `b` in both the
 /// activation and the static field. Then `2·B·a.0 + a.1 ≥ 2·B·b.0 + b.1` at
 /// every batch `B ≥ 1` (all terms are `≥ 0` and rounding is monotone), so
@@ -420,8 +390,8 @@ impl EngineCore {
         self.depths[p - 1].get_or_init(|| self.fill_depth(p))
     }
 
-    /// Groups the layers into `p` balanced stages with the greedy algorithm
-    /// of [`Model::balanced_pipeline_groups`] and turns every per-stage sum
+    /// Groups the layers into `p` balanced stages with the model's one
+    /// grouping ([`balanced_groups`]) and turns every per-stage sum
     /// into a prefix-sum difference — no layer re-walk. The stage memory is
     /// kept as batch-invariant `(activation, static)` element pairs, of
     /// which only the Pareto-maximal ones survive. Out of line, so the
@@ -629,14 +599,10 @@ impl<'a> CostEngine<'a> {
         }
 
         // The inputs of every pipeline depth: the balanced grouping runs on
-        // a flat FLOP array with the exact greedy algorithm of
-        // `Model::balanced_pipeline_groups`, and every per-stage sum becomes
-        // a prefix-sum difference. The depths themselves are filled on first
-        // read (`EngineCore::depth`).
-        let flops: Vec<u64> =
-            model.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
-        let total_flops: u64 = flops.iter().sum();
-        let flops: Vec<f64> = flops.into_iter().map(|f| f as f64).collect();
+        // the model's flat FLOP array, as `Model::balanced_pipeline_groups`
+        // does, and every per-stage sum becomes a prefix-sum difference. The
+        // depths themselves are filled on first read (`EngineCore::depth`).
+        let (flops, total_flops) = model.pipeline_flops();
         let prefix = |xs: &dyn Fn(usize) -> f64| -> Vec<f64> {
             let mut acc = 0.0;
             let mut out = Vec::with_capacity(g + 1);
@@ -1140,37 +1106,33 @@ impl CollectiveTables {
 }
 
 /// One cached core and the problem it was built for: the key it is
-/// filed under, and the values a hit confirms.
+/// filed under, and the values a hit confirms — the model, and the words
+/// the key hashes for the cluster ([`ClusterKey::words`]) and for `δ`/`γ`
+/// ([`MemoryKey::words`]).
 struct CachedCore {
     key: ProblemKey,
     model: Arc<KeyedModel>,
-    cluster: ClusterSpec,
-    /// Bits of the build config's `bytes_per_item` and `memory_reuse`.
+    cluster: [u64; 14],
     memory: [u64; 2],
     core: Arc<EngineCore>,
-}
-
-/// The bits of the config fields an engine core bakes in (`δ`, `γ`).
-fn memory_bits(config: &TrainingConfig) -> [u64; 2] {
-    [config.bytes_per_item.to_bits(), config.memory_reuse.to_bits()]
 }
 
 impl CachedCore {
     /// Whether this entry was built for exactly this problem: the key
     /// first, then the model (the same allocation, or else an equal
-    /// model), the cluster and the memory bits. Equal keys alone prove
-    /// nothing.
+    /// model), the cluster's words and the memory words. Equal keys alone
+    /// prove nothing.
     fn is(
         &self,
         key: &ProblemKey,
         model: &Arc<KeyedModel>,
-        cluster: &ClusterSpec,
-        memory: [u64; 2],
+        cluster: &[u64; 14],
+        memory: &[u64; 2],
     ) -> bool {
         self.key == *key
             && (Arc::ptr_eq(&self.model, model) || self.model.model() == model.model())
             && self.cluster == *cluster
-            && self.memory == memory
+            && self.memory == *memory
     }
 }
 
@@ -1245,8 +1207,9 @@ pub struct EngineCacheStats {
 /// the problem once; a lookup hashes nothing. A key is a hash, so a hit
 /// confirms the whole problem, not only the key: the model stored at build
 /// must be the caller's (`Arc::ptr_eq`) or else equal to it, and the
-/// cluster and the config's `δ` and `γ` must be equal too. Two problems
-/// that collide on one key get two cores.
+/// cluster and the config's `δ` and `γ` must match the stored ones field
+/// for field, floats by their bits (the words the key hashes). Two
+/// problems that collide on one key get two cores.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
 pub struct EngineCache {
@@ -1304,11 +1267,11 @@ impl EngineCache {
         config: &TrainingConfig,
         build: impl FnOnce() -> Result<Arc<EngineCore>, EngineError>,
     ) -> Result<(Arc<EngineCore>, bool), EngineError> {
-        let memory = memory_bits(config);
+        let (cluster, memory) = (ClusterKey::words(cluster), MemoryKey::words(config));
         let result = self.cores.try_get_or_insert(
-            |entry| entry.is(key, model, cluster, memory),
+            |entry| entry.is(key, model, &cluster, &memory),
             || {
-                let (model, cluster) = (Arc::clone(model), cluster.clone());
+                let model = Arc::clone(model);
                 Ok(CachedCore { key: *key, model, cluster, memory, core: build()? })
             },
         );
@@ -1539,21 +1502,6 @@ mod tests {
         }
         for kind in StrategyKind::ALL {
             assert_eq!(limits.max_pes(batch, kind), Strategy::max_pes(&m, batch, kind));
-        }
-    }
-
-    #[test]
-    fn balanced_groups_replicates_model_grouping() {
-        let m = model();
-        let flops: Vec<u64> =
-            m.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
-        let flops_f: Vec<f64> = flops.iter().map(|&f| f as f64).collect();
-        for p in 1..=m.num_layers() + 2 {
-            assert_eq!(
-                balanced_groups(&flops_f, flops.iter().sum(), p),
-                m.balanced_pipeline_groups(p.min(m.num_layers()).max(1)),
-                "grouping diverges at p={p}"
-            );
         }
     }
 

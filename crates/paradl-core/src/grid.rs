@@ -9,10 +9,10 @@
 //! per-layer path the tests compare against. A sweep has two parts:
 //!
 //! 1. **engine acquisition** — one [`CostEngine`] per (model, cluster)
-//!    pair, built with [`CostEngine::new`]; a one-cell answer skips this
-//!    part and brings its own engine, and so does
-//!    [`GridSweep::run_engine`], one problem at several batches on an
-//!    engine the caller took from an [`EngineCache`];
+//!    pair, built with [`CostEngine::new`]; [`GridSweep::run_engine`]
+//!    skips this part: it sweeps one problem at one or several batches on
+//!    an engine the caller brings (an oracle's own, or one from an
+//!    [`EngineCache`]);
 //! 2. **the sweep over prepared engines**, which amortizes everything
 //!    shareable across cells:
 //!
@@ -98,15 +98,13 @@
 //! sweeping on the same value) sweeps on fresh buffers and keys nothing; a
 //! clone starts with none, and dropping the sweep frees them.
 //!
-//! Only [`GridSweep::run`] and [`GridSweep::run_timed`] key columns: they
-//! build every engine on its cluster's device profile, so the profile
-//! stands for the engine's per-layer times. [`GridSweep::run_engine`],
-//! whose engine may come from any compute model, computes every column
-//! into the kept buffers and keys none, and one-cell answers
-//! ([`Oracle::search`], [`crate::query::Query::run`]) sweep on fresh
-//! buffers. The `paradl-serve` daemon answers each group with
-//! `run_engine` on a sweep per drained batch, so it holds no columns
-//! between requests and no group reuses another's.
+//! Only [`GridSweep::run`] and [`GridSweep::run_timed`] use or key kept
+//! columns: they build every engine on its cluster's device profile, so
+//! the profile stands for the engine's per-layer times. Everything else is
+//! one-shot: [`GridSweep::run_engine`], whose engine may come from any
+//! compute model and which serves one-cell answers ([`Oracle::search`],
+//! [`crate::query::Query::run`]) and the `paradl-serve` daemon's groups,
+//! sweeps on fresh buffers and leaves the kept columns as they are.
 //!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
@@ -514,11 +512,13 @@ impl<K: Send, V: Default + Send> Columns<K, V> {
     /// same slot if it is free (an input changed in place, so the column
     /// refills to about its old size), else any other, else a new one. The
     /// kept columns left over are freed: the stage keeps exactly this run's
-    /// columns. Without `wants` (a one-shot sweep) nothing is matched.
+    /// columns. Without `wants` (a one-shot sweep, on columns of its own)
+    /// nothing is matched.
     fn claim<W>(&mut self, n: usize, wants: Option<&[W]>) -> Vec<usize>
     where
         K: Inputs<W>,
     {
+        debug_assert!(wants.is_some() || self.slots.is_empty(), "one-shot on fresh columns");
         let mut spare: Vec<Option<Resident<K, V>>> =
             std::mem::take(&mut self.slots).into_iter().map(Some).collect();
         let mut misses = Vec::new();
@@ -828,13 +828,13 @@ impl Laps {
 /// the buffers of the columns it no longer needs, so a repeated grid pays
 /// only for engines, cells and evaluation, and a grid with one axis
 /// changed also for the columns that axis reaches.
-/// [`run_engine`](GridSweep::run_engine) refills the kept buffers but keys
-/// no column. The kept set is exactly the last run's columns, trimmed to
-/// their lengths, plus their records, so it never holds more than that run
-/// held live and a model's words per prep set. A run that finds the
-/// columns in use by another thread sweeping on the same value sweeps on
-/// fresh buffers of its own. [`Clone`] gives a sweep with no columns, and
-/// dropping a sweep frees them.
+/// [`run_engine`](GridSweep::run_engine) sweeps on buffers of its own and
+/// leaves the kept columns alone. The kept set is exactly the last run's
+/// columns, trimmed to their lengths, plus their records, so it never holds
+/// more than that run held live and a model's words per prep set. A run
+/// that finds the columns in use by another thread sweeping on the same
+/// value sweeps on fresh buffers of its own. [`Clone`] gives a sweep with
+/// no columns, and dropping a sweep frees them.
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
@@ -885,30 +885,6 @@ impl GridSweep {
         self.run_timed(grid).0
     }
 
-    /// One ranked query as a one-cell sweep on the caller's engine — the
-    /// ranked arm of
-    /// [`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine).
-    /// Nothing is built and nothing rebatched: the cell's candidates are
-    /// enumerated at the engine's own batch. The sweep's kept columns are
-    /// neither read nor touched and nothing is keyed: a one-cell answer is
-    /// a one-shot sweep.
-    pub(crate) fn run_one(
-        &self,
-        engine: &CostEngine<'_>,
-        constraints: &Constraints,
-    ) -> SearchReport {
-        let mut timings = GridStageTimings::default();
-        let (mut cells, _) = self.sweep(
-            std::slice::from_ref(engine),
-            &[0],
-            &[engine.config().batch_size],
-            constraints,
-            (&mut SweepBuffers::default(), false),
-            &mut timings,
-        );
-        cells.pop().expect("a one-cell sweep yields one cell").report
-    }
-
     /// Like [`GridSweep::run`], but also returns per-stage wall-clock
     /// timings (used by `bench_kernel_summary` to report the prep/eval
     /// split of the kernel trajectory). Engine acquisition — one engine per
@@ -957,45 +933,44 @@ impl GridSweep {
             })
             .collect();
 
-        let mut fresh = SweepBuffers::default();
         let mut kept = self.kept_buffers();
-        let keyed = kept.is_some();
-        let buffers = kept.as_deref_mut().unwrap_or(&mut fresh);
         let (cells, wants) = self.sweep(
             &engines,
             &group_of,
             &grid.batches,
             &grid.constraints,
-            (&mut *buffers, keyed),
+            kept.as_deref_mut(),
             &mut timings,
         );
         // The engines go before the computed columns' inputs are recorded:
         // a record copies its model's words, fewer bytes than the model's
         // engine held, so recording never raises the sweep's peak.
         drop(engines);
-        if let Some(wants) = wants {
+        if let (Some(wants), Some(kept)) = (wants, kept.as_deref_mut()) {
             let mut laps = Laps(Instant::now());
-            wants.record(buffers);
+            wants.record(kept);
             timings.finish += laps.lap();
         }
         (GridReport { cells }, timings)
     }
 
-    /// The cells of one problem at several batches, swept on the caller's
+    /// The cells of one problem at `batches`, swept on the caller's
     /// `engine`: a one-model, one-cluster grid whose engine the caller
-    /// acquired (the `paradl-serve` daemon takes it from
+    /// acquired — an oracle's own for a one-cell answer
+    /// ([`Oracle::answer_with_engine`](crate::oracle::Oracle::answer_with_engine)
+    /// asks for the engine's own batch, so nothing is rebatched), or one
+    /// the `paradl-serve` daemon took from
     /// [`EngineCache::engine`](crate::engine::EngineCache::engine) under a
-    /// key it computed once per group). The engine may sit at any batch;
-    /// each cell is answered on a rebatched sibling, so the report equals
-    /// [`GridSweep::run`] on that grid. Cells come back in `batches` order
-    /// with model and cluster index 0.
+    /// key it computed once per group. The engine may sit at any batch;
+    /// each other cell is answered on a rebatched sibling, so the report
+    /// equals [`GridSweep::run`] on that grid. Cells come back in `batches`
+    /// order with model and cluster index 0.
     ///
-    /// The sweep computes every column into the kept buffers and keys
-    /// none: the engine may come from any compute model, and its problem's
-    /// lasting home is the cache it came from, not this sweep. So a daemon
-    /// that answers the groups of one batch on one sweep reuses the
-    /// groups' buffers but never one group's columns for another, and the
-    /// next keyed run recomputes every column.
+    /// The sweep is one-shot: it computes every column into buffers of its
+    /// own and never locks the kept columns, so a keyed sweep stays warm
+    /// across `run_engine` calls. The engine may come from any compute
+    /// model, and its problem's lasting home is the cache it came from,
+    /// not this sweep.
     pub fn run_engine(
         &self,
         engine: &CostEngine<'_>,
@@ -1005,17 +980,9 @@ impl GridSweep {
         if batches.is_empty() {
             return GridReport { cells: Vec::new() };
         }
-        let mut fresh = SweepBuffers::default();
-        let mut kept = self.kept_buffers();
-        let buffers = kept.as_deref_mut().unwrap_or(&mut fresh);
-        let (cells, _) = self.sweep(
-            std::slice::from_ref(engine),
-            &[0],
-            batches,
-            constraints,
-            (buffers, false),
-            &mut GridStageTimings::default(),
-        );
+        let engines = std::slice::from_ref(engine);
+        let mut timings = GridStageTimings::default();
+        let (cells, _) = self.sweep(engines, &[0], batches, constraints, None, &mut timings);
         GridReport { cells }
     }
 
@@ -1034,22 +1001,23 @@ impl GridSweep {
     /// The sweep over prepared engines. `engines` holds one engine per
     /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
     /// the device group of cluster `c` (clusters of one group share the
-    /// prep tables). The columns are computed into `buffers.0`; when
-    /// `buffers.1` (a keyed sweep), the supersets, preps and communication
-    /// columns are first taken from it where its columns were computed
-    /// from the inputs this sweep asks for. An unkeyed sweep matches
-    /// nothing and leaves every column without inputs. Returns the cells
-    /// model-major, then batch, then cluster — [`QueryGrid::queries`]
-    /// order — and, for a keyed sweep, the [`Wants`] the caller records
-    /// once it has freed the engines; records the stages from `supersets`
-    /// on, timed from the call.
+    /// prep tables). With `kept` (a keyed sweep, which holds the lock), the
+    /// supersets, preps and communication columns are taken from it where
+    /// they were computed from the inputs this sweep asks for, and the
+    /// rest are computed into its buffers. Without it (a one-shot sweep)
+    /// every column is computed into buffers local to the call, matched
+    /// and recorded nowhere. Returns the cells model-major, then batch,
+    /// then cluster — [`QueryGrid::queries`] order — and, for a keyed
+    /// sweep, the [`Wants`] the caller records once it has freed the
+    /// engines; records the stages from `supersets` on, timed from the
+    /// call.
     fn sweep<'a, 'b>(
         &self,
         engines: &[CostEngine<'a>],
         group_of: &[usize],
         batches: &'b [usize],
         constraints: &Constraints,
-        (buffers, keyed): (&mut SweepBuffers, bool),
+        kept: Option<&mut SweepBuffers>,
         timings: &mut GridStageTimings,
     ) -> (Vec<GridCell>, Option<Wants<'a, 'b>>) {
         let mut laps = Laps(Instant::now());
@@ -1060,7 +1028,9 @@ impl GridSweep {
             .map(|g| group_of.iter().position(|&x| x == g).expect("groups are dense"))
             .collect();
         let max_batch = *batches.iter().max().expect("non-empty batch axis");
-        let SweepBuffers { supersets, preps, coefs } = buffers;
+        let keyed = kept.is_some();
+        let mut local = SweepBuffers::default();
+        let SweepBuffers { supersets, preps, coefs } = kept.unwrap_or(&mut local);
         let prep_engine =
             |i: usize| &engines[(i / n_groups) * n_clusters + group_reps[i % n_groups]];
         let n_coefs = if constraints.top_k.is_some() { n_models * n_clusters } else { 0 };
@@ -1623,18 +1593,19 @@ mod tests {
         check(&dataset, &sweep.run(&dataset), "dataset");
         assert_eq!(filled(&sweep), [2, 5, 10], "a dataset size moves its prep and coefficients");
         // Another capacity, −0.0 against 0.0 included: everything.
+        let mut last = grid.clone();
         for capacity in [0.0, -0.0] {
-            let grid = small_grid(Constraints { memory_capacity_bytes: capacity, ..constraints });
+            last = small_grid(Constraints { memory_capacity_bytes: capacity, ..constraints });
             let before = filled(&sweep);
-            check(&grid, &sweep.run(&grid), "capacity");
+            check(&last, &sweep.run(&last), "capacity");
             assert_eq!(filled(&sweep), [before[0] + 2, before[1] + 2, before[2] + 4], "{capacity}");
         }
-        // A caller's engine, on either compute model: computed in full on
-        // the kept buffers and keyed nowhere, so the next run computes
-        // every column again.
+        // A caller's engine, on either compute model: swept on buffers of
+        // its own, so the kept columns stay keyed by the last run and its
+        // repeat computes nothing.
+        let before = filled(&sweep);
         let (gm, cluster) = (&grid.models[0], &grid.clusters[0]);
         for device in [&cluster.device, &cpu] {
-            let before = filled(&sweep);
             let engine = CostEngine::new(&gm.model, device, cluster, gm.config_at(64))
                 .expect("engine builds");
             let swept = sweep.run_engine(&engine, &[32, 64], &constraints);
@@ -1642,15 +1613,11 @@ mod tests {
             for (x, y) in swept.cells.iter().zip(&fresh.cells) {
                 assert_reports_equal(&x.report, &y.report, &format!("engine {:?}", x.query));
             }
-            assert_eq!(filled(&sweep), before.map(|n| n + 1), "run_engine computes its columns");
-            let kept = sweep.kept.lock().expect("no sweep running");
-            assert!(kept.supersets.slots.iter().all(|s| s.inputs.is_none()), "supersets unkeyed");
-            assert!(kept.preps.slots.iter().all(|s| s.inputs.is_none()), "preps unkeyed");
-            assert!(kept.coefs.slots.iter().all(|s| s.inputs.is_none()), "coefficients unkeyed");
+            assert_eq!(filled(&sweep), before, "run_engine computes nothing into the kept columns");
+            assert_kept_exact(&sweep, &last, 1);
         }
-        let before = filled(&sweep);
-        check(&grid, &sweep.run(&grid), "after run_engine");
-        assert_eq!(filled(&sweep), [before[0] + 2, before[1] + 2, before[2] + 4], "recomputed");
+        check(&last, &sweep.run(&last), "after run_engine");
+        assert_eq!(filled(&sweep), before, "a repeat after run_engine computes nothing");
     }
 
     /// A test column's inputs: one number, asked for as itself.
@@ -1697,9 +1664,6 @@ mod tests {
         assert!(columns.slots.iter().all(|s| s.inputs.is_some() && s.column == [1, 2]));
         assert!(columns.claim(wants.len(), Some(&wants)).is_empty(), "a repeat hits every column");
         assert_eq!(columns.slots.len(), wants.len(), "the kept set is the last run's columns");
-        // An unkeyed run keeps the buffers and clears every input.
-        assert_eq!(columns.claim::<usize>(wants.len(), None), [0, 1, 2]);
-        assert!(columns.slots.iter().all(|s| s.inputs.is_none() && s.column == [1, 2]));
     }
 
     #[test]

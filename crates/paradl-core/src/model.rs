@@ -148,6 +148,16 @@ impl Model {
         Ok(())
     }
 
+    /// Each layer's forward plus backward FLOPs as the `f64` the pipeline
+    /// grouping adds, and their exact integer sum: the input of
+    /// [`balanced_groups`], which an engine core computes once.
+    pub(crate) fn pipeline_flops(&self) -> (Vec<f64>, u64) {
+        let flops: Vec<u64> =
+            self.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).collect();
+        let total = flops.iter().sum();
+        (flops.into_iter().map(|f| f as f64).collect(), total)
+    }
+
     /// Splits the layer list into `p` contiguous groups by their forward
     /// plus backward FLOPs, with a greedy prefix fill: a group closes once
     /// its sum reaches `total / p`, or when only one layer per remaining
@@ -156,29 +166,37 @@ impl Model {
     /// Returns the layer-index ranges of each group.
     pub fn balanced_pipeline_groups(&self, p: usize) -> Vec<std::ops::Range<usize>> {
         assert!(p >= 1);
-        let p = p.min(self.layers.len());
-        let total: u64 = self.layers.iter().map(|l| l.flops_forward() + l.flops_backward()).sum();
-        let target = total as f64 / p as f64;
-        let mut groups = Vec::with_capacity(p);
-        let mut start = 0usize;
-        let mut acc = 0f64;
-        for (i, l) in self.layers.iter().enumerate() {
-            acc += (l.flops_forward() + l.flops_backward()) as f64;
-            let remaining_groups = p - groups.len();
-            let remaining_layers = self.layers.len() - i - 1;
-            // Close the group when we reach the target, but always leave at
-            // least one layer per remaining group.
-            if groups.len() < p - 1 && (acc >= target || remaining_layers < (remaining_groups - 1))
-            {
-                groups.push(start..i + 1);
-                start = i + 1;
-                acc = 0.0;
-            }
-        }
-        groups.push(start..self.layers.len());
-        debug_assert_eq!(groups.len(), p);
-        groups
+        let (flops, total) = self.pipeline_flops();
+        balanced_groups(&flops, total, p)
     }
+}
+
+/// The greedy fill of [`Model::balanced_pipeline_groups`] over per-layer
+/// FLOPs `flops` with exact integer sum `total`, `p` clamped to
+/// `1..=flops.len()` (at least 1): the one grouping behind that method and
+/// the engine's pipeline depths. FLOPs do not depend on the batch, so
+/// neither do the groupings — which is what makes an engine core's
+/// per-stage memory parts batch-invariant.
+pub(crate) fn balanced_groups(flops: &[f64], total: u64, p: usize) -> Vec<std::ops::Range<usize>> {
+    let p = p.clamp(1, flops.len().max(1));
+    let target = total as f64 / p as f64;
+    let mut groups = Vec::with_capacity(p);
+    let mut start = 0usize;
+    let mut acc = 0f64;
+    for (i, &f) in flops.iter().enumerate() {
+        acc += f;
+        let remaining_groups = p - groups.len();
+        let remaining_layers = flops.len() - i - 1;
+        // Close the group when we reach the target, but always leave at
+        // least one layer per remaining group.
+        if groups.len() < p - 1 && (acc >= target || remaining_layers < (remaining_groups - 1)) {
+            groups.push(start..i + 1);
+            start = i + 1;
+            acc = 0.0;
+        }
+    }
+    groups.push(start..flops.len());
+    groups
 }
 
 #[cfg(test)]

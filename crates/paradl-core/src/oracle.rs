@@ -328,7 +328,10 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
                 QueryAnswer::Survey(self.survey_impl(engine, pes, &constraints, calibration))
             }
             QueryMode::TopK(_) | QueryMode::FullRank => {
-                let report = crate::grid::GridSweep::new().run_one(engine, &constraints);
+                let batches = [engine.config().batch_size];
+                let mut cells =
+                    crate::grid::GridSweep::new().run_engine(engine, &batches, &constraints).cells;
+                let report = cells.pop().expect("a one-cell sweep yields one cell").report;
                 QueryAnswer::Ranked(match calibration {
                     Some(cal) => report.recalibrated(cal),
                     None => report,

@@ -302,9 +302,9 @@ proptest! {
     // One sweep value runs a sequence of grids, each one edit away from
     // the last, every edit kind in a seeded order: whatever its kept
     // columns were computed from, every report must equal a fresh sweep's.
-    // `run_timed` alternates with `run`, `run_engine` (which keys nothing)
-    // sweeps on the same value in between, and the last grid is swept by
-    // two threads at once.
+    // `run_timed` alternates with `run`, `run_engine` (which sweeps on
+    // buffers of its own) sweeps on the same value in between, and the
+    // last grid is swept by two threads at once.
     #[test]
     fn resident_columns_never_serve_a_stale_answer(
         model_a in arb_model(),
@@ -370,8 +370,8 @@ proptest! {
                         want.query
                     );
                 }
-                // `run_engine` keys no column: sweep the grid again on the
-                // buffers it left, so the next edit meets keyed columns.
+                // `run_engine` leaves the kept columns alone: the grid swept
+                // again is served from them and must still be exact.
                 let check = same_cells(&sweep.run(&grid), &fresh);
                 prop_assert!(check.is_ok(), "step {step}, after run_engine: {check:?}");
             }

@@ -23,9 +23,11 @@
 //! is swept at the group's distinct batch sizes by a single
 //! [`GridSweep::run_engine`] pass — so `n` concurrent requests over
 //! `k ≤ n` distinct batches cost `k` cell evaluations plus one (usually
-//! cached) engine-core build, instead of `n` full evaluations. A suggest or
-//! survey query is a group of one. Groups are answered in the arrival
-//! order of their oldest member, so no problem class always waits longest.
+//! cached) engine-core build, instead of `n` full evaluations. That pass is
+//! one-shot, on buffers of its own: the daemon holds no sweep, and no
+//! group reuses another's columns. A suggest or survey query is a group of
+//! one. Groups are answered in the arrival order of their oldest member,
+//! so no problem class always waits longest.
 //!
 //! Every engine the daemon uses comes from one [`EngineCache`], through
 //! [`EngineCache::engine`]. A request's model name is resolved once,
@@ -662,16 +664,7 @@ fn batcher_loop(rx: &Receiver<Pending>, shared: &Arc<Shared>) {
         while let Ok(p) = rx.try_recv() {
             batch.push(p);
         }
-        // A fresh sweep per batch, whose groups refill one set of buffers.
-        // The daemon keeps no resident columns: `run_engine` keys none, so
-        // no group reuses another's columns, and the sweep is dropped with
-        // the batch. A sweep keeps exactly the columns of its last run, one
-        // problem at one set of batches; kept for the daemon's lifetime,
-        // they would pin the largest group's buffers with no bound on the
-        // heap they hold, to serve only a later group that asks for the same
-        // problem next. Serving columns from the `EngineCache`, under its
-        // LRU cap, is the way to reuse them across requests.
-        process_batch(batch, &GridSweep::new(), shared);
+        process_batch(batch, shared);
     }
     // Stragglers that raced the shutdown check get a refusal, not silence.
     while let Ok(p) = rx.try_recv() {
@@ -737,7 +730,7 @@ fn apply_degradation(query: &mut Query, rung: usize) -> usize {
     }
 }
 
-fn process_batch(batch: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
+fn process_batch(batch: Vec<Pending>, shared: &Arc<Shared>) {
     // Groups in the arrival order of their oldest member (the batch was
     // drained in arrival order). `ranked` finds a problem class's group by
     // its key; a query whose key another class already holds gets a group
@@ -788,7 +781,7 @@ fn process_batch(batch: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
         groups.push((key, vec![p]));
     }
     for (key, group) in groups {
-        answer_group(&key.0, group, sweep, shared);
+        answer_group(&key.0, group, shared);
     }
 }
 
@@ -867,12 +860,12 @@ fn run_contained<T>(
 
 /// Answers one group with one evaluation on an engine from
 /// [`EngineCache::engine`], looked up once under `key`: the ranked
-/// members of a problem class share one [`GridSweep::run_engine`] pass over
-/// their distinct batches, and a suggestion or survey (a group of one) is
-/// answered on the engine directly. An engine that cannot be built refuses
-/// every member with the typed [`EngineError`]; a panic quarantines every
-/// member (they share the poisoned evaluation).
-fn answer_group(key: &ProblemKey, group: Vec<Pending>, sweep: &GridSweep, shared: &Arc<Shared>) {
+/// members of a problem class share one one-shot [`GridSweep::run_engine`]
+/// pass over their distinct batches, and a suggestion or survey (a group
+/// of one) is answered on the engine directly. An engine that cannot be
+/// built refuses every member with the typed [`EngineError`]; a panic
+/// quarantines every member (they share the poisoned evaluation).
+fn answer_group(key: &ProblemKey, group: Vec<Pending>, shared: &Arc<Shared>) {
     let coalesced = group.len();
     if coalesced > 1 {
         shared.counters.coalesced_groups.fetch_add(1, Ordering::Relaxed);
@@ -894,7 +887,8 @@ fn answer_group(key: &ProblemKey, group: Vec<Pending>, sweep: &GridSweep, shared
         let (engine, cache_hit) = shared.cache.engine(key, entry, cluster, config)?;
         let answers = match lead.mode {
             QueryMode::TopK(_) | QueryMode::FullRank => {
-                let report = sweep.run_engine(&engine, &batches, &lead.effective_constraints());
+                let constraints = lead.effective_constraints();
+                let report = GridSweep::new().run_engine(&engine, &batches, &constraints);
                 group
                     .iter()
                     .map(|p| {

@@ -18,7 +18,6 @@
 //! * [`models`] (`paradl-models`) — ResNet-50/152, VGG16, CosmoFlow, AlexNet,
 //! * [`net`] (`paradl-net`) — fat-tree topology, collective schedules,
 //!   contention,
-//! * [`data`] (`paradl-data`) — synthetic shape-correct datasets,
 //! * [`sim`] (`paradl-sim`) — the distributed-training simulator,
 //! * [`tensor`] (`paradl-tensor`) — the CPU tensor engine,
 //! * [`parallel`] (`paradl-parallel`) — threaded strategy implementations.
@@ -39,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub use paradl_core as oracle;
-pub use paradl_data as data;
 pub use paradl_models as models;
 pub use paradl_net as net;
 pub use paradl_parallel as parallel;
@@ -49,7 +47,6 @@ pub use paradl_tensor as tensor;
 /// The most commonly used types from every component crate.
 pub mod prelude {
     pub use paradl_core::prelude::*;
-    pub use paradl_data::{DatasetSpec, SyntheticDataset};
     pub use paradl_models::{alexnet, cosmoflow, resnet152, resnet50, vgg16, SyntheticCnn};
     pub use paradl_net::{FatTree, Schedule, Transfer};
     pub use paradl_sim::{Conformance, MeasuredResult, OverheadModel, Simulator};

@@ -122,18 +122,6 @@ fn parallel_engine_matches_sequential_engine_for_a_random_model() {
 }
 
 #[test]
-fn synthetic_dataset_feeds_training_configs() {
-    let spec = DatasetSpec::imagenet();
-    let cfg = spec.training_config(2048);
-    assert_eq!(cfg.iterations_per_epoch(), spec.samples / 2048);
-    let ds = SyntheticDataset::new(DatasetSpec::tiny(64, 8, 10), 3);
-    let batches = ds.epoch_batches(16, 0);
-    assert_eq!(batches.len(), 4);
-    let sample = ds.sample(batches[0][0]);
-    assert_eq!(sample.values.len(), 3 * 8 * 8);
-}
-
-#[test]
 fn table6_diagnoses_are_consistent_with_projections() {
     // Filter parallelism of VGG16 at large batch should be flagged as
     // dominated by layer-wise communication (paper §5.3.1).
