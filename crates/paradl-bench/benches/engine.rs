@@ -116,7 +116,7 @@ fn bench_problem_key(c: &mut Criterion) {
     cache.engine(&key, &resnet50, &cluster, config).expect("engine builds");
     c.bench_function("engine/resnet50_cache_hit", |b| {
         b.iter(|| {
-            let (engine, hit) = cache.engine(&key, &resnet50, &cluster, config).expect("cached");
+            let (engine, hit, _) = cache.engine(&key, &resnet50, &cluster, config).expect("cached");
             assert!(hit);
             std::hint::black_box(engine);
         })

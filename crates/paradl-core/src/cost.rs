@@ -105,11 +105,6 @@ impl CostEstimate {
     pub fn epoch_time(&self) -> f64 {
         self.per_epoch.total()
     }
-
-    /// Per-iteration total time.
-    pub fn iteration_time(&self) -> f64 {
-        self.per_iteration().total()
-    }
 }
 
 /// Per-layer compute aggregates used by several strategies.

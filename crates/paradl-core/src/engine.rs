@@ -101,6 +101,7 @@ use crate::config::TrainingConfig;
 use crate::cost::{hierarchical_allreduce_time, CostEstimate, PhaseBreakdown};
 use crate::key::{ClusterKey, KeyedModel, MemoryKey, ProblemKey};
 use crate::model::{balanced_groups, Model};
+use crate::resident::{ColumnStore, ColumnStoreStats, StoreCounters};
 use crate::strategy::{SpatialSplit, Strategy, StrategyKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1108,13 +1109,14 @@ impl CollectiveTables {
 /// One cached core and the problem it was built for: the key it is
 /// filed under, and the values a hit confirms — the model, and the words
 /// the key hashes for the cluster ([`ClusterKey::words`]) and for `δ`/`γ`
-/// ([`MemoryKey::words`]).
+/// ([`MemoryKey::words`]) — with the problem's resident sweep columns.
 struct CachedCore {
     key: ProblemKey,
     model: Arc<KeyedModel>,
     cluster: [u64; 14],
     memory: [u64; 2],
     core: Arc<EngineCore>,
+    columns: Arc<ColumnStore>,
 }
 
 impl CachedCore {
@@ -1152,15 +1154,16 @@ impl Lru {
 
     /// Looks up the first entry `is_it` accepts, promoting a hit to
     /// most-recent; on miss inserts `build()` and evicts the least-recent
-    /// entry past capacity. Returns `(core, was_hit)`. A build error
+    /// entry past capacity, which frees its column store once no sweep
+    /// holds it. Returns `(core, columns, was_hit)`. A build error
     /// propagates to the caller and nothing is inserted (a later lookup
     /// rebuilds). With `cap == 0` the cache is disabled: every call builds
-    /// fresh.
+    /// fresh, with a fresh store that keeps nothing.
     fn try_get_or_insert<E>(
         &self,
         is_it: impl Fn(&CachedCore) -> bool,
         build: impl FnOnce() -> Result<CachedCore, E>,
-    ) -> Result<(Arc<EngineCore>, bool), E> {
+    ) -> Result<(Arc<EngineCore>, Arc<ColumnStore>, bool), E> {
         // Recover from poisoning rather than unwrap: the serve daemon runs
         // query evaluation under `catch_unwind`, and a panic while this lock
         // is held must cost that one request, not brick the cache (and with
@@ -1170,18 +1173,18 @@ impl Lru {
         let mut entries = self.entries.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if let Some(pos) = entries.iter().position(is_it) {
             let entry = entries.remove(pos);
-            let core = Arc::clone(&entry.core);
+            let found = (Arc::clone(&entry.core), Arc::clone(&entry.columns), true);
             entries.insert(0, entry);
-            return Ok((core, true));
+            return Ok(found);
         }
         // Build while holding the lock: concurrent requests for the same key
         // then build once, and the daemon's batcher (the only heavy caller)
         // is single-threaded anyway.
         let entry = build()?;
-        let core = Arc::clone(&entry.core);
+        let built = (Arc::clone(&entry.core), Arc::clone(&entry.columns), false);
         entries.insert(0, entry);
         entries.truncate(self.cap);
-        Ok((core, false))
+        Ok(built)
     }
 }
 
@@ -1209,13 +1212,34 @@ pub struct EngineCacheStats {
 /// must be the caller's (`Arc::ptr_eq`) or else equal to it, and the
 /// cluster and the config's `δ` and `γ` must match the stored ones field
 /// for field, floats by their bits (the words the key hashes). Two
-/// problems that collide on one key get two cores.
+/// problems that collide on one key get two cores, and two column stores.
+///
+/// Each entry also keeps a [`ColumnStore`]: the problem's resident sweep
+/// columns, which the daemon's ranked groups sweep on
+/// ([`EngineCache::engine`], [`GridSweep::run_engine`]). A store holds one
+/// variant (dataset size and constraints) on a batch axis of at most eight
+/// batches, and only from that variant's second ranked group on: one
+/// superset at the axis's largest batch (8 bytes a row, or 40 where a
+/// strategy does not pack), a prep set per axis batch (14 bytes a
+/// memory-feasible row) and one communication column (32 bytes a superset
+/// row) — for ResNet-50 and VGG16 on the paper system at four batches,
+/// exhaustive to 1 Ki PEs, ≈ 1.0 and 1.3 MB. Left alone, a store at
+/// [`DEFAULT_CANDIDATE_CAP`](crate::vet::DEFAULT_CANDIDATE_CAP) superset
+/// rows and eight batches would hold 4,000,000 × (40 + 8 × 14 + 32) bytes
+/// ≈ 736 MB, and `cap` of them many GB. So the stores of one cache keep at
+/// most 344 MB together — the columns a one-batch sweep of a query at
+/// that cap holds while it runs — and a sweep whose columns would take
+/// them past it frees its columns when it completes. An evicted entry
+/// frees its store.
 ///
 /// Capacity `0` disables caching (every lookup builds fresh).
+///
+/// [`GridSweep::run_engine`]: crate::grid::GridSweep::run_engine
 pub struct EngineCache {
     cores: Lru,
     hits: AtomicU64,
     misses: AtomicU64,
+    columns: Arc<StoreCounters>,
 }
 
 impl std::fmt::Debug for EngineCache {
@@ -1230,35 +1254,46 @@ impl std::fmt::Debug for EngineCache {
 impl EngineCache {
     /// A cache holding up to `cap` engine cores.
     pub fn new(cap: usize) -> Self {
-        EngineCache { cores: Lru::new(cap), hits: AtomicU64::new(0), misses: AtomicU64::new(0) }
+        EngineCache {
+            cores: Lru::new(cap),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            columns: Arc::default(),
+        }
     }
 
-    /// An engine for `model` on `cluster` at `config`'s batch, and whether
-    /// its core came from the cache, looked up under `key` — the problem's
-    /// [`ProblemKey`], which the caller computes once. On a miss the core
-    /// is built with [`CostEngine::new`] and stored with `model` itself, so
-    /// a later hit on it confirms the model by pointer; a build error
-    /// ([`EngineError`]) propagates with nothing cached (the miss is still
-    /// counted). The engine is hydrated with [`CostEngine::from_core`], so
-    /// it is byte-for-byte identical to a fresh build. A `key` that does
-    /// not belong to the problem costs hits, never a wrong core.
+    /// An engine for `model` on `cluster` at `config`'s batch, whether its
+    /// core came from the cache, and the entry's [`ColumnStore`], looked up
+    /// under `key` — the problem's [`ProblemKey`], which the caller
+    /// computes once. On a miss the core is built with [`CostEngine::new`]
+    /// and stored with `model` itself, so a later hit on it confirms the
+    /// model by pointer; a build error ([`EngineError`]) propagates with
+    /// nothing cached (the miss is still counted). The engine is hydrated
+    /// with [`CostEngine::from_core`], so it is byte-for-byte identical to
+    /// a fresh build. A `key` that does not belong to the problem costs
+    /// hits, never a wrong core. Pass the store to
+    /// [`GridSweep::run_engine`] with this engine (or another engine of
+    /// this problem) so that a repeated ranked sweep of the problem
+    /// computes no column.
+    ///
+    /// [`GridSweep::run_engine`]: crate::grid::GridSweep::run_engine
     pub fn engine<'a>(
         &self,
         key: &ProblemKey,
         model: &'a Arc<KeyedModel>,
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
-    ) -> Result<(CostEngine<'a>, bool), EngineError> {
-        let (core, hit) = self.try_core(key, model, cluster, &config, || {
+    ) -> Result<(CostEngine<'a>, bool, Arc<ColumnStore>), EngineError> {
+        let (core, columns, hit) = self.try_core(key, model, cluster, &config, || {
             Ok(CostEngine::new(model.model(), &cluster.device, cluster, config)?.core_handle())
         })?;
-        Ok((CostEngine::from_core(model.model(), cluster, config, core)?, hit))
+        Ok((CostEngine::from_core(model.model(), cluster, config, core)?, hit, columns))
     }
 
-    /// The core of the problem (`key`, `model`, `cluster`, `config`'s `δ`
-    /// and `γ`), built with the fallible `build` on a miss. A build error
-    /// propagates, nothing is cached, and the miss is still counted.
-    /// Returns `(core, was_hit)`.
+    /// The core and column store of the problem (`key`, `model`,
+    /// `cluster`, `config`'s `δ` and `γ`), built with the fallible `build`
+    /// on a miss. A build error propagates, nothing is cached, and the miss
+    /// is still counted. Returns `(core, columns, was_hit)`.
     fn try_core(
         &self,
         key: &ProblemKey,
@@ -1266,18 +1301,27 @@ impl EngineCache {
         cluster: &ClusterSpec,
         config: &TrainingConfig,
         build: impl FnOnce() -> Result<Arc<EngineCore>, EngineError>,
-    ) -> Result<(Arc<EngineCore>, bool), EngineError> {
+    ) -> Result<(Arc<EngineCore>, Arc<ColumnStore>, bool), EngineError> {
         let (cluster, memory) = (ClusterKey::words(cluster), MemoryKey::words(config));
         let result = self.cores.try_get_or_insert(
             |entry| entry.is(key, model, &cluster, &memory),
             || {
                 let model = Arc::clone(model);
-                Ok(CachedCore { key: *key, model, cluster, memory, core: build()? })
+                let core = build()?;
+                let columns = Arc::new(ColumnStore::counted(&self.columns));
+                Ok(CachedCore { key: *key, model, cluster, memory, core, columns })
             },
         );
-        let counter = if matches!(result, Ok((_, true))) { &self.hits } else { &self.misses };
+        let counter = if matches!(result, Ok((_, _, true))) { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         result
+    }
+
+    /// The column stores' counters: hits, misses and admissions of the
+    /// ranked groups swept on the entries' stores, and the bytes the live
+    /// entries' stores hold.
+    pub fn column_stats(&self) -> ColumnStoreStats {
+        self.columns.stats()
     }
 
     /// Cumulative hit/miss counters.
@@ -1534,7 +1578,9 @@ mod tests {
         cluster: &'a ClusterSpec,
         config: TrainingConfig,
     ) -> (CostEngine<'a>, bool) {
-        cache.engine(&ProblemKey::of(model, cluster, &config), model, cluster, config).unwrap()
+        let key = ProblemKey::of(model, cluster, &config);
+        let (engine, hit, _) = cache.engine(&key, model, cluster, config).unwrap();
+        (engine, hit)
     }
 
     #[test]
@@ -1592,6 +1638,55 @@ mod tests {
     }
 
     #[test]
+    fn colliding_keys_get_their_own_column_stores() {
+        use crate::grid::GridSweep;
+        use crate::oracle::Constraints;
+        let a = Arc::new(KeyedModel::new(model()));
+        let mut short = model();
+        short.layers.truncate(3);
+        let b = Arc::new(KeyedModel::new(short));
+        let c = ClusterSpec::paper_system();
+        let cfg = TrainingConfig::small(4096, 64);
+        let constraints = Constraints { max_pes: 64, top_k: Some(3), ..Constraints::default() };
+        // Both problems are filed under one key, and each is swept on its
+        // entry's store until the store keeps its columns.
+        let key = ProblemKey::forced(7);
+        let cache = EngineCache::new(8);
+        let sweep = GridSweep::new();
+        let mut stores = Vec::new();
+        for _ in 0..3 {
+            for model in [&a, &b] {
+                let (engine, _, columns) = cache.engine(&key, model, &c, cfg).unwrap();
+                let kept = sweep.run_engine(&engine, &[32, 64], &constraints, Some(&columns));
+                let fresh = sweep.run_engine(&engine, &[32, 64], &constraints, None);
+                for (x, y) in kept.cells.iter().zip(&fresh.cells) {
+                    assert!(
+                        x.report == y.report,
+                        "{}: a store served another problem",
+                        model.model().name
+                    );
+                }
+                stores.push(columns);
+            }
+        }
+        assert!(!Arc::ptr_eq(&stores[0], &stores[1]), "a colliding problem gets its own store");
+        assert!(Arc::ptr_eq(&stores[0], &stores[4]) && Arc::ptr_eq(&stores[1], &stores[5]));
+        let stats = cache.column_stats();
+        assert_eq!((stats.hits, stats.misses, stats.admissions), (2, 4, 2));
+        assert_eq!(cache.stats(), EngineCacheStats { hits: 4, misses: 2 });
+        assert!(stats.resident_bytes > 0);
+        // An evicted entry frees its store, and its bytes with it.
+        let one = EngineCache::new(1);
+        for _ in 0..2 {
+            let (engine, _, columns) = one.engine(&key, &a, &c, cfg).unwrap();
+            sweep.run_engine(&engine, &[32], &constraints, Some(&columns));
+        }
+        assert!(one.column_stats().resident_bytes > 0, "the second group is kept");
+        one.engine(&key, &b, &c, cfg).unwrap();
+        assert_eq!(one.column_stats().resident_bytes, 0, "eviction frees the store");
+    }
+
+    #[test]
     fn colliding_keys_get_their_own_cores() {
         let a = Arc::new(KeyedModel::new(model()));
         let mut short = model();
@@ -1604,7 +1699,7 @@ mod tests {
         let cache = EngineCache::new(8);
         let mut calls = 0;
         let mut lookup = |model: &Arc<KeyedModel>, cluster: &ClusterSpec, cfg| {
-            let (engine, hit) = cache.engine(&key, model, cluster, cfg).unwrap();
+            let (engine, hit, _) = cache.engine(&key, model, cluster, cfg).unwrap();
             calls += 1;
             let stats = cache.stats();
             assert_eq!(stats.hits + stats.misses, calls, "one count per call");
@@ -1767,9 +1862,9 @@ mod tests {
             .expect_err("builder error propagates");
         assert_eq!(err, EngineError::Config("nope".into()));
         let build = || Ok(CostEngine::new(m.model(), &c.device, &c, cfg)?.core_handle());
-        let (core, hit) = cache.try_core(&key, &m, &c, &cfg, build).expect("build succeeds");
+        let (core, _, hit) = cache.try_core(&key, &m, &c, &cfg, build).expect("build succeeds");
         assert!(!hit, "a failed build must not be cached");
-        let (again, hit) =
+        let (again, _, hit) =
             cache.try_core(&key, &m, &c, &cfg, || panic!("must not rebuild on a hit")).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&core, &again));

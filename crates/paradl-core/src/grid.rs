@@ -40,6 +40,8 @@
 //!   cluster) pair, which the kernel prices into exact epoch times with
 //!   the engine's one communication formula; full ranking builds a fresh
 //!   [`CostEngine::estimate`] per candidate instead, so it skips the stage,
+//! * **candidate storage** — a superset row is one packed word where every
+//!   field of its strategy fits 15 bits (a fifth of a [`Strategy`]),
 //! * **reporting** — every chunk returns its own results: in top-k mode
 //!   only its `k` best and its best candidate per PE-budget slot, so a cell
 //!   never materializes the hundreds of thousands of costed candidates it
@@ -66,45 +68,58 @@
 //! [`GridSweep::run_timed`] returns the per-stage wall-clock timings of a
 //! sweep.
 //!
-//! A [`GridSweep`] keeps the columns of its last run *resident*: the
-//! per-model supersets, the per-(model, device) prep columns and the
-//! per-(model, cluster) communication columns, each with the exact inputs
-//! it was computed from. Each column is keyed by the parts of
-//! [`crate::key`] it depends on, recorded as the words those keys hash:
+//! The supersets, prep columns and communication columns can stay
+//! *resident* between sweeps, each with the exact inputs it was computed
+//! from, in a column store (the crate-internal `resident` module, one type
+//! with two owners):
 //!
-//! * a superset by (scaling limits, largest batch, [`ConstraintsKey`]),
-//! * a prep set by ([`ModelKey`], the device profile, [`MemoryKey`], the
-//!   dataset size, the batch axis, [`ConstraintsKey`]), which determine
-//!   its superset too — the dataset size is in no [`ProblemKey`], but
-//!   every lower bound reads it,
-//! * a communication column by (its prep set's inputs, [`ClusterKey`]).
+//! * a [`GridSweep`] keeps the columns of its last [`GridSweep::run`] or
+//!   [`GridSweep::run_timed`], keyed by the parts of [`crate::key`] they
+//!   depend on, recorded as the words those keys hash: a superset by
+//!   (scaling limits, largest batch, [`ConstraintsKey`]); a prep set by
+//!   ([`ModelKey`], the device profile, [`MemoryKey`], the dataset size,
+//!   the batch axis, [`ConstraintsKey`]), which determine its superset too
+//!   — the dataset size is in no [`ProblemKey`], but every lower bound reads
+//!   it; a communication column by (its prep set's inputs, [`ClusterKey`]).
+//!   These sweeps build every engine on its cluster's device profile, so
+//!   the profile stands for the engine's per-layer times. A repeated
+//!   paper-grid sweep thus pays for engines, cells and evaluation only:
+//!   ≈ 62–76 ms against ≈ 197–215 ms cold (`bench_kernel_summary`, shared
+//!   2-vCPU Xeon, two runs);
+//! * every [`EngineCache`] entry keeps the columns of its problem for the
+//!   ranked sweeps [`GridSweep::run_engine`] runs on the entry's engines
+//!   — the `paradl-serve` daemon's groups. The entry confirms the model,
+//!   the cluster and `δ`/`γ`, so these columns record only the dataset
+//!   size, the constraints' words and the batch axis: one variant on an
+//!   axis of at most eight batches, kept from the variant's second group
+//!   on, and grown by a batch on that batch's second sight. A group
+//!   evaluates cells only at its own batches, which is exact because a
+//!   cell's report does not depend on the other batches of its axis. The
+//!   stores of one cache keep at most the columns of one one-batch sweep
+//!   at the admission cap, 344 MB; columns that would exceed that are
+//!   freed after their sweep.
 //!
-//! A later run reuses every kept column whose inputs it asks for again,
+//! A later sweep reuses every kept column whose inputs it asks for again,
 //! matched wherever the column sat (a reordered axis still hits) and
 //! confirmed by value: the model's words are walked only when its key
 //! matches, and every float is compared by its bits, so −0.0 and 0.0
 //! differ and a NaN matches only its own bits. It computes only the other
 //! columns, each into the buffer of a kept column it no longer needs. A
-//! repeated paper-grid sweep thus pays for engines, cells and evaluation
-//! only: ≈ 62–76 ms against ≈ 197–215 ms cold (`bench_kernel_summary`,
-//! shared 2-vCPU Xeon, two runs). A column's inputs are cleared before it
-//! is refilled and recorded only once the sweep is complete and its
-//! engines are freed, so a sweep that panics leaves no inputs on a
-//! half-filled column, and a record never raises a sweep's peak: a run
-//! asks for its columns by key words and borrowed values, and copies a
-//! model's words only into a record, fewer bytes than the freed engines
-//! held. The kept set is exactly the last run's columns, each trimmed to
-//! its length, plus their records. A run that finds the columns busy (another thread
-//! sweeping on the same value) sweeps on fresh buffers and keys nothing; a
-//! clone starts with none, and dropping the sweep frees them.
+//! column's inputs are cleared before it is refilled and recorded only once
+//! the sweep is complete (for a grid, once its engines are freed), so a
+//! sweep that panics leaves no inputs on a half-filled column, and a record
+//! never raises a grid sweep's peak: a run asks for its columns by key
+//! words and borrowed values, and copies a model's words only into a
+//! record, fewer bytes than the freed engines held. The kept set is exactly
+//! the last keyed sweep's columns, each trimmed to its length, plus their
+//! records. A sweep that finds its store busy (another thread sweeping with
+//! it) sweeps on fresh buffers and keys nothing; a cloned [`GridSweep`]
+//! starts with no columns, and dropping a store's owner frees them.
 //!
-//! Only [`GridSweep::run`] and [`GridSweep::run_timed`] use or key kept
-//! columns: they build every engine on its cluster's device profile, so
-//! the profile stands for the engine's per-layer times. Everything else is
-//! one-shot: [`GridSweep::run_engine`], whose engine may come from any
-//! compute model and which serves one-cell answers ([`Oracle::search`],
-//! [`crate::query::Query::run`]) and the `paradl-serve` daemon's groups,
-//! sweeps on fresh buffers and leaves the kept columns as they are.
+//! Everything else is one-shot, on buffers of its own: [`Oracle::search`],
+//! a ranked [`Oracle::answer`] and [`crate::query::Query::run`] call
+//! [`GridSweep::run_engine`] without a store, and no sweep touches another
+//! owner's columns.
 //!
 //! The sweep is *exact*: every cell's [`SearchReport`] equals, field for
 //! field, what [`Oracle::search`] returns at that cell's configuration —
@@ -121,22 +136,28 @@
 //! [`ModelLimits::is_valid`]: crate::engine::ModelLimits::is_valid
 //! [`EngineCache`]: crate::engine::EngineCache
 //! [`ProblemKey`]: crate::key::ProblemKey
+//! [`MemoryKey`]: crate::key::MemoryKey
 
 use crate::cluster::ClusterSpec;
 use crate::compute::DeviceProfile;
 use crate::config::TrainingConfig;
 use crate::engine::{CommCoef, CostEngine, ModelLimits};
 use crate::kernel::{eval_chunk_kernel, select_seeds, KernelColumns, StaticBounds, DEFAULT_CHUNK};
-use crate::key::{ClusterKey, ConstraintsKey, MemoryKey, ModelKey};
+use crate::key::{ClusterKey, ConstraintsKey, ModelKey};
 use crate::model::Model;
 use crate::oracle::Constraints;
+use crate::resident::{
+    Outcome, Plan, PrepWant, Scope, SupersetInputs, SweepBuffers, Variant, Wants,
+};
 use crate::search::{budget_index, finish_report, RankedCandidate, SearchReport, StrategySpace};
-use crate::strategy::Strategy;
+use crate::strategy::{SpatialSplit, Strategy};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::Mutex;
 use std::time::Instant;
+
+pub use crate::resident::{ColumnStore, ColumnStoreStats};
 
 /// One model entry of a [`QueryGrid`]: the model plus its base training
 /// configuration (dataset size, datum width, memory-reuse factor). The
@@ -295,6 +316,164 @@ impl GridReport {
     }
 }
 
+/// A model's candidate superset, in enumeration order. A strategy whose
+/// fields all fit [`FIELD_BITS`] bits packs into one word — its family in
+/// the top four bits, up to four fields below — a fifth of a
+/// [`Strategy`]'s 40 bytes; a superset with any strategy that does not fit
+/// keeps the strategies themselves. Only the prep pass, the communication
+/// columns and the candidates the kernel costs in full read a row's
+/// strategy; the evaluation pass reads none.
+pub(crate) enum Superset {
+    /// Every strategy packed into one word.
+    Packed(Vec<u64>),
+    /// The strategies themselves.
+    Wide(Vec<Strategy>),
+}
+
+/// Bits per packed strategy field.
+const FIELD_BITS: u32 = 15;
+const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+
+impl Default for Superset {
+    fn default() -> Self {
+        Superset::Packed(Vec::new())
+    }
+}
+
+impl Superset {
+    /// Enumerates the candidates of `limits` at `batch` under
+    /// `constraints` into this column, reusing its packed buffer. The
+    /// column is trimmed to its length by copying, not in place: freeing
+    /// the push-grown buffer keeps glibc's dynamic mmap and trim thresholds
+    /// where a cold sweep always left them (an in-place shrink raised the
+    /// minor faults of a mix of one-shot queries about 2.5-fold). A refill
+    /// to the same length has no slack and copies nothing.
+    fn fill(&mut self, batch: usize, constraints: &Constraints, limits: &ModelLimits) {
+        let mut words = match std::mem::take(self) {
+            Superset::Packed(words) => words,
+            Superset::Wide(_) => Vec::new(),
+        };
+        words.clear();
+        let mut packs = true;
+        StrategySpace::enumerate(batch, constraints, limits, |s| match pack(s) {
+            Some(word) if packs => words.push(word),
+            _ => packs = false,
+        });
+        *self = if packs {
+            Superset::Packed(trimmed(words))
+        } else {
+            let mut strategies = Vec::new();
+            StrategySpace::fill(batch, constraints, limits, &mut strategies);
+            Superset::Wide(trimmed(strategies))
+        };
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Superset::Packed(words) => words.len(),
+            Superset::Wide(strategies) => strategies.len(),
+        }
+    }
+
+    /// The strategy of row `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Strategy {
+        match self {
+            Superset::Packed(words) => unpack(words[i]),
+            Superset::Wide(strategies) => strategies[i],
+        }
+    }
+
+    /// The rows in order.
+    fn iter(&self) -> SupersetIter<'_> {
+        match self {
+            Superset::Packed(words) => SupersetIter::Packed(words.iter()),
+            Superset::Wide(strategies) => SupersetIter::Wide(strategies.iter()),
+        }
+    }
+
+    /// Bytes of the column.
+    pub(crate) fn bytes(&self) -> usize {
+        match self {
+            Superset::Packed(words) => words.capacity() * std::mem::size_of::<u64>(),
+            Superset::Wide(strategies) => strategies.capacity() * std::mem::size_of::<Strategy>(),
+        }
+    }
+}
+
+/// The rows of a [`Superset`], in order.
+enum SupersetIter<'s> {
+    Packed(std::slice::Iter<'s, u64>),
+    Wide(std::slice::Iter<'s, Strategy>),
+}
+
+impl Iterator for SupersetIter<'_> {
+    type Item = Strategy;
+
+    #[inline]
+    fn next(&mut self) -> Option<Strategy> {
+        match self {
+            SupersetIter::Packed(words) => words.next().map(|&word| unpack(word)),
+            SupersetIter::Wide(strategies) => strategies.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            SupersetIter::Packed(words) => words.size_hint(),
+            SupersetIter::Wide(strategies) => strategies.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for SupersetIter<'_> {}
+
+/// `v` without spare capacity, copied if it has any.
+fn trimmed<T: Copy>(v: Vec<T>) -> Vec<T> {
+    if v.capacity() > v.len() {
+        v.to_vec()
+    } else {
+        v
+    }
+}
+
+/// `s` as one word (see [`Superset`]), or `None` if a field does not fit.
+fn pack(s: Strategy) -> Option<u64> {
+    let (family, fields) = match s {
+        Strategy::Serial => (0, [0; 4]),
+        Strategy::Data { p } => (1, [p, 0, 0, 0]),
+        Strategy::Spatial { split } => (2, [split.pw, split.ph, split.pd, 0]),
+        Strategy::Filter { p } => (3, [p, 0, 0, 0]),
+        Strategy::Channel { p } => (4, [p, 0, 0, 0]),
+        Strategy::Pipeline { p, segments } => (5, [p, segments, 0, 0]),
+        Strategy::DataFilter { p1, p2 } => (6, [p1, p2, 0, 0]),
+        Strategy::DataSpatial { p1, split } => (7, [p1, split.pw, split.ph, split.pd]),
+    };
+    let mut word = family << (4 * FIELD_BITS);
+    for (i, field) in (0..).zip(fields) {
+        let field = u64::try_from(field).ok().filter(|&f| f <= FIELD_MASK)?;
+        word |= field << (i * FIELD_BITS);
+    }
+    Some(word)
+}
+
+/// The strategy [`pack`] packed into `word`.
+#[inline]
+fn unpack(word: u64) -> Strategy {
+    let field = |i: u32| ((word >> (i * FIELD_BITS)) & FIELD_MASK) as usize;
+    let split = |i: u32| SpatialSplit { pw: field(i), ph: field(i + 1), pd: field(i + 2) };
+    match word >> (4 * FIELD_BITS) {
+        0 => Strategy::Serial,
+        1 => Strategy::Data { p: field(0) },
+        2 => Strategy::Spatial { split: split(0) },
+        3 => Strategy::Filter { p: field(0) },
+        4 => Strategy::Channel { p: field(0) },
+        5 => Strategy::Pipeline { p: field(0), segments: field(1) },
+        6 => Strategy::DataFilter { p1: field(0), p2: field(1) },
+        _ => Strategy::DataSpatial { p1: field(0), split: split(1) },
+    }
+}
+
 /// Per-(model, batch, device) evaluation tables, shared by every cell whose
 /// cluster carries that device profile: the filtered candidate count, the
 /// memory-pruned count, and the memory-feasible candidates as
@@ -308,7 +487,7 @@ impl GridReport {
 /// tabulation — serves every cluster sharing the device instead of being
 /// repeated per cell.
 #[derive(Default)]
-struct PreppedSpace {
+pub(crate) struct PreppedSpace {
     /// Candidates enumerated for this (model, batch) under the constraints.
     enumerated: usize,
     /// Of those, how many the memory-capacity check removed.
@@ -333,6 +512,17 @@ struct PreppedSpace {
 }
 
 impl PreppedSpace {
+    /// Bytes of the tables.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.sup.capacity() * size_of::<u32>()
+            + self.lbs.capacity() * size_of::<f64>()
+            + self.slots.capacity()
+            + self.fams.capacity()
+            + self.seeds.capacity() * size_of::<usize>()
+    }
+
     /// Builds the prep tables of one (model, device) for *every* batch of
     /// the grid in a single superset pass: candidate validity is monotone in
     /// the batch (every batch-dependent bound is a `≤ batch` comparison), so
@@ -353,7 +543,7 @@ impl PreppedSpace {
     /// The tables are written into `preps`, one per batch: every row is
     /// recomputed, only the columns' capacity is reused.
     fn build_all(
-        superset: &[Strategy],
+        superset: &Superset,
         base: &CostEngine<'_>,
         batches: &[usize],
         constraints: &Constraints,
@@ -380,7 +570,7 @@ impl PreppedSpace {
         // to price each (depth, batch) once.
         let mut pipe_depth = 0;
         let mut pipe_mem: Vec<Option<f64>> = vec![None; batches.len()];
-        for (si, &strategy) in superset.iter().enumerate() {
+        for (si, strategy) in superset.iter().enumerate() {
             let mut j = 0;
             while j < order.len() && !limits.is_valid(strategy, batches[order[j]]) {
                 j += 1;
@@ -428,291 +618,6 @@ impl PreppedSpace {
     }
 }
 
-/// The columns of one sweep: one candidate superset per model, one prep
-/// per batch for every (model, device group), and one
-/// communication-coefficient column per (model, cluster) pair (none in a
-/// full-ranking sweep), each list model-major, so slot `i` serves the
-/// `i`-th (model, device) or (model, cluster) index of the sweep at hand.
-/// A [`GridSweep`] keeps them between runs, each with the inputs it was
-/// computed from ([`Resident`]); the next keyed run reuses every column
-/// whose inputs it asks for again, wherever the column sat, and refills
-/// the others in the buffers of the columns it no longer needs. Each stage
-/// trims every column it fills to its length, so no push-growth slack
-/// stays live through the later stages or between runs. The memory bound:
-/// the kept set is exactly the last run's columns plus their records, of
-/// which only a prep set's are not a few words — its model's words, one
-/// per field ([`ModelKey::words`]), at most ≈ 90 KB for the four paper
-/// models.
-#[derive(Default)]
-struct SweepBuffers {
-    supersets: Columns<SupersetInputs, Vec<Strategy>>,
-    preps: Columns<Arc<PrepInputs>, Vec<PreppedSpace>>,
-    coefs: Columns<CoefInputs, Vec<CommCoef>>,
-}
-
-/// A column a [`GridSweep`] keeps between runs, with the inputs it was
-/// computed from. `inputs` is cleared before the column is refilled and
-/// recorded only at the end of the sweep, after every fill completed, so a
-/// sweep that panics (its lock is recovered by the next run) never leaves
-/// inputs on a half-filled column.
-struct Resident<K, V> {
-    inputs: Option<K>,
-    column: V,
-}
-
-/// The inputs a resident column records (`Self`), set against what a run
-/// asks for (`W`, which borrows the run's engines, so a hit copies
-/// nothing).
-trait Inputs<W> {
-    /// Whether these are `want`'s inputs: the key parts first, then the
-    /// values behind them, floats by their bits.
-    fn is(&self, want: &W) -> bool;
-}
-
-impl<W, T: Inputs<W>> Inputs<W> for Arc<T> {
-    fn is(&self, want: &W) -> bool {
-        (**self).is(want)
-    }
-}
-
-/// One stage's resident columns, one per slot of the last run.
-struct Columns<K, V> {
-    slots: Vec<Resident<K, V>>,
-    /// Columns the stage computed over the sweep's lifetime (the rest were
-    /// reused).
-    #[cfg(test)]
-    filled: usize,
-}
-
-impl<K, V> Default for Columns<K, V> {
-    fn default() -> Self {
-        Columns {
-            slots: Vec::new(),
-            #[cfg(test)]
-            filled: 0,
-        }
-    }
-}
-
-impl<K, V> std::ops::Index<usize> for Columns<K, V> {
-    type Output = V;
-
-    fn index(&self, i: usize) -> &V {
-        &self.slots[i].column
-    }
-}
-
-impl<K: Send, V: Default + Send> Columns<K, V> {
-    /// Lays out the stage's columns for a run of `n` slots, slot `i`
-    /// asking for `wants[i]`, and returns the slots left to fill. A kept
-    /// column whose inputs are a slot's serves it as is: columns are
-    /// matched by their inputs, not by their position, so a reordered axis
-    /// still hits. Every other slot takes, with its inputs cleared, the
-    /// buffer of a kept column no slot matched: the one that sat in the
-    /// same slot if it is free (an input changed in place, so the column
-    /// refills to about its old size), else any other, else a new one. The
-    /// kept columns left over are freed: the stage keeps exactly this run's
-    /// columns. Without `wants` (a one-shot sweep, on columns of its own)
-    /// nothing is matched.
-    fn claim<W>(&mut self, n: usize, wants: Option<&[W]>) -> Vec<usize>
-    where
-        K: Inputs<W>,
-    {
-        debug_assert!(wants.is_some() || self.slots.is_empty(), "one-shot on fresh columns");
-        let mut spare: Vec<Option<Resident<K, V>>> =
-            std::mem::take(&mut self.slots).into_iter().map(Some).collect();
-        let mut misses = Vec::new();
-        for i in 0..n {
-            let hit = wants.and_then(|wants| {
-                spare.iter().position(|s| {
-                    s.as_ref().and_then(|s| s.inputs.as_ref()).is_some_and(|k| k.is(&wants[i]))
-                })
-            });
-            self.slots.push(match hit.and_then(|j| spare[j].take()) {
-                Some(kept) => kept,
-                None => {
-                    misses.push(i);
-                    Resident { inputs: None, column: V::default() }
-                }
-            });
-        }
-        let mut unplaced = Vec::new();
-        for &i in &misses {
-            match spare.get_mut(i).and_then(Option::take) {
-                Some(old) => self.slots[i].column = old.column,
-                None => unplaced.push(i),
-            }
-        }
-        for (i, old) in unplaced.into_iter().zip(spare.into_iter().flatten()) {
-            self.slots[i].column = old.column;
-        }
-        misses
-    }
-
-    /// Fills the slots `claim` left, in `order` (the costliest first, as
-    /// [`par_fill_scheduled`] takes them), with `fill(slot, column)`.
-    fn fill(&mut self, order: &[usize], fill: impl Fn(usize, &mut V) + Sync) {
-        #[cfg(test)]
-        {
-            self.filled += order.len();
-        }
-        par_fill_scheduled(order, &mut self.slots, |i, slot| fill(i, &mut slot.column));
-    }
-
-    /// Records `inputs(slot)` on every column without inputs: the columns
-    /// this run filled, once every fill has completed.
-    fn record(&mut self, mut inputs: impl FnMut(usize) -> Option<K>) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.inputs.is_none() {
-                slot.inputs = inputs(i);
-            }
-        }
-    }
-}
-
-/// The inputs of a model's candidate superset: its scaling limits, the
-/// largest batch of the axis and the constraints' words
-/// ([`ConstraintsKey::words`]). A run asks for them as it records them.
-#[derive(Clone, PartialEq)]
-struct SupersetInputs {
-    limits: ModelLimits,
-    max_batch: usize,
-    constraints: [u64; 6],
-}
-
-impl Inputs<SupersetInputs> for SupersetInputs {
-    fn is(&self, want: &SupersetInputs) -> bool {
-        self == want
-    }
-}
-
-/// What a run asks of one (model, device) prep set: the model, the device
-/// profile's words, `δ`/`γ`, the dataset size (every lower bound reads it,
-/// though [`crate::key::ProblemKey`] leaves it out), the batch axis in
-/// order and the constraints' words. The superset the set's rows index
-/// follows from the model, the axis and the constraints. The device
-/// profile stands for the per-layer times: a keyed sweep builds every
-/// engine with [`CostEngine::new`] on its cluster's device, so the times
-/// are the device's (a caller's engine, which may come from any compute
-/// model, sweeps unkeyed). The model is borrowed from the grid, not from
-/// an engine, so the run can free its engines before recording; only its
-/// key is computed here, and its words are walked to confirm a hit and
-/// copied into a record.
-struct PrepWant<'a, 'b> {
-    model_key: ModelKey,
-    model: &'a Model,
-    device: [u64; 5],
-    memory: [u64; 2],
-    dataset_size: usize,
-    batches: &'b [usize],
-    constraints: [u64; 6],
-}
-
-impl<'a> PrepWant<'a, '_> {
-    fn of<'b>(
-        engine: &CostEngine<'a>,
-        model_key: ModelKey,
-        batches: &'b [usize],
-        constraints: [u64; 6],
-    ) -> PrepWant<'a, 'b> {
-        let config = engine.config();
-        PrepWant {
-            model_key,
-            model: engine.model(),
-            device: ClusterKey::device_words(&engine.cluster().device),
-            memory: MemoryKey::words(config),
-            dataset_size: config.dataset_size,
-            batches,
-            constraints,
-        }
-    }
-}
-
-/// The recorded inputs of a prep set (see [`PrepWant`]), the model as its
-/// key and its words ([`ModelKey::words`]); shared with the communication
-/// columns computed from it.
-struct PrepInputs {
-    model_key: ModelKey,
-    model_words: Vec<u64>,
-    device: [u64; 5],
-    memory: [u64; 2],
-    dataset_size: usize,
-    batches: Vec<usize>,
-    constraints: [u64; 6],
-}
-
-impl Inputs<PrepWant<'_, '_>> for PrepInputs {
-    fn is(&self, want: &PrepWant<'_, '_>) -> bool {
-        self.model_key == want.model_key
-            && self.dataset_size == want.dataset_size
-            && self.memory == want.memory
-            && self.device == want.device
-            && self.constraints == want.constraints
-            && self.batches == want.batches
-            && ModelKey::words_match(&self.model_words, want.model)
-    }
-}
-
-impl PrepInputs {
-    fn of(want: &PrepWant<'_, '_>) -> Self {
-        PrepInputs {
-            model_key: want.model_key,
-            model_words: ModelKey::words(want.model),
-            device: want.device,
-            memory: want.memory,
-            dataset_size: want.dataset_size,
-            batches: want.batches.to_vec(),
-            constraints: want.constraints,
-        }
-    }
-}
-
-/// What a run asks of one (model, cluster) communication column: the
-/// inputs of the prep set whose rows it covers, and the cluster's words
-/// ([`ClusterKey::words`]).
-struct CoefWant<'w, 'a, 'b> {
-    prep: &'w PrepWant<'a, 'b>,
-    cluster: [u64; 14],
-}
-
-/// The recorded inputs of a communication column (see [`CoefWant`]),
-/// sharing the prep set's.
-struct CoefInputs {
-    prep: Arc<PrepInputs>,
-    cluster: [u64; 14],
-}
-
-impl Inputs<CoefWant<'_, '_, '_>> for CoefInputs {
-    fn is(&self, want: &CoefWant<'_, '_, '_>) -> bool {
-        self.cluster == want.cluster && self.prep.is(want.prep)
-    }
-}
-
-/// What a keyed sweep asks of its columns, kept until they are complete
-/// and then recorded on the columns it computed ([`Wants::record`]). It
-/// borrows the grid, not the engines, so a run records after freeing
-/// them: a record then never adds to a sweep's peak.
-struct Wants<'a, 'b> {
-    supersets: Vec<SupersetInputs>,
-    preps: Vec<PrepWant<'a, 'b>>,
-    /// Per communication column: its prep slot and the cluster's words.
-    coefs: Vec<(usize, [u64; 14])>,
-}
-
-impl Wants<'_, '_> {
-    /// Records the inputs of every column of `buffers` that has none: the
-    /// columns the sweep computed.
-    fn record(self, buffers: &mut SweepBuffers) {
-        let SweepBuffers { supersets, preps, coefs } = buffers;
-        supersets.record(|m| Some(self.supersets[m].clone()));
-        preps.record(|i| Some(Arc::new(PrepInputs::of(&self.preps[i]))));
-        coefs.record(|i| {
-            let (p, cluster) = self.coefs[i];
-            Some(CoefInputs { prep: Arc::clone(preps.slots[p].inputs.as_ref()?), cluster })
-        });
-    }
-}
-
 /// Calls `f(i, &mut items[i])` for every index of `order` (distinct
 /// indices of `items`) on the worker pool. Workers take the next index of
 /// `order` whenever they free up, instead of each owning a fixed
@@ -721,7 +626,11 @@ impl Wants<'_, '_> {
 /// would make the stage's wall time depend on which items the grid's axis
 /// order happens to put on one worker. Callers list the costliest items
 /// first, so the schedule depends on the work alone.
-fn par_fill_scheduled<T: Send>(order: &[usize], items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+pub(crate) fn par_fill_scheduled<T: Send>(
+    order: &[usize],
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) + Sync,
+) {
     // Each slot is locked by the one worker that took its index.
     let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
@@ -819,32 +728,33 @@ impl Laps {
 /// Evaluates a [`QueryGrid`], amortizing engines and candidate
 /// enumeration across cells (see the [module docs](crate::grid)).
 ///
-/// A sweep keeps the columns of its last run resident — the candidate
-/// supersets, the prep columns and the communication-coefficient columns,
-/// each with the inputs it was computed from (see the
-/// [module docs](crate::grid) for the keys). The next
+/// A sweep keeps the columns of its last run resident in a [`ColumnStore`]
+/// of its own — the candidate supersets, the prep columns and the
+/// communication-coefficient columns, each with the inputs it was computed
+/// from (see the [module docs](crate::grid) for the keys). The next
 /// [`run`](GridSweep::run) or [`run_timed`](GridSweep::run_timed) reuses
 /// every column whose inputs it asks for again and computes the rest into
 /// the buffers of the columns it no longer needs, so a repeated grid pays
 /// only for engines, cells and evaluation, and a grid with one axis
 /// changed also for the columns that axis reaches.
-/// [`run_engine`](GridSweep::run_engine) sweeps on buffers of its own and
-/// leaves the kept columns alone. The kept set is exactly the last run's
-/// columns, trimmed to their lengths, plus their records, so it never holds
-/// more than that run held live and a model's words per prep set. A run
-/// that finds the columns in use by another thread sweeping on the same
-/// value sweeps on fresh buffers of its own. [`Clone`] gives a sweep with
-/// no columns, and dropping a sweep frees them.
+/// [`run_engine`](GridSweep::run_engine) never touches them: it sweeps on
+/// the store its caller passes (an engine-cache entry's) or on buffers of
+/// its own. The kept set is exactly the last run's columns, trimmed to
+/// their lengths, plus their records, so it never holds more than that run
+/// held live and a model's words per prep set. A run that finds the
+/// columns in use by another thread sweeping on the same value sweeps on
+/// fresh buffers of its own. [`Clone`] gives a sweep with no columns, and
+/// dropping a sweep frees them.
 pub struct GridSweep {
     /// Candidates per work unit of the interleaved evaluation.
     chunk: usize,
     /// The resident columns of the last run.
-    kept: Mutex<SweepBuffers>,
+    kept: ColumnStore,
 }
 
 impl Clone for GridSweep {
     fn clone(&self) -> Self {
-        GridSweep { chunk: self.chunk, kept: Mutex::default() }
+        GridSweep { chunk: self.chunk, kept: ColumnStore::default() }
     }
 }
 
@@ -866,7 +776,7 @@ impl GridSweep {
     /// query splits into many units, large enough that chunk dispatch and
     /// mask-pass overhead stay negligible.
     pub fn new() -> Self {
-        GridSweep { chunk: DEFAULT_CHUNK, kept: Mutex::default() }
+        GridSweep { chunk: DEFAULT_CHUNK, kept: ColumnStore::default() }
     }
 
     /// Overrides the candidates-per-chunk granularity (clamped to ≥ 1).
@@ -893,8 +803,8 @@ impl GridSweep {
     pub fn run_timed(&self, grid: &QueryGrid) -> (GridReport, GridStageTimings) {
         let mut timings = GridStageTimings::default();
         if grid.num_queries() == 0 {
-            if let Some(mut kept) = self.kept_buffers() {
-                *kept = SweepBuffers::default();
+            if let Some(mut kept) = self.kept.lock() {
+                kept.buffers = SweepBuffers::default();
             }
             return (GridReport { cells: Vec::new() }, timings);
         }
@@ -933,13 +843,14 @@ impl GridSweep {
             })
             .collect();
 
-        let mut kept = self.kept_buffers();
+        let mut kept = self.kept.lock();
+        let every_batch: Vec<usize> = (0..grid.batches.len()).collect();
         let (cells, wants) = self.sweep(
             &engines,
             &group_of,
-            &grid.batches,
+            (&grid.batches, &every_batch),
             &grid.constraints,
-            kept.as_deref_mut(),
+            kept.as_deref_mut().map(|kept| (&mut kept.buffers, Scope::Grid)),
             &mut timings,
         );
         // The engines go before the computed columns' inputs are recorded:
@@ -948,7 +859,7 @@ impl GridSweep {
         drop(engines);
         if let (Some(wants), Some(kept)) = (wants, kept.as_deref_mut()) {
             let mut laps = Laps(Instant::now());
-            wants.record(kept);
+            wants.record(&mut kept.buffers);
             timings.finish += laps.lap();
         }
         (GridReport { cells }, timings)
@@ -961,63 +872,98 @@ impl GridSweep {
     /// asks for the engine's own batch, so nothing is rebatched), or one
     /// the `paradl-serve` daemon took from
     /// [`EngineCache::engine`](crate::engine::EngineCache::engine) under a
-    /// key it computed once per group. The engine may sit at any batch;
-    /// each other cell is answered on a rebatched sibling, so the report
-    /// equals [`GridSweep::run`] on that grid. Cells come back in `batches`
-    /// order with model and cluster index 0.
+    /// key it computed once per group. The engine may sit at any
+    /// batch; each other cell is answered on a rebatched sibling, so the
+    /// report equals [`GridSweep::run`] on that grid. Cells come back in
+    /// `batches` order with model and cluster index 0.
     ///
-    /// The sweep is one-shot: it computes every column into buffers of its
-    /// own and never locks the kept columns, so a keyed sweep stays warm
-    /// across `run_engine` calls. The engine may come from any compute
-    /// model, and its problem's lasting home is the cache it came from,
-    /// not this sweep.
+    /// Without `columns` the sweep is one-shot: it computes every column
+    /// into buffers of its own. With `columns` — the store of the cache
+    /// entry `engine` came from, and only that entry's, since the store
+    /// does not record the problem — a ranked group of one variant
+    /// (dataset size and constraints) sweeps on the store's columns over
+    /// its batch axis, a sorted superset of `batches` of at most eight
+    /// batches, and evaluates cells only at `batches`: a repeated group
+    /// computes no column. A variant's first group sweeps one-shot and
+    /// keeps nothing, and so does a group that brings a batch outside the
+    /// axis for the first time, or that finds the store busy; columns that
+    /// would take the cache's stores over their byte budget are freed after
+    /// the sweep. Either way this sweep's own kept columns are left alone,
+    /// so a keyed sweep stays warm across `run_engine` calls.
     pub fn run_engine(
         &self,
         engine: &CostEngine<'_>,
         batches: &[usize],
         constraints: &Constraints,
+        columns: Option<&ColumnStore>,
     ) -> GridReport {
         if batches.is_empty() {
             return GridReport { cells: Vec::new() };
         }
         let engines = std::slice::from_ref(engine);
         let mut timings = GridStageTimings::default();
-        let (cells, _) = self.sweep(engines, &[0], batches, constraints, None, &mut timings);
+        let one_shot = |timings: &mut GridStageTimings| {
+            let every_batch: Vec<usize> = (0..batches.len()).collect();
+            let (cells, _) =
+                self.sweep(engines, &[0], (batches, &every_batch), constraints, None, timings);
+            GridReport { cells }
+        };
+        let Some(store) = columns else { return one_shot(&mut timings) };
+        let mut kept = match store.lock() {
+            Some(mut kept) => match kept.plan(Variant::of(engine, constraints), batches) {
+                Plan::Keep { axis, admitted } => Some((kept, axis, admitted)),
+                Plan::OneShot => None,
+            },
+            None => None,
+        };
+        let Some((kept, axis, admitted)) = kept.as_mut() else {
+            store.settle(Outcome::Miss, None);
+            return one_shot(&mut timings);
+        };
+        let at: Vec<usize> = batches
+            .iter()
+            .map(|b| axis.binary_search(b).expect("the axis holds every batch"))
+            .collect();
+        let (cells, wants) = self.sweep(
+            engines,
+            &[0],
+            (axis, &at),
+            constraints,
+            Some((&mut kept.buffers, Scope::Entry)),
+            &mut timings,
+        );
+        let computed = wants.expect("a keyed sweep asks for its columns").record(&mut kept.buffers);
+        let outcome = match (*admitted, computed) {
+            (true, _) => Outcome::Admitted,
+            (false, 0) => Outcome::Hit,
+            (false, _) => Outcome::Miss,
+        };
+        store.settle(outcome, Some(&mut **kept));
         GridReport { cells }
-    }
-
-    /// The kept columns, or `None` while another thread sweeps with them.
-    /// A poisoned lock is recovered: a column's inputs are cleared before
-    /// it is refilled and recorded only once the sweep completes, so
-    /// a sweep that panicked leaves no inputs on a half-filled column.
-    fn kept_buffers(&self) -> Option<MutexGuard<'_, SweepBuffers>> {
-        match self.kept.try_lock() {
-            Ok(kept) => Some(kept),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     /// The sweep over prepared engines. `engines` holds one engine per
     /// (model, cluster) pair, model-major, at any batch; `group_of[c]` is
     /// the device group of cluster `c` (clusters of one group share the
-    /// prep tables). With `kept` (a keyed sweep, which holds the lock), the
-    /// supersets, preps and communication columns are taken from it where
-    /// they were computed from the inputs this sweep asks for, and the
-    /// rest are computed into its buffers. Without it (a one-shot sweep)
-    /// every column is computed into buffers local to the call, matched
-    /// and recorded nowhere. Returns the cells model-major, then batch,
-    /// then cluster — [`QueryGrid::queries`] order — and, for a keyed
-    /// sweep, the [`Wants`] the caller records once it has freed the
-    /// engines; records the stages from `supersets` on, timed from the
-    /// call.
+    /// prep tables). `(axis, at)` are the batches the columns cover and
+    /// the axis index of each batch to evaluate, in cell order. With `kept`
+    /// (a keyed sweep, which holds its store's lock), the supersets, preps
+    /// and communication columns are taken from it where they were
+    /// computed from the inputs this sweep asks for in that [`Scope`], and
+    /// the rest are computed into its buffers. Without it (a one-shot
+    /// sweep) every column is computed into buffers local to the call,
+    /// matched and recorded nowhere. Returns the cells model-major, then
+    /// `at`, then cluster — [`QueryGrid::queries`] order for a grid — and,
+    /// for a keyed sweep, the [`Wants`] the caller records once it has
+    /// freed the engines; records the stages from `supersets` on, timed
+    /// from the call.
     fn sweep<'a, 'b>(
         &self,
         engines: &[CostEngine<'a>],
         group_of: &[usize],
-        batches: &'b [usize],
+        (axis, at): (&'b [usize], &[usize]),
         constraints: &Constraints,
-        kept: Option<&mut SweepBuffers>,
+        kept: Option<(&mut SweepBuffers, Scope)>,
         timings: &mut GridStageTimings,
     ) -> (Vec<GridCell>, Option<Wants<'a, 'b>>) {
         let mut laps = Laps(Instant::now());
@@ -1027,33 +973,33 @@ impl GridSweep {
         let group_reps: Vec<usize> = (0..n_groups)
             .map(|g| group_of.iter().position(|&x| x == g).expect("groups are dense"))
             .collect();
-        let max_batch = *batches.iter().max().expect("non-empty batch axis");
-        let keyed = kept.is_some();
+        let max_batch = *axis.iter().max().expect("non-empty batch axis");
+        let (kept, scope) = kept.unzip();
         let mut local = SweepBuffers::default();
         let SweepBuffers { supersets, preps, coefs } = kept.unwrap_or(&mut local);
         let prep_engine =
             |i: usize| &engines[(i / n_groups) * n_clusters + group_reps[i % n_groups]];
         let n_coefs = if constraints.top_k.is_some() { n_models * n_clusters } else { 0 };
         let prep_of = |i: usize| (i / n_clusters) * n_groups + group_of[i % n_clusters];
-        let wants = keyed.then(|| {
+        let wants = scope.map(|scope| {
             let constraints = ConstraintsKey::words(constraints);
-            let model_keys: Vec<ModelKey> =
-                (0..n_models).map(|m| ModelKey::of(engines[m * n_clusters].model())).collect();
+            let grid = scope == Scope::Grid;
+            let model_keys: Vec<Option<ModelKey>> = (0..n_models)
+                .map(|m| grid.then(|| ModelKey::of(engines[m * n_clusters].model())))
+                .collect();
             Wants {
                 supersets: (0..n_models)
-                    .map(|m| SupersetInputs {
-                        limits: engines[m * n_clusters].limits().clone(),
-                        max_batch,
-                        constraints,
+                    .map(|m| {
+                        SupersetInputs::of(scope, &engines[m * n_clusters], max_batch, constraints)
                     })
                     .collect(),
                 preps: (0..n_models * n_groups)
                     .map(|i| {
-                        PrepWant::of(prep_engine(i), model_keys[i / n_groups], batches, constraints)
+                        PrepWant::of(prep_engine(i), model_keys[i / n_groups], axis, constraints)
                     })
                     .collect(),
                 coefs: (0..n_coefs)
-                    .map(|i| (prep_of(i), ClusterKey::words(engines[i].cluster())))
+                    .map(|i| (prep_of(i), grid.then(|| ClusterKey::words(engines[i].cluster()))))
                     .collect(),
             }
         });
@@ -1063,16 +1009,7 @@ impl GridSweep {
         // enumeration predicts its cost, so models go in grid order.
         let order = supersets.claim(n_models, wants.as_ref().map(|w| &w.supersets[..]));
         supersets.fill(&order, |m, superset| {
-            let limits = engines[m * n_clusters].limits();
-            StrategySpace::fill(max_batch, constraints, limits, superset);
-            // Trim by copying, not in place: freeing the push-grown buffer
-            // keeps glibc's dynamic mmap and trim thresholds where a cold
-            // sweep always left them (an in-place shrink raised the minor
-            // faults of a mix of one-shot queries about 2.5-fold). A refill
-            // to the same length has no slack and copies nothing.
-            if superset.capacity() > superset.len() {
-                *superset = superset.to_vec();
-            }
+            superset.fill(max_batch, constraints, engines[m * n_clusters].limits());
         });
         let superset_cols = &*supersets;
         timings.supersets = laps.lap();
@@ -1084,7 +1021,7 @@ impl GridSweep {
         order.sort_by_key(|&i| std::cmp::Reverse(superset_cols[i / n_groups].len()));
         preps.fill(&order, |i, preps| {
             let superset = &superset_cols[i / n_groups];
-            PreppedSpace::build_all(superset, prep_engine(i), batches, constraints, preps);
+            PreppedSpace::build_all(superset, prep_engine(i), axis, constraints, preps);
         });
         let prep_cols = &*preps;
         timings.preps = laps.lap();
@@ -1097,9 +1034,7 @@ impl GridSweep {
         // no batch's prep references (invalid or memory-infeasible at every
         // batch) are skipped. Full ranking builds a fresh estimate per
         // candidate and never reads the columns.
-        let coef_wants: Option<Vec<CoefWant<'_, '_, '_>>> = wants.as_ref().map(|w| {
-            w.coefs.iter().map(|&(p, cluster)| CoefWant { prep: &w.preps[p], cluster }).collect()
-        });
+        let coef_wants = wants.as_ref().map(Wants::coef_wants);
         let mut order = coefs.claim(n_coefs, coef_wants.as_deref());
         // Which superset rows each prep set behind a column to fill uses at
         // any batch: only those rows are priced.
@@ -1119,7 +1054,7 @@ impl GridSweep {
         coefs.fill(&order, |i, column| {
             let (engine, used) = (&engines[i], &used[prep_of(i)]);
             column.clear();
-            column.extend(superset_cols[i / n_clusters].iter().zip(used).map(|(&s, &u)| {
+            column.extend(superset_cols[i / n_clusters].iter().zip(used).map(|(s, &u)| {
                 if u {
                     engine.comm_prep(s)
                 } else {
@@ -1138,10 +1073,10 @@ impl GridSweep {
         // cluster-dependent, so seed *times* are per cell even though seed
         // *selection* is per prep).
         let n_slots = budget_index(constraints.max_pes.max(1)) + 1;
-        let mut ctxs: Vec<CellCtx<'_, '_>> =
-            Vec::with_capacity(n_models * batches.len() * n_clusters);
+        let mut ctxs: Vec<CellCtx<'_, '_>> = Vec::with_capacity(n_models * at.len() * n_clusters);
         for m in 0..n_models {
-            for (b, &batch) in batches.iter().enumerate() {
+            for &b in at {
+                let batch = axis[b];
                 for c in 0..n_clusters {
                     let prep = &prep_cols[m * n_groups + group_of[c]][b];
                     let engine = at_batch(&engines[m * n_clusters + c], batch);
@@ -1233,7 +1168,9 @@ mod tests {
     use crate::key::{KeyedModel, ProblemKey};
     use crate::layer::Layer;
     use crate::oracle::{Oracle, PeSweep};
+    use crate::resident::StoreCounters;
     use crate::search::strategy_sort_key;
+    use std::sync::Arc;
 
     fn model(seed: usize) -> Model {
         Model::new(
@@ -1294,6 +1231,46 @@ mod tests {
                 assert_eq!(filtered, direct, "sweep {sweep:?}, batch {batch}");
             }
         }
+    }
+
+    #[test]
+    fn a_superset_packs_every_strategy_whose_fields_fit() {
+        for sweep in [PeSweep::PowersOfTwo, PeSweep::Exhaustive] {
+            let constraints =
+                Constraints { max_pes: 512, sweep, pipeline_segments: 32, ..Default::default() };
+            let limits = ModelLimits::of(&model(0));
+            let direct = StrategySpace::with_limits(256, &constraints, &limits).into_vec();
+            let mut superset = Superset::default();
+            superset.fill(256, &constraints, &limits);
+            assert!(matches!(superset, Superset::Packed(_)), "small fields pack");
+            assert_eq!(superset.iter().collect::<Vec<_>>(), direct, "{sweep:?}");
+            assert_eq!(superset.bytes(), 8 * direct.len());
+        }
+        let split = SpatialSplit { pw: 2, ph: 3, pd: 1 };
+        let widest = FIELD_MASK as usize;
+        for s in [
+            Strategy::Serial,
+            Strategy::Data { p: widest },
+            Strategy::Spatial { split },
+            Strategy::Filter { p: 7 },
+            Strategy::Channel { p: 9 },
+            Strategy::Pipeline { p: 4, segments: widest },
+            Strategy::DataFilter { p1: widest, p2: 5 },
+            Strategy::DataSpatial { p1: 6, split: SpatialSplit { pd: widest, ..split } },
+        ] {
+            assert_eq!(pack(s).map(unpack), Some(s), "{s}");
+        }
+        assert_eq!(pack(Strategy::Data { p: widest + 1 }), None);
+        // A field too wide for a word keeps the strategies themselves.
+        let wide = Constraints { max_pes: 1 << 16, ..Default::default() };
+        let limits = ModelLimits::of(&model(0));
+        let mut superset = Superset::default();
+        superset.fill(1 << 16, &wide, &limits);
+        assert!(matches!(superset, Superset::Wide(_)), "a 16-bit field does not pack");
+        let direct = StrategySpace::with_limits(1 << 16, &wide, &limits).into_vec();
+        assert_eq!(superset.iter().collect::<Vec<_>>(), direct);
+        superset.fill(256, &Constraints::default(), &limits);
+        assert!(matches!(superset, Superset::Packed(_)), "a refill packs again");
     }
 
     /// Per-cell [`Oracle::search`](crate::oracle::Oracle::search) on fresh oracles: each cell's own
@@ -1367,8 +1344,8 @@ mod tests {
                 let max_batch = *grid.batches.iter().max().expect("batches");
                 let engine =
                     cell_engine(&grid, GridQuery { model: m, cluster: 0, batch: max_batch });
-                let superset =
-                    StrategySpace::with_limits(max_batch, &constraints, engine.limits()).into_vec();
+                let mut superset = Superset::default();
+                superset.fill(max_batch, &constraints, engine.limits());
                 let mut preps = Vec::new();
                 PreppedSpace::build_all(
                     &superset,
@@ -1385,7 +1362,7 @@ mod tests {
                     let (fits, over): (Vec<Strategy>, Vec<Strategy>) =
                         all.iter().partition(|&&s| direct.memory_per_pe(s) <= capacity);
                     let rows: Vec<Strategy> =
-                        prep.sup.iter().map(|&i| superset[i as usize]).collect();
+                        prep.sup.iter().map(|&i| superset.get(i as usize)).collect();
                     assert_eq!(rows, fits, "{what}: rows");
                     assert_eq!(prep.enumerated, all.len(), "{what}: enumerated");
                     assert_eq!(prep.mem_pruned, over.len(), "{what}: memory-pruned");
@@ -1490,16 +1467,20 @@ mod tests {
                     for (c, cluster) in grid.clusters().iter().enumerate() {
                         let config = gm.config_at(48);
                         let key = ProblemKey::of(&models[m], cluster, &config);
-                        let (engine, _) =
+                        let (engine, _, columns) =
                             cache.engine(&key, &models[m], cluster, config).expect("engine builds");
-                        let swept = sweep.run_engine(&engine, grid.batches(), grid.constraints());
+                        let batches = grid.batches();
+                        let swept =
+                            sweep.run_engine(&engine, batches, grid.constraints(), Some(&columns));
                         assert_eq!(swept.len(), grid.batches().len());
                         for cell in &swept.cells {
                             let want = plain.get(m, cell.query.batch, c).expect("plain cell");
                             let what = format!("{pass} {top_k:?} {:?}", want.query);
                             assert_reports_equal(&want.report, &cell.report, &what);
                         }
-                        assert!(sweep.run_engine(&engine, &[], grid.constraints()).is_empty());
+                        assert!(sweep
+                            .run_engine(&engine, &[], grid.constraints(), None)
+                            .is_empty());
                     }
                 }
                 let after = cache.stats();
@@ -1518,6 +1499,7 @@ mod tests {
     /// `models × clusters` coefficient columns.
     fn assert_kept_exact(sweep: &GridSweep, grid: &QueryGrid, groups: usize) {
         let kept = sweep.kept.lock().expect("no sweep running");
+        let kept = &kept.buffers;
         let n_models = grid.models.len();
         let n_coefs =
             if grid.constraints.top_k.is_some() { n_models * grid.clusters.len() } else { 0 };
@@ -1527,8 +1509,11 @@ mod tests {
         assert!(kept.supersets.slots.iter().all(|s| s.inputs.is_some()), "supersets keyed");
         assert!(kept.preps.slots.iter().all(|s| s.inputs.is_some()), "preps keyed");
         assert!(kept.coefs.slots.iter().all(|s| s.inputs.is_some()), "coefficients keyed");
-        let supersets = kept.supersets.slots.iter().map(|s| &s.column);
-        assert!(supersets.into_iter().all(|s| s.capacity() == s.len()), "supersets trimmed");
+        let trimmed = |s: &Superset| match s {
+            Superset::Packed(words) => words.capacity() == words.len(),
+            Superset::Wide(strategies) => strategies.capacity() == strategies.len(),
+        };
+        assert!(kept.supersets.slots.iter().all(|s| trimmed(&s.column)), "supersets trimmed");
         let coefs = kept.coefs.slots.iter().map(|s| &s.column);
         assert!(coefs.into_iter().all(|c| c.capacity() == c.len()), "coefficients trimmed");
         for prep in kept.preps.slots.iter().flat_map(|s| &s.column) {
@@ -1543,6 +1528,7 @@ mod tests {
     /// over `sweep`'s lifetime.
     fn filled(sweep: &GridSweep) -> [usize; 3] {
         let kept = sweep.kept.lock().expect("no sweep running");
+        let kept = &kept.buffers;
         [kept.supersets.filled, kept.preps.filled, kept.coefs.filled]
     }
 
@@ -1608,8 +1594,8 @@ mod tests {
         for device in [&cluster.device, &cpu] {
             let engine = CostEngine::new(&gm.model, device, cluster, gm.config_at(64))
                 .expect("engine builds");
-            let swept = sweep.run_engine(&engine, &[32, 64], &constraints);
-            let fresh = GridSweep::new().run_engine(&engine, &[32, 64], &constraints);
+            let swept = sweep.run_engine(&engine, &[32, 64], &constraints, None);
+            let fresh = GridSweep::new().run_engine(&engine, &[32, 64], &constraints, None);
             for (x, y) in swept.cells.iter().zip(&fresh.cells) {
                 assert_reports_equal(&x.report, &y.report, &format!("engine {:?}", x.query));
             }
@@ -1620,50 +1606,274 @@ mod tests {
         assert_eq!(filled(&sweep), before, "a repeat after run_engine computes nothing");
     }
 
-    /// A test column's inputs: one number, asked for as itself.
-    impl Inputs<usize> for usize {
-        fn is(&self, want: &usize) -> bool {
-            self == want
+    /// Columns each stage of `store` has computed over its lifetime.
+    fn store_filled(store: &ColumnStore) -> [usize; 3] {
+        let kept = store.lock().expect("no sweep running");
+        let kept = &kept.buffers;
+        [kept.supersets.filled, kept.preps.filled, kept.coefs.filled]
+    }
+
+    /// The batch axis of `store`'s kept prep set (empty when none is kept).
+    fn store_axis(store: &ColumnStore) -> usize {
+        let kept = store.lock().expect("no sweep running");
+        kept.buffers.preps.slots.first().map_or(0, |slot| slot.column.len())
+    }
+
+    /// `run_engine` on `store` at `batches`, checked cell for cell against
+    /// a one-shot sweep of the same engine.
+    fn run_on_store(
+        engine: &CostEngine<'_>,
+        store: &ColumnStore,
+        batches: &[usize],
+        constraints: &Constraints,
+    ) {
+        let sweep = GridSweep::new().with_chunk_size(256);
+        let kept = sweep.run_engine(engine, batches, constraints, Some(store));
+        let fresh = sweep.run_engine(engine, batches, constraints, None);
+        assert_eq!(kept.len(), batches.len(), "one cell per batch at {batches:?}");
+        for (x, y) in kept.cells.iter().zip(&fresh.cells) {
+            assert_eq!(x.query, y.query, "cell order at {batches:?}");
+            assert_reports_equal(&x.report, &y.report, &format!("store at {batches:?}"));
         }
     }
 
     #[test]
-    fn a_panicking_fill_leaves_no_inputs_on_its_columns() {
-        let keys = [1usize, 2, 3, 4];
-        let mut columns: Columns<usize, Vec<u32>> = Columns::default();
-        let fill = |panic_at: Option<usize>| {
-            move |i: usize, column: &mut Vec<u32>| {
-                column.clear();
-                column.push(1);
-                assert_ne!(Some(i), panic_at, "fill {i} fails half-way");
-                column.push(2);
-            }
+    fn an_entry_store_keeps_a_variant_from_its_second_group_on() {
+        let constraints = Constraints { max_pes: 128, top_k: Some(5), ..Default::default() };
+        let m = model(0);
+        let cluster = ClusterSpec::paper_system();
+        let config = TrainingConfig::small(8192, 64);
+        let engine = CostEngine::new(&m, &cluster.device, &cluster, config).expect("engine builds");
+        let counters = Arc::new(StoreCounters::default());
+        let store = ColumnStore::counted(&counters);
+        let stats = |hits, misses, admissions| {
+            let now = counters.stats();
+            assert_eq!((now.hits, now.misses, now.admissions), (hits, misses, admissions));
         };
-        let order = columns.claim(keys.len(), Some(&keys));
-        assert_eq!(order, [0, 1, 2, 3]);
-        columns.fill(&order, fill(None));
-        columns.record(|i| Some(keys[i]));
-        // Two columns asked for again, two new ones: the failed run clears
-        // the inputs of the columns it refills before filling them.
-        let wants = [keys[1], 9, keys[3]];
-        let order = columns.claim(wants.len(), Some(&wants));
-        assert_eq!(order, [1]);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            columns.fill(&order, fill(Some(1)))
-        }));
-        assert!(caught.is_err());
-        assert!(columns.slots[1].inputs.is_none(), "the half-filled column has no inputs");
-        for slot in columns.slots.iter().filter(|s| s.inputs.is_some()) {
-            assert_eq!(slot.column, [1, 2], "a keyed column is complete");
+        run_on_store(&engine, &store, &[64], &constraints);
+        assert_eq!(store_filled(&store), [0, 0, 0], "a variant's first group keeps nothing");
+        assert_eq!(counters.stats().resident_bytes, 0);
+        stats(0, 1, 0);
+        run_on_store(&engine, &store, &[64], &constraints);
+        assert_eq!(store_filled(&store), [1, 1, 1], "the second group is admitted");
+        stats(0, 2, 1);
+        let bytes = counters.stats().resident_bytes;
+        assert!(bytes > 0, "an admitted store holds its columns");
+        run_on_store(&engine, &store, &[64], &constraints);
+        assert_eq!(store_filled(&store), [1, 1, 1], "a repeated group computes no column");
+        stats(1, 2, 1);
+        assert_eq!(counters.stats().resident_bytes, bytes);
+        // A smaller batch sweeps one-shot on its first sight, and on its
+        // second grows the axis to [32, 64]: the preps (and the columns
+        // priced from them), not the superset at the largest batch.
+        run_on_store(&engine, &store, &[32], &constraints);
+        assert_eq!(store_filled(&store), [1, 1, 1], "a batch's first sight keeps nothing");
+        assert_eq!(store_axis(&store), 1);
+        stats(1, 3, 1);
+        run_on_store(&engine, &store, &[32], &constraints);
+        assert_eq!(store_filled(&store), [1, 2, 2], "a grown axis keeps its superset");
+        assert_eq!(store_axis(&store), 2);
+        stats(1, 4, 1);
+        // Both batches in any order, or either alone: the kept axis serves.
+        for batches in [&[64, 32][..], &[32], &[64]] {
+            run_on_store(&engine, &store, batches, &constraints);
         }
-        // The next run refills the failed column and reuses the rest.
-        let order = columns.claim(wants.len(), Some(&wants));
-        assert_eq!(order, [1]);
-        columns.fill(&order, fill(None));
-        columns.record(|i| Some(wants[i]));
-        assert!(columns.slots.iter().all(|s| s.inputs.is_some() && s.column == [1, 2]));
-        assert!(columns.claim(wants.len(), Some(&wants)).is_empty(), "a repeat hits every column");
-        assert_eq!(columns.slots.len(), wants.len(), "the kept set is the last run's columns");
+        assert_eq!(store_filled(&store), [1, 2, 2]);
+        stats(4, 4, 1);
+        // A larger batch grows the largest one, on its second sight: every
+        // column.
+        for _ in 0..2 {
+            run_on_store(&engine, &store, &[96, 32], &constraints);
+        }
+        assert_eq!(store_filled(&store), [2, 3, 3]);
+        assert_eq!(store_axis(&store), 3);
+        stats(4, 6, 1);
+        // Another variant — a dataset size, a capacity, or full ranking —
+        // sweeps one-shot first and replaces the kept one on its second
+        // group; a full ranking keeps no communication column.
+        let config = TrainingConfig { dataset_size: 4096, ..config };
+        let dataset =
+            CostEngine::new(&m, &cluster.device, &cluster, config).expect("engine builds");
+        run_on_store(&dataset, &store, &[96, 32, 64], &constraints);
+        assert_eq!(store_filled(&store), [2, 3, 3], "a first sight keeps nothing");
+        // Admitted on the kept axis: the prep set's dataset size alone
+        // tells the kept columns from the ones this variant needs.
+        run_on_store(&dataset, &store, &[96, 32, 64], &constraints);
+        assert_eq!(store_filled(&store), [2, 4, 4], "a dataset size keeps its superset");
+        let capacity = Constraints { memory_capacity_bytes: 1e9, ..constraints };
+        let full = Constraints { top_k: None, ..constraints };
+        for other in [capacity, full] {
+            let before = store_filled(&store);
+            run_on_store(&engine, &store, &[64], &other);
+            assert_eq!(store_filled(&store), before, "a first sight keeps nothing");
+            run_on_store(&engine, &store, &[64], &other);
+            let coefs = usize::from(other.top_k.is_some());
+            assert_eq!(store_filled(&store), [before[0] + 1, before[1] + 1, before[2] + coefs]);
+        }
+        stats(4, 12, 4);
+        assert!(store.lock().expect("unlocked").buffers.coefs.slots.is_empty());
+        // A busy store sweeps one-shot and counts a miss.
+        let held = store.lock().expect("unlocked");
+        run_on_store(&engine, &store, &[64], &full);
+        drop(held);
+        stats(4, 13, 4);
+        run_on_store(&engine, &store, &[64], &full);
+        stats(5, 13, 4);
+    }
+
+    #[test]
+    fn an_entry_store_axis_stays_bounded() {
+        use crate::resident::AXIS_CAP;
+        let constraints = Constraints { max_pes: 64, top_k: Some(3), ..Default::default() };
+        let m = model(1);
+        let cluster = ClusterSpec::workstation(8);
+        let engine =
+            CostEngine::new(&m, &cluster.device, &cluster, TrainingConfig::small(4096, 32))
+                .expect("engine builds");
+        let store = ColumnStore::default();
+        // Admit the variant, then stream distinct batch sizes at it: each
+        // asked once, none joins the axis.
+        run_on_store(&engine, &store, &[8], &constraints);
+        run_on_store(&engine, &store, &[8], &constraints);
+        assert_eq!(store_axis(&store), 1);
+        for batch in 9..40 {
+            run_on_store(&engine, &store, &[batch], &constraints);
+        }
+        assert_eq!(store_axis(&store), 1, "a batch asked once does not join the axis");
+        assert_eq!(store_filled(&store), [1, 1, 1]);
+        // Cycle more distinct batches than the cap: the axis fills up on
+        // their second sights, and from then on the batches outside it sweep
+        // one-shot and compute no column into the store.
+        let cycle: Vec<usize> = (40..40 + AXIS_CAP + 4).collect();
+        let mut fills = Vec::new();
+        for _ in 0..3 {
+            for &batch in &cycle {
+                run_on_store(&engine, &store, &[batch], &constraints);
+                assert!(store_axis(&store) <= AXIS_CAP, "the axis at batch {batch}");
+            }
+            fills.push(store_filled(&store)[1]);
+        }
+        assert_eq!(store_axis(&store), AXIS_CAP, "the axis grows up to its cap");
+        assert_eq!(fills, [1, AXIS_CAP, AXIS_CAP], "a full axis computes no more prep sets");
+        // A group with more distinct batches than the cap sweeps one-shot
+        // and leaves the store as it was.
+        let before = store_filled(&store);
+        let wide: Vec<usize> = (50..50 + AXIS_CAP + 1).collect();
+        run_on_store(&engine, &store, &wide, &constraints);
+        run_on_store(&engine, &store, &wide, &constraints);
+        assert_eq!(store_filled(&store), before);
+        run_on_store(&engine, &store, &[41], &constraints);
+        assert_eq!(store_filled(&store), before, "a kept batch is still served");
+    }
+
+    #[test]
+    fn entry_stores_keep_no_columns_past_their_budget() {
+        let constraints = Constraints { max_pes: 64, top_k: Some(3), ..Default::default() };
+        let m = model(2);
+        let clusters = [ClusterSpec::workstation(8), ClusterSpec::paper_system()];
+        let engines: Vec<_> = clusters
+            .iter()
+            .map(|cluster| {
+                CostEngine::new(&m, &cluster.device, cluster, TrainingConfig::small(4096, 32))
+                    .expect("engine builds")
+            })
+            .collect();
+        // What each problem's store holds at [16, 32] under no budget.
+        let held: Vec<u64> = engines
+            .iter()
+            .map(|engine| {
+                let counters = Arc::new(StoreCounters::default());
+                let store = ColumnStore::counted(&counters);
+                for _ in 0..2 {
+                    run_on_store(engine, &store, &[16, 32], &constraints);
+                }
+                counters.stats().resident_bytes
+            })
+            .collect();
+        assert!(held.iter().all(|&b| b > 0));
+        // A budget that holds the first store and not both: the second
+        // problem's admission computes its columns, answers from them and
+        // frees them, and stays unadmitted; the first keeps its columns.
+        let counters = Arc::new(StoreCounters::with_budget(held[0] + held[1] - 1));
+        let stores = [ColumnStore::counted(&counters), ColumnStore::counted(&counters)];
+        for (engine, store) in engines.iter().zip(&stores) {
+            for _ in 0..3 {
+                run_on_store(engine, store, &[16, 32], &constraints);
+            }
+        }
+        let stats = counters.stats();
+        assert_eq!(stats.resident_bytes, held[0], "only the first store keeps its columns");
+        assert_eq!((stats.hits, stats.misses, stats.admissions), (1, 5, 1));
+        assert_eq!((store_axis(&stores[0]), store_axis(&stores[1])), (2, 0));
+        assert_eq!(store_filled(&stores[1]), [1, 1, 1], "the refusal filled once, then one-shot");
+        // Freeing the first store makes room: the second is kept from its
+        // next admission on, and then hits.
+        drop(stores);
+        let counters = Arc::new(StoreCounters::with_budget(held[1]));
+        let store = ColumnStore::counted(&counters);
+        for _ in 0..3 {
+            run_on_store(&engines[1], &store, &[16, 32], &constraints);
+        }
+        let stats = counters.stats();
+        assert_eq!((stats.hits, stats.resident_bytes), (1, held[1]), "a budget that fits keeps");
+        // A budget below any store keeps nothing, and every answer is exact.
+        let counters = Arc::new(StoreCounters::with_budget(0));
+        let store = ColumnStore::counted(&counters);
+        for _ in 0..4 {
+            run_on_store(&engines[0], &store, &[16, 32], &constraints);
+        }
+        let stats = counters.stats();
+        assert_eq!((stats.hits, stats.admissions, stats.resident_bytes), (0, 0, 0));
+    }
+
+    #[test]
+    fn the_resident_budget_is_one_capped_sweep() {
+        use crate::resident::RESIDENT_BUDGET;
+        assert_eq!(std::mem::size_of::<Strategy>(), 40, "the budget's unpacked superset row");
+        assert_eq!(std::mem::size_of::<CommCoef>(), 32, "the budget's communication row");
+        assert_eq!(RESIDENT_BUDGET, 344_000_000, "the number the docs state");
+    }
+
+    #[test]
+    fn a_panicking_fill_leaves_no_inputs_on_an_entry_store() {
+        let constraints = Constraints { max_pes: 64, top_k: Some(3), ..Default::default() };
+        let m = model(2);
+        let cluster = ClusterSpec::workstation(8);
+        let engine =
+            CostEngine::new(&m, &cluster.device, &cluster, TrainingConfig::small(4096, 32))
+                .expect("engine builds");
+        let store = ColumnStore::default();
+        run_on_store(&engine, &store, &[16, 32], &constraints);
+        run_on_store(&engine, &store, &[16, 32], &constraints);
+        assert_eq!(store_axis(&store), 2);
+        // A sweep that panics half-way through refilling the prep set,
+        // holding the lock: the lock is poisoned, the column unkeyed.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut kept = store.lock().expect("unlocked");
+            let (axis, words) = ([8, 16], ConstraintsKey::words(&constraints));
+            let want = [PrepWant::of(&engine, None, &axis, words)];
+            let order = kept.buffers.preps.claim(1, Some(&want[..]));
+            assert_eq!(order, [0], "another axis refills the prep set");
+            kept.buffers.preps.fill(&order, |_, preps| {
+                preps.clear();
+                panic!("the prep fill fails half-way");
+            });
+        }));
+        assert!(caught.is_err() && store.is_poisoned());
+        {
+            let kept = store.lock().expect("a poisoned lock is recovered");
+            assert!(kept.buffers.preps.slots.iter().all(|s| s.inputs.is_none()));
+        }
+        // The next groups recover the lock, keep nothing from the failed
+        // sweep, and answer exactly; the variant is kept again from its
+        // second group on.
+        let before = store_filled(&store);
+        run_on_store(&engine, &store, &[16, 32], &constraints);
+        assert_eq!(store_filled(&store)[1], before[1], "a first sight again");
+        run_on_store(&engine, &store, &[16, 32], &constraints);
+        assert_eq!(store_filled(&store)[1], before[1] + 1);
+        run_on_store(&engine, &store, &[32], &constraints);
+        assert_eq!(store_filled(&store)[1], before[1] + 1, "kept again");
     }
 
     #[test]
@@ -1696,7 +1906,7 @@ mod tests {
             ("B", &b, sweep.run(&b)),
             ("A again", &a, sweep.run(&a)),
             ("A swapped", &swapped, sweep.run(&swapped)),
-            ("engine B", &b, sweep.run_engine(&engine_b, b.batches(), b.constraints())),
+            ("engine B", &b, sweep.run_engine(&engine_b, b.batches(), b.constraints(), None)),
         ];
         for (name, grid, report) in &runs {
             let fresh = GridSweep::new().with_chunk_size(256).run(grid);
@@ -1714,9 +1924,9 @@ mod tests {
         assert_kept_exact(&sweep, &a, 1);
         // A clone starts empty; an empty grid leaves nothing kept.
         let clone = sweep.clone();
-        assert!(clone.kept.lock().expect("unlocked").supersets.slots.is_empty());
+        assert!(clone.kept.lock().expect("unlocked").buffers.supersets.slots.is_empty());
         sweep.run(&QueryGrid::new(Constraints::default()));
-        assert!(sweep.kept.lock().expect("unlocked").supersets.slots.is_empty());
+        assert!(sweep.kept.lock().expect("unlocked").buffers.supersets.slots.is_empty());
     }
 
     #[test]
@@ -1734,7 +1944,8 @@ mod tests {
         {
             let held = sweep.kept.lock().expect("unlocked");
             check(&sweep.run(&grid), "busy");
-            assert!(held.supersets.slots.is_empty(), "a busy run must not touch the held buffers");
+            let untouched = held.buffers.supersets.slots.is_empty();
+            assert!(untouched, "a busy run must not touch the held buffers");
         }
         // Two threads sweeping on one value at once.
         let start = std::sync::Barrier::new(2);
@@ -1762,7 +1973,7 @@ mod tests {
         });
         assert!(poisoner.is_err() && sweep.kept.is_poisoned());
         check(&sweep.run(&grid), "poisoned");
-        assert!(!sweep.kept.lock().unwrap_or_else(|p| p.into_inner()).supersets.slots.is_empty());
+        assert!(!sweep.kept.lock().expect("recovered").buffers.supersets.slots.is_empty());
     }
 
     #[test]

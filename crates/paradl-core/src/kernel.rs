@@ -52,11 +52,12 @@
 //! the default is picked by the chunk sweep recorded in `BENCH_kernel.json`.
 
 use crate::engine::{CommCoef, CostEngine};
+use crate::grid::Superset;
 use crate::oracle::{Constraints, Projection};
 use crate::search::{strategy_sort_key, RankedCandidate};
 use crate::strategy::Strategy;
-use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default candidates-per-chunk granularity of the interleaved evaluation:
 /// small enough that a paper-scale query splits into dozens of units, large
@@ -158,8 +159,11 @@ impl StaticBounds {
     }
 }
 
-/// Per-worker reusable buffers — the compacted survivor lanes — retaining
-/// capacity across chunks so the evaluation pass never allocates.
+/// Reusable buffers — the compacted survivor lanes — retaining capacity
+/// across chunks so the evaluation pass never allocates. They live in a
+/// process-wide pool ([`SCRATCH`]), not in thread-locals: the worker pool
+/// spawns its threads per parallel call, so a thread-local buffer would be
+/// allocated again on every sweep.
 #[derive(Default)]
 struct KernelScratch {
     /// Branchless survivor compaction: the evaluation pass writes each row
@@ -172,8 +176,17 @@ struct KernelScratch {
     tims: Vec<f64>,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
+/// Idle [`KernelScratch`] buffers: a chunk takes one (or a new one) and
+/// returns it if it is no larger than a [`DEFAULT_CHUNK`] chunk needs, so
+/// the pool holds at most one default-sized buffer per chunk ever evaluated
+/// at once, and a sweep with larger chunks leaves none of its buffers
+/// behind.
+static SCRATCH: Mutex<Vec<KernelScratch>> = Mutex::new(Vec::new());
+
+/// The scratch pool, recovered if a panicking chunk poisoned it (it only
+/// holds buffers whose contents the next chunk overwrites).
+fn scratch_pool() -> MutexGuard<'static, Vec<KernelScratch>> {
+    SCRATCH.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A survivor's place in the ranking order: its epoch time's bits
@@ -194,7 +207,7 @@ type Rank = (u64, (u8, usize, usize, usize, usize), u32);
 /// `fams`/`coef`; a full-ranking sweep passes an empty `coef`.
 #[derive(Clone, Copy)]
 pub(crate) struct KernelColumns<'c> {
-    pub(crate) superset: &'c [Strategy],
+    pub(crate) superset: &'c Superset,
     pub(crate) sup: &'c [u32],
     pub(crate) lbs: &'c [f64],
     pub(crate) slots: &'c [u8],
@@ -206,7 +219,7 @@ impl KernelColumns<'_> {
     /// The strategy of row `x`.
     #[inline]
     fn strategy(&self, x: usize) -> Strategy {
-        self.superset[self.sup[x] as usize]
+        self.superset.get(self.sup[x] as usize)
     }
 
     /// The exact epoch time of row `x`: its compute lower bound plus the
@@ -255,8 +268,9 @@ pub(crate) fn eval_chunk_kernel(
         return (0, (lo..hi).map(|x| cols.candidate(engine, x)).collect());
     };
     let slots = cols.slots;
-    let (pruned, ranks) = SCRATCH.with(|tls| {
-        let scratch = &mut *tls.borrow_mut();
+    let mut scratch = scratch_pool().pop().unwrap_or_default();
+    let (pruned, ranks) = {
+        let scratch = &mut scratch;
         let surv = &mut scratch.surv;
         surv.clear();
         surv.resize(hi - lo, 0);
@@ -324,7 +338,10 @@ pub(crate) fn eval_chunk_kernel(
         ranks.sort_unstable();
         ranks.dedup();
         (pruned, ranks)
-    });
+    };
+    if scratch.surv.capacity().max(scratch.tims.capacity()) <= DEFAULT_CHUNK {
+        scratch_pool().push(scratch);
+    }
     // Full estimates for the union of the two sets only.
     let found = ranks
         .into_iter()

@@ -364,11 +364,6 @@ impl Layer {
         }
     }
 
-    /// Weight-update FLOPs per iteration (SGD: one multiply-add per weight).
-    pub fn flops_weight_update(&self) -> u64 {
-        2 * self.param_count() as u64
-    }
-
     /// Size (elements) of the halo region that must be exchanged per sample
     /// when the spatial dimensions are split over `splits` parts per
     /// dimension (paper §3.2). A convolution with kernel `K` needs

@@ -61,6 +61,7 @@ pub mod memory;
 pub mod model;
 pub mod oracle;
 pub mod query;
+mod resident;
 pub mod scaling;
 pub mod search;
 pub mod strategy;

@@ -60,11 +60,6 @@ impl Model {
         self.layers.iter().map(|l| l.flops_forward()).sum()
     }
 
-    /// Total backward FLOPs per sample.
-    pub fn total_flops_backward(&self) -> u64 {
-        self.layers.iter().map(|l| l.flops_backward()).sum()
-    }
-
     /// Minimum number of filters over conv-like layers — the scaling limit of
     /// filter parallelism (`p ≤ min_l F_l`, paper Table 3).
     pub fn min_filters(&self) -> usize {
@@ -128,11 +123,6 @@ impl Model {
             }
         }
         mins
-    }
-
-    /// Layers that carry weights (participate in gradient exchange).
-    pub fn weighted_layers(&self) -> impl Iterator<Item = &Layer> {
-        self.layers.iter().filter(|l| l.kind.has_weights())
     }
 
     /// Validates every layer and the chaining of activation shapes where the

@@ -329,8 +329,9 @@ impl<C: ComputeModel + ?Sized + Sync> Oracle<'_, C> {
             }
             QueryMode::TopK(_) | QueryMode::FullRank => {
                 let batches = [engine.config().batch_size];
-                let mut cells =
-                    crate::grid::GridSweep::new().run_engine(engine, &batches, &constraints).cells;
+                let mut cells = crate::grid::GridSweep::new()
+                    .run_engine(engine, &batches, &constraints, None)
+                    .cells;
                 let report = cells.pop().expect("a one-cell sweep yields one cell").report;
                 QueryAnswer::Ranked(match calibration {
                     Some(cal) => report.recalibrated(cal),

@@ -91,12 +91,27 @@ impl StrategySpace {
         limits: &ModelLimits,
         candidates: &mut Vec<Strategy>,
     ) {
+        candidates.clear();
+        Self::enumerate(batch, constraints, limits, |s| candidates.push(s));
+        debug_assert!(
+            candidates.windows(2).all(|w| strategy_sort_key(&w[0]) < strategy_sort_key(&w[1])),
+            "sieve enumeration must emit strictly increasing sort keys"
+        );
+    }
+
+    /// The enumeration behind [`StrategySpace::fill`]: `emit` gets every
+    /// candidate, in order.
+    pub(crate) fn enumerate(
+        batch: usize,
+        constraints: &Constraints,
+        limits: &ModelLimits,
+        mut emit: impl FnMut(Strategy),
+    ) {
         let max_pes = constraints.max_pes.max(1);
         let sweep = constraints.sweep;
-        candidates.clear();
         let mut push = |s: Strategy| {
             if s.total_pes() <= max_pes && limits.is_valid(s, batch) {
-                candidates.push(s);
+                emit(s);
             }
         };
 
@@ -186,11 +201,6 @@ impl StrategySpace {
                 }
             }
         }
-
-        debug_assert!(
-            candidates.windows(2).all(|w| strategy_sort_key(&w[0]) < strategy_sort_key(&w[1])),
-            "sieve enumeration must emit strictly increasing sort keys"
-        );
     }
 
     /// The straightforward nested-loop enumeration [`StrategySpace::with_limits`]

@@ -141,32 +141,6 @@ impl Strategy {
         }
     }
 
-    /// Short lowercase label used in reports (`d`, `s`, `p`, `f`, `c`, `df`,
-    /// `ds`), matching the paper's notation.
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            Strategy::Serial => "serial",
-            Strategy::Data { .. } => "d",
-            Strategy::Spatial { .. } => "s",
-            Strategy::Filter { .. } => "f",
-            Strategy::Channel { .. } => "c",
-            Strategy::Pipeline { .. } => "p",
-            Strategy::DataFilter { .. } => "df",
-            Strategy::DataSpatial { .. } => "ds",
-        }
-    }
-
-    /// Number of data-parallel replicas (groups whose gradients are averaged
-    /// in the gradient-exchange phase).
-    pub fn data_groups(&self) -> usize {
-        match *self {
-            Strategy::Data { p } => p,
-            Strategy::Spatial { .. } => 1,
-            Strategy::DataFilter { p1, .. } | Strategy::DataSpatial { p1, .. } => p1,
-            _ => 1,
-        }
-    }
-
     /// Maximum PE count the strategy admits for a given model and global
     /// mini-batch size (paper Table 3, last column).
     pub fn max_pes(model: &Model, batch: usize, kind: StrategyKind) -> usize {

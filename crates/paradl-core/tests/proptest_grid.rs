@@ -303,8 +303,8 @@ proptest! {
     // the last, every edit kind in a seeded order: whatever its kept
     // columns were computed from, every report must equal a fresh sweep's.
     // `run_timed` alternates with `run`, `run_engine` (which sweeps on
-    // buffers of its own) sweeps on the same value in between, and the
-    // last grid is swept by two threads at once.
+    // buffers of its own, or on a cache entry's store) sweeps on the same
+    // value in between, and the last grid is swept by two threads at once.
     #[test]
     fn resident_columns_never_serve_a_stale_answer(
         model_a in arb_model(),
@@ -340,6 +340,7 @@ proptest! {
         }
         let edits = kinds.iter().flat_map(|block| block.iter().copied());
         let sweep = GridSweep::new().with_chunk_size(chunk);
+        let cache = EngineCache::new(8);
         let first = axes.grid();
         let cold = sweep.run(&first);
         let check = same_cells(&cold, &GridSweep::new().with_chunk_size(chunk).run(&first));
@@ -352,6 +353,30 @@ proptest! {
                 if step.is_multiple_of(2) { sweep.run_timed(&grid).0 } else { sweep.run(&grid) };
             let check = same_cells(&resident, &fresh);
             prop_assert!(check.is_ok(), "step {step}, after {edit:?}: {check:?}");
+            // Every step also sweeps the grid's first (model, cluster)
+            // problem twice on an engine from one cache, with its entry's
+            // column store, the way the daemon answers a group: the store
+            // keeps a variant from its second group on, so the second sweep
+            // of an edited variant takes over the columns the last variant
+            // left on the same axis, and must never serve them stale.
+            let (gm, cluster) = (&grid.models()[0], &grid.clusters()[0]);
+            let model = std::sync::Arc::new(KeyedModel::new(gm.model.clone()));
+            let config = gm.config_at(grid.batches()[0]);
+            let key = ProblemKey::of(&model, cluster, &config);
+            for round in 0..2 {
+                let (engine, _, columns) =
+                    cache.engine(&key, &model, cluster, config).expect("engine builds");
+                let stored =
+                    sweep.run_engine(&engine, grid.batches(), grid.constraints(), Some(&columns));
+                for cell in &stored.cells {
+                    let want = fresh.get(0, cell.query.batch, 0).expect("fresh cell");
+                    prop_assert!(
+                        cell.report == want.report,
+                        "step {step}, after {edit:?}: run_engine on a store (round {round}) at {:?}",
+                        want.query
+                    );
+                }
+            }
             // Every third step also sweeps one (model, cluster) problem of
             // the grid on its own engine, at a batch the grid may not ask
             // for, on the same value.
@@ -360,7 +385,7 @@ proptest! {
                 let (gm, cluster) = (&grid.models()[m], &grid.clusters()[c]);
                 let engine = CostEngine::new(&gm.model, &cluster.device, cluster, gm.config_at(40))
                     .expect("engine builds");
-                let swept = sweep.run_engine(&engine, grid.batches(), grid.constraints());
+                let swept = sweep.run_engine(&engine, grid.batches(), grid.constraints(), None);
                 prop_assert!(swept.len() == grid.batches().len());
                 for cell in &swept.cells {
                     let want = fresh.get(m, cell.query.batch, c).expect("fresh cell");

@@ -6,10 +6,9 @@
 //! the new cluster's coefficient columns. Neither run may peak higher than
 //! the cold run, kept columns included.
 //!
-//! Measured on this grid: the repeat allocates 0.035 of the cold run's
-//! bytes (0.110 when every column was recomputed into kept buffers) and
-//! the cluster swap 0.040; both peak at up to 1.000 times the cold run's
-//! live bytes. The bounds below, 0.05, 0.07 and 1.05, leave room for
+//! Measured on this grid: the repeat allocates 0.041 of the cold run's
+//! bytes and the cluster swap 0.049; both peak at up to 1.000 times the
+//! cold run's live bytes. The bounds below, 0.05, 0.07 and 1.05, leave room for
 //! allocations that depend on thread timing. Bytes show the superset
 //! reuse: enumerating the supersets again allocates its scratch (with
 //! superset matching disabled, the two runs read 0.095 and 0.101).

@@ -6,10 +6,14 @@
 //!
 //! * **shared** traffic — every worker asks the same problem class, so
 //!   concurrent requests coalesce into shared grid sweeps;
-//! * **distinct** traffic — worker `w` asks for `90 + w` epochs. Epochs are
-//!   part of the coalescing key but not of the engine core or the
-//!   per-epoch answer, so every request costs the same as a shared one,
-//!   and no two requests coalesce. This is the reference.
+//! * **distinct** traffic — worker `w` asks for a dataset `w + 1` samples
+//!   larger than the shared one. The dataset size is part of the
+//!   coalescing key and of the variant an engine-cache entry keeps sweep
+//!   columns for, but not of the engine core, and it leaves the work of a
+//!   request unchanged. So no two requests coalesce, and since the workers'
+//!   variants take turns on the one entry, its store seldom serves them:
+//!   nearly every distinct request pays a one-shot sweep. This is the
+//!   reference.
 //!
 //! It writes sustained qps plus p50/p99 latency per level and traffic to
 //! `BENCH_serve.json`, with the speedup (shared qps / distinct qps). The
@@ -33,8 +37,6 @@ use std::time::{Duration, Instant};
 const BATCHES: [usize; 2] = [256, 1024];
 const TOP_K: usize = 10;
 const MAX_PES: usize = 1024;
-/// The epochs every shared request asks for, and distinct worker 0.
-const EPOCHS: usize = 90;
 
 const USAGE: &str = "\
 paradl-loadgen: benchmark a paradl-serve daemon
@@ -43,9 +45,10 @@ USAGE:
     paradl-loadgen [OPTIONS]
 
 Drives one daemon at each concurrency level with shared traffic (one
-problem class, so requests coalesce) and distinct traffic (worker w asks
-for 90 + w epochs: the same work per request, but nothing coalesces), and
-reports the speedup shared qps / distinct qps.
+problem class, so requests coalesce and reuse the problem's resident sweep
+columns) and distinct traffic (worker w asks for a dataset w + 1 samples
+larger: the same work per request, but nothing coalesces), and reports
+the speedup shared qps / distinct qps.
 
 OPTIONS:
     --quick           short run (levels 2 and 8, ~0.6s per traffic)
@@ -97,12 +100,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn workload_query(batch: usize, epochs: usize) -> Query {
+/// The ranked query at `batch` on a dataset `extra` samples larger than
+/// ImageNet's.
+fn workload_query(batch: usize, extra: usize) -> Query {
     // Exhaustive PE sweep: evaluation dominates the request round trip, as
     // it does for any serving workload worth putting a daemon in front of.
+    let imagenet = TrainingConfig::imagenet(batch);
     Query::top_k(TOP_K)
         .with_model(paradl_models::resnet50())
-        .with_config(TrainingConfig { epochs, ..TrainingConfig::imagenet(batch) })
+        .with_config(TrainingConfig { dataset_size: imagenet.dataset_size + extra, ..imagenet })
         .with_cluster(ClusterSpec::paper_system())
         .with_constraints(Constraints {
             max_pes: MAX_PES,
@@ -195,9 +201,9 @@ fn drive(
                 let mut latencies = Vec::new();
                 let mut agg = StatsAgg::default();
                 let mut iteration = worker; // stagger the batch cycle per worker
-                let epochs = if distinct { EPOCHS + worker } else { EPOCHS };
+                let extra = if distinct { worker + 1 } else { 0 };
                 while Instant::now() < stop_at {
-                    let query = workload_query(BATCHES[iteration % BATCHES.len()], epochs);
+                    let query = workload_query(BATCHES[iteration % BATCHES.len()], extra);
                     iteration += 1;
                     let start = Instant::now();
                     match connection.query(&query, None).map_err(|e| format!("query: {e}"))? {
@@ -311,7 +317,7 @@ fn measurement_json(m: &Measurement) -> Json {
 fn warm(target: &Bind) -> Result<(), String> {
     let mut connection = Connection::connect(target).map_err(|e| format!("connect: {e}"))?;
     for batch in BATCHES {
-        let query = workload_query(batch, EPOCHS);
+        let query = workload_query(batch, 0);
         match connection.query(&query, None).map_err(|e| format!("warmup: {e}"))? {
             Response::Answer { .. } => {}
             other => return Err(format!("warmup got {other:?}")),

@@ -23,19 +23,25 @@
 //! is swept at the group's distinct batch sizes by a single
 //! [`GridSweep::run_engine`] pass — so `n` concurrent requests over
 //! `k ≤ n` distinct batches cost `k` cell evaluations plus one (usually
-//! cached) engine-core build, instead of `n` full evaluations. That pass is
-//! one-shot, on buffers of its own: the daemon holds no sweep, and no
-//! group reuses another's columns. A suggest or survey query is a group of
-//! one. Groups are answered in the arrival order of their oldest member,
-//! so no problem class always waits longest.
+//! cached) engine-core build, instead of `n` full evaluations. The pass
+//! runs on the column store of the problem's engine-cache entry: from a
+//! problem class's second group on, the store keeps its candidate
+//! superset, prep sets and communication columns over the batches asked
+//! more than once, so a repeated ranked group pays only for its cells,
+//! their evaluation and the report (the first group of a class, and a
+//! batch's first sight, sweep one-shot and keep nothing; the stores of the
+//! cache keep at most 344 MB together). A suggest or survey query is a
+//! group of one. Groups
+//! are answered in the arrival order of their oldest member, so no problem
+//! class always waits longest.
 //!
 //! Every engine the daemon uses comes from one [`EngineCache`], through
-//! [`EngineCache::engine`]. A request's model name is resolved once,
-//! at decode, to a shared zoo entry that carries the model's key
-//! ([`crate::resolve::resolve_entry`]); the batcher keys each query's
-//! cluster, memory config and constraints once, files the query under that
-//! key tuple, and the group's one cache lookup reuses the key and reports
-//! whether it hit. Nothing on the request path formats a `Debug` string or
+//! [`EngineCache::engine`]. A request's model name is resolved once, at
+//! decode, to a shared zoo entry that carries the
+//! model's key ([`crate::resolve::resolve_entry`]); the batcher keys each
+//! query's cluster, memory config and constraints once, files the query
+//! under that key tuple, and the group's one cache lookup reuses the key
+//! and reports whether it hit. Nothing on the request path formats a `Debug` string or
 //! rebuilds a model.
 //!
 //! This is sound because a grid sweep is defined to produce, cell for cell,
@@ -242,6 +248,7 @@ impl Shared {
     fn stats_json(&self) -> Json {
         let c = &self.counters;
         let cache = self.cache.stats();
+        let columns = self.cache.column_stats();
         Json::obj([
             ("served", Json::count(c.served.load(Ordering::Relaxed) as usize)),
             ("errors", Json::count(c.errors.load(Ordering::Relaxed) as usize)),
@@ -256,6 +263,15 @@ impl Shared {
             (
                 "degraded_to_suggest",
                 Json::count(c.degraded_to_suggest.load(Ordering::Relaxed) as usize),
+            ),
+            (
+                "column_store",
+                Json::obj([
+                    ("hits", Json::count(columns.hits as usize)),
+                    ("misses", Json::count(columns.misses as usize)),
+                    ("admissions", Json::count(columns.admissions as usize)),
+                    ("resident_bytes", Json::count(columns.resident_bytes as usize)),
+                ]),
             ),
             (
                 "engine_cache",
@@ -834,8 +850,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs `eval` (preceded by the Eval-stage hook) under `catch_unwind`: a
 /// panicking query is quarantined to an `Internal` error response instead
 /// of killing the batcher. Sound under `forbid(unsafe_code)` — the only
-/// state shared across the boundary is the engine cache, whose mutexes are
-/// poison-recovered.
+/// state shared across the boundary is the engine cache and its entries'
+/// column stores, whose mutexes are poison-recovered.
 fn run_contained<T>(
     query: &Query,
     shared: &Arc<Shared>,
@@ -859,12 +875,15 @@ fn run_contained<T>(
 }
 
 /// Answers one group with one evaluation on an engine from
-/// [`EngineCache::engine`], looked up once under `key`: the ranked
-/// members of a problem class share one one-shot [`GridSweep::run_engine`]
-/// pass over their distinct batches, and a suggestion or survey (a group
-/// of one) is answered on the engine directly. An engine that cannot be
-/// built refuses every member with the typed [`EngineError`]; a panic
-/// quarantines every member (they share the poisoned evaluation).
+/// [`EngineCache::engine`], looked up once under `key`: the
+/// ranked members of a problem class share one [`GridSweep::run_engine`]
+/// pass over their distinct batches, on the entry's column store, and a
+/// suggestion or survey (a group of one) is answered on the engine
+/// directly. The store's columns are uncalibrated; a calibrated member's
+/// report is rescaled after the sweep. An engine that cannot be built
+/// refuses every member with the typed [`EngineError`]; a panic
+/// quarantines every member (they share the poisoned evaluation), and the
+/// store recovers from it at the next group.
 fn answer_group(key: &ProblemKey, group: Vec<Pending>, shared: &Arc<Shared>) {
     let coalesced = group.len();
     if coalesced > 1 {
@@ -884,11 +903,12 @@ fn answer_group(key: &ProblemKey, group: Vec<Pending>, shared: &Arc<Shared>) {
     // surveys; and whether the engine's core was cached.
     let start = Instant::now();
     let outcome = run_contained(lead, shared, || {
-        let (engine, cache_hit) = shared.cache.engine(key, entry, cluster, config)?;
+        let (engine, cache_hit, columns) = shared.cache.engine(key, entry, cluster, config)?;
         let answers = match lead.mode {
             QueryMode::TopK(_) | QueryMode::FullRank => {
                 let constraints = lead.effective_constraints();
-                let report = GridSweep::new().run_engine(&engine, &batches, &constraints);
+                let report =
+                    GridSweep::new().run_engine(&engine, &batches, &constraints, Some(&columns));
                 group
                     .iter()
                     .map(|p| {

@@ -120,6 +120,133 @@ fn served_answers_are_byte_identical_to_local_ones() {
     server.shutdown_and_join();
 }
 
+/// Sends `group` concurrently (inside one linger window, so the members
+/// share one group) and checks every served answer against a local run,
+/// bytewise.
+fn serve_group(bind: &Bind, group: &[Query]) {
+    let workers: Vec<_> = group
+        .iter()
+        .map(|q| {
+            let (bind, q) = (bind.clone(), q.clone());
+            let worker = std::thread::spawn(move || {
+                let mut connection = Connection::connect(&bind).unwrap();
+                let (served, stats) = answer_bytes(connection.query(&q, None).unwrap());
+                assert_eq!(served, q.run().unwrap().to_json().render(), "{:?}", q.mode);
+                stats.coalesced
+            });
+            std::thread::sleep(Duration::from_millis(5));
+            worker
+        })
+        .collect();
+    for worker in workers {
+        assert_eq!(worker.join().unwrap(), group.len(), "the members share one group");
+    }
+}
+
+#[test]
+fn resident_columns_serve_the_bytes_a_local_run_computes() {
+    let (bind, _path) = temp_socket();
+    let config = ServerConfig { linger: Duration::from_millis(100), ..ServerConfig::default() };
+    let server = Server::start(bind.clone(), config).unwrap();
+    let calibration = committed_calibration();
+    let top = |batch| query(QueryMode::TopK(5), batch);
+    let tight = |batch| {
+        let constraints = Constraints { memory_capacity_bytes: 4e9, ..top(batch).constraints };
+        top(batch).with_constraints(constraints)
+    };
+    let smaller = |batch| {
+        top(batch)
+            .with_config(TrainingConfig { dataset_size: 640_000, ..top(batch).config.unwrap() })
+    };
+    // Each step is one group: its members, and what it does with the store
+    // of its problem's cache entry.
+    let steps: Vec<(Vec<Query>, &str)> = vec![
+        (vec![top(256)], "first sight"),
+        (vec![top(256)], "admitted"),
+        (vec![top(256), top(256).with_calibration(calibration.clone())], "hit"),
+        (vec![top(512), top(128)], "first sight"),
+        (vec![top(128).with_calibration(calibration.clone()), top(512), top(256)], "axis grows"),
+        (vec![top(512)], "hit"),
+        (vec![tight(256)], "first sight"),
+        (vec![tight(256), tight(1024)], "admitted"),
+        (vec![top(256)], "first sight"),
+        (vec![smaller(256)], "first sight"),
+        (vec![smaller(256)], "admitted"),
+        (vec![query(QueryMode::FullRank, 256)], "first sight"),
+        (vec![query(QueryMode::FullRank, 256)], "admitted"),
+        (vec![query(QueryMode::FullRank, 512), query(QueryMode::FullRank, 256)], "first sight"),
+        (vec![query(QueryMode::FullRank, 512)], "axis grows"),
+        (vec![query(QueryMode::FullRank, 256), query(QueryMode::FullRank, 512)], "hit"),
+        (vec![smaller(256).with_calibration(calibration)], "first sight"),
+    ];
+    for (group, _) in &steps {
+        serve_group(&bind, group);
+    }
+    let count = |what: &str| steps.iter().filter(|(_, w)| *w == what).count();
+    let mut connection = Connection::connect(&bind).unwrap();
+    let stats = match connection.roundtrip(&Request::Stats).unwrap() {
+        Response::ServerStats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let store = stats.get("column_store").expect("a column_store object");
+    let field = |name: &str| store.get(name).and_then(Json::usize).expect(name);
+    assert_eq!(field("hits"), count("hit"));
+    assert_eq!(field("misses"), steps.len() - count("hit"));
+    assert_eq!(field("admissions"), count("admitted"));
+    assert!(field("resident_bytes") > 0, "the last admitted variant is kept");
+    // Still one engine-cache lookup per group.
+    let cache = stats.get("engine_cache").expect("an engine_cache object");
+    let lookups = ["hits", "misses"].map(|f| cache.get(f).and_then(Json::usize).expect(f));
+    assert_eq!(lookups, [steps.len() - 1, 1]);
+    server.shutdown_and_join();
+}
+
+/// The daemon's `column_store` stats object, as numbers by name.
+fn column_store_stats(bind: &Bind) -> impl Fn(&str) -> usize {
+    let mut connection = Connection::connect(bind).unwrap();
+    let stats = match connection.roundtrip(&Request::Stats).unwrap() {
+        Response::ServerStats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let store = stats.get("column_store").expect("a column_store object").clone();
+    move |name| store.get(name).and_then(Json::usize).expect(name)
+}
+
+#[test]
+fn a_near_cap_query_is_kept_within_the_column_budget() {
+    // VGG16 exhaustive to 64 Ki PEs at batch 4096: ≈ 0.87 of the
+    // admission cap's enumeration work, ≈ 545 k candidates.
+    let near_cap = |batch| {
+        Query::top_k(10)
+            .with_model(paradl_models::vgg16())
+            .with_config(TrainingConfig::imagenet(batch))
+            .with_cluster(ClusterSpec::paper_system())
+            .with_constraints(Constraints {
+                max_pes: 65_536,
+                sweep: paradl_core::oracle::PeSweep::Exhaustive,
+                ..Constraints::default()
+            })
+    };
+    assert!(near_cap(4096).vet_with_cap(paradl_core::vet::DEFAULT_CANDIDATE_CAP * 9 / 10).is_ok());
+    assert!(near_cap(4096).vet_with_cap(paradl_core::vet::DEFAULT_CANDIDATE_CAP * 8 / 10).is_err());
+    let (bind, _path) = temp_socket();
+    let server = Server::start(bind.clone(), ServerConfig::default()).unwrap();
+    // First sight, admitted, hit; then a second batch grows the axis.
+    for batch in [4096, 4096, 4096, 2048, 2048] {
+        serve_group(&bind, &[near_cap(batch)]);
+    }
+    let field = column_store_stats(&bind);
+    assert_eq!((field("hits"), field("misses"), field("admissions")), (1, 4, 1));
+    // The store keeps at least a superset row (8 bytes packed) and a
+    // communication row (32 bytes) per candidate, within the cache's
+    // 344 MB budget.
+    let enumerated = near_cap(4096).run().unwrap().report().unwrap().enumerated;
+    let resident = field("resident_bytes");
+    assert!(resident > enumerated * (8 + 32), "{resident} bytes for {enumerated} rows");
+    assert!(resident <= 344_000_000, "{resident} bytes");
+    server.shutdown_and_join();
+}
+
 #[test]
 fn malformed_frames_do_not_kill_the_daemon() {
     let (bind, path) = temp_socket();
